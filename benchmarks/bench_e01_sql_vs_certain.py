@@ -9,9 +9,10 @@ cheap answer is simply wrong.
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
-from repro.core import certain_answers_intersection, sound_certain_answers
-from repro.sqlnulls import parse_sql, run_sql
+from repro.core import sound_certain_answers
+from repro.sqlnulls import execute_sql, parse_sql
 from repro.workloads import orders_payments
 
 SQL_QUERY = parse_sql("SELECT o_id FROM Orders WHERE o_id NOT IN (SELECT ord FROM Pay)")
@@ -30,7 +31,7 @@ def _db(num_orders, num_payments):
 def test_sql_3vl_evaluation(benchmark, num_orders, num_payments):
     database = _db(num_orders, num_payments)
     benchmark.group = f"e01 orders={num_orders}"
-    benchmark(run_sql, database, SQL_QUERY)
+    benchmark(execute_sql, database, SQL_QUERY)
 
 
 @pytest.mark.parametrize("num_orders,num_payments", SIZES)
@@ -41,8 +42,9 @@ def test_sql_3vl_sqlite_backend(benchmark, num_orders, num_payments):
 
     database = _db(num_orders, num_payments)
     benchmark.group = f"e01 orders={num_orders}"
-    sqlite_rows = benchmark(run_sql, database, SQL_QUERY, "sqlite")
-    python_rows = run_sql(database, SQL_QUERY)
+    session = repro.connect(database, engine="sqlite")
+    sqlite_rows = benchmark(session.sql, SQL_QUERY)
+    python_rows = execute_sql(database, SQL_QUERY)
 
     def normalized(rows):
         return sorted(tuple("NULL" if is_null(v) else v for v in row) for row in rows)
@@ -68,12 +70,7 @@ def test_sound_evaluation(benchmark, num_orders, num_payments):
 def test_certain_answers_by_enumeration(benchmark, num_orders, num_payments):
     database = _db(num_orders, num_payments)
     benchmark.group = f"e01 orders={num_orders}"
-    benchmark(
-        certain_answers_intersection,
-        RA_QUERY,
-        database,
-        "cwa",
-    )
+    benchmark(repro.connect(database).query(RA_QUERY).certain, method="enumeration")
 
 
 def test_report_correctness_table(benchmark, report):
@@ -81,12 +78,12 @@ def test_report_correctness_table(benchmark, report):
         rows = []
         for num_orders, num_payments in SIZES:
             database = _db(num_orders, num_payments)
-            sql_rows = run_sql(database, SQL_QUERY)
+            sql_rows = execute_sql(database, SQL_QUERY)
             naive_rows = RA_QUERY.evaluate(database)
             sound = sound_certain_answers(RA_QUERY, database)
             if len(database.nulls()) <= 2:
                 certain = str(
-                    len(certain_answers_intersection(RA_QUERY, database, semantics="cwa"))
+                    len(repro.connect(database).query(RA_QUERY).certain(method="enumeration"))
                 )
             else:
                 certain = "(skipped: too many worlds)"

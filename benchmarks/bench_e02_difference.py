@@ -11,8 +11,8 @@ import pytest
 
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_boolean
-from repro.sqlnulls import parse_sql, run_sql
+from repro.semantics import enumerate_certain_boolean
+from repro.sqlnulls import execute_sql, parse_sql
 
 SQL_QUERY = parse_sql("SELECT R.A FROM R WHERE R.A NOT IN (SELECT S.A FROM S)")
 RA_QUERY = parse_ra("diff(R, S)")
@@ -33,7 +33,7 @@ def _db(r_size, s_nulls=1):
 def test_sql_not_in_antijoin(benchmark, r_size):
     database = _db(r_size)
     benchmark.group = f"e02 |R|={r_size}"
-    result = benchmark(run_sql, database, SQL_QUERY)
+    result = benchmark(execute_sql, database, SQL_QUERY)
     assert result == []  # the wrong-but-fast answer
 
 
@@ -49,7 +49,7 @@ def test_certain_nonemptiness_by_enumeration(benchmark, r_size):
     database = _db(r_size)
     benchmark.group = f"e02 |R|={r_size}"
     result = benchmark(
-        certain_boolean,
+        enumerate_certain_boolean,
         lambda world: bool(RA_QUERY.evaluate(world)),
         database,
         "cwa",
@@ -62,8 +62,8 @@ def test_report_table(benchmark, report):
         rows = []
         for r_size in R_SIZES:
             database = _db(r_size)
-            sql_rows = run_sql(database, SQL_QUERY)
-            nonempty_certain = certain_boolean(
+            sql_rows = execute_sql(database, SQL_QUERY)
+            nonempty_certain = enumerate_certain_boolean(
                 lambda world: bool(RA_QUERY.evaluate(world)), database, semantics="cwa"
             )
             rows.append([r_size, 1, len(sql_rows), nonempty_certain])

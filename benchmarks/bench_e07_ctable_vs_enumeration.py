@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+import repro
 from repro.algebra import CTableDatabase, ctable_evaluate, parse_ra
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import answer_space, default_domain
@@ -62,7 +63,7 @@ def test_ctable_algebra(benchmark, r_size, s_nulls):
     database = _db(r_size, s_nulls)
     ctdb = CTableDatabase.from_database(database)
     benchmark.group = f"e07 |R|={r_size} nulls={s_nulls}"
-    result = benchmark(ctable_evaluate, QUERY, ctdb)
+    result = benchmark(repro.connect().evaluate_ctable, QUERY, ctdb)
     assert len(result) == r_size  # one conditional row per R tuple
 
 
@@ -79,7 +80,7 @@ def test_world_enumeration(benchmark, r_size, s_nulls):
 def test_ctable_dense_join(benchmark, engine, n, vals, null_fraction):
     ctdb = _dense_ctdb(n, vals, null_fraction)
     benchmark.group = f"e07 dense join n={n} vals={vals} nulls={null_fraction}"
-    result = benchmark(ctable_evaluate, DENSE_QUERY, ctdb, engine)
+    result = benchmark(repro.connect(engine=engine).evaluate_ctable, DENSE_QUERY, ctdb)
     assert len(result) > n  # dense: strictly more join pairs than rows per side
 
 
@@ -97,8 +98,8 @@ def test_dense_join_engines_agree():
             ]
         )
     )
-    planned = ctable_evaluate(DENSE_QUERY, ctdb, engine="plan")
-    interpreted = ctable_evaluate(DENSE_QUERY, ctdb, engine="interpreter")
+    planned = repro.connect().evaluate_ctable(DENSE_QUERY, ctdb)
+    interpreted = ctable_evaluate(DENSE_QUERY, ctdb)
     domain = [0, 1, "w0", "w1"]
     assert planned.possible_worlds(domain) == interpreted.possible_worlds(domain)
 

@@ -8,8 +8,8 @@ exponential in it (crossover at 1–2 nulls already).
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import certain_answers_intersection
 from repro.workloads import random_database
 
 QUERY = parse_ra("union(project[#0](R0), project[#1](R1))")
@@ -35,7 +35,7 @@ def test_naive_evaluation(benchmark, num_nulls):
 def test_world_enumeration(benchmark, num_nulls):
     database = _db(num_nulls)
     benchmark.group = f"e08 nulls={num_nulls}"
-    benchmark(certain_answers_intersection, QUERY, database, "cwa")
+    benchmark(repro.connect(database).query(QUERY).certain, method="enumeration")
 
 
 @pytest.mark.parametrize("num_nulls", NULL_COUNTS[:2])
@@ -49,7 +49,7 @@ def test_naive_evaluation_join_query(benchmark, num_nulls):
 def test_world_enumeration_join_query(benchmark, num_nulls):
     database = _db(num_nulls)
     benchmark.group = f"e08 join nulls={num_nulls}"
-    benchmark(certain_answers_intersection, JOIN_QUERY, database, "cwa")
+    benchmark(repro.connect(database).query(JOIN_QUERY).certain, method="enumeration")
 
 
 def test_report_table(benchmark, report):
@@ -58,7 +58,7 @@ def test_report_table(benchmark, report):
         for num_nulls in NULL_COUNTS:
             database = _db(num_nulls)
             naive = naive_certain_answers(QUERY, database)
-            exact = certain_answers_intersection(QUERY, database, semantics="cwa")
+            exact = repro.connect(database).query(QUERY).certain(method="enumeration")
             rows.append(
                 [num_nulls, database.size(), len(naive), len(exact), naive.rows == exact.rows]
             )

@@ -8,8 +8,8 @@ and that it scales polynomially with the number of students.
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import certain_answers_intersection
 from repro.workloads import enrolment
 
 QUERY = parse_ra("divide(Enroll, Courses)")
@@ -38,7 +38,7 @@ def test_naive_division(benchmark, num_students):
 def test_enumeration_division(benchmark, num_students):
     database = _db(num_students)
     benchmark.group = f"e16 students={num_students}"
-    benchmark(certain_answers_intersection, QUERY, database, "cwa")
+    benchmark(repro.connect(database).query(QUERY).certain, method="enumeration")
 
 
 @pytest.mark.parametrize("num_students", STUDENT_COUNTS)
@@ -55,7 +55,7 @@ def test_report_table(benchmark, report):
             database = _db(num_students)
             naive = naive_certain_answers(QUERY, database)
             if len(database.nulls()) <= 3:
-                exact = certain_answers_intersection(QUERY, database, semantics="cwa")
+                exact = repro.connect(database).query(QUERY).certain(method="enumeration")
                 agree = naive.rows == exact.rows
                 exact_size = len(exact)
             else:

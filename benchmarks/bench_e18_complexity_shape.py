@@ -15,8 +15,8 @@ the engine-level design choice called out in DESIGN.md.
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import certain_answers_intersection
 from repro.semantics import count_cwa_worlds, default_domain
 from repro.workloads import random_database
 
@@ -47,13 +47,13 @@ class TestNullSweep:
     def test_enumeration_positive_query(self, benchmark, num_nulls):
         database = _db(num_nulls)
         benchmark.group = f"e18 nulls={num_nulls}"
-        benchmark(certain_answers_intersection, POSITIVE_QUERY, database, "cwa")
+        benchmark(repro.connect(database).query(POSITIVE_QUERY).certain, method="enumeration")
 
     @pytest.mark.parametrize("num_nulls", NULL_SWEEP[:3])
     def test_enumeration_full_ra_query(self, benchmark, num_nulls):
         database = _db(num_nulls)
         benchmark.group = f"e18 nulls={num_nulls}"
-        benchmark(certain_answers_intersection, FULL_RA_QUERY, database, "cwa")
+        benchmark(repro.connect(database).query(FULL_RA_QUERY).certain, method="enumeration")
 
 
 class TestSizeSweep:
@@ -67,7 +67,7 @@ class TestSizeSweep:
     def test_enumeration_positive_query(self, benchmark, rows):
         database = _db(2, rows=rows)
         benchmark.group = f"e18 rows={rows}"
-        benchmark(certain_answers_intersection, POSITIVE_QUERY, database, "cwa")
+        benchmark(repro.connect(database).query(POSITIVE_QUERY).certain, method="enumeration")
 
 
 class TestJoinPlanAblation:

@@ -9,8 +9,9 @@ and how much of the exact answer it recovered.
 
 import pytest
 
+import repro
 from repro.algebra import naive_evaluate, parse_ra
-from repro.core import certain_answers_intersection, sound_certain_answers
+from repro.core import sound_certain_answers
 from repro.workloads import orders_payments, random_database, random_full_ra_query
 
 QUERY = parse_ra("diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))")
@@ -53,7 +54,7 @@ def test_report_soundness_and_recall(benchmark, report):
             database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
             query = random_full_ra_query(database.schema, seed=seed)
             sound = sound_certain_answers(query, database)
-            exact = certain_answers_intersection(query, database, semantics="cwa")
+            exact = repro.connect(database).query(query).certain(method="enumeration")
             rows.append(
                 [
                     seed,

@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Relation
 
@@ -113,6 +114,7 @@ def _child_load_sqlite():
     from repro.algebra.ast import relation as rel
     from repro.algebra.predicates import Attr, eq
     from repro.backends import SQLiteBackend
+    from repro.engine import PlanCache
 
     path = os.path.join(tempfile.mkdtemp(prefix="repro_e25_"), "scale.sqlite")
     code = 1
@@ -123,7 +125,7 @@ def _child_load_sqlite():
         if written != SCALE_ROWS:
             code = 2
         else:
-            answer = backend.evaluate(rel("Big").select(eq(Attr("a"), "k7")))
+            answer = backend.evaluate(rel("Big").select(eq(Attr("a"), "k7")), PlanCache())
             code = 0 if len(answer) == SCALE_ROWS // 1_000 else 3
         backend.close()
     finally:
@@ -250,25 +252,24 @@ def run_scale_gate(budget_seconds=SCALE_BUDGET_SECONDS):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("rows", MODERATE_SIZES)
 def test_inmemory_engine_query(benchmark, rows):
-    database = moderate_database(rows)
-    QUERY.evaluate(database, engine="plan")  # warm plan cache
+    query = repro.connect(moderate_database(rows)).query(QUERY)
+    query.answer_object()  # warm plan cache
     benchmark.group = f"e25 rows={rows}"
-    benchmark(QUERY.evaluate, database, engine="plan")
+    benchmark(query.answer_object)
 
 
 @pytest.mark.parametrize("rows", MODERATE_SIZES)
 def test_sqlite_backend_warm_query(benchmark, rows):
-    database = moderate_database(rows)
-    QUERY.evaluate(database, engine="sqlite")  # load + compile once
+    query = repro.connect(moderate_database(rows), engine="sqlite").query(QUERY)
+    query.answer_object()  # load + compile once
     benchmark.group = f"e25 rows={rows}"
-    benchmark(QUERY.evaluate, database, engine="sqlite")
+    benchmark(query.answer_object)
 
 
 def test_sqlite_matches_inmemory_on_bench_workload():
     database = moderate_database(MODERATE_SIZES[-1])
-    assert QUERY.evaluate(database, engine="sqlite") == QUERY.evaluate(
-        database, engine="plan"
-    )
+    sqlite = repro.connect(database, engine="sqlite").query(QUERY).answer_object()
+    assert sqlite == repro.connect(database).query(QUERY).answer_object()
 
 
 def test_cursor_gate_streams_the_scale_answer(report):

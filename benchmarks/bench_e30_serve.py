@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Null
 

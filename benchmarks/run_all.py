@@ -93,7 +93,6 @@ def _pin_hash_seed() -> None:
         os.execve(sys.executable, [sys.executable, os.path.abspath(__file__)] + sys.argv[1:], env)
 
 from repro.algebra import parse_ra  # noqa: E402
-from repro.engine import clear_plan_cache  # noqa: E402
 
 JOIN_HEAVY_THRESHOLD = 3.0
 CORE_SPEEDUP_THRESHOLD = 5.0  # block-based core vs greedy oracle (e21_core)
@@ -228,6 +227,7 @@ def scenario_e12() -> Dict[str, Any]:
 
 def scenario_e18() -> Dict[str, Any]:
     """Complexity-shape positive queries at the largest size sweep value."""
+    from repro.engine import PlanCache
     from repro.workloads import random_database
 
     database = random_database(
@@ -235,13 +235,12 @@ def scenario_e18() -> Dict[str, Any]:
     )
     positive = parse_ra("project[#0](select[#1 = #2](product(R0, project[#0](R1))))")
     join_plan = parse_ra("project[a](join(rename[A(a, b)](R0), rename[B(b, c)](R1)))")
+    cache = PlanCache()
     return {
-        "engine:product_selection": measure(lambda: positive.evaluate(database, engine="plan")),
-        "seed:product_selection": measure(
-            lambda: positive.evaluate(database, engine="interpreter")
-        ),
-        "engine:natural_join": measure(lambda: join_plan.evaluate(database, engine="plan")),
-        "seed:natural_join": measure(lambda: join_plan.evaluate(database, engine="interpreter")),
+        "engine:product_selection": measure(lambda: cache.execute(positive, database)),
+        "seed:product_selection": measure(lambda: positive.evaluate(database)),
+        "engine:natural_join": measure(lambda: cache.execute(join_plan, database)),
+        "seed:natural_join": measure(lambda: join_plan.evaluate(database)),
     }
 
 
@@ -309,9 +308,7 @@ def scenario_e07() -> Dict[str, Any]:
         "engine:ctable_dense_join": measure(
             lambda: session.evaluate_ctable(DENSE_QUERY, dense)
         ),
-        "seed:ctable_dense_join": measure(
-            lambda: ctable_evaluate(DENSE_QUERY, dense, engine="interpreter")
-        ),
+        "seed:ctable_dense_join": measure(lambda: ctable_evaluate(DENSE_QUERY, dense)),
         "ctable_algebra": measure(lambda: session.evaluate_ctable(query, ctdb)),
         "world_enumeration": measure(
             lambda: answer_space(query.evaluate, database, "cwa", domain)
@@ -697,7 +694,7 @@ def scenario_obs() -> Dict[str, Any]:
             random_full_ra_query(workload.schema, seed=seed),
         ]
         for q in queries:
-            expected = len(q.evaluate(workload, engine="interpreter"))
+            expected = len(q.evaluate(workload))
             for engine in ("plan", "sqlite"):
                 with repro.connect(workload, engine=engine) as session:
                     report = session.query(q).analyze()
@@ -888,7 +885,6 @@ def main(argv: Optional[list] = None) -> int:
     results: Dict[str, Any] = {}
     speedups: Dict[str, Dict[str, float]] = {}
     for name in sorted(scenarios):
-        clear_plan_cache()
         print(f"[{name}] running ...", flush=True)
         family_start = time.perf_counter()
         ops = scenarios[name]()
@@ -915,7 +911,6 @@ def main(argv: Optional[list] = None) -> int:
             families = sorted({name.split("/", 1)[0] for name in regressed})
             print(f"\nre-measuring {', '.join(families)} to rule out transient load ...")
             for name in families:
-                clear_plan_cache()
                 scenario = scenarios[name]
                 family_start = time.perf_counter()
                 if getattr(scenario, "timing_only_retry", False):

@@ -74,8 +74,8 @@ Sessions are isolated: two sessions with different engines (or the
 without sharing any cache state.  ``session.query(...).cursor()`` streams
 answers in batches straight off the SQLite backend, and
 ``session.sql("SELECT ...")`` runs three-valued SQL.  See ``docs/api.md``
-for the Session/Query/Cursor lifecycle and the migration map from the
-deprecated module-level entry points (``certain_answers`` and friends).
+for the Session/Query/Cursor lifecycle and for what replaced the
+module-level entry points removed in 2.0 (``certain_answers`` and friends).
 
 To serve many concurrent readers, freeze a warmed session
 (``session.freeze()``) and share it across threads lock-free, or let
@@ -112,12 +112,12 @@ from .resilience import (
 )
 from .obs import AnalyzeReport, MetricsRegistry, Tracer
 from .prob import ExclusiveBlock, ProbabilityModel
-from .session import Cursor, Query, Session, connect, default_session
+from .session import Cursor, Query, Session, connect
 from . import obs
 from . import prob
 from . import serve
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalyzeReport",
@@ -153,7 +153,6 @@ __all__ = [
     "WorkerPoolError",
     "__version__",
     "connect",
-    "default_session",
     "obs",
     "prob",
     "serve",

@@ -43,36 +43,15 @@ class RAExpression:
         """The schema of the result when evaluated over ``schema``."""
         raise NotImplementedError
 
-    def evaluate(self, database: Database, engine: Optional[str] = None) -> Relation:
+    def evaluate(self, database: Database) -> Relation:
         """Evaluate the expression (standard / naive semantics).
 
-        ``engine`` selects the execution path:
-
-        * ``"plan"`` (the default) — compile the expression into an
-          optimized physical plan (:mod:`repro.engine`) with selection
-          pushdown, hash joins and common-subexpression memoization;
-        * ``"sqlite"`` — compile the same logical plan into SQL executed
-          on SQLite (:mod:`repro.backends`); queries outside the SQL
-          compiler's fragment transparently fall back to ``"plan"``;
-        * ``"interpreter"`` — the original tree-walking interpreter, kept
-          as a differential-testing oracle.
-
-        When ``engine`` is ``None`` the module default applies (see
-        :func:`repro.engine.set_default_engine`; overridable with the
-        ``REPRO_ENGINE`` environment variable).
+        Runs the seed tree-walking interpreter, the oracle every engine is
+        tested against.  Planned evaluation needs caller-owned state: a
+        session (``repro.connect(db, engine=...)``) or an explicit
+        :class:`repro.engine.PlanCache`.
         """
-        from .. import engine as _engine
-
-        mode = engine if engine is not None else _engine.get_default_engine()
-        if mode == "interpreter":
-            return self._interpret(database)
-        if mode == "plan":
-            return _engine.execute(self, database)
-        if mode == "sqlite":
-            return _engine.execute_sqlite(self, database)
-        raise ValueError(
-            f"unknown engine {mode!r}; expected 'plan', 'interpreter' or 'sqlite'"
-        )
+        return self._interpret(database)
 
     def _interpret(self, database: Database) -> Relation:
         """Tree-walking evaluation of this node (the seed interpreter).

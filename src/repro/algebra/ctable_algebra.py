@@ -23,7 +23,7 @@ benchmarks show the complexity gap between the two.
 from __future__ import annotations
 
 from heapq import merge as _heapq_merge
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from ..datamodel import (
     Condition,
@@ -206,44 +206,21 @@ def predicate_condition(predicate: Predicate, row: Sequence[Any], schema: Relati
 # ----------------------------------------------------------------------
 # The algebra
 # ----------------------------------------------------------------------
-def ctable_evaluate(
-    expression: RAExpression, database: CTableDatabase, engine: Optional[str] = None
-) -> ConditionalTable:
+def ctable_evaluate(expression: RAExpression, database: CTableDatabase) -> ConditionalTable:
     """Evaluate an RA expression over a c-table database, producing a c-table.
 
     The result's global condition is the conjunction of the global
     conditions of the base tables, so ``result.possible_worlds(domain)``
     ranges over exactly the worlds admitted by the input database.
 
-    ``engine`` selects the execution path, mirroring
-    :meth:`RAExpression.evaluate`:
-
-    * ``"plan"`` (the default) — compile through the physical planner
-      (:mod:`repro.engine.ctable`): selection pushdown and
-      cardinality-ordered multijoins over conditional rows, with every
-      condition composed through the hash-consed kernel;
-    * ``"interpreter"`` — the original tree-walking algebra below, kept
-      as the differential-testing oracle.
-
-    Both paths represent the same set of possible worlds; the planned
-    path may return syntactically different (but equivalent) conditions
+    This is the tree-walking algebra, kept as the differential-testing
+    oracle.  The planned path (:func:`repro.engine.execute_ctable`, or
+    :meth:`repro.session.Session.evaluate_ctable`) represents the same set
+    of possible worlds, possibly with syntactically different conditions
     and row order.
     """
-    from .. import engine as _engine
-
-    mode = engine if engine is not None else _engine.get_default_engine()
-    if mode == "sqlite":
-        # The SQL backend covers complete-relation evaluation only;
-        # c-tables keep using the planned in-memory path when the
-        # process-wide default engine is "sqlite".
-        mode = "plan"
-    if mode == "interpreter":
-        schema = database.schema
-        result = _evaluate(expression, database, schema)
-        return result.with_global(database.global_condition()).simplified()
-    if mode == "plan":
-        return _engine.execute_ctable(expression, database)
-    raise ValueError(f"unknown engine {mode!r}; expected 'plan' or 'interpreter'")
+    result = _evaluate(expression, database, database.schema)
+    return result.with_global(database.global_condition()).simplified()
 
 
 def _evaluate(

@@ -14,7 +14,7 @@ This package provides:
 * :mod:`repro.backends.compiler` — logical plans → SQL text, reusing the
   planner's cost-based lowering hooks;
 * :mod:`repro.backends.sqlite` — the SQLite implementation behind
-  ``engine="sqlite"``.
+  sessions opened with ``engine="sqlite"``.
 
 See ``docs/backends.md`` for the architecture and how to add a backend.
 """
@@ -28,11 +28,9 @@ from .base import (
 )
 from .compiler import CompiledPlan, SQLCompiler, compile_logical_plan
 from .encoding import SentinelCodec, SQLNullCodec
-from .sqlite import ANALYSIS_CACHE_KEY, SQLiteBackend, backend_for
-from .sqlite import execute as execute_sqlite
+from .sqlite import SQLiteBackend
 
 __all__ = [
-    "ANALYSIS_CACHE_KEY",
     "Backend",
     "BackendError",
     "CompiledPlan",
@@ -42,8 +40,6 @@ __all__ = [
     "SQLiteBackend",
     "SentinelCodec",
     "UnsupportedPlanError",
-    "backend_for",
     "compile_logical_plan",
-    "execute_sqlite",
     "table_name",
 ]

@@ -24,14 +24,14 @@ A backend owns four responsibilities, mirrored by the abstract methods of
   context-manager protocol).
 
 Backends raise :class:`UnsupportedPlanError` for query shapes outside
-their supported fragment; the engine dispatch catches it and falls back
-to the in-memory physical engine, which stays the semantics oracle.
+their supported fragment; the session catches it and falls back to the
+in-memory physical engine.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
@@ -46,7 +46,7 @@ class BackendError(ReproError):
 class UnsupportedPlanError(BackendError):
     """The plan (or schema) lies outside the backend's supported fragment.
 
-    Raised during compilation or loading; the ``engine="sqlite"`` dispatch
+    Raised during compilation or loading; an ``engine="sqlite"`` session
     treats it as a signal to fall back to the in-memory physical engine,
     so unsupported queries stay correct instead of failing.
     """
@@ -94,8 +94,12 @@ class Backend(abc.ABC):
         """Read relation ``name`` back out as an in-memory :class:`Relation`."""
 
     @abc.abstractmethod
-    def evaluate(self, expression: RAExpression) -> Relation:
-        """Evaluate ``expression`` on the loaded instance (naive semantics)."""
+    def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
+        """Evaluate ``expression`` on the loaded instance (naive semantics).
+
+        ``plan_cache`` is the caller's :class:`~repro.engine.PlanCache`,
+        which supplies the optimized logical plan.
+        """
 
     @abc.abstractmethod
     def close(self) -> None:

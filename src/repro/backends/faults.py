@@ -165,20 +165,18 @@ class FaultInjectingBackend(Backend):
         return self.inner.extract_relation(name)
 
     # -- plan execution -------------------------------------------------
-    def evaluate(
-        self, expression: RAExpression, plan_cache: Optional[Any] = None
-    ) -> Relation:
+    def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
         self.schedule.fire("evaluate")
         return self.inner.evaluate(expression, plan_cache)
 
     def execute_cursor(
         self,
         expression: RAExpression,
+        plan_cache: Any,
         batch_size: int = 1024,
-        plan_cache: Optional[Any] = None,
     ) -> Iterator[Tuple[Any, ...]]:
         self.schedule.fire("execute_cursor")
-        stream = self.inner.execute_cursor(expression, batch_size, plan_cache)
+        stream = self.inner.execute_cursor(expression, plan_cache, batch_size)
         try:
             for row in stream:
                 self.schedule.fire("fetch")

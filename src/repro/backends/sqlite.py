@@ -1,9 +1,8 @@
 """The SQLite backend: DDL, bulk load, indexes and plan execution.
 
-``engine="sqlite"`` routes :meth:`RAExpression.evaluate` through this
-module: the database is loaded once per :class:`~repro.datamodel.Database`
-object (cached in the instance's ``analysis_cache``), logical plans are
-shared with the in-memory planner's ``(expression, schema)`` cache, and
+A session opened with ``engine="sqlite"`` owns one :class:`SQLiteBackend`
+and keeps it loaded across queries: logical plans come from the
+session's ``(expression, schema)`` :class:`~repro.engine.PlanCache`, and
 the compiled SQL plans are cached per backend, so warm repeated queries
 cost one ``execute`` + decode.
 
@@ -22,9 +21,9 @@ Design notes
   in Python memory (``benchmarks/bench_e25_backend.py`` gates this).
 * **Fallback.**  Plans outside the compiler's fragment (order
   comparisons, opaque subtrees, zero-arity relations) raise
-  :class:`UnsupportedPlanError`; :func:`execute` then falls back to the
-  in-memory physical engine, which remains the semantics oracle — the
-  differential suite asserts ``sqlite ≡ plan ≡ interpreter``.
+  :class:`UnsupportedPlanError`; the session then falls back to the
+  in-memory physical engine — the differential suite asserts
+  ``sqlite ≡ plan ≡ interpreter``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
 from ..datamodel.schema import DatabaseSchema, RelationSchema
-from ..engine import planner as _planner
 from ..obs.trace import span
 from ..resilience import BudgetExceeded, QueryCancelled, active_budget
 from .base import (
@@ -52,8 +50,6 @@ from .encoding import SentinelCodec
 
 _LOAD_BATCH = 10_000
 _PLAN_CACHE_LIMIT = 128
-#: Key under which a loaded backend is cached on ``Database.analysis_cache()``.
-ANALYSIS_CACHE_KEY = "backends.sqlite"
 
 #: How many SQLite VM opcodes run between deadline checks while a budget
 #: with a deadline is armed.  Tuned so the watchdog costs well under 2% on
@@ -492,7 +488,7 @@ class SQLiteBackend(Backend):
     # plan execution
     # ------------------------------------------------------------------
     def _plan_for(
-        self, expression: RAExpression, plan_cache: Optional[Any] = None
+        self, expression: RAExpression, plan_cache: Any
     ) -> Tuple[CompiledPlan, RelationSchema]:
         """The compiled SQL plan and output schema for ``expression`` (cached)."""
         if self._schema is None:
@@ -507,10 +503,7 @@ class SQLiteBackend(Backend):
             if entry is None:
                 schema = self._schema
                 out_schema = expression.output_schema(schema)
-                if plan_cache is None:
-                    logical = _planner.compile_plan(expression, schema)
-                else:
-                    logical = plan_cache.compile(expression, schema)
+                logical = plan_cache.compile(expression, schema)
                 stats = self._database if self._database is not None else _BackendStats(self)
                 entry = (SQLCompiler(stats, self.codec).compile(logical), out_schema)
             plan, out_schema = entry
@@ -527,10 +520,7 @@ class SQLiteBackend(Backend):
             # Reuse the planner's (expression, schema) logical-plan cache:
             # the SQL path optimizes exactly once with the in-memory one.
             # Sessions pass their own PlanCache so plans stay per-session.
-            if plan_cache is None:
-                logical = _planner.compile_plan(expression, schema)
-            else:
-                logical = plan_cache.compile(expression, schema)
+            logical = plan_cache.compile(expression, schema)
             # Join ordering costs against the in-memory instance when one
             # is attached, else against SQL COUNT(*) statistics — the
             # out-of-core case, where no Database object ever exists.
@@ -570,9 +560,7 @@ class SQLiteBackend(Backend):
             except sqlite3.Error:
                 pass
 
-    def evaluate(
-        self, expression: RAExpression, plan_cache: Optional[Any] = None
-    ) -> Relation:
+    def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
         self._ensure_healthy()
         if not self._frozen:
             self._interrupt_requested = False
@@ -610,8 +598,8 @@ class SQLiteBackend(Backend):
     def execute_cursor(
         self,
         expression: RAExpression,
+        plan_cache: Any,
         batch_size: int = 1024,
-        plan_cache: Optional[Any] = None,
     ) -> Iterator[Tuple[Any, ...]]:
         """Stream the answer rows of ``expression``, decoded, batch by batch.
 
@@ -714,28 +702,6 @@ class _BackendStats:
         return sum(self._count(rel.name) for rel in schema or ())
 
 
-# ----------------------------------------------------------------------
-# engine="sqlite" dispatch
-# ----------------------------------------------------------------------
-def backend_for(database: Database, path: str = ":memory:") -> SQLiteBackend:
-    """The loaded backend of ``database``, creating and caching it on demand.
-
-    Backends are cached in the database's ``analysis_cache`` (databases
-    are immutable), one per storage ``path``, so repeated queries against
-    the same instance reuse the loaded tables, the indexes and the
-    compiled plans — and an explicit on-disk path never silently aliases
-    the default in-memory backend.
-    """
-    cache = database.analysis_cache()
-    backends = cache.setdefault(ANALYSIS_CACHE_KEY, {})
-    backend = backends.get(path)
-    if backend is None:
-        backend = SQLiteBackend(path)
-        backend.load_database(database)
-        backends[path] = backend
-    return backend
-
-
 # SQLite OperationalError messages that signal an *environmental limit*
 # (plan too deep/wide for the engine), not a bug in the generated SQL.
 _SQLITE_LIMIT_MARKERS = (
@@ -787,24 +753,3 @@ def is_runtime_failure(error: BaseException) -> bool:
     # InterfaceError and bare DatabaseError (e.g. "database disk image is
     # malformed") mean the handle, not the SQL, is broken.
     return isinstance(error, (sqlite3.InterfaceError, sqlite3.DatabaseError))
-
-
-def execute(expression: RAExpression, database: Database) -> Relation:
-    """Evaluate ``expression`` on ``database`` through SQLite.
-
-    Queries outside the compiler's fragment — and environmental SQLite
-    limits such as a parser stack overflow on very deep plans — fall back
-    to the in-memory physical engine, so ``engine="sqlite"`` is total
-    over the algebra.  Genuine programming errors (malformed generated
-    SQL, i.e. any other ``OperationalError``) still surface loudly — a
-    blanket fallback would let a broken compiler pass every differential
-    test by silently answering with the in-memory engine.
-    """
-    try:
-        return backend_for(database).evaluate(expression)
-    except BackendError:
-        return _planner.execute(expression, database)
-    except sqlite3.OperationalError as error:
-        if _is_engine_limit(error):
-            return _planner.execute(expression, database)
-        raise

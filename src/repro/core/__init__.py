@@ -10,24 +10,18 @@ Contents:
 * :mod:`repro.core.certainty` — ``certainO`` / ``certainK`` (Section 5.3);
 * :mod:`repro.core.naive_evaluation` — applicability of naive evaluation
   (syntactic fragments and the monotone+generic criterion of Section 6);
-* :mod:`repro.core.answers` — the user-facing certain-answer API;
+* :mod:`repro.core.answers` — the certain-answer strategies sessions dispatch to;
 * :mod:`repro.core.sound_evaluation` — sound, no-false-positive evaluation
   of full relational algebra over nulls (Section 7).
 """
 
 from .answers import (
-    certain_answer_knowledge,
-    certain_answer_object,
-    certain_answers,
-    certain_answers_intersection,
-    certain_answers_naive,
     certain_strategy,
     enumeration_strategy,
     explain_method,
     knowledge_strategy,
     naive_strategy,
     object_strategy,
-    possible_answers,
 )
 from .certainty import (
     certain_knowledge_formula,
@@ -87,11 +81,6 @@ __all__ = [
     "OWA_ORDERING",
     "RepresentationSystem",
     "WCWA_ORDERING",
-    "certain_answer_knowledge",
-    "certain_answer_object",
-    "certain_answers",
-    "certain_answers_intersection",
-    "certain_answers_naive",
     "certain_knowledge_formula",
     "certain_object_owa",
     "certain_strategy",
@@ -117,7 +106,6 @@ __all__ = [
     "owa_leq",
     "owa_representation_system",
     "possible_answer_bound",
-    "possible_answers",
     "product_object",
     "query_constants",
     "relation_leq",

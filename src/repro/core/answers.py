@@ -1,4 +1,4 @@
-"""Certain-answer strategies, and the deprecated pre-session entry points.
+"""Certain-answer strategies: naive, enumeration, and the dispatch between them.
 
 Three ways of answering a query ``Q`` over an incomplete database ``D``:
 
@@ -15,10 +15,8 @@ Three ways of answering a query ``Q`` over an incomplete database ``D``:
 The strategies are *thin*: each takes an ``evaluator`` — a function from
 ``(query, database)`` to a relation — so the caller decides which engine
 state runs the query.  :class:`repro.session.Session` passes its own
-session-scoped evaluator; the deprecated module-level wrappers
-(:func:`certain_answers` and friends, kept with their historical
-signatures) pass the process-default one and emit a
-:class:`DeprecationWarning` per call.
+session-scoped evaluator; :func:`~repro.core.naive_evaluation.evaluate_query`
+is the seed-interpreter one.
 
 The object/knowledge views of certainty (eqs. (9)/(10)) follow the same
 pattern: :func:`object_strategy` (the naive answer itself, nulls
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .._deprecation import warn_deprecated as _warn_deprecated
 from ..algebra.ast import ConstantRelation, RAExpression, Selection
 from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
@@ -41,7 +38,7 @@ from ..semantics.certain import (
     enumerate_possible_answers,
 )
 from ..semantics.worlds import default_domain
-from .naive_evaluation import Applicability, evaluate_query, naive_evaluation_applies
+from .naive_evaluation import Applicability, naive_evaluation_applies
 
 Query = Union[RAExpression, FOQuery]
 
@@ -85,10 +82,6 @@ def enumeration_domain(
     )
 
 
-def _default_evaluator(engine: Optional[str]) -> QueryEvaluator:
-    return lambda query, database: evaluate_query(query, database, engine=engine)
-
-
 def applicability_semantics(semantics: str) -> str:
     """The semantics the naive-evaluation test should be asked about.
 
@@ -103,7 +96,7 @@ def applicability_semantics(semantics: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Strategy functions (session-dispatched; no deprecation, no globals)
+# Strategy functions
 # ----------------------------------------------------------------------
 def naive_strategy(query: Query, database: Database, evaluator: QueryEvaluator) -> Relation:
     """``Q(D)_cmpl``: naive evaluation, then drop tuples containing nulls.
@@ -253,108 +246,3 @@ def certain_strategy(
 def explain_method(query: Query, semantics: str = "cwa") -> Applicability:
     """The applicability verdict :func:`certain_strategy` acts on."""
     return naive_evaluation_applies(query, semantics=applicability_semantics(semantics))
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points (historical signatures, process-default state)
-# ----------------------------------------------------------------------
-def certain_answers_naive(
-    query: Query, database: Database, engine: Optional[str] = None
-) -> Relation:
-    """Deprecated: use ``Session.query(...).certain(method="naive")``."""
-    _warn_deprecated("certain_answers_naive()", 'Session.query(...).certain(method="naive")')
-    return naive_strategy(query, database, _default_evaluator(engine))
-
-
-def certain_answer_object(
-    query: Query, database: Database, engine: Optional[str] = None
-) -> Relation:
-    """Deprecated: use ``Session.query(...).answer_object()``."""
-    _warn_deprecated("certain_answer_object()", "Session.query(...).answer_object()")
-    return object_strategy(query, database, _default_evaluator(engine))
-
-
-def certain_answer_knowledge(
-    query: Query, database: Database, semantics: str = "cwa", engine: Optional[str] = None
-) -> Formula:
-    """Deprecated: use ``Session.query(...).knowledge()``."""
-    _warn_deprecated("certain_answer_knowledge()", "Session.query(...).knowledge()")
-    return knowledge_strategy(query, database, _default_evaluator(engine), semantics)
-
-
-def certain_answers_intersection(
-    query: Query,
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    engine: Optional[str] = None,
-) -> Relation:
-    """Deprecated: use ``Session.query(...).certain(method="enumeration")``."""
-    _warn_deprecated(
-        "certain_answers_intersection()",
-        'Session.query(...).certain(method="enumeration")',
-    )
-    return enumeration_strategy(
-        query,
-        database,
-        _default_evaluator(engine),
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-        mode="certain",
-    )
-
-
-def possible_answers(
-    query: Query,
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    engine: Optional[str] = None,
-) -> Relation:
-    """Deprecated: use ``Session.query(...).possible()``."""
-    _warn_deprecated("possible_answers()", "Session.query(...).possible()")
-    return enumeration_strategy(
-        query,
-        database,
-        _default_evaluator(engine),
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-        mode="possible",
-    )
-
-
-def certain_answers(
-    query: Query,
-    database: Database,
-    semantics: str = "cwa",
-    method: str = "auto",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    engine: Optional[str] = None,
-) -> Relation:
-    """Deprecated: use ``repro.connect(db).query(q).certain()``.
-
-    The historical one-call entry point.  ``engine`` selects the
-    execution path exactly like the old signature did; everything else is
-    forwarded to :func:`certain_strategy`.
-    """
-    _warn_deprecated("certain_answers()", "repro.connect(db).query(q).certain()")
-    return certain_strategy(
-        query,
-        database,
-        _default_evaluator(engine),
-        semantics=semantics,
-        method=method,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    )

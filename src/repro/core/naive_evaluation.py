@@ -93,16 +93,10 @@ def naive_evaluation_applies(query: Query, semantics: str = "cwa") -> Applicabil
 # ----------------------------------------------------------------------
 # Empirical checks of the semantic criteria
 # ----------------------------------------------------------------------
-def evaluate_query(query: Query, database: Database, engine: Optional[str] = None) -> Relation:
-    """Evaluate either kind of query object on a database.
-
-    ``engine`` selects the execution path for relational-algebra queries
-    (``"plan"`` — the optimizing engine, the default —, ``"sqlite"`` —
-    the SQL backend — or ``"interpreter"``); it is ignored for calculus
-    queries.
-    """
+def evaluate_query(query: Query, database: Database) -> Relation:
+    """Evaluate either kind of query object on a database (the seed oracle)."""
     if isinstance(query, RAExpression):
-        return query.evaluate(database, engine=engine)
+        return query.evaluate(database)
     if isinstance(query, FOQuery):
         return query.evaluate(database)
     raise TypeError(f"unsupported query type {type(query).__name__}")

@@ -30,22 +30,7 @@ from .conditional import (
     disjunction,
     row_equality,
 )
-from .condition_kernel import (
-    DEFAULT_KERNEL,
-    ConditionKernel,
-    clear_condition_kernel,
-    evict_condition_kernel,
-    intern_condition,
-    kernel_and,
-    kernel_conjunction,
-    kernel_disjunction,
-    kernel_eq,
-    kernel_not,
-    kernel_nulls,
-    kernel_or,
-    kernel_row_equality,
-    kernel_stats,
-)
+from .condition_kernel import ConditionKernel, kernel_nulls
 from .database import Database, Fact, facts_with_nulls
 from .relations import Relation, Row, drop_null_rows, rows_with_nulls
 from .schema import DatabaseSchema, RelationSchema
@@ -70,7 +55,6 @@ __all__ = [
     "And",
     "Condition",
     "ConditionKernel",
-    "DEFAULT_KERNEL",
     "ConditionalRow",
     "ConditionalTable",
     "ConstantPool",
@@ -90,8 +74,6 @@ __all__ = [
     "TRUE",
     "TrueCondition",
     "Valuation",
-    "clear_condition_kernel",
-    "evict_condition_kernel",
     "conjunction",
     "constants_in",
     "count_valuations",
@@ -100,20 +82,11 @@ __all__ = [
     "enumerate_valuations",
     "facts_with_nulls",
     "fresh_valuation",
-    "intern_condition",
     "intern_null",
     "intern_value",
     "is_constant",
     "is_null",
-    "kernel_and",
-    "kernel_conjunction",
-    "kernel_disjunction",
-    "kernel_eq",
-    "kernel_not",
     "kernel_nulls",
-    "kernel_or",
-    "kernel_row_equality",
-    "kernel_stats",
     "nulls_in",
     "row_equality",
     "rows_with_nulls",

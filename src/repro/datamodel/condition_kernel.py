@@ -34,10 +34,8 @@ guarantees that what it returns is already simplified and canonical.
 Kernel state lives on :class:`ConditionKernel` instances: every
 :class:`~repro.session.Session` owns one, so two sessions never share
 intern or memo tables, and :func:`repro.connect` can bound each one
-independently through ``kernel_watermark=``.  The original module-level
-API (``kernel_eq``, ``kernel_and``, ``clear_condition_kernel``, ...)
-remains as a thin shim over the process-default instance
-:data:`DEFAULT_KERNEL`, which backs all legacy non-session entry points.
+independently through ``kernel_watermark=``.  There is no process-wide
+kernel: code outside a session builds its own ``ConditionKernel()``.
 
 Canonical nodes are held strongly by a kernel's intern table, which keeps
 the identity keys of its memo tables stable; :meth:`ConditionKernel.clear`
@@ -122,7 +120,6 @@ class ConditionKernel:
         self,
         watermark: Optional[int] = None,
         memo_limit: Optional[int] = None,
-        _legacy_attrs: bool = False,
     ) -> None:
         # canonical structural key -> canonical node (strong refs: identity
         # keys in the memo tables below stay valid exactly as long as these
@@ -156,13 +153,7 @@ class ConditionKernel:
         self._memo_limit = memo_limit
         self.auto_evictions = 0
         self.memo_trims = 0
-        if _legacy_attrs:
-            # The process-default kernel keeps the attribute names the
-            # module-global implementation used, so nodes canonized before
-            # this refactor (or by pickled/copied code paths) stay valid.
-            suffix = ""
-        else:
-            suffix = f"_{next(_KERNEL_IDS)}"
+        suffix = f"_{next(_KERNEL_IDS)}"
         self._mark_attr = "_kernel_canonical" + suffix
         self._neg_attr = "_kernel_negation" + suffix
         self._touch_attr = "_kernel_touch" + suffix
@@ -599,42 +590,6 @@ class ConditionKernel:
     def nulls(self, condition: Condition) -> FrozenSet[Any]:
         """The nulls mentioned by ``condition`` (structural, kernel-shared)."""
         return kernel_nulls(condition)
-
-
-# ----------------------------------------------------------------------
-# The process-default kernel and the original module-level API
-# ----------------------------------------------------------------------
-#: The process-default kernel: backs the module-level ``kernel_*`` shims
-#: and every legacy (non-session) evaluation path.  Sessions create their
-#: own instances through :func:`repro.connect`.
-DEFAULT_KERNEL = ConditionKernel(_legacy_attrs=True)
-
-# Bound-method aliases: the historical functional API, now a shim over the
-# default instance.  Session-aware code should use the kernel instance it
-# was handed instead.
-kernel_eq = DEFAULT_KERNEL.eq
-kernel_not = DEFAULT_KERNEL.not_
-kernel_and = DEFAULT_KERNEL.and_
-kernel_or = DEFAULT_KERNEL.or_
-kernel_conjunction = DEFAULT_KERNEL.conjunction
-kernel_disjunction = DEFAULT_KERNEL.disjunction
-kernel_row_equality = DEFAULT_KERNEL.row_equality
-intern_condition = DEFAULT_KERNEL.intern
-
-
-def clear_condition_kernel() -> None:
-    """Drop the default kernel's intern and memo tables (tests/benchmarks)."""
-    DEFAULT_KERNEL.clear()
-
-
-def kernel_stats() -> Dict[str, int]:
-    """Sizes of the default kernel's tables (for tests and diagnostics)."""
-    return DEFAULT_KERNEL.stats()
-
-
-def evict_condition_kernel() -> Dict[str, int]:
-    """Run an epoch eviction on the default kernel; see :meth:`ConditionKernel.evict`."""
-    return DEFAULT_KERNEL.evict()
 
 
 # ----------------------------------------------------------------------

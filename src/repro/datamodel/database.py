@@ -133,10 +133,10 @@ class Database:
         return result
 
     def __getstate__(self):
-        # The analysis cache is per-process scratch (it may hold backend
-        # connections, e.g. the SQLite handle of engine="sqlite") and the
-        # hash is cheap to recompute: ship only the actual data, so worlds
-        # stay picklable for the workers= process pools.
+        # The analysis cache is per-process scratch (it may hold
+        # unpicklable artifacts) and the hash is cheap to recompute: ship
+        # only the actual data, so worlds stay picklable for the workers=
+        # process pools.
         return (self._schema, self._relations)
 
     def __setstate__(self, state) -> None:

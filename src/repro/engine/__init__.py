@@ -1,17 +1,17 @@
 """The physical evaluation engine for the incomplete-information algebra.
 
-:func:`repro.algebra.ast.RAExpression.evaluate` routes through this
-package by default: expressions are compiled into optimized physical
-plans (selection pushdown, hash joins ordered by cardinality estimate,
+A :class:`PlanCache` compiles expressions into optimized physical plans
+(selection pushdown, hash joins ordered by cardinality estimate,
 hash-based set operations, grouped hash division, common-subexpression
-memoization) instead of being walked node by node.  The original
-interpreter remains available as ``engine="interpreter"`` and serves as
-the differential-testing oracle.
+memoization) instead of walking them node by node.  There is no
+process-wide cache: every :class:`repro.session.Session` owns one, and
+code outside a session builds its own with ``PlanCache()``.  The seed
+interpreter (:meth:`repro.algebra.ast.RAExpression.evaluate`) remains the
+differential-testing oracle.
 
-:func:`repro.algebra.ctable_algebra.ctable_evaluate` shares the same
-logical plans and plan cache through :mod:`repro.engine.ctable`, which
-lowers them to operators over conditional rows whose conditions are
-composed through the hash-consed kernel
+:func:`execute_ctable` shares the same logical plans and plan cache,
+lowering them to operators over conditional rows whose conditions are
+composed through a hash-consed kernel
 (:mod:`repro.datamodel.condition_kernel`).
 
 See ``docs/engine.md`` for the plan lifecycle, the operator inventory and
@@ -20,88 +20,16 @@ how to add an operator, and ``docs/conditions.md`` for the kernel.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from .ctable import execute_ctable
 from .logical import LogicalNode, explain, optimize
-from .planner import DEFAULT_PLAN_CACHE, PlanCache, clear_plan_cache, compile_plan, execute
+from .planner import PlanCache
 
 _ENGINES = ("plan", "interpreter", "sqlite")
-# Resolved lazily from the REPRO_ENGINE environment variable at first use:
-# an invalid value must produce a clear error from the evaluation call that
-# needed it, not make ``import repro`` itself blow up.
-_default_engine: Optional[str] = None
-
-
-def get_default_engine() -> str:
-    """The engine used when ``evaluate`` is called without ``engine=``.
-
-    The initial value comes from the ``REPRO_ENGINE`` environment
-    variable (validated here, on first use — not at import time) and
-    defaults to ``"plan"``.
-    """
-    global _default_engine
-    if _default_engine is None:
-        value = os.environ.get("REPRO_ENGINE", "plan")
-        if value not in _ENGINES:
-            raise ValueError(
-                f"invalid REPRO_ENGINE environment variable: expected one of "
-                f"{_ENGINES}, got {value!r}"
-            )
-        _default_engine = value
-    return _default_engine
-
-
-def execute_sqlite(expression, database):
-    """Evaluate through the SQLite backend (``engine="sqlite"``).
-
-    Imported lazily: :mod:`repro.backends` builds on this package's
-    planner, so a top-level import here would be circular.
-    """
-    from ..backends.sqlite import execute as _execute
-
-    return _execute(expression, database)
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous default.
-
-    .. deprecated::
-        Process-wide engine state cannot serve two callers with different
-        needs; create a :class:`repro.session.Session` with
-        ``repro.connect(db, engine=...)`` instead.
-    """
-    from .._deprecation import warn_deprecated
-
-    warn_deprecated(
-        "set_default_engine() (process-wide state)",
-        "a per-caller session: repro.connect(db, engine=...)",
-    )
-    global _default_engine
-    if name not in _ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {_ENGINES}")
-    try:
-        previous = get_default_engine()
-    except ValueError:
-        # An invalid REPRO_ENGINE must not make the setter itself unusable
-        # — assigning a valid engine here is the in-process recovery path.
-        previous = "plan"
-    _default_engine = name
-    return previous
-
 
 __all__ = [
-    "DEFAULT_PLAN_CACHE",
     "LogicalNode",
     "PlanCache",
-    "clear_plan_cache",
-    "compile_plan",
-    "execute",
     "execute_ctable",
-    "execute_sqlite",
     "explain",
-    "get_default_engine",
     "optimize",
-    "set_default_engine",
 ]

@@ -1,7 +1,7 @@
 """The planned c-table evaluation path.
 
-``ctable_evaluate(query, ctdb)`` routes through this module by default:
-the query is compiled by the *same* logical optimizer and plan cache as
+:func:`execute_ctable` evaluates a query over a c-table database: it is
+compiled by the *same* logical optimizer and plan cache as
 complete-relation evaluation (:mod:`repro.engine.logical`,
 :mod:`repro.engine.planner` — selection pushdown, cardinality-ordered
 multijoins, CSE sharing), and the plan is lowered to operators over
@@ -9,7 +9,7 @@ multijoins, CSE sharing), and the plan is lowered to operators over
 
 The operators mirror the Imieliński–Lipski algebra of
 :mod:`repro.algebra.ctable_algebra` — the tree-walking ``_evaluate``
-there remains the ``engine="interpreter"`` oracle — but compose every
+there remains the oracle (``ctable_evaluate``) — but compose every
 condition through the hash-consed kernel
 (:mod:`repro.datamodel.condition_kernel`): equalities are constant-folded
 and interned, conjunctions/disjunctions are flattened, deduplicated and
@@ -33,7 +33,7 @@ from ..algebra.ast import RAExpression
 from ..algebra.ctable_algebra import _merge_sorted
 from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, Predicate, PTrue
 from ..datamodel import ConditionalRow, ConditionalTable
-from ..datamodel.condition_kernel import DEFAULT_KERNEL, ConditionKernel
+from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import FALSE, TRUE, Condition
 from ..datamodel.relations import Relation, Row
 from ..datamodel.schema import DatabaseSchema
@@ -58,9 +58,7 @@ class CTableContext:
     """Per-query execution state: the c-table database, schema, CSE memo.
 
     Also carries the :class:`ConditionKernel` every operator composes its
-    conditions through — the process-default one on the legacy path, a
-    session-private one when evaluation runs inside a
-    :class:`repro.session.Session`.
+    conditions through (the plan cache's, typically a session's).
     """
 
     __slots__ = ("database", "schema", "memo", "kernel", "budget", "_adom")
@@ -69,12 +67,12 @@ class CTableContext:
         self,
         database: Any,
         schema: DatabaseSchema,
-        kernel: Optional[ConditionKernel] = None,
+        kernel: ConditionKernel,
     ) -> None:
         self.database = database
         self.schema = schema
         self.memo: Dict[Any, List[CRow]] = {}
-        self.kernel = kernel if kernel is not None else DEFAULT_KERNEL
+        self.kernel = kernel
         # Snapshot the ambient budget once per query; the quadratic
         # operators check it per outer row (cooperative cancellation).
         self.budget = active_budget()
@@ -376,9 +374,9 @@ class CMembershipIndex:
 
     __slots__ = ("rows", "keyed", "null_rows", "kernel")
 
-    def __init__(self, rows: List[CRow], kernel: Optional[ConditionKernel] = None) -> None:
+    def __init__(self, rows: List[CRow], kernel: ConditionKernel) -> None:
         self.rows = rows
-        self.kernel = kernel if kernel is not None else DEFAULT_KERNEL
+        self.kernel = kernel
         self.keyed: Dict[Row, List[int]] = {}
         self.null_rows: List[int] = []
         for position, (values, _) in enumerate(rows):
@@ -543,18 +541,15 @@ class CInterpret(COperator):
 # Predicate → condition translation over position-resolved predicates
 # ----------------------------------------------------------------------
 def predicate_condition_positional(
-    predicate: Predicate, values: Row, kernel: Optional[ConditionKernel] = None
+    predicate: Predicate, values: Row, kernel: ConditionKernel
 ) -> Condition:
     """The kernel condition expressing ``predicate`` on a (possibly null) row.
 
     The positional counterpart of
     :func:`repro.algebra.ctable_algebra.predicate_condition`: attribute
     references have already been resolved to positions by the logical
-    optimizer, and the resulting condition is canonical in ``kernel``
-    (the process-default kernel when omitted).
+    optimizer, and the resulting condition is canonical in ``kernel``.
     """
-    if kernel is None:
-        kernel = DEFAULT_KERNEL
     if isinstance(predicate, PTrue):
         return TRUE
     if isinstance(predicate, Comparison):
@@ -668,28 +663,24 @@ class _CTableLowering(_planner._Lowering):
 def execute_ctable(
     expression: RAExpression,
     database: Any,
-    plan_cache: Optional["_planner.PlanCache"] = None,
-    kernel: Optional[ConditionKernel] = None,
+    plan_cache: "_planner.PlanCache",
+    kernel: ConditionKernel,
 ) -> ConditionalTable:
     """Evaluate an RA expression over a :class:`CTableDatabase` via the planner.
 
-    Shares the logical plan cache of :func:`repro.engine.planner.execute`
-    (keyed by ``(expression, schema)``); the c-table lowering is cached
+    Shares the logical plans of :meth:`PlanCache.execute` (keyed by
+    ``(expression, schema)``); the c-table lowering is cached
     beside the complete-relation one, keyed by the base table sizes it was
     cost-ordered for.  The result carries the conjunction of all base
     tables' global conditions, exactly like the interpreter path.
 
-    ``plan_cache`` and ``kernel`` select the evaluation state to use; both
-    default to the process-wide instances.  Sessions pass their own, so
-    concurrent sessions share neither plans nor interned conditions.
+    ``plan_cache`` and ``kernel`` are the caller's evaluation state
+    (typically a session's), so concurrent sessions share neither plans
+    nor interned conditions.
     """
     state = active_budget()
     if state is not None:
         state.check()
-    if plan_cache is None:
-        plan_cache = _planner.DEFAULT_PLAN_CACHE
-    if kernel is None:
-        kernel = plan_cache.kernel
     schema = database.schema
     entry = plan_cache.entry(expression, schema)
     global_condition = kernel.conjunction(

@@ -2,7 +2,7 @@
 
 Plan lifecycle
 --------------
-1. ``execute(expression, database)`` looks up the expression in the plan
+1. :meth:`PlanCache.execute` looks up the expression in the plan
    cache (keyed by the expression and the database schema — both
    immutable and hashable).  On a miss it computes the output schema
    (surfacing exactly the schema errors the interpreter would raise) and
@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
-from ..datamodel.condition_kernel import DEFAULT_KERNEL, ConditionKernel
+from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.schema import DatabaseSchema, RelationSchema
 from ..obs.analyze import OpStats, instrument
 from ..obs.metrics import DISABLED_METRICS, MetricsRegistry
@@ -92,12 +92,9 @@ class _CacheEntry:
 class PlanCache:
     """A bounded ``(expression, schema)`` → plan cache for one evaluation context.
 
-    The process-default instance (:data:`DEFAULT_PLAN_CACHE`) backs the
-    module-level :func:`execute` / :func:`compile_plan` /
-    :func:`clear_plan_cache` API used by the legacy entry points; every
-    :class:`repro.session.Session` owns a private instance, so two
+    Every :class:`repro.session.Session` owns a private instance, so two
     sessions never share plans — or the condition kernel their
-    :meth:`clear` evicts.
+    :meth:`clear` evicts.  Without ``kernel`` the cache builds its own.
     """
 
     def __init__(
@@ -111,9 +108,9 @@ class PlanCache:
         )
         self._epoch = 0
         self._limit = limit
-        self._kernel = kernel if kernel is not None else DEFAULT_KERNEL
+        self._kernel = kernel if kernel is not None else ConditionKernel()
         self._frozen = False
-        # The owning session's registry; DISABLED for the process default,
+        # The owning session's registry; DISABLED for a standalone cache,
         # so counting is one branch when nobody is watching.
         self._metrics = metrics if metrics is not None else DISABLED_METRICS
 
@@ -318,35 +315,6 @@ def _emit_operator_spans(tracer: Tracer, root: OpStats, parent_id: int) -> None:
             emit(child, span_obj.span_id)
 
     emit(root, parent_id)
-
-
-#: The process-default plan cache, shared by all legacy (non-session)
-#: entry points and by the process-default Session.
-DEFAULT_PLAN_CACHE = PlanCache()
-
-# Alias kept for tests and diagnostics that inspect the default cache's
-# underlying mapping directly; ``PlanCache.clear`` empties it in place, so
-# the alias never goes stale.
-_PLAN_CACHE = DEFAULT_PLAN_CACHE._cache
-
-
-def clear_plan_cache() -> None:
-    """Clear the process-default plan cache; see :meth:`PlanCache.clear`."""
-    DEFAULT_PLAN_CACHE.clear()
-
-
-def compile_plan(expression: RAExpression, schema: DatabaseSchema) -> LogicalNode:
-    """The optimized logical plan for ``expression`` over ``schema`` (default cache)."""
-    return DEFAULT_PLAN_CACHE.compile(expression, schema)
-
-
-def _cache_entry(expression: RAExpression, schema: DatabaseSchema) -> _CacheEntry:
-    return DEFAULT_PLAN_CACHE.entry(expression, schema)
-
-
-def execute(expression: RAExpression, database: Database) -> Relation:
-    """Evaluate through the physical engine using the process-default cache."""
-    return DEFAULT_PLAN_CACHE.execute(expression, database)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..datamodel.condition_kernel import DEFAULT_KERNEL, ConditionKernel
+from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import And, Condition, TRUE, TrueCondition
 from ..datamodel.values import Null
 from ..homomorphisms.blocks import fact_components
@@ -69,7 +69,7 @@ class Conditioner:
         model: ProbabilityModel,
         kernel: Optional[ConditionKernel] = None,
     ) -> None:
-        kernel = kernel if kernel is not None else DEFAULT_KERNEL
+        kernel = kernel if kernel is not None else ConditionKernel()
         constraint = kernel.intern(constraint)
         model.require(kernel.nulls(constraint))
         self.constraint = constraint

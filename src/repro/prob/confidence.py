@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..datamodel.condition_kernel import DEFAULT_KERNEL, ConditionKernel
+from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import (
     And,
     Condition,
@@ -390,14 +390,15 @@ def confidence(
     (:class:`~repro.resilience.InvalidRequestError` otherwise).  ``memo``
     overrides the memo table (used for per-call memoization on frozen
     kernels); by default the kernel's shared per-model memo is used when
-    the kernel is mutable.  When ``stats`` is given, the decomposition
+    the kernel is mutable.  Without ``kernel`` the call builds a private
+    one, so nothing is memoized across calls.  When ``stats`` is given, the decomposition
     counters of this call are added into it.
 
     Raises :class:`~repro.resilience.BudgetExceeded` when the ambient
     budget runs out mid-expansion; callers degrade to
     :func:`repro.prob.montecarlo.monte_carlo_confidence`.
     """
-    kernel = kernel if kernel is not None else DEFAULT_KERNEL
+    kernel = kernel if kernel is not None else ConditionKernel()
     condition = kernel.intern(condition)
     model.require(kernel.nulls(condition))
     base: Optional[Dict[int, Tuple[Condition, float]]] = None

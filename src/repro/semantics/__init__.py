@@ -14,14 +14,10 @@ This package provides:
 from .certain import (
     Evaluator,
     answer_space,
-    certain_answers_enumeration,
-    certain_boolean,
     enumerate_certain_answers,
     enumerate_certain_boolean,
     enumerate_possible_answers,
     enumerate_possible_boolean,
-    possible_answers_enumeration,
-    possible_boolean,
 )
 from .membership import SEMANTICS, in_cwa, in_owa, in_wcwa, is_member
 from .worlds import (
@@ -37,8 +33,6 @@ __all__ = [
     "Evaluator",
     "SEMANTICS",
     "answer_space",
-    "certain_answers_enumeration",
-    "certain_boolean",
     "count_cwa_worlds",
     "cwa_worlds",
     "default_domain",
@@ -51,8 +45,6 @@ __all__ = [
     "in_wcwa",
     "is_member",
     "owa_worlds",
-    "possible_answers_enumeration",
-    "possible_boolean",
     "wcwa_worlds",
     "worlds",
 ]

@@ -37,7 +37,6 @@ from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .._deprecation import warn_deprecated as _warn_deprecated
 from ..datamodel import Database, Relation
 from ..datamodel.relations import Row
 from ..datamodel.schema import RelationSchema
@@ -88,16 +87,23 @@ def _can_pickle(value: Any) -> bool:
 #: ``multiprocessing`` synchronization primitives cannot travel as task
 #: arguments (they only pickle during process inheritance), so the shared
 #: Event arrives at executor construction time and lands in this module
-#: global; the chunk tasks poll it between worlds.  ``None`` — the per-call
-#: pools of the deprecated shims, and the sequential path — means "no
-#: cross-process cancellation", which matches their historical behavior.
+#: global; the chunk tasks poll it between worlds.  ``None`` — per-call
+#: pools, and the sequential path — means "no cross-process cancellation".
 _child_cancel_event: Optional[Any] = None
+
+#: The plan cache of a worker child, built by :func:`_pool_initializer`.
+#: Always ``None`` in the parent process, which evaluates on state its
+#: caller owns.
+_child_plan_cache: Optional[Any] = None
 
 
 def _pool_initializer(cancel_event: Any) -> None:
-    """Executor ``initializer``: plant the parent's cancel Event in the child."""
-    global _child_cancel_event
+    """Executor ``initializer``: plant the cancel Event and a plan cache in the child."""
+    global _child_cancel_event, _child_plan_cache
+    from ..engine.planner import PlanCache
+
     _child_cancel_event = cancel_event
+    _child_plan_cache = PlanCache()
 
 
 def _check_child_cancelled() -> None:
@@ -648,102 +654,3 @@ def enumerate_possible_boolean(
         if evaluate(world):
             return True
     return False
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points (shims over the strategy functions above)
-# ----------------------------------------------------------------------
-def certain_answers_enumeration(
-    evaluate: Evaluator,
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    workers: Optional[int] = None,
-) -> Relation:
-    """Deprecated alias of :func:`enumerate_certain_answers`.
-
-    Prefer ``repro.connect(db).query(q).certain(method="enumeration")``
-    (or the strategy function directly when an explicit evaluator is the
-    point).
-    """
-    _warn_deprecated(
-        "certain_answers_enumeration()",
-        'Session.query(...).certain(method="enumeration")',
-    )
-    return enumerate_certain_answers(
-        evaluate,
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-        workers=workers,
-    )
-
-
-def possible_answers_enumeration(
-    evaluate: Evaluator,
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-) -> Relation:
-    """Deprecated alias of :func:`enumerate_possible_answers`."""
-    _warn_deprecated(
-        "possible_answers_enumeration()", "Session.query(...).possible()"
-    )
-    return enumerate_possible_answers(
-        evaluate,
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    )
-
-
-def certain_boolean(
-    evaluate: Callable[[Database], bool],
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    workers: Optional[int] = None,
-) -> bool:
-    """Deprecated alias of :func:`enumerate_certain_boolean`."""
-    _warn_deprecated("certain_boolean()", "Session.query(...).boolean()")
-    return enumerate_certain_boolean(
-        evaluate,
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-        workers=workers,
-    )
-
-
-def possible_boolean(
-    evaluate: Callable[[Database], bool],
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-) -> bool:
-    """Deprecated alias of :func:`enumerate_possible_boolean`."""
-    _warn_deprecated(
-        "possible_boolean()", 'Session.query(...).boolean(mode="possible")'
-    )
-    return enumerate_possible_boolean(
-        evaluate,
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    )

@@ -18,25 +18,20 @@ Koch & Olteanu::
     for row in q.cursor():   # stream rows without materializing a Relation
         ...
 
-A :class:`Session` owns **all** evaluation state that used to be
-process-global: its own plan cache (:class:`repro.engine.PlanCache`), its
-own condition kernel (:class:`repro.datamodel.ConditionKernel`,
-bounded via ``connect(kernel_watermark=...)``), and its own
+A :class:`Session` owns **all** of its evaluation state: its own plan
+cache (:class:`repro.engine.PlanCache`), its own condition kernel
+(:class:`repro.datamodel.ConditionKernel`, bounded via
+``connect(kernel_watermark=...)``), and its own
 :class:`~repro.backends.SQLiteBackend` handles (one sentinel-mode, one
 three-valued for :meth:`Session.sql`), kept open across queries — the
 first step of the ROADMAP "persistent backend" item: switching to another
 database with the same schema refills the existing tables instead of
 opening a fresh backend.  Two live sessions therefore share *no* mutable
 state and can use different engines, semantics and cache settings in the
-same process.
-
-The legacy entry points (``certain_answers(...)``,
-``certain_answers_enumeration(...)``, ``run_sql(...)``,
-``set_default_engine(...)``) remain as deprecated shims over the
-process-default session returned by :func:`default_session`; that session
-deliberately re-uses the process-default plan cache / kernel / per-database
-backend caches, so old code keeps its exact caching behavior while it
-migrates.  ``docs/api.md`` documents the full deprecation map.
+same process.  There is no process-wide evaluation state to fall back
+on: code outside a session builds its own
+:class:`~repro.engine.PlanCache` (``docs/api.md`` maps the calls removed
+in 2.0 to their replacements).
 """
 
 from __future__ import annotations
@@ -75,9 +70,9 @@ from .resilience import (
     budget_scope,
     with_retries,
 )
-from .core.naive_evaluation import evaluate_query, naive_evaluation_applies
+from .core.naive_evaluation import naive_evaluation_applies
 from .datamodel import Database, Relation
-from .datamodel.condition_kernel import ConditionKernel, DEFAULT_KERNEL
+from .datamodel.condition_kernel import ConditionKernel
 from .datamodel.schema import DatabaseSchema
 from .datamodel.values import is_null
 from .logic.formulas import FOQuery
@@ -89,6 +84,7 @@ from .semantics.certain import (
     enumerate_certain_boolean,
     enumerate_possible_boolean,
 )
+from .semantics import certain as _certain_module
 
 _SEMANTICS = ("owa", "cwa", "wcwa", "prob")
 
@@ -101,16 +97,45 @@ def _engine_names() -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Picklable per-world evaluators (for workers= process pools)
+# Picklable per-world evaluator (for workers= process pools)
 # ----------------------------------------------------------------------
-def _world_evaluate(query: QueryLike, engine: Optional[str], world: Database) -> Relation:
-    return evaluate_query(query, world, engine=engine)
+class _WorldEvaluator:
+    """Evaluates one query per world; travels to ``workers=`` children.
 
+    The session's plan cache stays behind when the evaluator is pickled:
+    a child runs worlds on the per-process cache its pool initializer
+    built (:func:`~repro.semantics.certain._pool_initializer`), while
+    chunks re-run in the parent use the session's.  Worlds always run in
+    memory — ``"sqlite"`` sessions take the plan engine, which the
+    differential suites hold equal to SQLite.
+    """
 
-def _world_nonempty(query: QueryLike, engine: Optional[str], world: Database) -> bool:
-    if isinstance(query, FOQuery):
-        return query.boolean(world)
-    return bool(evaluate_query(query, world, engine=engine))
+    __slots__ = ("query", "interpret", "boolean", "plan_cache")
+
+    def __init__(
+        self, query: QueryLike, engine: str, plan_cache: Any, boolean: bool = False
+    ) -> None:
+        self.query = query
+        self.interpret = engine == "interpreter"
+        self.boolean = boolean
+        self.plan_cache = plan_cache
+
+    def __getstate__(self) -> Tuple[QueryLike, bool, bool]:
+        return (self.query, self.interpret, self.boolean)
+
+    def __setstate__(self, state: Tuple[QueryLike, bool, bool]) -> None:
+        self.query, self.interpret, self.boolean = state
+        self.plan_cache = _certain_module._child_plan_cache
+
+    def __call__(self, world: Database) -> Any:
+        query = self.query
+        if isinstance(query, FOQuery):
+            return query.boolean(world) if self.boolean else query.evaluate(world)
+        if self.interpret:
+            answer = query._interpret(world)
+        else:
+            answer = self.plan_cache.execute(query, world)
+        return bool(answer) if self.boolean else answer
 
 
 class Cursor:
@@ -207,7 +232,6 @@ class Query:
         "session",
         "expression",
         "_database",
-        "_engine",
         "_resilience_verdict",
         "_prob_constraint",
     )
@@ -217,12 +241,10 @@ class Query:
         session: "Session",
         expression: QueryLike,
         database: Optional[Database] = None,
-        _engine: Optional[str] = None,
     ) -> None:
         self.session = session
         self.expression = expression
         self._database = database
-        self._engine = _engine
         #: How the last certain() call degraded, if it did (shown by explain()).
         self._resilience_verdict: Optional[str] = None
         #: Conditioning constraint for confidence() (set by condition_on()).
@@ -254,17 +276,12 @@ class Query:
             )
         return database
 
-    def _engine_name(self) -> str:
-        return self._engine if self._engine is not None else self.session.engine
-
-    def _evaluator(self) -> Callable[[QueryLike, Database], Relation]:
-        return functools.partial(self.session._evaluate, engine=self._engine)
-
-    def _world_evaluator(self) -> Optional[Callable[[Database], Relation]]:
+    def _world_evaluator(self, boolean: bool = False) -> Optional[_WorldEvaluator]:
         """A picklable per-world evaluator when workers should fan out."""
-        if self.session.workers is None or self.session.workers <= 1:
+        session = self.session
+        if session.workers is None or session.workers <= 1:
             return None
-        return functools.partial(_world_evaluate, self.expression, self._engine_name())
+        return _WorldEvaluator(self.expression, session.engine, session.plan_cache, boolean)
 
     # -- modes of answering --------------------------------------------
     def certain(
@@ -341,7 +358,7 @@ class Query:
             certain_strategy,
             self.expression,
             self._require_database(),
-            self._evaluator(),
+            self.session._evaluate,
             semantics=self.session.world_semantics,
             method=method,
             domain=domain,
@@ -499,11 +516,11 @@ class Query:
                 expression, semantics=applicability_semantics(semantics)
             )
             if exact.applies:
-                relation = naive_strategy(expression, database, self._evaluator())
+                relation = naive_strategy(expression, database, self.session._evaluate)
                 quality = f"exact (naive evaluation applies: {exact.fragment})"
                 rung = "exact"
             elif naive_evaluation_applies(expression, semantics="owa").applies:
-                relation = naive_strategy(expression, database, self._evaluator())
+                relation = naive_strategy(expression, database, self.session._evaluate)
                 quality = (
                     "sound lower bound (naive/OWA answer; "
                     f"certain_owa ⊆ certain_{semantics} for monotone queries)"
@@ -573,7 +590,7 @@ class Query:
             enumeration_strategy,
             self.expression,
             self._require_database(),
-            self._evaluator(),
+            self.session._evaluate,
             semantics=self.session.world_semantics,
             domain=domain,
             extra_constants=extra_constants,
@@ -608,7 +625,7 @@ class Query:
                 # Backend-resident data (out-of-core sessions loaded through
                 # Session.load_rows): evaluate directly on the backend.
                 return self.session._execute_sqlite(self.expression, None)
-            return object_strategy(self.expression, database, self._evaluator())
+            return object_strategy(self.expression, database, self.session._evaluate)
 
     def knowledge(self):
         """``certainK``: the δ-formula of the naive answer (eq. (10))."""
@@ -619,7 +636,7 @@ class Query:
             return knowledge_strategy(
                 self.expression,
                 self._require_database(),
-                self._evaluator(),
+                self.session._evaluate,
                 semantics=self.session.world_semantics,
             )
 
@@ -677,15 +694,13 @@ class Query:
     ) -> bool:
         database = self._require_database()
         expression = self.expression
-        if self.session.workers is not None and self.session.workers > 1:
-            evaluate: Callable[[Database], bool] = functools.partial(
-                _world_nonempty, expression, self._engine_name()
-            )
-        elif isinstance(expression, FOQuery):
-            evaluate = expression.boolean
-        else:
-            evaluator = self._evaluator()
-            evaluate = lambda world: bool(evaluator(expression, world))  # noqa: E731
+        evaluate: Optional[Callable[[Database], bool]] = self._world_evaluator(boolean=True)
+        if evaluate is None:
+            if isinstance(expression, FOQuery):
+                evaluate = expression.boolean
+            else:
+                evaluator = self.session._evaluate
+                evaluate = lambda world: bool(evaluator(expression, world))  # noqa: E731
         domain = enumeration_domain(expression, database, domain, extra_constants)
         if mode == "certain":
             return enumerate_certain_boolean(
@@ -743,7 +758,7 @@ class Query:
                 "condition_on() expects a Condition over the model's nulls, "
                 f"got {type(constraint).__name__}"
             )
-        clone = Query(self.session, self.expression, self._database, self._engine)
+        clone = Query(self.session, self.expression, self._database)
         if self._prob_constraint is None:
             clone._prob_constraint = constraint
         else:
@@ -1010,7 +1025,7 @@ class Query:
                 "engine: sqlnulls (three-valued logic)\n"
                 f"sql:\n  {sql}\n  params: {params!r}"
             )
-        text = self.session._explain(self.expression, self.database, self._engine_name())
+        text = self.session._explain(self.expression, self.database)
         if analyze:
             text += "\n" + self.analyze().render()
         if self._resilience_verdict is not None:
@@ -1045,7 +1060,7 @@ class Query:
                 "queries are evaluated by satisfaction, without a plan"
             )
         database = self._require_database()
-        engine = self._engine_name()
+        engine = self.session.engine
         with self.session._obs("query.analyze"):
             if engine == "sqlite":
                 report = self.session._analyze_sqlite(self.expression, database)
@@ -1101,7 +1116,7 @@ class Query:
                 ).rows)
                 return Cursor(iter(rows), batch_size, metrics=metrics)
             stream: Iterator[Tuple[Any, ...]]
-            if self._engine_name() == "sqlite" and isinstance(expression, RAExpression):
+            if self.session.engine == "sqlite" and isinstance(expression, RAExpression):
                 stream = self.session._stream_sqlite(
                     expression, self.database, batch_size
                 )
@@ -1136,14 +1151,10 @@ class Session:
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: bool = True,
-        _dynamic_engine: bool = False,
-        _plan_cache: Optional[Any] = None,
-        _kernel: Optional[ConditionKernel] = None,
-        _legacy_backends: bool = False,
     ) -> None:
         from .engine.planner import PlanCache
 
-        if not _dynamic_engine and engine not in _engine_names():
+        if engine not in _engine_names():
             raise InvalidRequestError(
                 f"unknown engine {engine!r}; expected one of {_engine_names()}"
             )
@@ -1183,7 +1194,8 @@ class Session:
             )
         self.database = database
         self.model = model
-        self._engine = None if _dynamic_engine else engine
+        #: The engine queries run on (``"plan"``, ``"interpreter"``, ``"sqlite"``).
+        self.engine = engine
         self.semantics = semantics
         self.workers = workers
         self.backend_path = backend_path
@@ -1198,20 +1210,8 @@ class Session:
         # the environment variable).
         self._metrics = MetricsRegistry(enabled=metrics)
         self._tracer = tracer if tracer is not None else env_tracer()
-        self.kernel: ConditionKernel = (
-            _kernel
-            if _kernel is not None
-            else ConditionKernel(watermark=kernel_watermark, memo_limit=kernel_memo_limit)
-        )
-        self.plan_cache = (
-            _plan_cache
-            if _plan_cache is not None
-            else PlanCache(kernel=self.kernel, metrics=self._metrics)
-        )
-        # Legacy mode (the process-default session): route engine="sqlite"
-        # through the historical per-Database backend cache so shimmed old
-        # code keeps its exact behavior.  Real sessions own their handles.
-        self._legacy_backends = _legacy_backends
+        self.kernel = ConditionKernel(watermark=kernel_watermark, memo_limit=kernel_memo_limit)
+        self.plan_cache = PlanCache(kernel=self.kernel, metrics=self._metrics)
         self._backend: Optional[Any] = None          # sentinel-mode SQLiteBackend
         self._backend_database: Optional[Database] = None
         self._sql3vl_backend: Optional[Any] = None   # three-valued SQLiteBackend
@@ -1244,17 +1244,6 @@ class Session:
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> str:
-        """The engine queries run on (``"plan"``, ``"interpreter"``, ``"sqlite"``)."""
-        if self._engine is not None:
-            return self._engine
-        # The process-default session tracks the legacy process-wide
-        # default so deprecated entry points behave exactly as before.
-        from . import engine as _engine_module
-
-        return _engine_module.get_default_engine()
-
     @property
     def world_semantics(self) -> str:
         """The possible-world semantics evaluation strategies quantify over.
@@ -1384,15 +1373,15 @@ class Session:
         """Evaluate an RA expression over a c-table database.
 
         Runs the planned conditional-row path with *this session's* plan
-        cache and condition kernel (``engine="interpreter"`` sessions use
-        the seed tree-walking algebra instead, mirroring
-        :func:`repro.algebra.ctable_evaluate`).
+        cache and condition kernel (``engine="interpreter"`` sessions run
+        the seed tree-walking algebra,
+        :func:`repro.algebra.ctable_evaluate`, instead).
         """
-        from .algebra.ctable_algebra import _evaluate as _interpret_ctable
+        from .algebra.ctable_algebra import ctable_evaluate
         from .engine.ctable import execute_ctable
 
         if self.engine == "interpreter":
-            return _interpret_ctable(expression, database, database.schema)
+            return ctable_evaluate(expression, database)
         return execute_ctable(
             expression, database, plan_cache=self.plan_cache, kernel=self.kernel
         )
@@ -1502,24 +1491,18 @@ class Session:
     # ------------------------------------------------------------------
     # evaluation plumbing
     # ------------------------------------------------------------------
-    def _evaluate(
-        self, query: QueryLike, database: Database, engine: Optional[str] = None
-    ) -> Relation:
+    def _evaluate(self, query: QueryLike, database: Database) -> Relation:
         """Evaluate ``query`` on ``database`` with this session's state."""
         if self._closed:
             raise SessionClosedError("session is closed")
         if isinstance(query, FOQuery):
             return query.evaluate(database)
-        mode = engine if engine is not None else self.engine
-        if mode == "plan":
+        engine = self.engine
+        if engine == "plan":
             return self.plan_cache.execute(query, database)
-        if mode == "interpreter":
+        if engine == "interpreter":
             return query._interpret(database)
-        if mode == "sqlite":
-            return self._execute_sqlite(query, database)
-        raise InvalidRequestError(
-            f"unknown engine {mode!r}; expected one of {_engine_names()}"
-        )
+        return self._execute_sqlite(query, database)
 
     def _recover_backend_failure(
         self, error: BaseException, database: Optional[Database]
@@ -1554,8 +1537,6 @@ class Session:
         from .backends.base import BackendError
         from .backends import sqlite as _sqlite_module
 
-        if self._legacy_backends and database is not None:
-            return _sqlite_module.execute(expression, database)
         if (
             self._frozen
             and database is not None
@@ -1567,8 +1548,10 @@ class Session:
             # frozen plan cache is already thread-safe.  (Loading every
             # world into SQLite would be a refill per world anyway.)
             return self.plan_cache.execute(expression, database)
-        backend = self._ensure_backend(database)
         try:
+            # A database the backend cannot store (e.g. NaN) raises a
+            # BackendError here and takes the same fallback.
+            backend = self._ensure_backend(database)
             # Retries live here (not inside the backend) so wrapper-level
             # injected faults exercise the same path real SQLITE_BUSY does.
             return with_retries(
@@ -1615,15 +1598,13 @@ class Session:
             and database is not self._backend_database
         ):
             return iter(self.plan_cache.execute(expression, database).rows)
-        # Legacy-mode sessions stream through a session handle too: the
-        # per-Database cache of the old path has no streaming API.
         backend = self._ensure_backend(database)
 
         def _start() -> Tuple[Iterator[Tuple[Any, ...]], Any]:
             # A retry re-creates the generator: the faulted one already ran
             # its teardown when the first next() raised.
             stream = backend.execute_cursor(
-                expression, batch_size=batch_size, plan_cache=self.plan_cache
+                expression, self.plan_cache, batch_size=batch_size
             )
             return stream, next(stream, _SENTINEL)
 
@@ -1854,13 +1835,12 @@ class Session:
     # ------------------------------------------------------------------
     # explain
     # ------------------------------------------------------------------
-    def _explain(
-        self, expression: QueryLike, database: Optional[Database], engine: str
-    ) -> str:
+    def _explain(self, expression: QueryLike, database: Optional[Database]) -> str:
         from .core.answers import explain_method
         from .engine.logical import explain as explain_logical
 
         lines: List[str] = [f"query: {expression!r}"]
+        engine = self.engine
         lines.append(f"engine: {engine}; semantics: {self.semantics}")
         verdict = explain_method(expression, semantics=self.world_semantics)
         certainty = "naive evaluation" if verdict.applies else "world enumeration"
@@ -2066,7 +2046,7 @@ def _render_physical(op: Any, indent: int = 0) -> str:
 
 
 # ----------------------------------------------------------------------
-# connect() and the process-default session
+# connect()
 # ----------------------------------------------------------------------
 def connect(
     database: Optional[Database] = None,
@@ -2159,31 +2139,3 @@ def connect(
         tracer=tracer,
         metrics=metrics,
     )
-
-
-_default_session: Optional[Session] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-default session backing the deprecated entry points.
-
-    Deliberately shares the process-default plan cache, condition kernel
-    and per-database backend caches, and resolves its engine through the
-    legacy process-wide default, so shimmed old code keeps its exact
-    pre-session behavior.
-    """
-    global _default_session
-    if _default_session is None:
-        with _default_session_lock:
-            if _default_session is None:
-                from .engine.planner import DEFAULT_PLAN_CACHE
-
-                _default_session = Session(
-                    None,
-                    _dynamic_engine=True,
-                    _plan_cache=DEFAULT_PLAN_CACHE,
-                    _kernel=DEFAULT_KERNEL,
-                    _legacy_backends=True,
-                )
-    return _default_session

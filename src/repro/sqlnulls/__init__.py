@@ -24,8 +24,8 @@ from .ast import (
     SQLOr,
     TableRef,
 )
-from .backend import compile_select, run_sql_sqlite
-from .engine import SQLEngine, SQLError, execute_sql, run_sql
+from .backend import compile_select
+from .engine import SQLEngine, SQLError, execute_sql
 from .parser import SQLParseError, parse_sql
 
 __all__ = [
@@ -51,6 +51,4 @@ __all__ = [
     "execute_sql",
     "is_positive_sql",
     "parse_sql",
-    "run_sql",
-    "run_sql_sqlite",
 ]

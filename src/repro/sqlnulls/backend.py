@@ -2,12 +2,13 @@
 
 The Python evaluator in :mod:`repro.sqlnulls.engine` exists to reproduce
 the SQL standard's three-valued null semantics *by the book*; this module
-routes the same :class:`SelectQuery` objects through the SQLite backend
-of :mod:`repro.backends`, so the Section 1 "what SQL gets wrong vs. what
-certain answers give" demos run on an actual SQL engine instead of a
+compiles the same :class:`SelectQuery` objects to SQLite SQL, and
+``repro.connect(db, engine="sqlite").sql(query)`` runs them on a
+session-owned SQLite backend, so the Section 1 "what SQL gets wrong vs.
+what certain answers give" demos run on an actual SQL engine instead of a
 simulation.
 
-The database is loaded through :class:`~repro.backends.encoding.SQLNullCodec`:
+The session loads the database through :class:`~repro.backends.encoding.SQLNullCodec`:
 every marked null becomes a plain SQL ``NULL`` (deliberately losing the
 marks — that *is* the semantics under scrutiny), constants are stored
 raw, tables keep bag semantics, and SQLite's native three-valued
@@ -24,7 +25,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..backends.base import quote_identifier, table_name
 from ..backends.encoding import SQLNullCodec
-from ..backends.sqlite import SQLiteBackend
 from ..datamodel import Database
 from .ast import (
     ColumnRef,
@@ -40,11 +40,7 @@ from .ast import (
     SQLNot,
     SQLOr,
 )
-from .engine import Row, SQLError
-
-#: Key under which the three-valued backend is cached on a database's
-#: ``analysis_cache`` (distinct from the sentinel-mode backend).
-ANALYSIS_CACHE_KEY = "backends.sqlite3vl"
+from .engine import SQLError
 
 _SQL_OPS = {"=": "=", "<>": "<>", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -160,17 +156,6 @@ class _Compiler:
         raise SQLError(f"unsupported condition {condition!r}")
 
 
-def sqlite_backend_for(database: Database) -> SQLiteBackend:
-    """The three-valued-mode backend of ``database`` (cached per instance)."""
-    cache = database.analysis_cache()
-    backend = cache.get(ANALYSIS_CACHE_KEY)
-    if backend is None:
-        backend = SQLiteBackend(codec=SQLNullCodec())
-        backend.load_database(database)
-        cache[ANALYSIS_CACHE_KEY] = backend
-    return backend
-
-
 def compile_select(
     database: Database, query: SelectQuery
 ) -> Tuple[str, Tuple[Any, ...]]:
@@ -178,23 +163,3 @@ def compile_select(
     compiler = _Compiler(database, SQLNullCodec())
     sql = compiler.compile(query)
     return sql, tuple(compiler.params)
-
-
-def run_sql_sqlite(database: Database, query: SelectQuery) -> List[Row]:
-    """Execute ``query`` on SQLite with standard SQL null semantics.
-
-    Returns rows with bag semantics like
-    :func:`repro.sqlnulls.engine.run_sql`; each SQL ``NULL`` in the output
-    decodes to a *fresh* marked null (SQL nulls are Codd nulls — the
-    marks are gone, so no identity can be recovered).
-    """
-    backend = sqlite_backend_for(database)
-    sql, params = compile_select(database, query)
-    codec = backend.codec
-    try:
-        cursor = backend.connection.execute(sql, params)
-        return [codec.decode_row(row) for row in cursor]
-    except Exception as error:
-        if isinstance(error, SQLError):
-            raise
-        raise SQLError(f"sqlite execution failed: {error}") from error

@@ -278,32 +278,10 @@ class SQLEngine:
         return membership
 
 
-def execute_sql(database: Database, query: SelectQuery, backend: str = "python") -> List[Row]:
-    """Execute ``query`` against ``database`` (non-deprecated internal entry).
+def execute_sql(database: Database, query: SelectQuery) -> List[Row]:
+    """Execute ``query`` against ``database`` with the by-the-book 3VL engine.
 
-    ``backend`` selects the evaluator: ``"python"`` (this module's
-    by-the-book three-valued engine, the oracle) or ``"sqlite"`` (the
-    same query transliterated to SQL and run on SQLite through
-    :mod:`repro.sqlnulls.backend` — marked nulls become real SQL
-    ``NULL``\\ s, so output nulls come back as fresh marks).
+    ``repro.connect(db, engine="sqlite").sql(query)`` runs the same query
+    transliterated to SQL on a session-owned SQLite handle.
     """
-    if backend == "python":
-        return SQLEngine(database).execute(query)
-    if backend == "sqlite":
-        from .backend import run_sql_sqlite
-
-        return run_sql_sqlite(database, query)
-    raise ValueError(f"unknown backend {backend!r}; expected 'python' or 'sqlite'")
-
-
-def run_sql(database: Database, query: SelectQuery, backend: str = "python") -> List[Row]:
-    """Deprecated convenience wrapper: use :meth:`repro.session.Session.sql`.
-
-    ``repro.connect(db, engine="sqlite").sql(query)`` runs the same
-    three-valued evaluation with session-owned backend state; see
-    ``docs/api.md`` for the full migration map.
-    """
-    from .._deprecation import warn_deprecated as _warn_deprecated
-
-    _warn_deprecated("run_sql()", "Session.sql()")
-    return execute_sql(database, query, backend=backend)
+    return SQLEngine(database).execute(query)

@@ -10,7 +10,7 @@ from repro.algebra import (
     parse_ra,
 )
 from repro.datamodel import Database, Null
-from repro.semantics import certain_answers_enumeration
+from repro.semantics import enumerate_certain_answers
 
 
 @pytest.fixture
@@ -55,13 +55,13 @@ class TestNaiveCertainAnswers:
     def test_matches_enumeration_for_positive_query(self, db_with_nulls):
         query = parse_ra("project[#0](select[#1 = 3](R))")
         naive = naive_certain_answers(query, db_with_nulls)
-        enumerated = certain_answers_enumeration(query.evaluate, db_with_nulls, semantics="cwa")
+        enumerated = enumerate_certain_answers(query.evaluate, db_with_nulls, semantics="cwa")
         assert naive.rows == enumerated.rows
 
     def test_union_query_matches_enumeration(self, db_with_nulls):
         query = parse_ra("union(project[#0](R), S)")
         naive = naive_certain_answers(query, db_with_nulls)
-        enumerated = certain_answers_enumeration(query.evaluate, db_with_nulls, semantics="cwa")
+        enumerated = enumerate_certain_answers(query.evaluate, db_with_nulls, semantics="cwa")
         assert naive.rows == enumerated.rows
 
     def test_overclaims_for_difference(self):
@@ -69,7 +69,7 @@ class TestNaiveCertainAnswers:
         db = Database.from_dict({"R": [(1, Null("b1"))], "S": [(1, Null("b2"))]})
         query = parse_ra("project[#0](diff(R, S))")
         naive = naive_certain_answers(query, db)
-        enumerated = certain_answers_enumeration(query.evaluate, db, semantics="cwa")
+        enumerated = enumerate_certain_answers(query.evaluate, db, semantics="cwa")
         assert naive.rows == frozenset({(1,)})
         assert enumerated.rows == frozenset()
         assert naive.rows != enumerated.rows

@@ -18,6 +18,7 @@ from repro.backends.faults import (
 )
 from repro.backends.sqlite import is_runtime_failure
 from repro.datamodel import Database, Null
+from repro.engine import PlanCache
 from repro.resilience import (
     BackendRecoveryWarning,
     BackendUnavailable,
@@ -28,6 +29,9 @@ from repro.resilience import (
     is_transient_error,
     with_retries,
 )
+
+
+PLANS = PlanCache()
 
 
 @pytest.fixture
@@ -98,7 +102,7 @@ class TestFaultInjectingBackend:
         for name in db.schema.names():
             assert backend.extract_relation(name) == db.relation(name)
         query = project(relation("R"), (0,))
-        assert backend.evaluate(query) == query.evaluate(db, engine="plan")
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
         backend.close()
 
     def test_nth_evaluate_fails_then_recovers(self, db):
@@ -107,8 +111,8 @@ class TestFaultInjectingBackend:
         backend.load_database(db)
         query = project(relation("R"), (0,))
         with pytest.raises(sqlite3.OperationalError):
-            backend.evaluate(query)
-        assert backend.evaluate(query) == query.evaluate(db, engine="plan")
+            backend.evaluate(query, PLANS)
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
         assert schedule.injected["evaluate"] == 1
 
     def test_private_state_falls_through(self, db):
@@ -132,12 +136,12 @@ class TestCrashConsistentReplace:
         for name in db.schema.names():
             assert backend.extract_relation(name) == db.relation(name)
         query = project(relation("R"), (0,))
-        assert backend.evaluate(query) == query.evaluate(db, engine="plan")
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
         # A subsequent healthy refill succeeds on the same handle.
         backend.codec = healthy_codec
         backend.replace_database(new)
         assert backend.extract_relation("R") == new.relation("R")
-        assert backend.evaluate(query) == query.evaluate(new, engine="plan")
+        assert backend.evaluate(query, PLANS) == query.evaluate(new)
 
     def test_mid_refill_failure_across_schema_change_rolls_back_ddl(self, db):
         backend = SQLiteBackend()
@@ -157,14 +161,14 @@ class TestCrashConsistentReplace:
 
         backend = SQLiteBackend()
         backend.load_database(db)
-        expected = ActiveDomain().evaluate(db, engine="plan")
-        assert backend.evaluate(ActiveDomain()) == expected
+        expected = ActiveDomain().evaluate(db)
+        assert backend.evaluate(ActiveDomain(), PLANS) == expected
         backend.codec = FaultInjectingCodec(backend.codec, fail_encode_at=2)
         with pytest.raises(sqlite3.OperationalError):
             backend.replace_database(Database.from_dict({"R": [(7, 8)], "S": [(9, "z")]}))
         # The rolled-back refill resurrected the dropped adom temp table;
         # the next evaluation must rebuild it, not trip over the leftover.
-        assert backend.evaluate(ActiveDomain()) == expected
+        assert backend.evaluate(ActiveDomain(), PLANS) == expected
 
     def test_poisoned_memory_handle_rebuilds_from_resident_database(self, db):
         backend = SQLiteBackend()
@@ -173,7 +177,7 @@ class TestCrashConsistentReplace:
         backend._poisoned = True
         backend._connection.close()
         query = project(relation("R"), (0,))
-        assert backend.evaluate(query) == query.evaluate(db, engine="plan")
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
         assert not backend._poisoned
 
     def test_poisoned_file_handle_serves_committed_state(self, db, tmp_path):
@@ -183,7 +187,7 @@ class TestCrashConsistentReplace:
         backend._poisoned = True
         query = project(relation("R"), (0,))
         # The file still holds the last committed state; reconnect serves it.
-        assert backend.evaluate(query) == query.evaluate(db, engine="plan")
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
 
     def test_poisoned_memory_handle_without_database_raises(self, db):
         backend = SQLiteBackend()
@@ -191,7 +195,7 @@ class TestCrashConsistentReplace:
         backend.load_rows("R", db.relation("R").rows)
         backend._poisoned = True
         with pytest.raises(BackendError):
-            backend.evaluate(project(relation("R"), (0,)))
+            backend.evaluate(project(relation("R"), (0,)), PLANS)
 
     def test_failed_load_rows_is_all_or_nothing(self, db):
         backend = SQLiteBackend()
@@ -212,16 +216,16 @@ class TestCursorTeardown:
         backend = FaultInjectingBackend(SQLiteBackend(), schedule)
         backend.load_database(db)
         with pytest.raises(sqlite3.OperationalError):
-            list(backend.execute_cursor(_spilling_query()))
+            list(backend.execute_cursor(_spilling_query(), PLANS))
         assert _leaked_temp_tables(backend.connection) == []
         # The connection is still healthy: the same query runs clean now.
-        rows = set(backend.execute_cursor(_spilling_query()))
-        assert rows == _spilling_query().evaluate(db, engine="plan").rows
+        rows = set(backend.execute_cursor(_spilling_query(), PLANS))
+        assert rows == _spilling_query().evaluate(db).rows
 
     def test_abandoned_cursor_drops_temp_tables(self, db):
         backend = SQLiteBackend()
         backend.load_database(db)
-        stream = backend.execute_cursor(_spilling_query())
+        stream = backend.execute_cursor(_spilling_query(), PLANS)
         next(stream)
         stream.close()
         assert _leaked_temp_tables(backend.connection) == []
@@ -250,7 +254,7 @@ class TestSessionRetries:
             # A retried transient fault is *not* a recovery event.
             warnings.simplefilter("error", BackendRecoveryWarning)
             result = session.query(query).answer_object()
-        assert result == query.evaluate(db, engine="plan")
+        assert result == query.evaluate(db)
         assert schedule.calls["evaluate"] == 2
         assert schedule.injected["evaluate"] == 1
         session.close()
@@ -262,15 +266,11 @@ class TestSessionRetries:
         session._backend = FaultInjectingBackend(session._backend, schedule)
         query = project(relation("R"), (1,))
         with pytest.warns(BackendRecoveryWarning):
-            assert session.query(query).answer_object() == query.evaluate(
-                db, engine="plan"
-            )
+            assert session.query(query).answer_object() == query.evaluate(db)
         with warnings.catch_warnings():
             # The second recovery is silent (once-per-session warning).
             warnings.simplefilter("error", BackendRecoveryWarning)
-            assert session.query(query).answer_object() == query.evaluate(
-                db, engine="plan"
-            )
+            assert session.query(query).answer_object() == query.evaluate(db)
         session.close()
 
     def test_non_transient_sql_error_is_not_retried_or_masked(self, db):
@@ -305,7 +305,7 @@ class TestSessionRetries:
         other = Database.from_dict({"R": [(7, 8)], "S": [(9, "z")]})
         query = project(relation("R"), (0,))
         result = session.query(query, database=other).answer_object()
-        assert result == query.evaluate(other, engine="plan")
+        assert result == query.evaluate(other)
         assert schedule.calls["replace_database"] == 2
         session.close()
 
@@ -409,7 +409,7 @@ def _pool_evaluate(world):
     # expression gains plan annotations after its first evaluation).
     from repro.algebra import parse_ra
 
-    return parse_ra("project[#0](R)").evaluate(world, engine="interpreter")
+    return parse_ra("project[#0](R)").evaluate(world)
 
 
 def _pool_db():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.algebra.ast import (
     ActiveDomain,
@@ -20,17 +21,24 @@ from repro.algebra.ast import (
 )
 from repro.algebra.predicates import Attr, Comparison, PNot, POr, eq
 from repro.backends import (
-    ANALYSIS_CACHE_KEY,
     SQLiteBackend,
     UnsupportedPlanError,
-    backend_for,
     compile_logical_plan,
 )
 from repro.backends.encoding import SentinelCodec
-from repro.core import certain_answers
 from repro.datamodel import Database, Null, Relation
-from repro.engine import compile_plan
+from repro.engine import PlanCache
 from repro.workloads import enrolment, orders_payments
+
+
+def _loaded(database):
+    backend = SQLiteBackend()
+    backend.load_database(database)
+    return backend
+
+
+def _answer(database, query, engine="plan"):
+    return repro.connect(database, engine=engine).query(query).answer_object()
 
 
 @pytest.fixture
@@ -71,18 +79,14 @@ class TestLoadExtract:
         with pytest.raises(Exception):
             backend.extract_relation("Nope")
 
-    def test_backend_cached_on_database(self, db):
-        first = backend_for(db)
-        second = backend_for(db)
-        assert first is second
-        assert db.analysis_cache()[ANALYSIS_CACHE_KEY][":memory:"] is first
-
-    def test_backend_cached_per_path(self, db, tmp_path):
-        in_memory = backend_for(db)
-        on_disk = backend_for(db, str(tmp_path / "scale.sqlite"))
-        assert on_disk is not in_memory
-        assert backend_for(db, str(tmp_path / "scale.sqlite")) is on_disk
-        assert on_disk.extract_relation("T") == db.relation("T")
+    def test_session_keeps_one_loaded_backend(self, db, tmp_path):
+        path = str(tmp_path / "scale.sqlite")
+        with repro.connect(db, engine="sqlite", backend_path=path) as session:
+            session.query(relation("T")).answer_object()
+            backend = session._backend
+            session.query(relation("R")).answer_object()
+            assert session._backend is backend
+            assert backend.extract_relation("T") == db.relation("T")
 
     def test_incremental_load_invalidates_active_domain(self, db):
         from repro.algebra.ast import ActiveDomain
@@ -90,13 +94,14 @@ class TestLoadExtract:
         backend = SQLiteBackend()
         backend.create_schema(db.schema)
         backend.load_rows("T", [(1,)])
-        assert backend.evaluate(ActiveDomain()).rows == {(1,)}
+        plans = PlanCache()
+        assert backend.evaluate(ActiveDomain(), plans).rows == {(1,)}
         backend.load_rows("T", [(9,)])
-        assert backend.evaluate(ActiveDomain()).rows == {(1,), (9,)}
+        assert backend.evaluate(ActiveDomain(), plans).rows == {(1,), (9,)}
 
     def test_index_names_cannot_collide_across_relations(self):
         database = Database.from_dict({"a_1": [(1, 2, 3)], "a": [(1, 2, 3)]})
-        backend = backend_for(database)
+        backend = _loaded(database)
         backend.ensure_index("a_1", (2,))
         backend.ensure_index("a", (1, 2))
         names = backend.connection.execute(
@@ -107,20 +112,21 @@ class TestLoadExtract:
 
 class TestEvaluation:
     def test_warm_plan_cache_reused(self, db):
-        backend = backend_for(db)
+        backend = _loaded(db)
+        plans = PlanCache()
         query = project(relation("R"), (0,))
-        first = backend.evaluate(query)
+        first = backend.evaluate(query, plans)
         cached = backend._plans[query][0]
-        second = backend.evaluate(query)
+        second = backend.evaluate(query, plans)
         assert backend._plans[query][0] is cached
-        assert first == second == query.evaluate(db, engine="plan")
+        assert first == second == query.evaluate(db)
 
     def test_join_requests_index_on_base_table(self, db):
-        backend = backend_for(db)
+        backend = _loaded(db)
         query = join(
             rename(relation("R"), "A", ("a", "b")), rename(relation("S"), "B", ("b", "c"))
         )
-        backend.evaluate(query)
+        backend.evaluate(query, PlanCache())
         # The compiled plan asked for (and the backend created) an index
         # mirroring Relation.index_on on the probe side's key column.
         assert any(name in ("R", "S") for name, _ in backend._indexes)
@@ -128,14 +134,14 @@ class TestEvaluation:
     def test_temp_spill_for_shared_subplan(self, db):
         # R ∪ R: both operands are the same logical node; the compiler
         # must materialize it once into a temp table.
-        plan = compile_plan(union(relation("R"), relation("R")), db.schema)
+        plan = PlanCache().compile(union(relation("R"), relation("R")), db.schema)
         compiled = compile_logical_plan(plan, db, SentinelCodec())
         # Scans are never spilled (they are already tables)...
         assert compiled.setup == ()
         shared = select(
             product(relation("R"), relation("S")), Comparison(Attr(1), "=", Attr(2))
         )
-        plan = compile_plan(union(shared, shared), db.schema)
+        plan = PlanCache().compile(union(shared, shared), db.schema)
         compiled = compile_logical_plan(plan, db, SentinelCodec())
         # ...but a computed subplan referenced twice is.
         assert len(compiled.setup) == 1
@@ -145,20 +151,16 @@ class TestEvaluation:
     def test_division_spills_dividend(self, db):
         school = enrolment(num_students=8, num_courses=3, null_fraction=0.2, seed=1)
         query = Division(relation("Enroll"), relation("Courses"))
-        plan = compile_plan(query, school.schema)
+        plan = PlanCache().compile(query, school.schema)
         compiled = compile_logical_plan(plan, school, SentinelCodec())
         assert compiled.setup  # π_A(R) (and non-scan dividends) materialize
-        assert query.evaluate(school, engine="sqlite") == query.evaluate(
-            school, engine="plan"
-        )
+        assert _answer(school, query, "sqlite") == _answer(school, query)
 
     def test_empty_divisor_textbook_convention(self):
         database = Database.from_dict({"R": [(1, "a"), (2, "b")]})
         empty = Relation.create("S", [], attributes=("course",))
         query = Division(relation("R"), ConstantRelation(empty))
-        assert query.evaluate(database, engine="sqlite") == query.evaluate(
-            database, engine="interpreter"
-        )
+        assert _answer(database, query, "sqlite") == query.evaluate(database)
 
     def test_delta_adom_and_constants(self, db):
         const = ConstantRelation(Relation.create("C", [(2,), (7,)]))
@@ -169,28 +171,24 @@ class TestEvaluation:
             select(relation("R"), POr((eq(Attr(0), 1), PNot(eq(Attr(1), 2))))),
             project(relation("R"), (1, 1, 0)),
         ):
-            assert query.evaluate(db, engine="sqlite") == query.evaluate(
-                db, engine="plan"
-            )
+            assert _answer(db, query, "sqlite") == _answer(db, query)
 
     def test_schema_errors_match_other_engines(self, db):
         query = union(relation("R"), relation("T"))  # arity mismatch
         with pytest.raises(ValueError):
-            query.evaluate(db, engine="sqlite")
+            _answer(db, query, "sqlite")
 
     def test_certain_answers_end_to_end(self):
         school = enrolment(num_students=12, num_courses=3, null_fraction=0.2, seed=4)
         query = parse_ra("divide(Enroll, Courses)")
-        assert certain_answers(query, school, engine="sqlite") == certain_answers(
-            query, school, engine="plan"
-        )
+        sqlite, plan = (repro.connect(school, engine=e).query(query) for e in ("sqlite", "plan"))
+        assert sqlite.certain() == plan.certain()
         orders = orders_payments(num_orders=30, num_payments=12, null_fraction=0.4, seed=2)
         unpaid = parse_ra(
             "diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))"
         )
-        assert certain_answers(
-            unpaid, orders, method="naive", engine="sqlite"
-        ) == certain_answers(unpaid, orders, method="naive", engine="plan")
+        sqlite, plan = (repro.connect(orders, engine=e).query(unpaid) for e in ("sqlite", "plan"))
+        assert sqlite.certain(method="naive") == plan.certain(method="naive")
 
 
 class TestFallback:
@@ -199,9 +197,9 @@ class TestFallback:
         # R contains nulls in column 0: naive semantics raises TypeError,
         # through the sqlite dispatch too (via the in-memory fallback).
         with pytest.raises(TypeError):
-            query.evaluate(db, engine="sqlite")
+            _answer(db, query, "sqlite")
         clean = select(relation("T"), Comparison(Attr(0), "<", 5))
-        assert clean.evaluate(db, engine="sqlite") == clean.evaluate(db, engine="plan")
+        assert _answer(db, clean, "sqlite") == _answer(db, clean)
 
     def test_opaque_subtree_falls_back(self, db):
         from repro.datamodel.schema import RelationSchema
@@ -217,10 +215,10 @@ class TestFallback:
                 return Relation(RelationSchema("Legacy", ("#0",)), [(1,), (2,)])
 
         nested = Projection(LegacyOp(), (0,))
-        assert nested.evaluate(db, engine="sqlite").rows == {(1,), (2,)}
+        assert _answer(db, nested, "sqlite").rows == {(1,), (2,)}
 
     def test_compiler_raises_unsupported_for_order_predicates(self, db):
-        plan = compile_plan(
+        plan = PlanCache().compile(
             select(relation("T"), Comparison(Attr(0), "<", 5)), db.schema
         )
         with pytest.raises(UnsupportedPlanError):
@@ -233,7 +231,7 @@ class TestFallback:
         query = relation("T")
         for i in range(400):
             query = select(query, eq(Attr(0), i))
-        assert query.evaluate(db, engine="sqlite") == query.evaluate(db, engine="plan")
+        assert _answer(db, query, "sqlite") == _answer(db, query)
 
     def test_malformed_generated_sql_surfaces_loudly(self, db):
         # Only *environmental* SQLite limits may fall back; a compiler
@@ -243,9 +241,10 @@ class TestFallback:
 
         from repro.backends.compiler import CompiledPlan
 
-        backend = backend_for(db)
+        session = repro.connect(db, engine="sqlite")
         query = project(relation("S"), (0,))
-        backend.evaluate(query)
+        session.query(query).answer_object()
+        backend = session._backend
         _, out_schema = backend._plans[query]
         backend._plans[query] = (
             CompiledPlan(
@@ -260,35 +259,23 @@ class TestFallback:
             out_schema,
         )
         with pytest.raises(sqlite3.OperationalError):
-            query.evaluate(db, engine="sqlite")
+            session.query(query).answer_object()
 
     def test_nan_in_database_falls_back(self):
         database = Database.from_dict({"N": [(float("nan"),), (1.0,)]})
         query = project(relation("N"), (0,))
-        assert query.evaluate(database, engine="sqlite") == query.evaluate(
-            database, engine="plan"
-        )
+        assert _answer(database, query, "sqlite") == _answer(database, query)
 
 
 class TestEngineDispatch:
     def test_unknown_engine_rejected(self, db):
         with pytest.raises(ValueError):
-            relation("R").evaluate(db, engine="quantum")
-
-    def test_default_engine_switch_to_sqlite(self, db):
-        from repro.engine import get_default_engine, set_default_engine
-
-        previous = set_default_engine("sqlite")
-        try:
-            assert get_default_engine() == "sqlite"
-            assert relation("R").evaluate(db) == db.relation("R")
-        finally:
-            set_default_engine(previous)
+            repro.connect(db, engine="quantum").query(relation("R")).answer_object()
 
     def test_database_with_sqlite_backend_still_pickles(self, db):
         import pickle
 
-        backend_for(db)  # attaches a live sqlite connection to the cache
+        db.analysis_cache()["backend"] = _loaded(db)  # a live sqlite connection
         clone = pickle.loads(pickle.dumps(db))
         assert clone == db
         assert clone.analysis_cache() == {}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints import InclusionDependency, foreign_key, referential_integrity_report
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_boolean, possible_boolean
+from repro.semantics import enumerate_certain_boolean, enumerate_possible_boolean
 
 
 def _orders_db(pay_rows):
@@ -103,8 +103,8 @@ class TestCertainAndPossibleSatisfaction:
     def test_certain_and_possible_agree_with_world_enumeration(self, pay_rows):
         db = _orders_db(pay_rows)
         check = lambda world: PAY_FK.satisfied_naively(world)
-        assert PAY_FK.satisfied_certainly(db) == certain_boolean(check, db, semantics="cwa")
-        assert PAY_FK.satisfied_possibly(db) == possible_boolean(check, db, semantics="cwa")
+        assert PAY_FK.satisfied_certainly(db) == enumerate_certain_boolean(check, db, "cwa")
+        assert PAY_FK.satisfied_possibly(db) == enumerate_possible_boolean(check, db, "cwa")
 
 
 class TestSelfReferencingInd:

@@ -2,11 +2,11 @@
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.core import (
     CWA_ORDERING,
     OWA_ORDERING,
-    certain_answer_object,
     certain_knowledge_formula,
     certain_object_owa,
     intersection_object,
@@ -42,7 +42,7 @@ class TestCertainObject:
         query = parse_ra("R")
         answers = answer_databases(query, paper_r)
         naive_object = Database.from_relations(
-            [certain_answer_object(query, paper_r).rename("__answer__")]
+            [repro.connect(paper_r).query(query).answer_object().rename("__answer__")]
         )
         intersection = intersection_object(answers)
         assert is_certain_object(naive_object, answers, OWA_ORDERING, competitors=[intersection])
@@ -51,7 +51,7 @@ class TestCertainObject:
         query = parse_ra("R")
         answers = answer_databases(query, paper_r)
         naive_object = Database.from_relations(
-            [certain_answer_object(query, paper_r).rename("__answer__")]
+            [repro.connect(paper_r).query(query).answer_object().rename("__answer__")]
         )
         assert is_certain_object(naive_object, answers, CWA_ORDERING, competitors=[])
 
@@ -69,7 +69,7 @@ class TestCertainObject:
         answers = answer_databases(query, paper_r)
         intersection = intersection_object(answers)
         naive_object = Database.from_relations(
-            [certain_answer_object(query, paper_r).rename("__answer__")]
+            [repro.connect(paper_r).query(query).answer_object().rename("__answer__")]
         )
         assert is_lower_bound(intersection, answers, OWA_ORDERING)
         assert not is_certain_object(

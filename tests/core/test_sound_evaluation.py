@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.core import (
     evaluate_pair,
@@ -10,7 +11,6 @@ from repro.core import (
     sound_certain_answers,
     values_unifiable,
 )
-from repro.core.answers import certain_answers_intersection, possible_answers
 from repro.datamodel import Database, Null
 from repro.workloads import random_database, random_full_ra_query
 
@@ -47,7 +47,7 @@ class TestSoundness:
     def assert_sound(self, query_text, database):
         query = parse_ra(query_text)
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert sound.rows <= exact.rows
 
     def test_unpaid_orders_query(self):
@@ -60,7 +60,7 @@ class TestSoundness:
         database = Database.from_dict({"R": [(2, 3), (1, 2)], "S": [(Null("s"), 2)]})
         query = parse_ra("diff(R, S)")
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         # (2,3) can never be produced by S (second component is 2), so it is
         # certain and the unification-based check keeps it; (1,2) is not.
         assert sound.rows == exact.rows == frozenset({(2, 3)})
@@ -70,7 +70,7 @@ class TestSoundness:
         database = Database.from_dict({"R": [(1, 2)], "S": [(repeated, repeated)]})
         query = parse_ra("diff(R, S)")
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         # S only ever contains tuples of the form (c, c), never (1, 2): the
         # marked-null unification check sees the conflict and keeps (1, 2).
         assert sound.rows == exact.rows == frozenset({(1, 2)})
@@ -90,7 +90,7 @@ class TestSoundness:
             database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
             query = random_full_ra_query(database.schema, seed=seed)
             sound = sound_certain_answers(query, database)
-            exact = certain_answers_intersection(query, database, semantics="cwa")
+            exact = repro.connect(database).query(query).certain(method="enumeration")
             assert sound.rows <= exact.rows
 
     def test_completeness_on_complete_databases(self):
@@ -104,7 +104,7 @@ class TestUpperBound:
         database = Database.from_dict({"R": [(1, Null("x")), (2, 3)], "S": [(3,)]})
         query = parse_ra("project[#1](diff(R, product(S, S)))")
         upper = possible_answer_bound(query, database)
-        possible = possible_answers(query, database, semantics="cwa")
+        possible = repro.connect(database).query(query).possible()
         # every possible answer must be an instantiation of some upper row
         for row in possible.rows:
             assert any(rows_unifiable(row, candidate) for candidate in upper.rows)

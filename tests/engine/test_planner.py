@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.algebra.ast import (
     ActiveDomain,
     ConstantRelation,
@@ -25,14 +26,7 @@ from repro.algebra.ast import (
 from repro.algebra.predicates import Attr, Comparison, PAnd, eq
 from repro.datamodel import Database, Null, Relation
 from repro.datamodel.values import intern_null, intern_value
-from repro.engine import (
-    clear_plan_cache,
-    compile_plan,
-    execute,
-    explain,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.engine import PlanCache, explain
 from repro.engine.logical import (
     LDifference,
     LFilter,
@@ -60,7 +54,7 @@ class TestLogicalOptimizer:
     def test_selection_pushdown_through_product(self, db):
         # σ_{0=c}(R × S) pushes the predicate onto the R side.
         query = select(product(relation("R"), relation("S")), eq(Attr(0), 1))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LMultiJoin)
         assert isinstance(plan.factors[0], LFilter)
         assert isinstance(plan.factors[0].child, LScan)
@@ -71,7 +65,7 @@ class TestLogicalOptimizer:
         query = select(
             product(relation("R"), relation("S")), Comparison(Attr(1), "=", Attr(2))
         )
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LMultiJoin)
         assert plan.pairs == ((1, 2),)
         assert plan.residual == ()
@@ -81,25 +75,25 @@ class TestLogicalOptimizer:
             product(relation("R"), product(relation("S"), relation("T"))),
             PAnd((Comparison(Attr(1), "=", Attr(2)), Comparison(Attr(3), "=", Attr(4)))),
         )
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LMultiJoin)
         assert len(plan.factors) == 3
         assert set(plan.pairs) == {(1, 2), (3, 4)}
 
     def test_projection_resolves_names_to_positions(self, db):
         query = project(relation("S"), ("#1", "#0"))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LProject)
         assert plan.positions == (1, 0)
 
     def test_rename_disappears_from_plan(self, db):
         query = rename(relation("R"), "Other", ("a", "b"))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LScan)
 
     def test_selection_pushes_through_union_and_difference(self, db):
         query = select(difference(relation("R"), relation("R")), eq(Attr(0), 1))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LDifference)
         assert isinstance(plan.left, LFilter)
         assert isinstance(plan.right, LFilter)
@@ -108,18 +102,18 @@ class TestLogicalOptimizer:
         # σ_{#0<5}(R × S): the order comparison must stay above the product,
         # exactly where the interpreter evaluates it.
         query = select(product(relation("T"), relation("S")), Comparison(Attr(0), "<", 5))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LFilter)
 
     def test_explain_renders_tree(self, db):
-        text = explain(compile_plan(join(relation("R"), relation("R")), db.schema))
+        text = explain(PlanCache().compile(join(relation("R"), relation("R")), db.schema))
         assert "equijoin" in text
         assert "scan R" in text
 
     def test_two_way_natural_join_stays_equijoin(self, db):
         # A plain two-way natural join keeps the direct LEquiJoin shape
         # (no extra projection over dropped right columns).
-        plan = compile_plan(
+        plan = PlanCache().compile(
             join(rename(relation("R"), "A", ("a", "b")), rename(relation("S"), "B", ("b", "c"))),
             db.schema,
         )
@@ -136,7 +130,7 @@ class TestLogicalOptimizer:
             ),
             rename(relation("T"), "C", ("b",)),
         )
-        plan = compile_plan(chain, db.schema)
+        plan = PlanCache().compile(chain, db.schema)
         assert isinstance(plan, LProject)
         assert isinstance(plan.child, LMultiJoin)
         assert len(plan.child.factors) == 3
@@ -155,24 +149,22 @@ class TestLogicalOptimizer:
         tiny = Relation.create("Tiny", [(0, 1)], attributes=("c", "d"))
         database = Database.from_relations([big, mid, tiny])
         chain = join(join(relation("Big"), relation("Mid")), relation("Tiny"))
-        plan = compile_plan(chain, database.schema)
+        plan = PlanCache().compile(chain, database.schema)
         assert isinstance(plan, LProject) and isinstance(plan.child, LMultiJoin)
         assert lower(plan, database) is not None
         # Correctness seals the join-order permutation and the final
         # layout-restoring projection.
-        assert chain.evaluate(database, engine="plan") == chain.evaluate(
-            database, engine="interpreter"
-        )
+        assert repro.connect(database).query(chain).answer_object() == chain.evaluate(database)
 
     def test_mixed_product_and_natural_join_chain_agrees(self, db):
         query = join(
             product(rename(relation("T"), "P", ("t",)), rename(relation("R"), "A", ("a", "b"))),
             rename(relation("S"), "B", ("b", "c")),
         )
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LProject) and isinstance(plan.child, LMultiJoin)
         assert len(plan.child.factors) == 3
-        assert query.evaluate(db, engine="plan") == query.evaluate(db, engine="interpreter")
+        assert repro.connect(db).query(query).answer_object() == query.evaluate(db)
 
     def test_projection_inside_join_chain_flattens(self, db):
         # A user-written projection between joins used to stop flattening
@@ -186,11 +178,11 @@ class TestLogicalOptimizer:
             ("b", "c"),
         )
         query = join(inner, rename(relation("S"), "C", ("c", "d")))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LProject)
         assert isinstance(plan.child, LMultiJoin)
         assert len(plan.child.factors) == 3
-        assert query.evaluate(db, engine="plan") == query.evaluate(db, engine="interpreter")
+        assert repro.connect(db).query(query).answer_object() == query.evaluate(db)
 
     def test_stacked_projections_compose_through_flattening(self, db):
         # π over π over a join chain: positions compose, results agree.
@@ -205,17 +197,17 @@ class TestLogicalOptimizer:
             ("c", "b"),
         )
         query = join(inner, rename(relation("T"), "C", ("b",)))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LProject)
         assert isinstance(plan.child, LMultiJoin)
         assert len(plan.child.factors) == 3
-        assert query.evaluate(db, engine="plan") == query.evaluate(db, engine="interpreter")
+        assert repro.connect(db).query(query).answer_object() == query.evaluate(db)
 
     def test_bare_projection_over_scan_stays_a_leaf(self, db):
         # The recursion must not turn π(scan) into a (vacuous) multijoin
         # view — leaves stay leaves.
         query = project(relation("S"), ("#1", "#0"))
-        plan = compile_plan(query, db.schema)
+        plan = PlanCache().compile(query, db.schema)
         assert isinstance(plan, LProject)
         assert isinstance(plan.child, LScan)
 
@@ -240,9 +232,7 @@ class TestExecution:
             product(relation("Big"), product(relation("Mid"), relation("Small"))),
             PAnd((Comparison(Attr(0), "=", Attr(3)), Comparison(Attr(2), "=", Attr(4)))),
         )
-        assert query.evaluate(database, engine="plan") == query.evaluate(
-            database, engine="interpreter"
-        )
+        assert repro.connect(database).query(query).answer_object() == query.evaluate(database)
 
     def test_division_positional_and_named(self, db):
         enrolled = Relation.create(
@@ -251,82 +241,77 @@ class TestExecution:
         courses = Relation.create("Courses", [("c1",), ("c2",)], attributes=("course",))
         database = Database.from_relations([enrolled, courses])
         query = Division(relation("Enroll"), relation("Courses"))
-        assert query.evaluate(database, engine="plan") == query.evaluate(
-            database, engine="interpreter"
-        )
+        assert repro.connect(database).query(query).answer_object() == query.evaluate(database)
         assert query.evaluate(database).rows == {("s1",)}
 
     def test_delta_and_adom(self, db):
         for query in (Delta(), ActiveDomain()):
-            assert query.evaluate(db, engine="plan") == query.evaluate(db, engine="interpreter")
+            assert repro.connect(db).query(query).answer_object() == query.evaluate(db)
 
     def test_schema_errors_match_interpreter(self, db):
         query = union(relation("R"), relation("T"))  # arity mismatch
         with pytest.raises(ValueError):
-            query.evaluate(db, engine="plan")
+            repro.connect(db).query(query).answer_object()
         with pytest.raises(ValueError):
-            query.evaluate(db, engine="interpreter")
+            query.evaluate(db)
 
     def test_order_comparison_on_null_raises_like_interpreter(self, db):
         query = select(relation("R"), Comparison(Attr(0), "<", 5))
         with pytest.raises(TypeError):
-            query.evaluate(db, engine="plan")
+            repro.connect(db).query(query).answer_object()
         with pytest.raises(TypeError):
-            query.evaluate(db, engine="interpreter")
+            query.evaluate(db)
 
     def test_plan_cache_reused_and_clearable(self, db):
+        cache = PlanCache()
         query = project(relation("R"), (0,))
-        first = execute(query, db)
+        first = cache.execute(query, db)
         entry = query._plan_entries
-        second = execute(query, db)
+        second = cache.execute(query, db)
         assert query._plan_entries is entry
         assert first == second
-        clear_plan_cache()
-        assert execute(query, db) == first
+        cache.clear()
+        assert cache.execute(query, db) == first
 
     def test_plan_cache_clear_evicts_cold_conditions_keeps_hot(self):
         # Long-running services reset every engine-level cache through
-        # clear_plan_cache().  The condition kernel uses an epoch-based
+        # PlanCache.clear().  The condition kernel uses an epoch-based
         # eviction policy there: conditions touched since the previous
         # clear survive (still canonical), untouched ones are evicted, and
         # a condition untouched for a full epoch disappears entirely.
-        from repro.datamodel import Null, clear_condition_kernel
-        from repro.datamodel.condition_kernel import (
-            kernel_and,
-            kernel_eq,
-            kernel_or,
-            kernel_stats,
-        )
+        from repro.datamodel import ConditionKernel
 
-        clear_condition_kernel()
+        kernel = ConditionKernel()
+        cache = PlanCache(kernel=kernel)
+        assert cache.kernel is kernel
         x, y = Null("x"), Null("y")
-        left, right = kernel_eq(x, 1), kernel_eq(y, 2)
-        conjunction = kernel_and(left, right)
-        kernel_or(left, right)
-        stats = kernel_stats()
+        left, right = kernel.eq(x, 1), kernel.eq(y, 2)
+        conjunction = kernel.and_(left, right)
+        kernel.or_(left, right)
+        stats = kernel.stats()
         assert stats["interned"] > 0
         assert stats["and_memo"] > 0 and stats["or_memo"] > 0
 
         # Everything was touched in the epoch now ending: all survive, and
         # identity (canonicity) is preserved across the clear.
-        clear_plan_cache()
-        assert kernel_stats()["interned"] == stats["interned"]
-        assert kernel_eq(x, 1) is left
-        assert kernel_and(left, right) is conjunction
+        cache.clear()
+        assert kernel.stats()["interned"] == stats["interned"]
+        assert kernel.eq(x, 1) is left
+        assert kernel.and_(left, right) is conjunction
 
         # New epoch: touch only `left`.  The next clear keeps it (and the
         # conjunction's members it reaches) but evicts the untouched
         # disjunction, whose memo entry must go with it.
-        clear_plan_cache()  # ends the epoch in which left/conjunction were touched
-        kernel_eq(x, 1)  # touch `left` only in the current epoch
-        clear_plan_cache()
-        assert kernel_eq(x, 1) is left  # hot condition still canonical
-        assert kernel_stats()["or_memo"] == 0  # cold disjunction evicted
-        assert kernel_eq(y, 2) is not right  # cold atom was re-interned fresh
+        cache.clear()  # ends the epoch in which left/conjunction were touched
+        kernel.eq(x, 1)  # touch `left` only in the current epoch
+        cache.clear()
+        assert kernel.eq(x, 1) is left  # hot condition still canonical
+        assert kernel.stats()["or_memo"] == 0  # cold disjunction evicted
+        assert kernel.eq(y, 2) is not right  # cold atom was re-interned fresh
 
         # The full wipe remains available for tests and benchmarks.
-        clear_condition_kernel()
-        assert kernel_stats() == {
+        kernel.clear()
+        assert kernel.stats() == {
             "interned": 0,
             "and_memo": 0,
             "or_memo": 0,
@@ -335,7 +320,7 @@ class TestExecution:
 
     def test_unknown_engine_rejected(self, db):
         with pytest.raises(ValueError):
-            relation("R").evaluate(db, engine="quantum")
+            repro.connect(db, engine="quantum").query(relation("R")).answer_object()
 
     def test_seed_style_subclass_still_works_nested(self, db):
         # Subclasses written against the seed API override evaluate()
@@ -356,15 +341,13 @@ class TestExecution:
 
         nested = Projection(LegacyOp(), (0,))
         for engine in ("plan", "interpreter"):
-            assert nested.evaluate(db, engine=engine).rows == {(1,), (2,)}
+            answer = repro.connect(db, engine=engine).query(nested).answer_object()
+            assert answer.rows == {(1,), (2,)}
 
-    def test_default_engine_switch(self, db):
-        previous = set_default_engine("interpreter")
-        try:
-            assert get_default_engine() == "interpreter"
-            assert relation("R").evaluate(db) == db.relation("R")
-        finally:
-            set_default_engine(previous)
+    def test_evaluate_runs_the_interpreter_without_plan_state(self, db):
+        query = project(relation("R"), (0,))
+        assert query.evaluate(db) == query._interpret(db)
+        assert not hasattr(query, "_plan_entries")
 
 
 class TestPredicateCompilation:

@@ -10,8 +10,8 @@ import pytest
 
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_boolean
-from repro.sqlnulls import parse_sql, run_sql
+from repro.semantics import enumerate_certain_boolean
+from repro.sqlnulls import execute_sql, parse_sql
 
 SQL_DIFFERENCE = "SELECT R.A FROM R WHERE R.A NOT IN (SELECT S.A FROM S)"
 
@@ -29,16 +29,16 @@ class TestSQLGoesWrong:
     @pytest.mark.parametrize("r_size", [1, 3, 5, 10])
     def test_empty_for_any_r_when_s_is_a_single_null(self, r_size):
         db = make_db(range(r_size), [Null("s")])
-        assert run_sql(db, parse_sql(SQL_DIFFERENCE)) == []
+        assert execute_sql(db, parse_sql(SQL_DIFFERENCE)) == []
 
     def test_empty_even_when_s_mixes_nulls_and_constants(self):
         db = make_db([1, 2, 3], [2, Null("s")])
         # 2 is filtered by the constant; 1 and 3 are filtered by the unknown.
-        assert run_sql(db, parse_sql(SQL_DIFFERENCE)) == []
+        assert execute_sql(db, parse_sql(SQL_DIFFERENCE)) == []
 
     def test_correct_without_nulls(self):
         db = make_db([1, 2, 3], [2])
-        assert sorted(run_sql(db, parse_sql(SQL_DIFFERENCE))) == [(1,), (3,)]
+        assert sorted(execute_sql(db, parse_sql(SQL_DIFFERENCE))) == [(1,), (3,)]
 
 
 class TestCardinalityIntuition:
@@ -47,13 +47,13 @@ class TestCardinalityIntuition:
         """|R| > |S| makes non-emptiness of R − S a certain (Boolean) answer."""
         db = make_db(range(r_size), [Null(f"s{i}") for i in range(s_nulls)])
         query = parse_ra("diff(R, S)")
-        assert certain_boolean(
+        assert enumerate_certain_boolean(
             lambda world: bool(query.evaluate(world)), db, semantics="cwa"
         )
 
     def test_emptiness_possible_when_sizes_match(self):
         db = make_db([1, 2], [Null("s1"), Null("s2")])
         query = parse_ra("diff(R, S)")
-        assert not certain_boolean(
+        assert not enumerate_certain_boolean(
             lambda world: bool(query.evaluate(world)), db, semantics="cwa"
         )

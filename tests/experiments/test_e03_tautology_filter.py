@@ -10,23 +10,23 @@ three-valued logic, "and yet intuitively we expected the answer to be
 this is what the query will produce."
 """
 
-from repro.core import certain_answers_intersection
+import repro
 from repro.logic import FOQuery, Not, Or, atom, conj, equals, exists, var
-from repro.sqlnulls import parse_sql, run_sql
+from repro.sqlnulls import execute_sql, parse_sql
 
 TAUTOLOGY_SQL = "SELECT p_id FROM Pay WHERE ord = 'oid1' OR ord <> 'oid1'"
 
 
 class TestSQLGoesWrong:
     def test_sql_returns_empty_on_the_null_row(self, paper_orders_db):
-        assert run_sql(paper_orders_db, parse_sql(TAUTOLOGY_SQL)) == []
+        assert execute_sql(paper_orders_db, parse_sql(TAUTOLOGY_SQL)) == []
 
     def test_sql_returns_the_row_once_the_null_is_replaced(self, paper_orders_db):
         for replacement in ("oid1", "oid2", "anything"):
             complete = paper_orders_db.map_values(
                 lambda value, repl=replacement: repl if getattr(value, "is_null", False) else value
             )
-            assert run_sql(complete, parse_sql(TAUTOLOGY_SQL)) == [("pid1",)]
+            assert execute_sql(complete, parse_sql(TAUTOLOGY_SQL)) == [("pid1",)]
 
 
 class TestCertainAnswer:
@@ -37,7 +37,7 @@ class TestCertainAnswer:
 
     def test_pid1_is_the_certain_answer(self, paper_orders_db):
         """Replacing ⊥ by any constant keeps pid1 in the answer (world enumeration)."""
-        certain = certain_answers_intersection(self._query(), paper_orders_db, semantics="cwa")
+        certain = repro.connect(paper_orders_db).query(self._query()).certain(method="enumeration")
         assert certain.rows == frozenset({("pid1",)})
 
     def test_every_world_returns_pid1(self, paper_orders_db):
@@ -48,8 +48,8 @@ class TestCertainAnswer:
             assert ("pid1",) in query.evaluate(world).rows
 
     def test_sql_misses_the_certain_answer(self, paper_orders_db):
-        sql_rows = set(run_sql(paper_orders_db, parse_sql(TAUTOLOGY_SQL)))
-        certain = certain_answers_intersection(self._query(), paper_orders_db, semantics="cwa")
+        sql_rows = set(execute_sql(paper_orders_db, parse_sql(TAUTOLOGY_SQL)))
+        certain = repro.connect(paper_orders_db).query(self._query()).certain(method="enumeration")
         assert sql_rows == set()
         assert set(certain.rows) == {("pid1",)}
         assert sql_rows < set(certain.rows)

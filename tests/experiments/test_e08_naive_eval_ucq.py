@@ -10,8 +10,8 @@ IS NOT NULL filter).
 
 import pytest
 
+import repro
 from repro.algebra import is_positive, naive_certain_answers, parse_ra
-from repro.core import certain_answers_intersection
 from repro.datamodel import Database, Null
 from repro.workloads import orders_payments, random_database, random_positive_query
 
@@ -33,7 +33,7 @@ class TestHandWrittenQueries:
         query = parse_ra(query_text)
         assert is_positive(query)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
     @pytest.mark.parametrize("query_text", HAND_WRITTEN_QUERIES[:3])
@@ -41,8 +41,10 @@ class TestHandWrittenQueries:
         database = random_database(num_nulls=2, rows_per_relation=3, seed=3)
         query = parse_ra(query_text)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(
-            query, database, semantics="owa", max_extra_facts=1
+        exact = (
+            repro.connect(database, semantics="owa")
+            .query(query)
+            .certain(method="enumeration", max_extra_facts=1)
         )
         assert naive.rows == exact.rows
 
@@ -53,7 +55,7 @@ class TestRandomisedQueries:
         database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
         query = random_positive_query(database.schema, seed=seed)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
     @pytest.mark.parametrize("seed", range(3))
@@ -63,8 +65,10 @@ class TestRandomisedQueries:
         )
         query = random_positive_query(database.schema, seed=seed + 100)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(
-            query, database, semantics="owa", max_extra_facts=1
+        exact = (
+            repro.connect(database, semantics="owa")
+            .query(query)
+            .certain(method="enumeration", max_extra_facts=1)
         )
         assert naive.rows == exact.rows
 
@@ -77,7 +81,7 @@ class TestScenarioQuery:
             "project[#1](select[#0 = #2](product(Orders, project[ord](Pay))))"
         )
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
     def test_marked_null_join_is_certain(self):
@@ -86,5 +90,5 @@ class TestScenarioQuery:
         database = Database.from_dict({"R": [("a", shared)], "S": [(shared, "b")]})
         query = parse_ra("project[#0, #3](select[#1 = #2](product(R, S)))")
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows == frozenset({("a", "b")})

@@ -8,8 +8,9 @@ the certain answer is ∅."
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import certain_answers, certain_answers_intersection, explain_method
+from repro.core import explain_method
 from repro.datamodel import Database, Null, Relation
 
 
@@ -31,7 +32,7 @@ class TestPaperCounterexample:
         assert naive_certain_answers(QUERY, paper_db).rows == frozenset({(1,)})
 
     def test_certain_answer_is_empty(self, paper_db):
-        certain = certain_answers_intersection(QUERY, paper_db, semantics="cwa")
+        certain = repro.connect(paper_db).query(QUERY).certain(method="enumeration")
         assert certain.rows == frozenset()
 
     def test_why_it_fails_the_two_nulls_may_coincide(self, paper_db):
@@ -53,11 +54,13 @@ class TestPaperCounterexample:
         """The library's dispatcher refuses naive evaluation for this query."""
         verdict = explain_method(QUERY, "cwa")
         assert not verdict.applies
-        assert certain_answers(QUERY, paper_db, semantics="cwa").rows == frozenset()
+        assert repro.connect(paper_db).query(QUERY).certain().rows == frozenset()
 
     def test_failure_persists_under_owa(self, paper_db):
-        certain = certain_answers_intersection(
-            QUERY, paper_db, semantics="owa", max_extra_facts=1
+        certain = (
+            repro.connect(paper_db, semantics="owa")
+            .query(QUERY)
+            .certain(method="enumeration", max_extra_facts=1)
         )
         assert certain.rows == frozenset()
         assert naive_certain_answers(QUERY, paper_db).rows != certain.rows

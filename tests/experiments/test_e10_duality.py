@@ -25,7 +25,7 @@ from repro.logic import (
     var,
 )
 from repro.homomorphisms import hom_equivalent
-from repro.semantics import certain_boolean, default_domain, in_owa, owa_worlds
+from repro.semantics import enumerate_certain_boolean, default_domain, in_owa, owa_worlds
 from repro.workloads import random_database
 
 
@@ -75,7 +75,7 @@ class TestCertainAnswersAsContainment:
         for name, query in self._queries().items():
             via_containment = certain_boolean_via_containment(query, paper_r)
             via_naive = query.formula.holds(paper_r)
-            via_enumeration = certain_boolean(
+            via_enumeration = enumerate_certain_boolean(
                 lambda world, q=query: q.formula.holds(world),
                 paper_r,
                 semantics="owa",

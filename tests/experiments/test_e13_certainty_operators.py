@@ -13,12 +13,11 @@ Paper claims:
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
 from repro.core import (
     CWA_ORDERING,
     OWA_ORDERING,
-    certain_answer_knowledge,
-    certain_answer_object,
     certain_knowledge_formula,
     intersection_object,
     is_certain_object,
@@ -75,7 +74,7 @@ class TestEquationNineAndTen:
     def test_naive_answer_is_certain_object_for_positive_queries(self, seed):
         database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
         query = random_positive_query(database.schema, seed=seed)
-        naive_answer = as_answer_db(certain_answer_object(query, database))
+        naive_answer = as_answer_db(repro.connect(database).query(query).answer_object())
         world_answers = [as_answer_db(query.evaluate(w)) for w in cwa_worlds(database)]
         competitors = [as_answer_db(query.evaluate(w).complete_part()) for w in cwa_worlds(database)]
         intersection = intersection_object(world_answers)
@@ -85,7 +84,7 @@ class TestEquationNineAndTen:
     def test_naive_answer_is_certain_object_under_cwa_ordering(self):
         database = Database.from_dict({"R": [(1, 2), (2, Null("x"))]})
         query = parse_ra("R")
-        naive_answer = as_answer_db(certain_answer_object(query, database))
+        naive_answer = as_answer_db(repro.connect(database).query(query).answer_object())
         world_answers = [as_answer_db(query.evaluate(w)) for w in cwa_worlds(database)]
         assert is_certain_object(naive_answer, world_answers, CWA_ORDERING, competitors=[])
 
@@ -93,7 +92,7 @@ class TestEquationNineAndTen:
         """certainK(Q, D) = δ_{Q(D)} holds in every world's answer (eq. (10))."""
         database = Database.from_dict({"R": [(1, 2), (2, Null("x"))]})
         query = parse_ra("project[#1](R)")
-        formula = certain_answer_knowledge(query, database, semantics="owa")
+        formula = repro.connect(database, semantics="owa").query(query).knowledge()
         for world in cwa_worlds(database):
             answer_db = Database.from_relations([query.evaluate(world).rename("Answer")])
             assert formula.holds(answer_db)
@@ -102,7 +101,7 @@ class TestEquationNineAndTen:
         """For difference, δ_{Q(D)} need not hold in every answer — eq. (10) needs monotonicity."""
         database = Database.from_dict({"R": [(1, Null("a"))], "S": [(1, Null("b"))]})
         query = parse_ra("project[#0](diff(R, S))")
-        formula = certain_answer_knowledge(query, database, semantics="owa")
+        formula = repro.connect(database, semantics="owa").query(query).knowledge()
         violated = False
         for world in cwa_worlds(database):
             answer_db = Database.from_relations([query.evaluate(world).rename("Answer")])

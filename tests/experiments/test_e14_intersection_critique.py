@@ -12,15 +12,9 @@ certain answer is {(1,2)} under both OWA and CWA.  This answer
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
-from repro.core import (
-    CWA_ORDERING,
-    OWA_ORDERING,
-    certain_answer_object,
-    certain_answers_intersection,
-    is_certain_object,
-    is_lower_bound,
-)
+from repro.core import CWA_ORDERING, OWA_ORDERING, is_certain_object, is_lower_bound
 from repro.datamodel import Database, Null
 from repro.logic import atom, exists, var
 from repro.semantics import cwa_worlds
@@ -36,8 +30,10 @@ def as_db(relation):
 class TestTheClassicalAnswer:
     def test_intersection_answer_is_just_one_two(self, paper_section6_r):
         for semantics in ("cwa", "owa"):
-            certain = certain_answers_intersection(
-                QUERY, paper_section6_r, semantics=semantics, max_extra_facts=1
+            certain = (
+                repro.connect(paper_section6_r, semantics=semantics)
+                .query(QUERY)
+                .certain(method="enumeration", max_extra_facts=1)
             )
             assert certain.rows == frozenset({(1, 2)})
 
@@ -47,7 +43,7 @@ class TestTheClassicalAnswer:
         x = var("x")
         second_tuple_exists = exists(x, atom("__answer__", 2, x))
         intersection_answer = as_db(
-            certain_answers_intersection(QUERY, paper_section6_r, semantics="cwa")
+            repro.connect(paper_section6_r).query(QUERY).certain(method="enumeration")
         )
         # The knowledge holds in every world's answer ...
         for world in cwa_worlds(paper_section6_r):
@@ -55,14 +51,15 @@ class TestTheClassicalAnswer:
         # ... but not in the intersection answer.
         assert not second_tuple_exists.holds(intersection_answer)
         # The naive (object) answer does carry it.
-        assert second_tuple_exists.holds(as_db(certain_answer_object(QUERY, paper_section6_r)))
+        naive = repro.connect(paper_section6_r).query(QUERY).answer_object()
+        assert second_tuple_exists.holds(as_db(naive))
 
 
 class TestOrderingsExposeTheProblem:
     def test_intersection_is_an_owa_lower_bound(self, paper_section6_r):
         answers = [as_db(QUERY.evaluate(w)) for w in cwa_worlds(paper_section6_r)]
         intersection = as_db(
-            certain_answers_intersection(QUERY, paper_section6_r, semantics="cwa")
+            repro.connect(paper_section6_r).query(QUERY).certain(method="enumeration")
         )
         assert is_lower_bound(intersection, answers, OWA_ORDERING)
 
@@ -70,16 +67,16 @@ class TestOrderingsExposeTheProblem:
         """The paper's 'exactly the opposite is true' under CWA."""
         answers = [as_db(QUERY.evaluate(w)) for w in cwa_worlds(paper_section6_r)]
         intersection = as_db(
-            certain_answers_intersection(QUERY, paper_section6_r, semantics="cwa")
+            repro.connect(paper_section6_r).query(QUERY).certain(method="enumeration")
         )
         assert all(not CWA_ORDERING(intersection, answer) for answer in answers)
         assert not is_lower_bound(intersection, answers, CWA_ORDERING)
 
     def test_naive_answer_is_the_greatest_lower_bound(self, paper_section6_r):
         answers = [as_db(QUERY.evaluate(w)) for w in cwa_worlds(paper_section6_r)]
-        naive_object = as_db(certain_answer_object(QUERY, paper_section6_r))
+        naive_object = as_db(repro.connect(paper_section6_r).query(QUERY).answer_object())
         intersection = as_db(
-            certain_answers_intersection(QUERY, paper_section6_r, semantics="cwa")
+            repro.connect(paper_section6_r).query(QUERY).certain(method="enumeration")
         )
         assert is_certain_object(naive_object, answers, CWA_ORDERING, competitors=[])
         assert is_certain_object(

@@ -12,13 +12,9 @@ Paper claims:
 
 import pytest
 
+import repro
 from repro.algebra import is_positive, naive_certain_answers, parse_ra
-from repro.core import (
-    certain_answers_intersection,
-    is_monotone_on,
-    is_preserved_under_homomorphisms,
-    naive_evaluation_applies,
-)
+from repro.core import is_monotone_on, is_preserved_under_homomorphisms, naive_evaluation_applies
 from repro.datamodel import Database, Null
 from repro.homomorphisms import all_homomorphisms
 from repro.logic import FOQuery, Not, atom, conj, exists, var
@@ -72,8 +68,10 @@ class TestNaiveEvaluationSide:
         query = random_positive_query(database.schema, seed=seed + 7)
         assert is_positive(query)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(
-            query, database, semantics="owa", max_extra_facts=1
+        exact = (
+            repro.connect(database, semantics="owa")
+            .query(query)
+            .certain(method="enumeration", max_extra_facts=1)
         )
         assert naive.rows == exact.rows
 
@@ -110,9 +108,11 @@ class TestNaiveEvaluationSide:
         )
         query = parse_ra("divide(Enroll, Courses)")
         naive = naive_certain_answers(query, database)
-        exact_cwa = certain_answers_intersection(query, database, semantics="cwa")
-        exact_owa = certain_answers_intersection(
-            query, database, semantics="owa", max_extra_facts=1
+        exact_cwa = repro.connect(database).query(query).certain(method="enumeration")
+        exact_owa = (
+            repro.connect(database, semantics="owa")
+            .query(query)
+            .certain(method="enumeration", max_extra_facts=1)
         )
         assert naive.rows == exact_cwa.rows == frozenset({("alice",)})
         assert exact_owa.rows == frozenset()

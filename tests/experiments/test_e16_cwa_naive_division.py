@@ -14,13 +14,9 @@ Paper claims:
 
 import pytest
 
+import repro
 from repro.algebra import divide, is_ra_cwa, naive_certain_answers, parse_ra, project, relation
-from repro.core import (
-    certain_answers,
-    certain_answers_intersection,
-    is_preserved_under_homomorphisms,
-    naive_evaluation_applies,
-)
+from repro.core import is_preserved_under_homomorphisms, naive_evaluation_applies
 from repro.datamodel import Database, Null, Relation
 from repro.homomorphisms import all_homomorphisms
 from repro.logic import ra_to_calculus
@@ -36,7 +32,7 @@ class TestEnrolmentScenario:
         database = self._db(seed=seed, null_fraction=0.3)
         query = parse_ra("divide(Enroll, Courses)")
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
     def test_null_course_can_complete_a_student(self):
@@ -54,7 +50,7 @@ class TestEnrolmentScenario:
         )
         query = parse_ra("divide(Enroll, Courses)")
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         # alice is certain; bob is not (his null may be c0 again, not c1).
         assert naive.rows == exact.rows == frozenset({("alice",)})
 
@@ -62,8 +58,8 @@ class TestEnrolmentScenario:
         database = self._db()
         query = parse_ra("divide(Enroll, Courses)")
         assert naive_evaluation_applies(query, "cwa").applies
-        auto = certain_answers(query, database, semantics="cwa")
-        assert auto.rows == certain_answers_intersection(database=database, query=query, semantics="cwa").rows
+        auto = repro.connect(database).query(query).certain()
+        assert auto.rows == repro.connect(database).query(query).certain(method="enumeration").rows
 
 
 class TestRandomisedRaCwaQueries:
@@ -73,7 +69,7 @@ class TestRandomisedRaCwaQueries:
         query = random_ra_cwa_query(database.schema, "Enroll", "Courses", seed=seed)
         assert is_ra_cwa(query)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
     def test_division_with_projected_divisor(self):
@@ -86,7 +82,7 @@ class TestRandomisedRaCwaQueries:
         query = divide(relation("R").project([0, 1]), relation("S").project([0]))
         assert is_ra_cwa(query)
         naive = naive_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == exact.rows
 
 

@@ -17,8 +17,8 @@ machine-checkable version of the complexity shape.
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import certain_answers_intersection
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import count_cwa_worlds, cwa_worlds, default_domain
 from repro.workloads import random_database
@@ -70,7 +70,7 @@ class TestNaiveEvaluationWorkIsFlat:
         for num_nulls in (1, 2, 3):
             database = database_with_nulls(num_nulls)
             naive = naive_certain_answers(query, database)
-            exact = certain_answers_intersection(query, database, semantics="cwa")
+            exact = repro.connect(database).query(query).certain(method="enumeration")
             assert naive.rows == exact.rows
 
 
@@ -92,7 +92,11 @@ class TestConpStyleHardInstances:
             domain = default_domain(database)
             works.append(count_cwa_worlds(database, domain))
             query = parse_ra("diff(R, S)")
-            certain = certain_answers_intersection(query, database, semantics="cwa", domain=domain)
+            certain = (
+                repro.connect(database)
+                .query(query)
+                .certain(method="enumeration", domain=domain)
+            )
             # with enough distinct nulls every R value can be covered, so fewer
             # tuples stay certain as the null count grows
             assert len(certain) <= 4

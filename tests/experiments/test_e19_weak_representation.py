@@ -14,10 +14,10 @@ compositionality that motivates the definition).
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, naive_evaluate, parse_ra
-from repro.core import certain_answers_intersection
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_answers_enumeration
+from repro.semantics import enumerate_certain_answers
 from repro.workloads import random_database, random_positive_query
 
 
@@ -57,8 +57,10 @@ class TestCoddTablesForSelectionProjection:
         assert database.is_codd()
         query = parse_ra(query_text)
         answer_table = naive_evaluate(query, database)
-        certain = certain_answers_intersection(
-            query, database, semantics=semantics, max_extra_facts=extra
+        certain = (
+            repro.connect(database, semantics=semantics)
+            .query(query)
+            .certain(method="enumeration", max_extra_facts=extra)
         )
         assert answer_table.complete_part().rows == certain.rows
 
@@ -72,7 +74,7 @@ class TestCoddTablesForSelectionProjection:
         followup = parse_ra("project[#0](A)")
         naive_then_followup = naive_certain_answers(followup, answer_db)
         # ground truth: the certain answer of the composed query on the original D
-        composed_certain = certain_answers_enumeration(
+        composed_certain = enumerate_certain_answers(
             lambda world: followup.evaluate(
                 Database.from_relations([query.evaluate(world).rename("A")])
             ),
@@ -96,7 +98,7 @@ class TestNaiveTablesForUCQ:
         assert not database.is_codd()  # genuinely naive: the null is shared
         query = parse_ra(query_text)
         naive = naive_certain_answers(query, database)
-        certain = certain_answers_intersection(query, database, semantics="cwa")
+        certain = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == certain.rows
 
     @pytest.mark.parametrize("seed", range(4))
@@ -104,7 +106,7 @@ class TestNaiveTablesForUCQ:
         database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
         query = random_positive_query(database.schema, seed=seed + 11)
         naive = naive_certain_answers(query, database)
-        certain = certain_answers_intersection(query, database, semantics="cwa")
+        certain = repro.connect(database).query(query).certain(method="enumeration")
         assert naive.rows == certain.rows
 
     def test_codd_tables_are_not_enough_for_joins(self):
@@ -125,7 +127,7 @@ class TestNaiveTablesForUCQ:
             ]
         )
         query = parse_ra("project[A, C](join(R, S))")
-        naive_certain = certain_answers_intersection(query, naive_db, semantics="cwa")
-        codd_certain = certain_answers_intersection(query, codd_db, semantics="cwa")
+        naive_certain = repro.connect(naive_db).query(query).certain(method="enumeration")
+        codd_certain = repro.connect(codd_db).query(query).certain(method="enumeration")
         assert naive_certain.rows == frozenset({("a", "c")})
         assert codd_certain.rows == frozenset()

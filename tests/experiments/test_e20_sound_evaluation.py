@@ -15,14 +15,9 @@ underclaim.
 
 import pytest
 
+import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import (
-    certain_answers_intersection,
-    possible_answer_bound,
-    possible_answers,
-    rows_unifiable,
-    sound_certain_answers,
-)
+from repro.core import possible_answer_bound, rows_unifiable, sound_certain_answers
 from repro.datamodel import Database, Null, Relation
 from repro.workloads import orders_payments, random_database, random_full_ra_query
 
@@ -33,7 +28,7 @@ class TestNoFalsePositivesGuarantee:
         database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
         query = random_full_ra_query(database.schema, seed=seed)
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert sound.rows <= exact.rows
 
     @pytest.mark.parametrize("seed", range(4))
@@ -43,13 +38,13 @@ class TestNoFalsePositivesGuarantee:
             "diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))"
         )
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert sound.rows <= exact.rows
 
     def test_naive_overclaims_where_sound_does_not(self):
         database = Database.from_dict({"R": [(1, Null("a"))], "S": [(1, Null("b"))]})
         query = parse_ra("project[#0](diff(R, S))")
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert naive_certain_answers(query, database).rows == frozenset({(1,)})
         assert sound_certain_answers(query, database).rows == frozenset() == exact.rows
 
@@ -59,7 +54,7 @@ class TestRecoveredAnswers:
         database = Database.from_dict({"R": [(2, 3), (1, 2)], "S": [(Null("s"), 2)]})
         query = parse_ra("diff(R, S)")
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert sound.rows == exact.rows == frozenset({(2, 3)})
 
     def test_marked_null_consistency_keeps_certain_tuples(self):
@@ -74,7 +69,7 @@ class TestRecoveredAnswers:
         )
         query = parse_ra("diff(Orders, Pay)")
         sound = sound_certain_answers(query, database)
-        exact = certain_answers_intersection(query, database, semantics="cwa")
+        exact = repro.connect(database).query(query).certain(method="enumeration")
         assert sound.rows == exact.rows == frozenset({("o1",), ("o3",)})
 
     def test_recall_measured_against_exact_answers(self):
@@ -83,7 +78,7 @@ class TestRecoveredAnswers:
         for seed in range(8):
             database = random_database(num_nulls=1, rows_per_relation=3, seed=seed)
             query = random_full_ra_query(database.schema, seed=seed + 3)
-            exact = certain_answers_intersection(query, database, semantics="cwa")
+            exact = repro.connect(database).query(query).certain(method="enumeration")
             sound = sound_certain_answers(query, database)
             total += len(exact)
             recovered += len(sound)
@@ -98,6 +93,6 @@ class TestUpperBoundSide:
         database = random_database(num_nulls=2, rows_per_relation=3, seed=seed)
         query = random_full_ra_query(database.schema, seed=seed)
         upper = possible_answer_bound(query, database)
-        possible = possible_answers(query, database, semantics="cwa")
+        possible = repro.connect(database).query(query).possible()
         for row in possible.rows:
             assert any(rows_unifiable(row, candidate) for candidate in upper.rows)

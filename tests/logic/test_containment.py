@@ -16,7 +16,7 @@ from repro.logic import (
     var,
     variables,
 )
-from repro.semantics import certain_boolean
+from repro.semantics import enumerate_certain_boolean
 
 
 SCHEMA = DatabaseSchema.from_arities({"R": 2})
@@ -100,7 +100,7 @@ class TestCertainAnswerDuality:
         query = boolean_cq(exists((X, Y, Z), conj(atom("R", X, Y), atom("R", Y, Z))))
         via_containment = certain_boolean_via_containment(query, db)
         via_naive = query.formula.holds(db)
-        via_enumeration = certain_boolean(
+        via_enumeration = enumerate_certain_boolean(
             lambda world: query.formula.holds(world), db, semantics="owa", max_extra_facts=0
         )
         assert via_containment is True

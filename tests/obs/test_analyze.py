@@ -26,7 +26,7 @@ from repro.workloads.generators import (
 
 def _reference_rows(query, database):
     """Independent oracle: the tree-walking interpreter's answer cardinality."""
-    return len(query.evaluate(database, engine="interpreter"))
+    return len(query.evaluate(database))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Property tests: kernel-simplified conditions agree with the seed semantics.
 
 Random condition trees are built from the seed constructors, pushed
-through :func:`intern_condition`, and both versions are evaluated under
+through :meth:`ConditionKernel.intern`, and both versions are evaluated under
 *every* valuation of their nulls over a small domain.  The kernel may
 restructure a condition (flattening, deduplication, unsat collapse) but
 must never change its truth table.
@@ -15,12 +15,12 @@ import pytest
 from repro.datamodel import (
     FALSE,
     And,
+    ConditionKernel,
     Eq,
     Not,
     Null,
     Or,
     Valuation,
-    intern_condition,
     kernel_nulls,
 )
 
@@ -53,7 +53,7 @@ def all_valuations(nulls):
 def test_kernel_agrees_with_seed_evaluation(seed):
     rng = random.Random(seed)
     condition = random_condition(rng)
-    canonical = intern_condition(condition)
+    canonical = ConditionKernel().intern(condition)
     # the kernel never invents nulls, and evaluation agrees everywhere
     assert kernel_nulls(canonical) <= condition.nulls()
     for valuation in all_valuations(condition.nulls()):
@@ -70,7 +70,7 @@ def test_unsat_collapse_is_sound(seed):
         Eq(rng.choice(NULLS + CONSTANTS), rng.choice(NULLS + CONSTANTS)) for _ in range(4)
     )
     seed_condition = And(operands)
-    canonical = intern_condition(seed_condition)
+    canonical = ConditionKernel().intern(seed_condition)
     if canonical is FALSE:
         assert not any(
             seed_condition.evaluate(v) for v in all_valuations(seed_condition.nulls())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.constraints import FunctionalDependency, InclusionDependency
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_boolean, possible_boolean
+from repro.semantics import enumerate_certain_boolean, enumerate_possible_boolean
 
 FD = FunctionalDependency("R", ("#0",), ("#1",))
 IND = InclusionDependency("R", ("#1",), "S", ("#0",))
@@ -41,8 +41,8 @@ def test_fd_certain_implies_possible(db):
 @given(databases())
 def test_fd_satisfaction_matches_world_enumeration(db):
     check = lambda world: FD.satisfied_naively(world)
-    assert FD.satisfied_certainly(db) == certain_boolean(check, db, semantics="cwa")
-    assert FD.satisfied_possibly(db) == possible_boolean(check, db, semantics="cwa")
+    assert FD.satisfied_certainly(db) == enumerate_certain_boolean(check, db, semantics="cwa")
+    assert FD.satisfied_possibly(db) == enumerate_possible_boolean(check, db, semantics="cwa")
 
 
 @settings(max_examples=50, deadline=None)
@@ -57,8 +57,8 @@ def test_ind_certain_implies_naive_and_possible(db):
 @given(databases())
 def test_ind_satisfaction_matches_world_enumeration(db):
     check = lambda world: IND.satisfied_naively(world)
-    assert IND.satisfied_certainly(db) == certain_boolean(check, db, semantics="cwa")
-    assert IND.satisfied_possibly(db) == possible_boolean(check, db, semantics="cwa")
+    assert IND.satisfied_certainly(db) == enumerate_certain_boolean(check, db, semantics="cwa")
+    assert IND.satisfied_possibly(db) == enumerate_possible_boolean(check, db, semantics="cwa")
 
 
 @settings(max_examples=50, deadline=None)

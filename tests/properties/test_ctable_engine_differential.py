@@ -10,6 +10,7 @@ worlds over any finite domain, in the style of
 
 import pytest
 
+import repro
 from repro.algebra import CTableDatabase, ctable_evaluate, parse_ra
 from repro.algebra.predicates import Attr, Comparison
 from repro.algebra.ast import Selection, relation
@@ -35,7 +36,8 @@ def _both_ways(query, database, domain=None):
     results = []
     for engine in ("plan", "interpreter"):
         try:
-            results.append(ctable_evaluate(query, ctdb, engine=engine).possible_worlds(domain))
+            table = repro.connect(engine=engine).evaluate_ctable(query, ctdb)
+            results.append(table.possible_worlds(domain))
         except Exception as error:  # noqa: BLE001 - parity check on error class
             results.append(("error", type(error).__name__))
     planned, interpreted = results
@@ -109,8 +111,8 @@ def test_disjunctive_global_condition_agrees():
     ctdb = CTableDatabase([table])
     query = parse_ra("select[#0 = 1](C)")
     domain = [0, 1, 2]
-    planned = ctable_evaluate(query, ctdb, engine="plan").possible_worlds(domain)
-    interpreted = ctable_evaluate(query, ctdb, engine="interpreter").possible_worlds(domain)
+    planned = repro.connect().evaluate_ctable(query, ctdb).possible_worlds(domain)
+    interpreted = ctable_evaluate(query, ctdb).possible_worlds(domain)
     assert planned == interpreted == {frozenset(), frozenset({(1,)})}
 
 

@@ -10,6 +10,7 @@ positive fragment, full RA with difference, and RA_cwa division queries.
 
 import pytest
 
+import repro
 from repro.algebra.ast import (
     ActiveDomain,
     ConstantRelation,
@@ -47,7 +48,7 @@ def _both_ways(query, database):
     results = []
     for engine in ("plan", "interpreter"):
         try:
-            results.append(query.evaluate(database, engine=engine))
+            results.append(repro.connect(database, engine=engine).query(query).answer_object())
         except Exception as error:  # noqa: BLE001 - parity check on error class
             results.append(("error", type(error).__name__))
     plan_result, interpreter_result = results

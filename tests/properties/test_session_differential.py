@@ -43,12 +43,8 @@ def sessions():
     caches = [session.plan_cache for session in trio.values()]
     assert len({id(k) for k in kernels}) == len(kernels)
     assert len({id(c) for c in caches}) == len(caches)
-    from repro.datamodel.condition_kernel import DEFAULT_KERNEL
-    from repro.engine.planner import DEFAULT_PLAN_CACHE
-
     for session in trio.values():
-        assert session.kernel is not DEFAULT_KERNEL
-        assert session.plan_cache is not DEFAULT_PLAN_CACHE
+        assert session.plan_cache.kernel is session.kernel
     yield trio
     for session in trio.values():
         session.close()

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.algebra import (
     Attr,
     Comparison,
@@ -13,13 +14,7 @@ from repro.algebra import (
     Selection,
     Union_,
 )
-from repro.core import (
-    certain_answers_intersection,
-    possible_answers,
-    possible_answer_bound,
-    rows_unifiable,
-    sound_certain_answers,
-)
+from repro.core import possible_answer_bound, rows_unifiable, sound_certain_answers
 
 from .strategies import databases
 
@@ -41,7 +36,7 @@ def full_ra_queries():
 @given(databases(max_rows=3), full_ra_queries())
 def test_sound_evaluation_never_returns_a_false_positive(database, query):
     sound = sound_certain_answers(query, database)
-    exact = certain_answers_intersection(query, database, semantics="cwa")
+    exact = repro.connect(database).query(query).certain(method="enumeration")
     assert sound.rows <= exact.rows
 
 
@@ -49,7 +44,7 @@ def test_sound_evaluation_never_returns_a_false_positive(database, query):
 @given(databases(max_rows=2), full_ra_queries())
 def test_upper_bound_covers_every_possible_answer(database, query):
     upper = possible_answer_bound(query, database)
-    possible = possible_answers(query, database, semantics="cwa")
+    possible = repro.connect(database).query(query).possible()
     for row in possible.rows:
         assert any(rows_unifiable(row, candidate) for candidate in upper.rows)
 
@@ -58,5 +53,5 @@ def test_upper_bound_covers_every_possible_answer(database, query):
 @given(databases(allow_nulls=False, max_rows=3), full_ra_queries())
 def test_sound_evaluation_is_exact_on_complete_databases(database, query):
     sound = sound_certain_answers(query, database)
-    exact = certain_answers_intersection(query, database, semantics="cwa")
+    exact = repro.connect(database).query(query).certain(method="enumeration")
     assert sound.rows == exact.rows == query.evaluate(database).rows

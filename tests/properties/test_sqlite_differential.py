@@ -12,6 +12,7 @@ of marked nulls is the whole game.
 
 import pytest
 
+import repro
 from repro.algebra.ast import (
     ActiveDomain,
     ConstantRelation,
@@ -49,7 +50,7 @@ def _three_ways(query, database):
     results = []
     for engine in ("sqlite", "plan", "interpreter"):
         try:
-            results.append(query.evaluate(database, engine=engine))
+            results.append(repro.connect(database, engine=engine).query(query).answer_object())
         except Exception as error:  # noqa: BLE001 - parity check on error class
             results.append(("error", type(error).__name__))
     sqlite_result, plan_result, interpreter_result = results

@@ -6,10 +6,10 @@ from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import (
     answer_space,
-    certain_answers_enumeration,
-    certain_boolean,
-    possible_answers_enumeration,
-    possible_boolean,
+    enumerate_certain_answers,
+    enumerate_certain_boolean,
+    enumerate_possible_answers,
+    enumerate_possible_boolean,
 )
 
 
@@ -26,26 +26,26 @@ def evaluator(expression):
 class TestCertainAnswers:
     def test_difference_certain_answer_empty(self, r_minus_s_db):
         query = parse_ra("diff(R, S)")
-        certain = certain_answers_enumeration(evaluator(query), r_minus_s_db, semantics="cwa")
+        certain = enumerate_certain_answers(evaluator(query), r_minus_s_db, semantics="cwa")
         assert certain.rows == frozenset()
 
     def test_projection_certain_answer(self):
         db = Database.from_dict({"R": [(1, Null("x")), (2, 3)]})
         query = parse_ra("project[#0](R)")
-        certain = certain_answers_enumeration(evaluator(query), db, semantics="cwa")
+        certain = enumerate_certain_answers(evaluator(query), db, semantics="cwa")
         assert certain.rows == frozenset({(1,), (2,)})
 
     def test_complete_database_certain_equals_answer(self):
         db = Database.from_dict({"R": [(1, 2), (3, 4)]})
         query = parse_ra("project[#1](R)")
-        certain = certain_answers_enumeration(evaluator(query), db, semantics="cwa")
+        certain = enumerate_certain_answers(evaluator(query), db, semantics="cwa")
         assert certain.rows == query.evaluate(db).rows
 
     def test_owa_certain_smaller_than_cwa_for_negation(self):
         db = Database.from_dict({"R": [(1,), (2,)], "S": [(3,)]})
         query = parse_ra("diff(R, S)")
-        cwa = certain_answers_enumeration(evaluator(query), db, semantics="cwa")
-        owa = certain_answers_enumeration(
+        cwa = enumerate_certain_answers(evaluator(query), db, semantics="cwa")
+        owa = enumerate_certain_answers(
             evaluator(query), db, semantics="owa", max_extra_facts=1
         )
         # Under OWA, extra S facts can remove answers, so the certain answer shrinks.
@@ -54,7 +54,7 @@ class TestCertainAnswers:
 
     def test_explicit_domain(self, r_minus_s_db):
         query = parse_ra("R")
-        certain = certain_answers_enumeration(
+        certain = enumerate_certain_answers(
             evaluator(query), r_minus_s_db, semantics="cwa", domain=[1, 2]
         )
         assert certain.rows == frozenset({(1,), (2,)})
@@ -63,14 +63,14 @@ class TestCertainAnswers:
 class TestPossibleAnswers:
     def test_union_of_worlds(self, r_minus_s_db):
         query = parse_ra("diff(R, S)")
-        possible = possible_answers_enumeration(evaluator(query), r_minus_s_db, semantics="cwa")
+        possible = enumerate_possible_answers(evaluator(query), r_minus_s_db, semantics="cwa")
         assert possible.rows == frozenset({(1,), (2,)})
 
     def test_possible_contains_certain(self):
         db = Database.from_dict({"R": [(1, Null("x"))]})
         query = parse_ra("project[#1](R)")
-        certain = certain_answers_enumeration(evaluator(query), db, semantics="cwa")
-        possible = possible_answers_enumeration(evaluator(query), db, semantics="cwa")
+        certain = enumerate_certain_answers(evaluator(query), db, semantics="cwa")
+        possible = enumerate_possible_answers(evaluator(query), db, semantics="cwa")
         assert certain.rows <= possible.rows
 
 
@@ -90,18 +90,18 @@ class TestBooleanQueries:
     def test_certain_boolean_true(self):
         db = Database.from_dict({"R": [(1, Null("x"))]})
         # "R is non-empty" holds in every world.
-        assert certain_boolean(lambda world: bool(world["R"]), db, semantics="cwa")
+        assert enumerate_certain_boolean(lambda world: bool(world["R"]), db, semantics="cwa")
 
     def test_nonemptiness_of_difference_is_certain(self, r_minus_s_db):
         """|R| > |S| guarantees R − S is non-empty in every world (Section 1)."""
         query = parse_ra("diff(R, S)")
-        assert certain_boolean(
+        assert enumerate_certain_boolean(
             lambda world: bool(query.evaluate(world)), r_minus_s_db, semantics="cwa"
         )
 
     def test_specific_tuple_membership_not_certain(self, r_minus_s_db):
         query = parse_ra("diff(R, S)")
-        assert not certain_boolean(
+        assert not enumerate_certain_boolean(
             lambda world: (1,) in query.evaluate(world).rows,
             r_minus_s_db,
             semantics="cwa",
@@ -109,9 +109,9 @@ class TestBooleanQueries:
 
     def test_possible_boolean(self, r_minus_s_db):
         query = parse_ra("diff(R, S)")
-        assert possible_boolean(
+        assert enumerate_possible_boolean(
             lambda world: bool(query.evaluate(world)), r_minus_s_db, semantics="cwa"
         )
-        assert not possible_boolean(
+        assert not enumerate_possible_boolean(
             lambda world: len(world["R"]) > 5, r_minus_s_db, semantics="cwa"
         )

@@ -2,7 +2,7 @@
 
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
-from repro.semantics import certain_answers_enumeration, certain_boolean
+from repro.semantics import enumerate_certain_answers, enumerate_certain_boolean
 
 QUERY = parse_ra("diff(R, S)")
 PROJECT = parse_ra("project[#0](R)")
@@ -33,29 +33,29 @@ def _nonempty_database():
 class TestParallelCertainAnswers:
     def test_workers_match_sequential(self):
         database = _database()
-        sequential = certain_answers_enumeration(QUERY.evaluate, database, "cwa")
-        parallel = certain_answers_enumeration(QUERY.evaluate, database, "cwa", workers=2)
+        sequential = enumerate_certain_answers(QUERY.evaluate, database, "cwa")
+        parallel = enumerate_certain_answers(QUERY.evaluate, database, "cwa", workers=2)
         assert sequential == parallel
 
     def test_workers_match_sequential_nonempty_answer(self):
         database = _nonempty_database()
-        sequential = certain_answers_enumeration(PROJECT.evaluate, database, "cwa")
-        parallel = certain_answers_enumeration(PROJECT.evaluate, database, "cwa", workers=2)
+        sequential = enumerate_certain_answers(PROJECT.evaluate, database, "cwa")
+        parallel = enumerate_certain_answers(PROJECT.evaluate, database, "cwa", workers=2)
         assert sequential == parallel
         assert {(1,), (2,)} <= set(parallel.rows)
 
     def test_unpicklable_query_falls_back_to_sequential(self):
         database = _database(num_rows=3, num_nulls=1)
         unpicklable = lambda world: QUERY.evaluate(world)  # noqa: E731
-        sequential = certain_answers_enumeration(QUERY.evaluate, database, "cwa")
-        fallback = certain_answers_enumeration(unpicklable, database, "cwa", workers=4)
+        sequential = enumerate_certain_answers(QUERY.evaluate, database, "cwa")
+        fallback = enumerate_certain_answers(unpicklable, database, "cwa", workers=4)
         assert sequential == fallback
 
     def test_workers_one_is_sequential(self):
         database = _database(num_rows=3, num_nulls=1)
-        assert certain_answers_enumeration(
+        assert enumerate_certain_answers(
             QUERY.evaluate, database, "cwa", workers=1
-        ) == certain_answers_enumeration(QUERY.evaluate, database, "cwa")
+        ) == enumerate_certain_answers(QUERY.evaluate, database, "cwa")
 
 
 class TestParallelCertainBoolean:
@@ -67,21 +67,21 @@ class TestParallelCertainBoolean:
             return bool(evaluate(world))
 
         # module-locals are not picklable either; exercise the fallback
-        sequential = certain_boolean(as_bool, database, "cwa")
-        parallel = certain_boolean(as_bool, database, "cwa", workers=2)
+        sequential = enumerate_certain_boolean(as_bool, database, "cwa")
+        parallel = enumerate_certain_boolean(as_bool, database, "cwa", workers=2)
         assert sequential == parallel is True
 
     def test_boolean_parallel_false(self):
         database = _database(num_rows=2, num_nulls=1)
         assert (
-            certain_boolean(_r_has_at_least_four_rows, database, "cwa", workers=2)
-            is certain_boolean(_r_has_at_least_four_rows, database, "cwa")
+            enumerate_certain_boolean(_r_has_at_least_four_rows, database, "cwa", workers=2)
+            is enumerate_certain_boolean(_r_has_at_least_four_rows, database, "cwa")
             is False
         )
 
     def test_boolean_parallel_true(self):
         database = _database(num_rows=2, num_nulls=1)
-        assert certain_boolean(_r_is_nonempty, database, "cwa", workers=2) is True
+        assert enumerate_certain_boolean(_r_is_nonempty, database, "cwa", workers=2) is True
 
 
 # module-level so they can cross a process boundary

@@ -97,7 +97,7 @@ class TestDeadlines:
         with budget_scope(state):
             with pytest.raises(BudgetExceeded):
                 enumeration_strategy(
-                    UCQ, db, lambda q, d: q.evaluate(d, engine="plan")
+                    UCQ, db, lambda q, d: repro.connect(d).query(q).answer_object()
                 )
         session.close()
 

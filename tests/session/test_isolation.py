@@ -1,5 +1,8 @@
 """Session isolation: disjoint state, identical answers, thread safety."""
 
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -31,13 +34,40 @@ class TestStateDisjointness:
         assert one.plan_cache is not two.plan_cache
         assert one.plan_cache._cache is not two.plan_cache._cache
         assert one.kernel._intern is not two.kernel._intern
-        # neither session borrows the process-default state
-        from repro.datamodel.condition_kernel import DEFAULT_KERNEL
-        from repro.engine.planner import DEFAULT_PLAN_CACHE
-
         for session in (one, two):
-            assert session.kernel is not DEFAULT_KERNEL
-            assert session.plan_cache is not DEFAULT_PLAN_CACHE
+            assert session.plan_cache.kernel is session.kernel
+
+    def test_a_session_holds_the_only_evaluation_state(self):
+        # No process-global plan cache or kernel: after a plan-engine
+        # certain() and possible() in a fresh interpreter, the only live
+        # PlanCache and ConditionKernel are the session's own.
+        code = (
+            "import gc\n"
+            "import repro\n"
+            "from repro.algebra import parse_ra\n"
+            "from repro.datamodel import ConditionKernel, Database, Null\n"
+            "from repro.engine import PlanCache\n"
+            "db = Database.from_dict({'R': [(1, 2), (2, Null('x'))]})\n"
+            "session = repro.connect(db)\n"
+            "query = session.query(parse_ra('project[#0](R)'))\n"
+            "query.certain()\n"
+            "query.possible()\n"
+            "gc.collect()\n"
+            "live = gc.get_objects()\n"
+            "caches = [o for o in live if isinstance(o, PlanCache)]\n"
+            "kernels = [o for o in live if isinstance(o, ConditionKernel)]\n"
+            "assert len(caches) == 1 and caches[0] is session.plan_cache, caches\n"
+            "assert len(kernels) == 1 and kernels[0] is session.kernel, kernels\n"
+            "print('ok')\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
 
     def test_identical_answers_with_different_engines_and_kernels(self, db):
         sessions = [

@@ -1,9 +1,5 @@
 """The Session/Query lifecycle: connect, query, modes of answering, sql."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 import repro
@@ -58,10 +54,9 @@ class TestConnect:
 
 class TestQueryModes:
     @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])
-    def test_certain_matches_legacy_api(self, db, engine):
+    def test_certain_matches_the_oracle(self, db, engine):
         session = repro.connect(db, engine=engine)
-        legacy = PROJECT.evaluate(db, engine=engine).complete_part()
-        assert session.query(PROJECT).certain() == legacy
+        assert session.query(PROJECT).certain() == PROJECT.evaluate(db).complete_part()
 
     @pytest.mark.parametrize("engine", ["plan", "sqlite"])
     def test_non_ucq_falls_back_to_enumeration(self, db, engine):
@@ -254,37 +249,3 @@ class TestBackendLifecycle:
         session = repro.connect(engine="plan")
         with pytest.raises(ValueError, match='engine="sqlite"'):
             session.create_schema(DatabaseSchema.from_attributes({"R": ("a",)}))
-
-
-class TestLazyEngineEnv:
-    def test_invalid_repro_engine_does_not_break_import(self):
-        code = (
-            "import repro, repro.engine\n"
-            "print('imported')\n"
-            "try:\n"
-            "    repro.engine.get_default_engine()\n"
-            "except ValueError as error:\n"
-            "    assert 'REPRO_ENGINE' in str(error), error\n"
-            "    print('lazy')\n"
-        )
-        env = dict(os.environ, REPRO_ENGINE="bogus")
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["imported", "lazy"]
-
-    def test_valid_repro_engine_still_respected(self):
-        code = (
-            "import repro.engine\n"
-            "print(repro.engine.get_default_engine())\n"
-        )
-        env = dict(os.environ, REPRO_ENGINE="interpreter")
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert result.stdout.strip() == "interpreter"

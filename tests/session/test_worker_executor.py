@@ -39,7 +39,7 @@ def _database():
 # Module-level evaluators: picklable, runnable inside pool children.
 # ---------------------------------------------------------------------------
 def _evaluate_world(world):
-    return QUERY.evaluate(world, engine="interpreter")
+    return QUERY.evaluate(world)
 
 
 SLOW_WORLD_SECONDS = 0.5
@@ -145,7 +145,7 @@ class TestFanOutCancellation:
         import repro.session as session_module
 
         monkeypatch.setattr(
-            session_module, "_world_evaluate", _patched_slow_world_evaluate
+            session_module._WorldEvaluator, "__call__", _patched_slow_world_call
         )
         database = Database.from_dict(
             {"R": [(1,), (2,), (3,), (4,), (5,), (6,), (Null("x"),)]}
@@ -181,9 +181,9 @@ class TestFanOutCancellation:
             assert {(1,), (2,), (3,)} <= set(answer.rows)
 
 
-def _patched_slow_world_evaluate(expression, engine, world):
+def _patched_slow_world_call(self, world):
     time.sleep(SLOW_WORLD_SECONDS)
-    return expression.evaluate(world, engine=engine)
+    return self.query.evaluate(world)
 
 
 # ---------------------------------------------------------------------------

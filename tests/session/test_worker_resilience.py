@@ -32,7 +32,7 @@ def _database():
 # Module-level evaluators: picklable, and safe to import in pool children.
 # ---------------------------------------------------------------------------
 def _evaluate_world(world):
-    return QUERY.evaluate(world, engine="interpreter")
+    return QUERY.evaluate(world)
 
 
 def _killer_evaluate(world):

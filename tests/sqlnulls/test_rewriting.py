@@ -2,15 +2,15 @@
 
 import pytest
 
+import repro
 from repro.algebra import parse_ra
-from repro.core import certain_answers_intersection
 from repro.datamodel import Database, Null, Relation
 from repro.sqlnulls import (
     RewritingError,
     certain_answer_rewriting,
+    execute_sql,
     is_positive_sql,
     parse_sql,
-    run_sql,
 )
 
 
@@ -67,19 +67,19 @@ class TestRewriting:
         query = parse_sql("SELECT dept FROM Emp")
         rewritten = certain_answer_rewriting(query, codd_db)
         assert "IS NOT NULL" in str(rewritten)
-        assert sorted(run_sql(codd_db, rewritten)) == [("it",), ("sales",)]
+        assert sorted(execute_sql(codd_db, rewritten)) == [("it",), ("sales",)]
         # the original keeps the null row
-        assert len(run_sql(codd_db, query)) == 3
+        assert len(execute_sql(codd_db, query)) == 3
 
     def test_star_queries_guard_every_column(self, codd_db):
         query = parse_sql("SELECT * FROM Dept")
         rewritten = certain_answer_rewriting(query, codd_db)
-        assert run_sql(codd_db, rewritten) == [("sales", "london")]
+        assert execute_sql(codd_db, rewritten) == [("sales", "london")]
 
     def test_existing_where_clause_is_preserved(self, codd_db):
         query = parse_sql("SELECT name FROM Emp WHERE dept = 'it'")
         rewritten = certain_answer_rewriting(query, codd_db)
-        assert run_sql(codd_db, rewritten) == [("cat",)]
+        assert execute_sql(codd_db, rewritten) == [("cat",)]
 
     def test_rejects_non_positive_queries(self, codd_db):
         query = parse_sql("SELECT name FROM Emp WHERE dept NOT IN (SELECT dept FROM Dept)")
@@ -111,14 +111,16 @@ class TestRewritingComputesCertainAnswers:
         """Running the rewritten query on the 3VL engine = certain answers (Codd dbs)."""
         sql_query = parse_sql(sql_text)
         rewritten = certain_answer_rewriting(sql_query, codd_db)
-        sql_answer = set(run_sql(codd_db, rewritten))
-        exact = certain_answers_intersection(parse_ra(ra_text), codd_db, semantics="cwa")
+        sql_answer = set(execute_sql(codd_db, rewritten))
+        exact = repro.connect(codd_db).query(parse_ra(ra_text)).certain(method="enumeration")
         assert sql_answer == set(exact.rows)
 
     def test_original_sql_differs_from_certain_answers(self, codd_db):
         """Without the rewriting, SQL returns null-carrying tuples that are not certain."""
-        sql_answer = run_sql(codd_db, parse_sql("SELECT dept FROM Emp"))
-        exact = certain_answers_intersection(
-            parse_ra("project[dept](Emp)"), codd_db, semantics="cwa"
+        sql_answer = execute_sql(codd_db, parse_sql("SELECT dept FROM Emp"))
+        exact = (
+            repro.connect(codd_db)
+            .query(parse_ra("project[dept](Emp)"))
+            .certain(method="enumeration")
         )
         assert len(sql_answer) > len(exact.rows)

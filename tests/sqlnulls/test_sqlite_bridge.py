@@ -1,22 +1,18 @@
 """The sqlnulls → SQLite bridge must agree with the Python 3VL engine.
 
-``run_sql(db, q, backend="sqlite")`` transliterates the SQL subset onto
-real SQLite with marked nulls stored as SQL ``NULL``; the by-the-book
-Python evaluator is the oracle.  Output nulls cannot carry marks back out
-of SQL, so comparisons normalize every null to one placeholder.
+``repro.connect(db, engine="sqlite").sql(q)`` transliterates the SQL
+subset onto real SQLite with marked nulls stored as SQL ``NULL``; the
+by-the-book Python evaluator (:func:`execute_sql`) is the oracle.  Output
+nulls cannot carry marks back out of SQL, so comparisons normalize every
+null to one placeholder.
 """
 
 import pytest
 
+import repro
 from repro.datamodel import Database, Null, Relation
 from repro.datamodel.values import is_null
-from repro.sqlnulls import (
-    SQLError,
-    compile_select,
-    parse_sql,
-    run_sql,
-    run_sql_sqlite,
-)
+from repro.sqlnulls import SQLError, compile_select, execute_sql, parse_sql
 from repro.workloads import orders_payments
 
 
@@ -29,8 +25,8 @@ def _normalized(rows):
 
 def _agree(database, sql_text):
     query = parse_sql(sql_text)
-    python_rows = run_sql(database, query)
-    sqlite_rows = run_sql(database, query, backend="sqlite")
+    python_rows = execute_sql(database, query)
+    sqlite_rows = repro.connect(database, engine="sqlite").sql(query)
     assert _normalized(python_rows) == _normalized(sqlite_rows), sql_text
     return python_rows
 
@@ -101,9 +97,9 @@ class TestBridgeParity:
             "SELECT o_id FROM Orders WHERE o_id NOT IN (SELECT ord FROM Pay)",
         )
 
-    def test_backend_argument_validated(self, db):
+    def test_engine_argument_validated(self, db):
         with pytest.raises(ValueError):
-            run_sql(db, parse_sql("SELECT * FROM Pay"), backend="oracle")
+            repro.connect(db, engine="oracle")
 
 
 class TestCompilation:
@@ -116,8 +112,8 @@ class TestCompilation:
 
     def test_unknown_table_rejected(self, db):
         with pytest.raises(SQLError):
-            run_sql_sqlite(db, parse_sql("SELECT x FROM Nope"))
+            repro.connect(db, engine="sqlite").sql(parse_sql("SELECT x FROM Nope"))
 
     def test_unknown_column_rejected(self, db):
         with pytest.raises(SQLError):
-            run_sql_sqlite(db, parse_sql("SELECT nope FROM Pay"))
+            repro.connect(db, engine="sqlite").sql(parse_sql("SELECT nope FROM Pay"))

@@ -1,22 +1,22 @@
-"""Public-API snapshot: the exported surface, and one warning per shim.
+"""Public-API snapshot: the exported surface, and the names removed in 2.0.
 
 Two invariants this file pins down:
 
 * the top-level package exports exactly the session-centric surface
   (additions are deliberate: update the snapshot here *and* docs/api.md);
-* every deprecated entry point kept as a shim over the process-default
-  session emits **exactly one** ``DeprecationWarning`` per call — not
-  zero (silent deprecation helps nobody) and not two (shims must delegate
-  to non-warning internals, never to each other).
+* the pre-session entry points and the process-global evaluation state
+  they ran on are gone, not merely deprecated (docs/api.md, "Removed in
+  2.0", maps each to its replacement).
 """
 
-import warnings
+import importlib
+import inspect
+import pathlib
+import re
 
 import pytest
 
 import repro
-from repro import Database, Null, Relation
-from repro.algebra import parse_ra
 
 
 EXPECTED_TOP_LEVEL = {
@@ -53,7 +53,6 @@ EXPECTED_TOP_LEVEL = {
     "WorkerPoolError",
     "__version__",
     "connect",
-    "default_session",
     "obs",
     "prob",
     "serve",
@@ -77,105 +76,67 @@ def test_session_and_query_expose_the_documented_methods():
         assert callable(getattr(repro.Cursor, method))
 
 
-@pytest.fixture
-def db():
-    return Database.from_relations(
-        [
-            Relation.create("Orders", [("o1",), ("o2",)], attributes=("o_id",)),
-            Relation.create(
-                "Pay", [("x1", "o1"), ("x2", Null("n"))], attributes=("p_id", "ord")
-            ),
-        ]
-    )
+DOCS_API = pathlib.Path(__file__).resolve().parents[1] / "docs" / "api.md"
 
 
-QUERY = parse_ra("project[o_id](Orders)")
+def _removed_in_2_0():
+    """The ``repro.…`` code spans of the left column of docs/api.md's table.
+
+    Returns ``(dotted, keywords)`` pairs: ``repro.x.f(a=, b=)`` names the
+    keywords ``f`` no longer accepts; any other span names an attribute
+    that must be gone (call arguments such as ``(q, db)`` are ignored).
+    """
+    text = DOCS_API.read_text(encoding="utf-8")
+    section = text.split("## Removed in 2.0", 1)[1].split("\n## ", 1)[0]
+    entries = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        removed_column = line.split(" | ", 1)[0]
+        for span in re.findall(r"`(repro\.[^`]+)`", removed_column):
+            dotted, _, arguments = span.partition("(")
+            keywords = tuple(re.findall(r"(\w+)=", arguments))
+            entries.append((dotted, keywords))
+    return entries
 
 
-def _shim_calls(db):
-    """Every deprecated shim, as (label, zero-argument callable)."""
-    from repro.core import (
-        certain_answer_knowledge,
-        certain_answer_object,
-        certain_answers,
-        certain_answers_intersection,
-        certain_answers_naive,
-        possible_answers,
-    )
-    from repro.engine import set_default_engine
-    from repro.semantics import (
-        certain_answers_enumeration,
-        certain_boolean,
-        possible_answers_enumeration,
-        possible_boolean,
-    )
-    from repro.sqlnulls import parse_sql, run_sql
-
-    sql = parse_sql("SELECT ord FROM Pay")
-    return [
-        ("certain_answers", lambda: certain_answers(QUERY, db)),
-        ("certain_answers_naive", lambda: certain_answers_naive(QUERY, db)),
-        ("certain_answers_intersection", lambda: certain_answers_intersection(QUERY, db)),
-        ("certain_answer_object", lambda: certain_answer_object(QUERY, db)),
-        ("certain_answer_knowledge", lambda: certain_answer_knowledge(QUERY, db)),
-        ("possible_answers", lambda: possible_answers(QUERY, db)),
-        (
-            "certain_answers_enumeration",
-            lambda: certain_answers_enumeration(QUERY.evaluate, db),
-        ),
-        (
-            "possible_answers_enumeration",
-            lambda: possible_answers_enumeration(QUERY.evaluate, db),
-        ),
-        (
-            "certain_boolean",
-            lambda: certain_boolean(lambda world: bool(QUERY.evaluate(world)), db),
-        ),
-        (
-            "possible_boolean",
-            lambda: possible_boolean(lambda world: bool(QUERY.evaluate(world)), db),
-        ),
-        ("run_sql", lambda: run_sql(db, sql)),
-        ("set_default_engine", lambda: set_default_engine("plan")),
-    ]
+REMOVED = _removed_in_2_0()
 
 
-def test_every_shim_warns_exactly_once_per_call(db):
-    for label, call in _shim_calls(db):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, (
-            f"{label} emitted {len(deprecations)} DeprecationWarnings, expected 1: "
-            f"{[str(w.message) for w in deprecations]}"
-        )
-        assert "docs/api.md" in str(deprecations[0].message)
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``; return (parent, last name)."""
+    parts = dotted.split(".")
+    for split in range(len(parts) - 1, 0, -1):
+        try:
+            parent = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:-1]:
+            parent = getattr(parent, name)
+        return parent, parts[-1]
+    raise AssertionError(f"cannot import any prefix of {dotted}")
 
 
-def test_shims_still_answer_correctly_through_the_default_session(db):
-    from repro.core import certain_answers
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = certain_answers(QUERY, db)
-    fresh = repro.connect(db).query(QUERY).certain()
-    assert legacy == fresh
+def test_the_removal_table_is_read():
+    assert len(REMOVED) >= 40
+    assert len([keywords for _, keywords in REMOVED if keywords]) >= 8
 
 
-def test_session_paths_never_touch_deprecated_internals(db):
-    # The library must not call its own deprecated entry points: the whole
-    # session path runs clean under error-on-DeprecationWarning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        session = repro.connect(db, engine="sqlite")
-        session.query(QUERY).certain()
-        session.query(QUERY).possible()
-        session.query(QUERY).boolean()
-        session.query(QUERY).explain()
-        list(session.query(QUERY).cursor())
-        session.sql("SELECT ord FROM Pay")
-        unpaid = parse_ra(
-            "diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))"
-        )
-        session.query(unpaid).certain()  # enumeration path
+@pytest.mark.parametrize(
+    "dotted", sorted({dotted for dotted, keywords in REMOVED if not keywords})
+)
+def test_removed_names_are_absent(dotted):
+    parent, name = _resolve(dotted)
+    assert not hasattr(parent, name), f"{dotted} still exists"
+
+
+@pytest.mark.parametrize(
+    "dotted,keywords",
+    [(dotted, keywords) for dotted, keywords in REMOVED if keywords],
+    ids=[dotted for dotted, keywords in REMOVED if keywords],
+)
+def test_removed_keyword_arguments_are_gone(dotted, keywords):
+    parent, name = _resolve(dotted)
+    parameters = inspect.signature(getattr(parent, name)).parameters
+    assert not set(keywords) & set(parameters), f"{dotted} still takes {keywords}"
+
