@@ -642,6 +642,7 @@ def enumerate_possible_boolean(
 ) -> bool:
     """Possibility of a Boolean query: true iff true in at least one world."""
     state = active_budget()
+    registry = current_metrics()
     for world in worlds(
         database,
         semantics=semantics,
@@ -651,6 +652,8 @@ def enumerate_possible_boolean(
     ):
         if state is not None:
             state.tick_world()
+        if registry is not None:
+            registry.count("worlds.evaluated")
         if evaluate(world):
             return True
     return False

@@ -42,7 +42,7 @@ import multiprocessing
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra.ast import RAExpression
 from .core.answers import (
@@ -97,28 +97,30 @@ def _engine_names() -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Picklable per-world evaluator (for workers= process pools)
+# Per-world evaluator (every enumeration path; picklable for workers=)
 # ----------------------------------------------------------------------
 class _WorldEvaluator:
-    """Evaluates one query per world; travels to ``workers=`` children.
+    """Evaluates one query per enumerated world, in the parent or a ``workers=`` child.
 
-    The session's plan cache stays behind when the evaluator is pickled:
-    a child runs worlds on the per-process cache its pool initializer
-    built (:func:`~repro.semantics.certain._pool_initializer`), while
-    chunks re-run in the parent use the session's.  Worlds always run in
-    memory — ``"sqlite"`` sessions take the plan engine, which the
-    differential suites hold equal to SQLite.
+    Every world-enumeration path (``certain()``, ``possible()``,
+    ``boolean()``; sequential or fanned out) evaluates through this.
+    Worlds always run in memory — ``"sqlite"`` sessions take the plan
+    engine, which the differential suites hold equal to SQLite, instead
+    of refilling the backend once per world.  In the parent it runs on
+    the session's plan cache and refuses to run once the session is
+    closed.  The session stays behind when the evaluator is pickled: a
+    child runs worlds on the per-process cache its pool initializer built
+    (:func:`~repro.semantics.certain._pool_initializer`).
     """
 
-    __slots__ = ("query", "interpret", "boolean", "plan_cache")
+    __slots__ = ("query", "interpret", "boolean", "plan_cache", "session")
 
-    def __init__(
-        self, query: QueryLike, engine: str, plan_cache: Any, boolean: bool = False
-    ) -> None:
+    def __init__(self, query: QueryLike, session: "Session", boolean: bool = False) -> None:
         self.query = query
-        self.interpret = engine == "interpreter"
+        self.interpret = session.engine == "interpreter"
         self.boolean = boolean
-        self.plan_cache = plan_cache
+        self.plan_cache = session.plan_cache
+        self.session: Optional["Session"] = session
 
     def __getstate__(self) -> Tuple[QueryLike, bool, bool]:
         return (self.query, self.interpret, self.boolean)
@@ -126,8 +128,12 @@ class _WorldEvaluator:
     def __setstate__(self, state: Tuple[QueryLike, bool, bool]) -> None:
         self.query, self.interpret, self.boolean = state
         self.plan_cache = _certain_module._child_plan_cache
+        self.session = None
 
     def __call__(self, world: Database) -> Any:
+        session = self.session
+        if session is not None and session._closed:
+            raise SessionClosedError("session is closed")
         query = self.query
         if isinstance(query, FOQuery):
             return query.boolean(world) if self.boolean else query.evaluate(world)
@@ -276,12 +282,9 @@ class Query:
             )
         return database
 
-    def _world_evaluator(self, boolean: bool = False) -> Optional[_WorldEvaluator]:
-        """A picklable per-world evaluator when workers should fan out."""
-        session = self.session
-        if session.workers is None or session.workers <= 1:
-            return None
-        return _WorldEvaluator(self.expression, session.engine, session.plan_cache, boolean)
+    def _world_evaluator(self, boolean: bool = False) -> _WorldEvaluator:
+        """The per-world evaluator of this query (picklable for ``workers=``)."""
+        return _WorldEvaluator(self.expression, self.session, boolean)
 
     # -- modes of answering --------------------------------------------
     def certain(
@@ -693,15 +696,8 @@ class Query:
         max_extra_facts: int,
     ) -> bool:
         database = self._require_database()
-        expression = self.expression
-        evaluate: Optional[Callable[[Database], bool]] = self._world_evaluator(boolean=True)
-        if evaluate is None:
-            if isinstance(expression, FOQuery):
-                evaluate = expression.boolean
-            else:
-                evaluator = self.session._evaluate
-                evaluate = lambda world: bool(evaluator(expression, world))  # noqa: E731
-        domain = enumeration_domain(expression, database, domain, extra_constants)
+        evaluate = self._world_evaluator(boolean=True)
+        domain = enumeration_domain(self.expression, database, domain, extra_constants)
         if mode == "certain":
             return enumerate_certain_boolean(
                 evaluate,
@@ -1537,17 +1533,6 @@ class Session:
         from .backends.base import BackendError
         from .backends import sqlite as _sqlite_module
 
-        if (
-            self._frozen
-            and database is not None
-            and database is not self._backend_database
-        ):
-            # A frozen session only holds its one loaded database; other
-            # instances — above all the possible worlds enumerated by
-            # certain()/boolean() — run on the in-memory engine, whose
-            # frozen plan cache is already thread-safe.  (Loading every
-            # world into SQLite would be a refill per world anyway.)
-            return self.plan_cache.execute(expression, database)
         try:
             # A database the backend cannot store (e.g. NaN) raises a
             # BackendError here and takes the same fallback.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datamodel import Database, Null
+from repro.datamodel import Database, Null, Relation, Valuation
 from repro.semantics import (
     count_cwa_worlds,
     cwa_worlds,
@@ -76,6 +76,41 @@ class TestCwaWorlds:
         for world in cwa_worlds(db):
             row = next(iter(world["R"].rows))
             assert row[0] == row[1]
+
+
+class TestKeyedEnumeration:
+    def test_builds_each_distinct_world_once(self, monkeypatch):
+        """3 nulls over a 9-value domain: 729 valuations, 64 distinct worlds.
+
+        Only new worlds are built, and none through ``Valuation.apply``.
+        """
+        r = [("a0", "b0"), ("a1", "b0"), ("a2", "b0"), ("a0", "b1"), ("a1", "b1")]
+        r += [(Null(f"n{k}"), "b1") for k in range(3)]
+        db = Database.from_relations(
+            [
+                Relation.create("R", r, attributes=("a", "b")),
+                Relation.create("S", [("a1", "b0"), ("a2", "b1")], attributes=("a", "b")),
+            ]
+        )
+        domain = default_domain(db)
+        assert len(domain) == 9
+        counts = {"databases": 0, "applies": 0}
+        database_init = Database.__init__
+        apply = Valuation.apply
+
+        def counting_init(self, *args, **kwargs):
+            counts["databases"] += 1
+            database_init(self, *args, **kwargs)
+
+        def counting_apply(self, database):
+            counts["applies"] += 1
+            return apply(self, database)
+
+        monkeypatch.setattr(Database, "__init__", counting_init)
+        monkeypatch.setattr(Valuation, "apply", counting_apply)
+        enumerated = list(cwa_worlds(db, domain))
+        assert len(enumerated) == 64
+        assert counts == {"databases": 64, "applies": 0}
 
 
 class TestOwaWorlds:
