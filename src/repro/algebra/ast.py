@@ -65,6 +65,16 @@ class RAExpression:
             return type(self).evaluate(self, database)
         raise NotImplementedError
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The plan pin (``PlanCache.execute``) holds a weakref to a
+        # session's cache: per-process state that cannot be pickled.
+        # Dropping it keeps an evaluated expression shippable to the
+        # ``workers=`` process pools.
+        state = self.__dict__
+        if "_plan_entries" in state:
+            state = {key: value for key, value in state.items() if key != "_plan_entries"}
+        return state
+
     def relation_names(self) -> Set[str]:
         """Names of the base relations mentioned by the expression."""
         names: Set[str] = set()
@@ -385,14 +395,14 @@ class NaturalJoin(RAExpression):
         return f"join({self.left}, {self.right})"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class _SetOperation(RAExpression):
     """Shared machinery of union / difference / intersection."""
 
-    symbol = "?"
+    left: RAExpression
+    right: RAExpression
 
-    def __init__(self, left: RAExpression, right: RAExpression) -> None:
-        self.left = left
-        self.right = right
+    symbol = "?"
 
     def children(self) -> Tuple[RAExpression, ...]:
         return (self.left, self.right)
@@ -428,6 +438,7 @@ class _SetOperation(RAExpression):
         return f"{self.symbol}({self.left}, {self.right})"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Union_(_SetOperation):
     """Set union ``left ∪ right`` (arity-compatible)."""
 
@@ -437,6 +448,7 @@ class Union_(_SetOperation):
         return left_rows | right_rows
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Difference(_SetOperation):
     """Set difference ``left − right``."""
 
@@ -446,6 +458,7 @@ class Difference(_SetOperation):
         return left_rows - right_rows
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Intersection(_SetOperation):
     """Set intersection ``left ∩ right``."""
 

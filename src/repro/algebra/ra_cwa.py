@@ -115,12 +115,24 @@ def is_ra_cwa(expression: RAExpression) -> bool:
 
 
 def classify(expression: RAExpression) -> Fragment:
-    """The smallest fragment of this module that contains ``expression``."""
-    if is_positive(expression):
-        return Fragment.POSITIVE
-    if is_ra_cwa(expression):
-        return Fragment.RA_CWA
-    return Fragment.FULL
+    """The smallest fragment of this module that contains ``expression``.
+
+    The verdict is a pure function of the (immutable) expression tree, so
+    it is computed once per expression object and pinned onto it: every
+    ``certain()``/``explain()`` on the same object reuses it.  Two racing
+    first calls store the same value, so the pin is safe on shared
+    expressions and frozen sessions alike.
+    """
+    fragment = getattr(expression, "_fragment", None)
+    if fragment is None:
+        if is_positive(expression):
+            fragment = Fragment.POSITIVE
+        elif is_ra_cwa(expression):
+            fragment = Fragment.RA_CWA
+        else:
+            fragment = Fragment.FULL
+        object.__setattr__(expression, "_fragment", fragment)
+    return fragment
 
 
 def uses_difference(expression: RAExpression) -> bool:

@@ -330,7 +330,7 @@ def _coerce_relation(rel_schema: RelationSchema, data: Any) -> Relation:
                 f"got {data.arity}"
             )
         if data.schema != rel_schema:
-            return Relation(rel_schema, data.rows)
+            return Relation._from_trusted(rel_schema, data.rows)
         return data
     return Relation(rel_schema, data)
 

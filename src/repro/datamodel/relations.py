@@ -122,10 +122,19 @@ class Relation:
     def _from_trusted(cls, schema: RelationSchema, rows: Iterable[Row]) -> "Relation":
         """Internal fast constructor for rows that are already validated.
 
-        The evaluation engine produces rows by recombining values that came
-        out of existing relations, so re-running ``check_value``/interning on
-        every value would only burn time.  ``rows`` must contain tuples of
-        the right arity with storable (hashable, non-``None``) values.
+        Values are validated and interned once, when they enter a relation
+        from outside the library (``Relation(...)``, :meth:`create`,
+        :meth:`with_rows`, :meth:`map_values`, :meth:`add_rows`).  Every
+        relation built only from rows of existing relations — set
+        operations, renaming, :meth:`complete_part`, the evaluation engine's
+        operators — comes through here and skips the per-value checks.
+
+        The caller's contract: every row is either a row of an existing
+        relation, or a freshly frozen tuple recombining values taken from
+        existing relations, and has exactly ``schema.arity`` entries.  A
+        row holding a value that never went through ``check_value`` /
+        ``intern_value`` (``None``, an unhashable or un-interned value)
+        breaks the invariant the rest of the library relies on.
         """
         relation = cls.__new__(cls)
         relation._schema = schema
@@ -234,7 +243,16 @@ class Relation:
 
     def complete_part(self) -> "Relation":
         """The tuples without nulls (``R_cmpl`` in the paper)."""
-        return Relation(self._schema, (row for row in self._rows if not any(is_null(v) for v in row)))
+        # A plain loop: a per-row ``any(...)`` generator costs ~4x more, and
+        # this runs on every naive ``certain()``.
+        kept = []
+        for row in self._rows:
+            for value in row:
+                if isinstance(value, Null):
+                    break
+            else:
+                kept.append(row)
+        return Relation._from_trusted(self._schema, frozenset(kept))
 
     # ------------------------------------------------------------------
     # indexes
@@ -270,25 +288,28 @@ class Relation:
         return Relation(self._schema, rows)
 
     def add_rows(self, rows: Iterable[Sequence[Any]]) -> "Relation":
-        """A relation extended with the given tuples (set union)."""
-        new_rows = list(self._rows)
-        new_rows.extend(tuple(row) for row in rows)
-        return Relation(self._schema, new_rows)
+        """A relation extended with the given tuples (set union).
+
+        Only the added tuples are validated; the stored ones already were.
+        """
+        schema = self._schema
+        added = frozenset(_freeze_row(row, schema.arity, schema.name) for row in rows)
+        return Relation._from_trusted(schema, self._rows | added)
 
     def union(self, other: "Relation") -> "Relation":
         """Set union; the schemas must have equal arity."""
         self._check_compatible(other)
-        return Relation(self._schema, self._rows | other._rows)
+        return Relation._from_trusted(self._schema, self._rows | other._rows)
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference (tuple-level, exact equality of values)."""
         self._check_compatible(other)
-        return Relation(self._schema, self._rows - other._rows)
+        return Relation._from_trusted(self._schema, self._rows - other._rows)
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection (tuple-level, exact equality of values)."""
         self._check_compatible(other)
-        return Relation(self._schema, self._rows & other._rows)
+        return Relation._from_trusted(self._schema, self._rows & other._rows)
 
     def rename(self, new_name: str, attributes: Optional[Sequence[str]] = None) -> "Relation":
         """Rename the relation (and optionally its attributes)."""
@@ -298,7 +319,7 @@ class Relation:
             schema = RelationSchema(new_name, tuple(attributes))
             if schema.arity != self.arity:
                 raise ValueError("renamed attribute list must preserve the arity")
-        return Relation(schema, self._rows)
+        return Relation._from_trusted(schema, self._rows)
 
     def _check_compatible(self, other: "Relation") -> None:
         if self.arity != other.arity:

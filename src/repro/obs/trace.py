@@ -339,6 +339,11 @@ class obs_scope:
 
     def __enter__(self) -> "obs_scope":
         if self._tracer is not None:
+            if _TRACER.get() is not self._tracer:
+                # Span ids are per tracer: a span opened under another
+                # tracer — e.g. the entry span a forked worker child
+                # inherits from its parent — is no parent here.
+                self._tokens.append((_SPAN, _SPAN.set(None)))
             self._tokens.append((_TRACER, _TRACER.set(self._tracer)))
         if self._registry is not None:
             self._tokens.append((_METRICS, _METRICS.set(self._registry)))

@@ -163,6 +163,8 @@ def _intersect_chunk(
                 certain = set(answer.rows)
             else:
                 certain &= answer.rows
+            if not certain:
+                break  # the parent's intersection is empty too: stop, as it does
         return schema, certain
 
     return _observed_chunk(body, observe)

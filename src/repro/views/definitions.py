@@ -45,8 +45,8 @@ class ViewDefinition:
     >>> v = ViewDefinition("V", (x,), [MappingAtom("R", (x, y))])
     >>> v.arity
     1
-    >>> sorted(v.existential_variables(), key=str)
-    [y]
+    >>> [str(e) for e in sorted(v.existential_variables(), key=str)]
+    ['y']
     """
 
     name: str

@@ -1,7 +1,11 @@
 """Unit tests for the RA fragment classifiers (positive, RA(Δ,π,×,∪), RA_cwa)."""
 
+import pickle
+
 import pytest
 
+import repro
+import repro.algebra.ra_cwa as ra_cwa
 from repro.algebra import (
     Delta,
     Fragment,
@@ -17,6 +21,7 @@ from repro.algebra import (
     uses_division,
 )
 from repro.algebra.ast import Product, Projection, Union_
+from repro.datamodel import Database, Null
 
 
 class TestPositiveFragment:
@@ -98,3 +103,50 @@ class TestClassifier:
         assert not uses_difference(parse_ra("union(R, S)"))
         assert uses_division(parse_ra("divide(R, S)"))
         assert not uses_division(parse_ra("union(R, S)"))
+
+
+class TestFragmentPin:
+    QUERIES = {
+        "project[#0](R)": Fragment.POSITIVE,
+        "divide(R, S)": Fragment.RA_CWA,
+        "diff(project[#0](R), S)": Fragment.FULL,
+    }
+
+    @staticmethod
+    def _database():
+        return Database.from_dict({"R": [(1, 2), (Null("x"), 2), (3, 4)], "S": [(2,), (Null("y"),)]})
+
+    def test_is_positive_runs_once_per_expression_object(self, monkeypatch):
+        calls = []
+        real = ra_cwa.is_positive
+
+        def counting(expression):
+            calls.append(expression)
+            return real(expression)
+
+        monkeypatch.setattr(ra_cwa, "is_positive", counting)
+        with repro.connect(self._database()) as session:
+            for text, fragment in self.QUERIES.items():
+                expression = parse_ra(text)
+                first = (session.query(expression).certain(), session.query(expression).explain())
+                for _ in range(3):
+                    assert session.query(expression).certain() == first[0]
+                    assert session.query(expression).explain() == first[1]
+                assert classify(expression) is fragment
+                assert [id(e) for e in calls].count(id(expression)) == 1
+        assert len(calls) == len(self.QUERIES)
+
+    def test_pinned_verdicts_match_a_fresh_classification(self):
+        for text, fragment in self.QUERIES.items():
+            pinned = parse_ra(text)
+            assert classify(pinned) is classify(pinned) is fragment
+            fresh = parse_ra(text)
+            assert is_positive(fresh) is (fragment is Fragment.POSITIVE)
+            assert is_ra_cwa(fresh) is (fragment is not Fragment.FULL)
+
+    def test_pin_does_not_change_equality_or_pickling(self):
+        expression = parse_ra("union(project[#0](R), S)")
+        twin = parse_ra("union(project[#0](R), S)")
+        classify(expression)
+        assert expression == twin and hash(expression) == hash(twin)
+        assert pickle.loads(pickle.dumps(expression)) == twin

@@ -1,5 +1,7 @@
 """Unit tests for relational-algebra expressions and their evaluation."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.algebra import (
@@ -220,3 +222,24 @@ class TestExpressionUtilities:
         expr = select(relation("Emp"), Comparison(Attr("dept"), "=", "it"))
         assert "select" in str(expr)
         assert "Emp" in str(expr)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("build", [union, difference, intersection])
+    def test_set_operations_block_reassignment(self, build):
+        expr = build(relation("R"), relation("S"))
+        for field in ("left", "right"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(expr, field, relation("T"))
+            with pytest.raises(AttributeError):
+                delattr(expr, field)
+        with pytest.raises(FrozenInstanceError):
+            expr.extra = 1
+        assert expr == build(relation("R"), relation("S"))
+        assert str(expr.left) == "R" and str(expr.right) == "S"
+
+    def test_set_operations_keep_their_identity(self):
+        left, right = relation("R"), relation("S")
+        assert union(left, right) != difference(left, right)
+        assert hash(union(left, right)) == hash(union(left, right))
+        assert len({union(left, right), union(left, right), intersection(left, right)}) == 2

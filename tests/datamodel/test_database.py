@@ -1,9 +1,13 @@
 """Unit tests for incomplete database instances."""
 
+import sys
+
 import pytest
 
-from repro.datamodel import Database, DatabaseSchema, Null, Relation
+import repro.datamodel.relations as relations_module
+from repro.datamodel import Database, DatabaseSchema, Null, Relation, RelationSchema
 from repro.datamodel.database import facts_with_nulls
+from repro.datamodel.values import intern_value
 
 
 @pytest.fixture
@@ -161,3 +165,56 @@ class TestTransformations:
         )
         assert clone == orders_db
         assert hash(clone) == hash(orders_db)
+
+
+class TestAddFactsValidatesOnlyTheNewRows:
+    @staticmethod
+    def _database():
+        return Database.from_relations(
+            [Relation.create("R", [(i, i + 1) for i in range(40)], attributes=("a", "b"))]
+        )
+
+    def test_bad_facts_rejected_with_todays_messages(self):
+        database = self._database()
+        with pytest.raises(TypeError, match="None cannot be stored in a relation"):
+            database.add_facts([("R", (1, None))])
+        with pytest.raises(TypeError, match="constants must be hashable"):
+            database.add_facts([("R", (1, {2}))])
+        with pytest.raises(ValueError, match="has arity 3, but relation R has arity 2"):
+            database.add_facts([("R", (1, 2, 3))])
+
+    def test_non_relation_data_is_still_validated(self):
+        schema = DatabaseSchema.from_arities({"R": 2})
+        with pytest.raises(TypeError, match="None cannot be stored in a relation"):
+            Database(schema, {"R": [(1, None)]})
+        with pytest.raises(ValueError, match="has arity 1, but relation R has arity 2"):
+            Database(schema, {"R": [(1,)]})
+
+    def test_added_values_are_interned(self):
+        null = intern_value(Null("added"))
+        bigger = self._database().add_facts([("R", ("".join(["x", "y"]), Null("added")))])
+        (row,) = [row for row in bigger["R"] if row[0] == "xy"]
+        assert row[0] is sys.intern("xy")
+        assert row[1] is null
+
+    def test_two_binary_facts_make_four_check_value_calls(self, monkeypatch):
+        database = self._database()
+        calls = []
+        real = relations_module.check_value
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(relations_module, "check_value", counting)
+        bigger = database.add_facts([("R", (100, 101)), ("R", (Null("n"), 7))])
+        assert len(calls) == 4
+        assert bigger.size() == 42
+        assert database["R"].rows < bigger["R"].rows
+
+    def test_reschema_keeps_the_rows(self):
+        relation = Relation.create("R", [(1, Null("x"))])
+        schema = DatabaseSchema([RelationSchema("R", ("a", "b"))])
+        database = Database(schema, {"R": relation})
+        assert database["R"].attributes == ("a", "b")
+        assert database["R"].rows == relation.rows

@@ -1,9 +1,15 @@
 """Unit tests for relations (naive tables / Codd tables)."""
 
+import sys
+
 import pytest
 
-from repro.datamodel import Null, Relation, RelationSchema
+import repro
+import repro.datamodel.relations as relations_module
+from repro.algebra import parse_ra
+from repro.datamodel import Database, Null, Relation, RelationSchema
 from repro.datamodel.relations import drop_null_rows, rows_with_nulls
+from repro.datamodel.values import intern_value
 
 
 @pytest.fixture
@@ -154,3 +160,96 @@ class TestHelpers:
         assert list(rel) == [(1, 2)]
         assert bool(rel)
         assert not bool(Relation.create("R", [], arity=1))
+
+
+# ---------------------------------------------------------------------------
+# Values are validated and interned once, at the boundary
+# ---------------------------------------------------------------------------
+NONE_MESSAGE = "None cannot be stored in a relation"
+UNHASHABLE_MESSAGE = "constants must be hashable"
+ARITY_MESSAGE = "has arity 1, but relation R has arity 2"
+
+
+def _schema():
+    return RelationSchema("R", ("a", "b"))
+
+
+BOUNDARY = {
+    "constructor": lambda rows: Relation(_schema(), rows),
+    "create": lambda rows: Relation.create("R", rows, attributes=("a", "b")),
+    "with_rows": lambda rows: Relation.create("R", [(1, 2)]).with_rows(rows),
+    "add_rows": lambda rows: Relation.create("R", [(1, 2)]).add_rows(rows),
+}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("entry", sorted(BOUNDARY))
+    def test_none_rejected(self, entry):
+        with pytest.raises(TypeError, match=NONE_MESSAGE):
+            BOUNDARY[entry]([(3, None)])
+
+    @pytest.mark.parametrize("entry", sorted(BOUNDARY))
+    def test_unhashable_rejected(self, entry):
+        with pytest.raises(TypeError, match=UNHASHABLE_MESSAGE):
+            BOUNDARY[entry]([(3, [4])])
+
+    @pytest.mark.parametrize("entry", sorted(BOUNDARY))
+    def test_wrong_arity_rejected(self, entry):
+        with pytest.raises(ValueError, match=ARITY_MESSAGE):
+            BOUNDARY[entry]([(3,)])
+
+    def test_map_values_validates_the_images(self):
+        rel = Relation.create("R", [(1, 2)])
+        with pytest.raises(TypeError, match=NONE_MESSAGE):
+            rel.map_values(lambda v: None)
+        with pytest.raises(TypeError, match=UNHASHABLE_MESSAGE):
+            rel.map_values(lambda v: [v])
+
+    def test_add_rows_interns_the_added_values(self):
+        null = intern_value(Null("fresh"))
+        rel = Relation.create("R", [(1, 2)]).add_rows([("".join(["ab", "c"]), Null("fresh"))])
+        (row,) = [row for row in rel if row != (1, 2)]
+        assert row[0] is sys.intern("abc")
+        assert row[1] is null
+
+    def test_trusted_operations_keep_the_schema(self):
+        rel = Relation.create("R", [(1, Null("x")), (2, 3)], attributes=("a", "b"))
+        assert rel.complete_part() == Relation.create("R", [(2, 3)], attributes=("a", "b"))
+        assert rel.add_rows([(2, 3)]) == rel
+
+
+def _orders_session():
+    orders = [(i, f"p{i % 7}") for i in range(24)] + [(Null(f"o{i}"), "p1") for i in range(16)]
+    pay = [(i, i if i % 3 else Null(f"q{i}"), 10 * i) for i in range(8)]
+    database = Database.from_relations(
+        [
+            Relation.create("Orders", orders, attributes=("o_id", "product")),
+            Relation.create("Pay", pay, attributes=("p_id", "ord", "amount")),
+        ]
+    )
+    return repro.connect(database)
+
+
+class TestWarmPathValidatesNothing:
+    DIFF = "diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))"
+    UCQ = "project[o_id, amount](join(Orders, rename[P(p_id, o_id, amount)](Pay)))"
+
+    def test_warm_plan_session_pair_makes_no_check_value_call(self, monkeypatch):
+        diff, ucq = parse_ra(self.DIFF), parse_ra(self.UCQ)
+        with _orders_session() as session:
+
+            def pair():
+                return session.query(diff).answer_object(), session.query(ucq).certain()
+
+            expected = pair()
+            assert expected[1] and any(isinstance(v, Null) for row in expected[0] for v in row)
+            calls = []
+            real = relations_module.check_value
+
+            def counting(value):
+                calls.append(value)
+                return real(value)
+
+            monkeypatch.setattr(relations_module, "check_value", counting)
+            assert pair() == expected
+        assert calls == []

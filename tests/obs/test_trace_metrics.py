@@ -175,6 +175,21 @@ class TestTracer:
         ids = [s.span_id for s in parent.spans()]
         assert len(ids) == len(set(ids))
 
+    def test_a_fresh_tracer_does_not_nest_under_another_tracers_span(self):
+        # A forked worker child inherits its parent's ambient span; the
+        # child's local tracer must not link to that foreign id.
+        parent, child = Tracer(), Tracer()
+        with obs_scope(parent, None):
+            with parent.span("query.certain"):
+                with obs_scope(child, None):
+                    with child.span("world.evaluate"):
+                        pass
+                with parent.span("after") as after:
+                    pass
+        (world,) = child.spans()
+        assert world.parent_id is None
+        assert after.parent_id == parent.spans()[-1].span_id
+
     def test_absorb_empty_is_a_noop(self):
         tracer = Tracer()
         tracer.absorb([])

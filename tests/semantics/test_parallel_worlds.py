@@ -1,5 +1,9 @@
 """Tests for the ``workers=`` fan-out of world-enumeration certain answers."""
 
+import pickle
+
+import repro
+import repro.semantics.certain as certain_module
 from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import enumerate_certain_answers, enumerate_certain_boolean
@@ -82,6 +86,31 @@ class TestParallelCertainBoolean:
     def test_boolean_parallel_true(self):
         database = _database(num_rows=2, num_nulls=1)
         assert enumerate_certain_boolean(_r_is_nonempty, database, "cwa", workers=2) is True
+
+
+class TestEvaluatedExpressionsStayPicklable:
+    def test_expression_pickles_after_a_plan_session_evaluation(self, monkeypatch):
+        database = _nonempty_database()
+        expression = parse_ra("diff(R, S)")
+        with repro.connect(database) as sequential:
+            expected_object = sequential.query(expression).answer_object()
+            expected_certain = sequential.query(parse_ra("diff(R, S)")).certain()
+        with repro.connect(database, workers=2) as session:
+            assert session.query(expression).answer_object() == expected_object
+            clone = pickle.loads(pickle.dumps(expression))
+            assert clone == expression
+            assert session.query(clone).answer_object() == expected_object
+
+            verdicts = []
+            real = certain_module._can_pickle
+
+            def spy(value):
+                verdicts.append(real(value))
+                return verdicts[-1]
+
+            monkeypatch.setattr(certain_module, "_can_pickle", spy)
+            assert session.query(expression).certain() == expected_certain
+        assert verdicts == [True]  # the pool path ran, not the silent fallback
 
 
 # module-level so they can cross a process boundary
