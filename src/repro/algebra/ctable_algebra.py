@@ -23,7 +23,7 @@ benchmarks show the complexity gap between the two.
 from __future__ import annotations
 
 from heapq import merge as _heapq_merge
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import (
     Condition,
@@ -33,13 +33,12 @@ from ..datamodel import (
     Eq,
     FalseCondition,
     Not,
-    Relation,
     TRUE,
+    Valuation,
     conjunction,
     disjunction,
     row_equality,
 )
-from ..datamodel.conditional import And, Or, TrueCondition
 from ..datamodel.schema import DatabaseSchema, RelationSchema
 from ..datamodel.values import Null, is_null
 from .ast import (
@@ -133,20 +132,19 @@ class CTableDatabase:
 
     def possible_worlds(self, domain: Sequence[Any]) -> Set[Tuple[Tuple[str, frozenset], ...]]:
         """All worlds of the whole database, as sorted tuples of (name, rows)."""
-        from ..datamodel.valuation import enumerate_valuations
+        from ..semantics.certain import space_over
+        from ..semantics.worlds import valuation_worlds
 
-        worlds: Set[Tuple[Tuple[str, frozenset], ...]] = set()
         global_cond = self.global_condition()
-        for valuation in enumerate_valuations(self.nulls(), domain):
+        tables = sorted(self._tables.items())
+
+        def world(valuation: Valuation) -> Optional[Tuple[Tuple[str, frozenset], ...]]:
             if not global_cond.evaluate(valuation):
-                continue
-            world = []
-            for name in sorted(self._tables):
-                instantiated = self._tables[name].instantiate(valuation)
-                assert instantiated is not None  # global condition already checked
-                world.append((name, frozenset(instantiated.rows)))
-            worlds.add(tuple(world))
-        return worlds
+                return None
+            # The global condition holds, so no table's instantiation is None.
+            return tuple((name, table.instantiate(valuation).rows) for name, table in tables)
+
+        return space_over(lambda world: world, valuation_worlds(self.nulls(), domain, world))
 
 
 def _merge_sorted(a: Sequence[int], b: Sequence[int]) -> Iterable[int]:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from ..core.sound_evaluation import values_unifiable
-from ..datamodel import Database, Relation
+from ..datamodel import ConstantPool, Database, Relation
 from ..datamodel.values import is_null
+from ..semantics.certain import enumerate_possible_boolean
 
 AttributeRef = Union[str, int]
 
@@ -149,17 +150,11 @@ class FunctionalDependency:
             return False
         if self.satisfied_naively(database):
             return True
-
-        from ..datamodel import ConstantPool, enumerate_valuations
-
-        nulls = relation.nulls()
         pool = ConstantPool(forbidden=relation.constants(), prefix="fd")
-        domain = sorted(relation.constants(), key=str) + pool.take(len(nulls) + 1)
-        single = Database.from_relations([relation])
-        for valuation in enumerate_valuations(nulls, domain):
-            if self.satisfied_naively(valuation.apply(single)):
-                return True
-        return False
+        domain = sorted(relation.constants(), key=str) + pool.take(len(relation.nulls()) + 1)
+        return enumerate_possible_boolean(
+            self.satisfied_naively, Database.from_relations([relation]), domain=domain
+        )
 
     @staticmethod
     def _rhs_forced_equal(lhs_pairs, first, second, rhs_positions) -> bool:

@@ -22,10 +22,10 @@ needed (shared nulls can interact across tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
-from ..datamodel import ConstantPool, Database, enumerate_valuations
-from ..datamodel.values import is_null
+from ..datamodel import ConstantPool, Database
+from ..semantics.certain import enumerate_possible_boolean
 
 AttributeRef = Union[str, int]
 
@@ -139,11 +139,9 @@ class InclusionDependency:
         involved = [left_relation]
         if self.rhs_relation != self.lhs_relation:
             involved.append(right_relation)
-        restricted = Database.from_relations(involved)
-        for valuation in enumerate_valuations(nulls, domain):
-            if self.satisfied_naively(valuation.apply(restricted)):
-                return True
-        return False
+        return enumerate_possible_boolean(
+            self.satisfied_naively, Database.from_relations(involved), domain=domain
+        )
 
 
 def referential_integrity_report(

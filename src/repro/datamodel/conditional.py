@@ -15,13 +15,12 @@ them lives in :mod:`repro.algebra.ctable_algebra`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .relations import Relation, Row
 from .schema import RelationSchema
-from .valuation import Valuation, enumerate_valuations
+from .valuation import Valuation
 from .values import Null, check_value, is_null
 
 
@@ -450,29 +449,30 @@ class ConditionalTable:
         Each world is returned as a frozen set of rows (the schema is fixed),
         so the result is directly comparable across representations.
         """
-        worlds: Set[FrozenSet[Row]] = set()
-        for valuation in enumerate_valuations(self.nulls(), domain):
-            world = self.instantiate(valuation)
-            if world is not None:
-                worlds.add(frozenset(world.rows))
-        return worlds
+        from ..semantics.certain import space_over
+
+        return space_over(lambda world: world.rows, self._worlds(domain))
 
     def certain_rows(self, domain: Iterable[Any]) -> Set[Row]:
         """Rows present in every world (intersection-based certainty)."""
-        worlds = self.possible_worlds(domain)
-        if not worlds:
-            return set()
-        result = set(next(iter(worlds)))
-        for world in worlds:
-            result &= world
-        return result
+        from ..semantics.certain import certain_over
+
+        return set(certain_over(lambda world: world, self._worlds(domain), self._no_rows).rows)
 
     def possible_rows(self, domain: Iterable[Any]) -> Set[Row]:
         """Rows present in at least one world."""
-        result: Set[Row] = set()
-        for world in self.possible_worlds(domain):
-            result |= world
-        return result
+        from ..semantics.certain import possible_over
+
+        return set(possible_over(lambda world: world, self._worlds(domain), self._no_rows).rows)
+
+    def _worlds(self, domain: Iterable[Any]) -> Iterator[Relation]:
+        """The world of each valuation of the table's nulls into ``domain``."""
+        from ..semantics.worlds import valuation_worlds
+
+        return valuation_worlds(self.nulls(), domain, self.instantiate)
+
+    def _no_rows(self) -> Relation:
+        return Relation(self._schema, ())
 
     # ------------------------------------------------------------------
     # transformations

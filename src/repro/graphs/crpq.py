@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..datamodel import Relation, enumerate_valuations
+from ..datamodel import Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import Variable, is_variable
-from ..semantics.worlds import default_domain
+from ..semantics.certain import certain_over
+from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 from .rpq import RegularPathQuery, parse_rpq
 
@@ -209,15 +210,9 @@ def certain_answers_crpq(
     if semantics not in ("cwa", "owa"):
         raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
     if domain is None:
-        domain = default_domain(graph.to_database(), extra_constants=extra_constants)
-    schema = query.evaluate(graph).schema
-    certain: Optional[Set[Tuple[Any, ...]]] = None
-    for valuation in enumerate_valuations(graph.nulls(), domain):
-        world = graph.apply_valuation(valuation)
-        rows = set(query.evaluate(world).rows)
-        certain = rows if certain is None else certain & rows
-        if not certain:
-            break
-    if certain is None:
-        certain = set(query.evaluate(graph).rows)
-    return Relation(schema, certain)
+        domain = default_domain(graph, extra_constants=extra_constants)
+    return certain_over(
+        query.evaluate,
+        valuation_worlds(graph.nulls(), domain, graph.apply_valuation),
+        lambda: query.evaluate(graph),
+    )

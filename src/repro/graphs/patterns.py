@@ -22,7 +22,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Optional,
     Sequence,
     Set,
@@ -30,10 +29,11 @@ from typing import (
     Union,
 )
 
-from ..datamodel import Relation, enumerate_valuations
+from ..datamodel import Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import Variable, is_variable
-from ..semantics.worlds import default_domain
+from ..semantics.certain import certain_over
+from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 
 Term = Union[Variable, Any]
@@ -210,15 +210,9 @@ def certain_answers_pattern(
     if semantics not in ("cwa", "owa"):
         raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
     if domain is None:
-        domain = default_domain(graph.to_database(), extra_constants=extra_constants)
-    certain: Optional[Set[Tuple[Any, ...]]] = None
-    schema = pattern.evaluate(graph).schema
-    for valuation in enumerate_valuations(graph.nulls(), domain):
-        world = graph.apply_valuation(valuation)
-        rows = set(pattern.evaluate(world).rows)
-        certain = rows if certain is None else certain & rows
-        if not certain:
-            break
-    if certain is None:
-        certain = set(pattern.evaluate(graph).rows)
-    return Relation(schema, certain)
+        domain = default_domain(graph, extra_constants=extra_constants)
+    return certain_over(
+        pattern.evaluate,
+        valuation_worlds(graph.nulls(), domain, graph.apply_valuation),
+        lambda: pattern.evaluate(graph),
+    )

@@ -31,7 +31,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,9 +38,10 @@ from typing import (
     Tuple,
 )
 
-from ..datamodel import Null, Relation, enumerate_valuations
+from ..datamodel import Relation
 from ..datamodel.values import is_null
-from ..semantics.worlds import default_domain
+from ..semantics.certain import certain_over
+from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 
 
@@ -471,16 +471,9 @@ def certain_answers_rpq(
     if semantics not in ("cwa", "owa"):
         raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
     if domain is None:
-        domain = default_domain(graph.to_database(), extra_constants=extra_constants)
-    certain: Optional[Set[Tuple[Any, Any]]] = None
-    for valuation in enumerate_valuations(graph.nulls(), domain):
-        world = graph.apply_valuation(valuation)
-        rows = set(query.evaluate(world).rows)
-        certain = rows if certain is None else certain & rows
-        if not certain:
-            break
-    if certain is None:
-        certain = set(query.evaluate(graph).rows)
-    return Relation.create("Answer", sorted(certain, key=lambda p: (str(p[0]), str(p[1]))),
-                           attributes=ANSWER_ATTRIBUTES) if certain else Relation.create(
-        "Answer", [], attributes=ANSWER_ATTRIBUTES)
+        domain = default_domain(graph, extra_constants=extra_constants)
+    return certain_over(
+        query.evaluate,
+        valuation_worlds(graph.nulls(), domain, graph.apply_valuation),
+        lambda: query.evaluate(graph),
+    )

@@ -49,7 +49,7 @@ from ..resilience import (
     WorkerPoolError,
     active_budget,
 )
-from .worlds import cwa_worlds, owa_worlds, worlds
+from .worlds import worlds
 
 Evaluator = Callable[[Database], Relation]
 """A query, abstractly: a function from complete databases to relations."""
@@ -354,6 +354,113 @@ def _windowed_chunk_results(
             return
 
 
+def _evaluated(evaluate: Callable[[Any], Any], world_iter: Iterable[Any]) -> Iterator[Any]:
+    """``evaluate(world)`` for each world: the one sequential loop over possible worlds.
+
+    Each world first ticks the armed budget (``max_worlds``, the deadline,
+    ``Session.cancel()``), then is evaluated under a ``world.evaluate``
+    span and counted in ``worlds.evaluated``.  A fold that stops early
+    simply stops pulling, so only the worlds it consumed are counted.
+    """
+    state = active_budget()
+    registry = current_metrics()
+    tracer = current_tracer()
+    for world in world_iter:
+        if state is not None:
+            state.tick_world()
+        if tracer is not None:
+            with tracer.span("world.evaluate"):
+                answer = evaluate(world)
+        else:
+            answer = evaluate(world)
+        if registry is not None:
+            registry.count("worlds.evaluated")
+        yield answer
+
+
+class _Intersection:
+    """The running intersection of the answers over the worlds consumed so far."""
+
+    __slots__ = ("schema", "rows", "done")
+
+    def __init__(self, resume: Optional[ResumeToken] = None) -> None:
+        self.schema: Optional[RelationSchema] = None
+        self.rows: Optional[Set[Row]] = None
+        self.done = 0
+        if resume is not None:
+            self.schema = resume.schema
+            self.rows = None if resume.intersection is None else set(resume.intersection)
+            self.done = resume.worlds_done
+
+    def add(self, schema: Optional[RelationSchema], rows: Optional[Set[Row]], worlds: int = 1) -> bool:
+        """Intersect one answer (or one chunk's intersection) in; ``False`` once empty."""
+        self.done += worlds
+        if rows is None:
+            return True
+        if self.schema is None:
+            self.schema = schema
+        if self.rows is None:
+            self.rows = set(rows)
+        else:
+            self.rows &= rows
+        return bool(self.rows)
+
+    def fold(self, evaluate: Callable[[Any], Relation], world_iter: Iterable[Any]) -> "_Intersection":
+        """Intersect ``evaluate(world)`` in for each world, stopping once empty."""
+        for answer in _evaluated(evaluate, world_iter):
+            if not self.add(answer.schema, answer.rows):
+                break
+        return self
+
+    def relation(self, fallback: Callable[[], Relation]) -> Relation:
+        """The intersection; with no world at all, the empty answer of ``fallback()``."""
+        if self.schema is None or self.rows is None:
+            # No world only happens for an empty valuation domain.
+            return Relation(fallback().schema, ())
+        return Relation(self.schema, self.rows)
+
+
+def certain_over(evaluate: Callable[[Any], Relation], world_iter: Iterable[Any], fallback: Callable[[], Relation]) -> Relation:
+    """``⋂ evaluate(world)`` over ``world_iter``: the intersection fold.
+
+    With no world at all the result is empty, with the schema of
+    ``fallback()`` (the query's answer on some stand-in for the source).
+    """
+    return _Intersection().fold(evaluate, world_iter).relation(fallback)
+
+
+def possible_over(evaluate: Callable[[Any], Relation], world_iter: Iterable[Any], fallback: Callable[[], Relation]) -> Relation:
+    """``⋃ evaluate(world)`` over ``world_iter``: the union fold (``fallback`` as above)."""
+    schema: Optional[RelationSchema] = None
+    possible: Set[Row] = set()
+    for answer in _evaluated(evaluate, world_iter):
+        if schema is None:
+            schema = answer.schema
+        possible |= answer.rows
+    if schema is None:
+        schema = fallback().schema
+    return Relation(schema, possible)
+
+
+def space_over(evaluate: Callable[[Any], Any], world_iter: Iterable[Any]) -> Set[Any]:
+    """``{evaluate(world)}`` over ``world_iter``: the set of answers."""
+    return set(_evaluated(evaluate, world_iter))
+
+
+def _pool_scope(workers: int, pool_factory: Optional[Callable[[int], Any]], executor: Optional[Any]) -> Any:
+    """The pool of a ``workers=`` fan-out, as a context manager.
+
+    The caller's ``executor`` is used as-is and never shut down here;
+    otherwise ``pool_factory`` (default ``ProcessPoolExecutor``) makes a
+    per-call pool that is torn down on exit.
+    """
+    if executor is not None:
+        return contextlib.nullcontext(executor)
+    if pool_factory is None:
+        return ProcessPoolExecutor(max_workers=workers)
+    return pool_factory(workers)
+
+
 def enumerate_certain_answers(
     evaluate: Evaluator,
     database: Database,
@@ -426,37 +533,18 @@ def enumerate_certain_answers(
     instead of restarting.  With ``workers=`` the checkpoint is
     chunk-granular: in-flight chunks are simply re-evaluated on resume.
     """
-    world_iter = worlds(
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    )
-
-    answer_schema = None
-    certain: Optional[Set[Row]] = None
-    done = 0
-    if resume is not None:
-        done = resume.worlds_done
-        answer_schema = resume.schema
-        certain = None if resume.intersection is None else set(resume.intersection)
-        if done:
-            world_iter = itertools.islice(world_iter, done, None)
-        if certain is not None and not certain:
-            # The interrupted run had already emptied the intersection —
-            # the answer is final, no world can add rows back.
-            world_iter = iter(())
+    world_iter = worlds(database, semantics, domain, extra_constants, max_extra_facts)
+    running = _Intersection(resume)
+    if running.done:
+        world_iter = itertools.islice(world_iter, running.done, None)
+    if running.rows is not None and not running.rows:
+        # The interrupted run had already emptied the intersection — the
+        # answer is final, no world can add rows back.
+        world_iter = iter(())
     try:
         if workers is not None and workers > 1 and _can_pickle(evaluate):
-            if executor is not None:
-                pool_scope: Any = contextlib.nullcontext(executor)
-            else:
-                if pool_factory is None:
-                    pool_factory = lambda n: ProcessPoolExecutor(max_workers=n)  # noqa: E731
-                pool_scope = pool_factory(workers)
-            with pool_scope as pool:
-                for (chunk_schema, chunk_certain), chunk_worlds in _windowed_chunk_results(
+            with _pool_scope(workers, pool_factory, executor) as pool:
+                for (schema, rows), count in _windowed_chunk_results(
                     pool,
                     _intersect_chunk,
                     evaluate,
@@ -464,57 +552,22 @@ def enumerate_certain_answers(
                     2 * workers,
                     heartbeat=heartbeat,
                 ):
-                    done += chunk_worlds
-                    if chunk_schema is None or chunk_certain is None:
-                        continue
-                    if answer_schema is None:
-                        answer_schema = chunk_schema
-                    if certain is None:
-                        certain = chunk_certain
-                    else:
-                        certain &= chunk_certain
-                    if not certain:
+                    if not running.add(schema, rows, count):
                         break  # empty intersection can only stay empty
         else:
-            state = active_budget()
-            registry = current_metrics()
-            tracer = current_tracer()
-            for world in world_iter:
-                if state is not None:
-                    state.tick_world()
-                if tracer is not None:
-                    with tracer.span("world.evaluate"):
-                        answer = evaluate(world)
-                else:
-                    answer = evaluate(world)
-                if registry is not None:
-                    registry.count("worlds.evaluated")
-                if answer_schema is None:
-                    answer_schema = answer.schema
-                if certain is None:
-                    certain = set(answer.rows)
-                else:
-                    certain &= answer.rows
-                done += 1
-                if not certain:
-                    break
+            running.fold(evaluate, world_iter)
     except BudgetExceeded as error:
         # Checkpoint the worlds *fully consumed* (a world whose evaluation
         # the budget cut short is not counted and will be re-run).  The
         # running intersection is a superset of the certain answers, so it
         # travels inside the token — never as a result.
         error.resume_token = ResumeToken(
-            worlds_done=done,
-            schema=answer_schema,
-            intersection=None if certain is None else frozenset(certain),
+            worlds_done=running.done,
+            schema=running.schema,
+            intersection=None if running.rows is None else frozenset(running.rows),
         )
         raise
-    if answer_schema is None or certain is None:
-        # No worlds at all only happens for an empty valuation domain;
-        # evaluate on the database itself to obtain the answer schema.
-        answer = evaluate(database.complete_part())
-        return Relation(answer.schema, ())
-    return Relation(answer_schema, certain)
+    return running.relation(lambda: evaluate(database.complete_part()))
 
 
 def enumerate_possible_answers(
@@ -526,29 +579,11 @@ def enumerate_possible_answers(
     max_extra_facts: int = 1,
 ) -> Relation:
     """Union-based *possible* answers (tuples appearing in at least one world)."""
-    answer_schema = None
-    possible: Set[Row] = set()
-    state = active_budget()
-    registry = current_metrics()
-    for world in worlds(
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    ):
-        if state is not None:
-            state.tick_world()
-        if registry is not None:
-            registry.count("worlds.evaluated")
-        answer = evaluate(world)
-        if answer_schema is None:
-            answer_schema = answer.schema
-        possible |= answer.rows
-    if answer_schema is None:
-        answer = evaluate(database.complete_part())
-        return Relation(answer.schema, ())
-    return Relation(answer_schema, possible)
+    return possible_over(
+        evaluate,
+        worlds(database, semantics, domain, extra_constants, max_extra_facts),
+        lambda: evaluate(database.complete_part()),
+    )
 
 
 def answer_space(
@@ -565,16 +600,10 @@ def answer_space(
     of sets — the object that strong representation systems must capture
     exactly (paper, eq. (2)).
     """
-    space: Set[frozenset] = set()
-    for world in worlds(
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    ):
-        space.add(frozenset(evaluate(world).rows))
-    return space
+    return space_over(
+        lambda world: frozenset(evaluate(world).rows),
+        worlds(database, semantics, domain, extra_constants, max_extra_facts),
+    )
 
 
 def enumerate_certain_boolean(
@@ -596,21 +625,12 @@ def enumerate_certain_boolean(
     ``pool_factory`` and the caller-owned ``executor`` behave as they do
     there); early exit then happens per chunk rather than per world.
     """
-    world_iter = worlds(
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    )
-    if workers is not None and workers > 1 and _can_pickle(evaluate):
-        if executor is not None:
-            pool_scope: Any = contextlib.nullcontext(executor)
-        else:
-            if pool_factory is None:
-                pool_factory = lambda n: ProcessPoolExecutor(max_workers=n)  # noqa: E731
-            pool_scope = pool_factory(workers)
-        with pool_scope as pool:
+    world_iter = worlds(database, semantics, domain, extra_constants, max_extra_facts)
+    if workers is None or workers <= 1 or not _can_pickle(evaluate):
+        return all(_evaluated(evaluate, world_iter))
+    with _pool_scope(workers, pool_factory, executor) as pool:
+        return all(
+            result
             for result, _ in _windowed_chunk_results(
                 pool,
                 _all_hold_chunk,
@@ -618,20 +638,8 @@ def enumerate_certain_boolean(
                 _chunks(world_iter, _CHUNK_SIZE),
                 2 * workers,
                 heartbeat=heartbeat,
-            ):
-                if not result:
-                    return False
-        return True
-    state = active_budget()
-    registry = current_metrics()
-    for world in world_iter:
-        if state is not None:
-            state.tick_world()
-        if registry is not None:
-            registry.count("worlds.evaluated")
-        if not evaluate(world):
-            return False
-    return True
+            )
+        )
 
 
 def enumerate_possible_boolean(
@@ -643,19 +651,4 @@ def enumerate_possible_boolean(
     max_extra_facts: int = 1,
 ) -> bool:
     """Possibility of a Boolean query: true iff true in at least one world."""
-    state = active_budget()
-    registry = current_metrics()
-    for world in worlds(
-        database,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-    ):
-        if state is not None:
-            state.tick_world()
-        if registry is not None:
-            registry.count("worlds.evaluated")
-        if evaluate(world):
-            return True
-    return False
+    return any(_evaluated(evaluate, worlds(database, semantics, domain, extra_constants, max_extra_facts)))

@@ -33,6 +33,14 @@ equal iff their worlds are, and deduplication runs on keys.  A
 before.  Worlds come out in valuation order (nulls sorted by name, the
 domain in the given order, then extra-fact combinations), the order the
 ``ResumeToken.worlds_done`` checkpoint counts in.
+
+**Other sources.**  Graphs, data trees and c-tables reach the folds of
+:mod:`repro.semantics.certain` through :func:`valuation_worlds`: one
+``build(v)`` per valuation, in valuation order.  It does not deduplicate:
+a key needs the complete-row/template split above, which only a
+:class:`~repro.datamodel.Database` has, and without one the only way to
+spot a duplicate is to build the world anyway.  So the worlds of such a
+source, and the budget ticks they cost, are one per valuation.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import itertools
 import operator
 from typing import Any, Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import ConstantPool, Database, Null, Relation
+from ..datamodel import ConstantPool, Database, Null, Relation, Valuation, enumerate_valuations
 from ..datamodel.relations import Row
 from ..datamodel.schema import DatabaseSchema
 from ..datamodel.values import check_value, intern_value, is_null
@@ -58,16 +66,17 @@ def _domain_order(value: Any) -> Tuple[str, str]:
 
 
 def default_domain(
-    database: Database,
+    database: Any,
     extra_constants: Optional[int] = None,
     constants: Iterable[Any] = (),
     prefix: str = "w",
 ) -> List[Any]:
     """A finite constant domain for valuation enumeration.
 
-    The domain consists of the constants of ``database``, any explicitly
-    supplied ``constants`` (e.g. constants mentioned by the query), and
-    ``extra_constants`` fresh constants.  When ``extra_constants`` is not
+    The domain consists of the constants of ``database`` (anything with
+    ``constants()`` and ``nulls()``: a database, a graph, a data tree),
+    any explicitly supplied ``constants`` (e.g. constants mentioned by the
+    query), and ``extra_constants`` fresh constants.  When ``extra_constants`` is not
     given it defaults to ``number of nulls + 1``: the valuation mapping all
     nulls to pairwise-distinct fresh values is then enumerated, and every
     null always has at least two candidate values, so tuples built from a
@@ -283,6 +292,24 @@ def wcwa_worlds(
         if max_extra_facts > 0:
             pool = _fact_pool(database.schema, _world_domain(database, split.nulls, combo))
         yield from split.extended_worlds(base, pool, max_extra_facts, seen)
+
+
+def valuation_worlds(
+    nulls: Iterable[Null],
+    domain: Iterable[Any],
+    build: Callable[[Valuation], Optional[Any]],
+) -> Iterator[Any]:
+    """``build(v)`` for each valuation ``v`` of ``nulls`` into ``domain``.
+
+    Valuations run in :func:`~repro.datamodel.enumerate_valuations`
+    order; a ``None`` from ``build`` (a valuation that yields no world,
+    e.g. one violating a global condition) is skipped.  No duplicate is
+    suppressed (see the module docstring).
+    """
+    for valuation in enumerate_valuations(nulls, domain):
+        world = build(valuation)
+        if world is not None:
+            yield world
 
 
 def count_cwa_worlds(database: Database, domain: Sequence[Any]) -> int:

@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import Relation, enumerate_valuations
-from ..datamodel.values import ConstantPool, is_null
+from ..datamodel import Relation
+from ..datamodel.values import is_null
 from ..logic.formulas import Variable, is_variable
+from ..semantics.certain import certain_over
+from ..semantics.worlds import default_domain, valuation_worlds
 from .model import DataTree
 
 #: Edge types connecting a pattern node to its parent.
@@ -261,21 +263,10 @@ def certain_answers_tree_pattern(
     answer on every such world.  Exponential in the number of nulls — the
     ground truth the naive shortcut is validated against.
     """
-    nulls = tree.nulls()
     if domain is None:
-        constants = sorted(tree.constants(), key=str)
-        if extra_constants is None:
-            extra_constants = len(nulls) + 1
-        pool = ConstantPool(forbidden=constants, prefix="t")
-        domain = constants + pool.take(extra_constants)
-    schema = pattern.evaluate(tree).schema
-    certain: Optional[Set[Tuple[Any, ...]]] = None
-    for valuation in enumerate_valuations(nulls, domain):
-        world = pattern.evaluate(tree.apply_valuation(valuation))
-        rows = set(world.rows)
-        certain = rows if certain is None else certain & rows
-        if not certain:
-            break
-    if certain is None:
-        certain = set(pattern.evaluate(tree).rows)
-    return Relation(schema, certain)
+        domain = default_domain(tree, extra_constants=extra_constants)
+    return certain_over(
+        pattern.evaluate,
+        valuation_worlds(tree.nulls(), domain, tree.apply_valuation),
+        lambda: pattern.evaluate(tree),
+    )

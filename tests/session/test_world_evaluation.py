@@ -6,7 +6,8 @@
   world: ``SQLiteBackend.replace_database`` is never called, and the
   answers equal those of the plan and interpreter sessions.
 * Every mode counts the worlds it actually visited in the session's
-  ``worlds.evaluated`` counter, early exits included.
+  ``worlds.evaluated`` counter, early exits included, and traces one
+  ``world.evaluate`` span per world.
 """
 
 import pytest
@@ -93,10 +94,13 @@ class TestWorldsEvaluatedCounter:
             "boolean(possible), early exit": (lambda q: q.boolean(mode="possible"), ALWAYS, bool),
         }
         for name, (run, query, stop) in modes.items():
-            with repro.connect(_database(), engine=engine) as session:
+            tracer = repro.Tracer()
+            with repro.connect(_database(), engine=engine, tracer=tracer) as session:
                 run(session.query(query))
                 counted = session.metrics()["counters"].get("worlds.evaluated")
             assert counted == self._visited(query, stop), name
+            spans = [span for span in tracer.spans() if span.name == "world.evaluate"]
+            assert len(spans) == counted, name
         assert self._visited(DIFF, lambda rows: False) == 6
         assert self._visited(ALWAYS, bool) == 1
 
