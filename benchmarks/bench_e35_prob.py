@@ -10,7 +10,11 @@ expansion, per-``(kernel, model)`` memo) must
   (the differential half — a wrong independence split shows up as a
   wrong number here, not a crash), and
 * do it at least :data:`PROB_MIN_SPEEDUP` x faster than the oracle,
-  which evaluates the query in all ``2^PROB_NULLS`` worlds.
+  which evaluates the query in all ``2^PROB_NULLS`` worlds, and
+* score no zero-probability candidate when the join also meets keys
+  outside every null's support (:data:`OUTSIDE_SUPPORT`): the c-table
+  engine pairs each null only with the constants its model allows, so
+  a regression that re-pairs nulls with unsupported constants fails.
 
 The oracle cost is exponential by construction (every answer's lineage
 is probed against every world) while the decomposition sees mostly
@@ -35,20 +39,28 @@ PROB_TOLERANCE = 1e-9
 QUERY = parse_ra("join(R, S)")
 PROJECTED = parse_ra("project[c](join(R, S))")
 
+#: S rows whose join keys no null can take (every support is {0, 1}).
+OUTSIDE_SUPPORT = ((2, "two"), (3, "three"), (4, "four"))
+#: The join with the null column projected away: a pairing of ``x_i``
+#: with an unsupported key would surface as a candidate ``(i, c)`` whose
+#: lineage ``x_i = k`` has probability zero.
+KEYLESS = parse_ra("project[a, c](join(R, S))")
 
-def prob_database(nulls: int = PROB_NULLS):
+
+def prob_database(nulls: int = PROB_NULLS, outside=()):
     """R(a, b) with one uncertain cell per row, joinable S(b, c).
 
     Every answer's lineage pins one null; the projected query ORs
     :data:`PROB_NULLS` independent lineages together — the shape the
     decomposition evaluator resolves without a single Shannon expansion
-    while the oracle pays for every world.
+    while the oracle pays for every world.  ``outside`` appends S rows
+    whose keys lie outside every support.
     """
     import repro
 
     markers = [Null(f"x{i}") for i in range(nulls)]
     r_rows = [(i, markers[i]) for i in range(nulls)]
-    s_rows = [(0, "even"), (1, "odd")]
+    s_rows = [(0, "even"), (1, "odd"), *outside]
     database = Database.from_relations(
         [
             Relation.create("R", r_rows, attributes=("a", "b")),
@@ -74,8 +86,25 @@ def oracle_confidences(query, database, model):
     return answers
 
 
+def zero_probability_candidates():
+    """How many dense-join candidates score probability zero (must be 0).
+
+    The join meets :data:`OUTSIDE_SUPPORT` keys as well: an engine that
+    paired every null with every key would score ``PROB_NULLS *
+    len(OUTSIDE_SUPPORT)`` extra :data:`KEYLESS` candidates, each at
+    probability zero.
+    """
+    import repro
+
+    database, model = prob_database(outside=OUTSIDE_SUPPORT)
+    with repro.connect(database, semantics="prob", model=model) as session:
+        answers = session.query(KEYLESS).confidence()
+        candidates = session.metrics()["counters"]["prob.confidence.candidates"]
+    return int(candidates) - len(answers)
+
+
 def run_prob_gate():
-    """The differential + speedup halves of ``gate:prob``."""
+    """The differential, speedup and support-pruning checks of ``gate:prob``."""
     import repro
 
     database, model = prob_database()
@@ -120,8 +149,9 @@ def run_prob_gate():
         ):
             mismatches += 1
 
+    zero_candidates = zero_probability_candidates()
     speedup = oracle_seconds / exact_seconds if exact_seconds > 0 else float("inf")
-    passed = mismatches == 0 and speedup >= PROB_MIN_SPEEDUP
+    passed = mismatches == 0 and speedup >= PROB_MIN_SPEEDUP and zero_candidates == 0
     return {
         "passed": passed,
         "nulls": PROB_NULLS,
@@ -130,11 +160,13 @@ def run_prob_gate():
         "oracle_seconds": oracle_seconds,
         "speedup": speedup,
         "mismatches": mismatches,
+        "zero_probability_candidates": zero_candidates,
         "note": (
             f"{PROB_NULLS} nulls / {worlds} worlds: exact decomposition "
             f"{exact_seconds * 1000:.1f} ms vs enumeration "
             f"{oracle_seconds * 1000:.0f} ms ({speedup:.0f}x, floor "
-            f"{PROB_MIN_SPEEDUP:.0f}x), {mismatches} differential mismatches"
+            f"{PROB_MIN_SPEEDUP:.0f}x), {mismatches} differential mismatches, "
+            f"{zero_candidates} zero-probability candidates"
         ),
     }
 
@@ -142,6 +174,7 @@ def run_prob_gate():
 def test_prob_gate_passes():
     result = run_prob_gate()
     assert result["mismatches"] == 0, result["note"]
+    assert result["zero_probability_candidates"] == 0, result["note"]
     assert result["passed"], result["note"]
 
 

@@ -58,8 +58,9 @@ match the interpreter oracle's cardinalities on a randomized workload
 across both engines (``docs/observability.md``).
 The prob family contributes ``gate:prob``: on a dense join whose
 lineage spans 14 independent nulls, exact confidence by decomposition
-must match full world enumeration differentially and beat it by >= 10x
-(``docs/probability.md``).
+must match full world enumeration differentially and beat it by >= 10x,
+and a dense join that also meets keys outside every null's support must
+score no zero-probability candidate (``docs/probability.md``).
 ``--check`` fails when any gate reports ``passed: false``.
 
 Every family records its wall-clock cost under ``wall_seconds`` in the
@@ -727,7 +728,9 @@ def scenario_prob() -> Dict[str, Any]:
     oracle's probabilities exactly *and* runs at least 10x faster — the
     complexity separation (polynomial decomposition vs exponential
     enumeration on independence-friendly lineage) that justifies the
-    subsystem (``docs/probability.md``).
+    subsystem (``docs/probability.md``).  It also fails when the join's
+    lineage holds a zero-probability candidate: nulls are paired only
+    with constants in their model supports.
     """
     from bench_e35_prob import run_prob_gate
 
@@ -737,6 +740,7 @@ def scenario_prob() -> Dict[str, Any]:
             "passed": result["passed"],
             "speedup": result["speedup"],
             "mismatches": result["mismatches"],
+            "zero_probability_candidates": result["zero_probability_candidates"],
             "note": result["note"],
         }
     }

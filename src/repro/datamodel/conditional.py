@@ -366,8 +366,29 @@ class ConditionalTable:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "ConditionalTable":
-        """Lift a naive table to a c-table with all-true conditions."""
-        return cls(relation.schema, [ConditionalRow(row, TRUE) for row in relation.rows])
+        """Lift a naive table to a c-table with all-true conditions.
+
+        A :class:`Relation` validated its rows (values and arity) when it
+        was built, so they are lifted without a second check.
+        """
+        make_row = ConditionalRow._from_trusted
+        return cls._from_trusted(
+            relation.schema, tuple(make_row(row, TRUE) for row in relation.rows), TRUE
+        )
+
+    @classmethod
+    def _from_trusted(
+        cls,
+        schema: RelationSchema,
+        rows: Tuple[ConditionalRow, ...],
+        global_condition: Condition,
+    ) -> "ConditionalTable":
+        """Build a table from rows known to match ``schema`` (engine internal)."""
+        table = object.__new__(cls)
+        table._schema = schema
+        table._rows = rows
+        table._global = global_condition
+        return table
 
     # ------------------------------------------------------------------
     # accessors

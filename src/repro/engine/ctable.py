@@ -17,7 +17,10 @@ memoized by node identity, and a union-find check kills unsatisfiable
 equality conjunctions at construction.  Join keys are partitioned into
 constants-vs-null exactly like the interpreter's ``_natural_join``: a
 pair of rows whose all-constant keys differ can only produce a ``false``
-condition, so it is never enumerated.
+condition, so it is never enumerated.  Given a probability model's
+supports (``execute_ctable(..., supports=)``), the same holds for a null
+and a constant outside its support, or two nulls with disjoint supports:
+those pairings are skipped too (see :class:`CTableContext`).
 
 The planned path may produce a *syntactically* different c-table than the
 interpreter (different row order, differently-shaped conditions); the two
@@ -27,7 +30,9 @@ differential property tests assert.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import itertools
+from heapq import merge as _heapq_merge
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..algebra.ast import RAExpression
 from ..algebra.ctable_algebra import _merge_sorted
@@ -37,7 +42,8 @@ from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import FALSE, TRUE, Condition
 from ..datamodel.relations import Relation, Row
 from ..datamodel.schema import DatabaseSchema
-from ..datamodel.values import is_null
+from ..datamodel.values import Null, is_null
+from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..resilience import active_budget
 from .logical import (
@@ -54,20 +60,33 @@ from . import planner as _planner
 CRow = Tuple[Row, Condition]
 
 
+#: ``{null: the constants it can take}`` — a probability model's supports.
+Supports = Mapping[Null, FrozenSet[Any]]
+
+
 class CTableContext:
     """Per-query execution state: the c-table database, schema, CSE memo.
 
     Also carries the :class:`ConditionKernel` every operator composes its
     conditions through (the plan cache's, typically a session's).
+
+    ``supports`` (``None`` outside ``semantics="prob"``) restricts each
+    listed null to the constants its model allows.  An equality that needs
+    a null outside its support — ``n = c`` with ``c`` not in ``n``'s
+    support, or ``n = m`` with disjoint supports — holds in no world of
+    positive probability, so the operators fold it to ``false`` and never
+    pair the rows it would join; ``pruned`` counts those skipped pairings.
+    Nulls missing from the map are unrestricted.
     """
 
-    __slots__ = ("database", "schema", "memo", "kernel", "budget", "_adom")
+    __slots__ = ("database", "schema", "memo", "kernel", "budget", "_adom", "supports", "pruned")
 
     def __init__(
         self,
         database: Any,
         schema: DatabaseSchema,
         kernel: ConditionKernel,
+        supports: Optional[Supports] = None,
     ) -> None:
         self.database = database
         self.schema = schema
@@ -77,11 +96,45 @@ class CTableContext:
         # operators check it per outer row (cooperative cancellation).
         self.budget = active_budget()
         self._adom: Optional[List[Any]] = None
+        self.supports = supports
+        self.pruned = 0
 
     def active_domain(self) -> List[Any]:
         if self._adom is None:
             self._adom = sorted(self.database.active_domain(), key=str)
         return self._adom
+
+    def admits(self, left: Any, right: Any) -> bool:
+        """Whether ``left = right`` can hold in a world the supports allow.
+
+        Constant pairs are left to the kernel's folding; only a support
+        can rule an equality out here.  Requires ``supports``.
+        """
+        supports = self.supports
+        if isinstance(left, Null):
+            allowed = supports.get(left)
+            if allowed is None:
+                return True
+            if isinstance(right, Null):
+                other = supports.get(right)
+                return other is None or left == right or not allowed.isdisjoint(other)
+            return right in allowed
+        if isinstance(right, Null):
+            allowed = supports.get(right)
+            return allowed is None or left in allowed
+        return True
+
+    def admits_row(self, left: Row, right: Row) -> bool:
+        """:meth:`admits` for every position of two equal-length rows."""
+        admits = self.admits
+        return all(admits(a, b) for a, b in zip(left, right))
+
+    def eq(self, left: Any, right: Any) -> Condition:
+        """``kernel.eq``, folded to ``FALSE`` when the supports rule it out."""
+        if (isinstance(left, Null) or isinstance(right, Null)) and not self.admits(left, right):
+            self.pruned += 1
+            return FALSE
+        return self.kernel.eq(left, right)
 
 
 class COperator:
@@ -162,9 +215,10 @@ class CFilter(COperator):
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         predicate = self.predicate
         kernel = ctx.kernel
+        eq = kernel.eq if ctx.supports is None else ctx.eq
         rows: List[CRow] = []
         for values, condition in self.child.rows(ctx):
-            extra = predicate_condition_positional(predicate, values, kernel)
+            extra = predicate_condition_positional(predicate, values, kernel, eq)
             combined = kernel.and_(condition, extra)
             if combined is FALSE:
                 continue
@@ -186,9 +240,10 @@ class CEqFilter(COperator):
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         left, right = self.left, self.right
         kernel = ctx.kernel
+        eq = kernel.eq if ctx.supports is None else ctx.eq
         rows: List[CRow] = []
         for values, condition in self.child.rows(ctx):
-            combined = kernel.and_(condition, kernel.eq(values[left], values[right]))
+            combined = kernel.and_(condition, eq(values[left], values[right]))
             if combined is FALSE:
                 continue
             rows.append((values, combined))
@@ -219,6 +274,10 @@ class CHashJoin(COperator):
     and are paired with every probe.  An all-constant probe key therefore
     meets only its exact hash bucket plus the null-keyed rows — every other
     pairing would conjoin an equality that folds to ``false``.
+
+    With supports (``semantics="prob"``) a null ranges over its support
+    only, and :class:`_SupportIndex` narrows both probe kinds to the right
+    rows the supports admit.
     """
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "right_keep")
@@ -256,6 +315,11 @@ class CHashJoin(COperator):
                 null_key_positions.append(position)
             else:
                 keyed.setdefault(key, []).append(position)
+        pins = (
+            None
+            if ctx.supports is None
+            else _SupportIndex(ctx, right_rows, right_keys, keyed, null_key_positions)
+        )
 
         keep_all = right_keep == tuple(range(len(right_rows[0][0])))
         single_key = left_keys[0] if len(left_keys) == 1 else None
@@ -308,9 +372,11 @@ class CHashJoin(COperator):
                         else:
                             values = l_values + tuple(r_values[p] for p in right_keep)
                         append((values, condition))
-                candidates: Iterable[int] = null_key_positions
+                candidates: Iterable[int] = (
+                    null_key_positions if pins is None else pins.for_constant(l_key)
+                )
             else:
-                candidates = range(len(right_rows))
+                candidates = range(len(right_rows)) if pins is None else pins.for_nulls(l_key)
             for position in candidates:
                 part = right_part(l_key, position)
                 if part is FALSE:
@@ -325,6 +391,104 @@ class CHashJoin(COperator):
                     values = l_values + tuple(r_values[p] for p in right_keep)
                 append((values, condition))
         return rows
+
+
+def _first_supported(values: Row, supports: Supports) -> Optional[Tuple[int, FrozenSet[Any]]]:
+    """``(index, support)`` of the first null in ``values`` that has a support."""
+    for index, value in enumerate(values):
+        if is_null(value):
+            allowed = supports.get(value)
+            if allowed is not None:
+                return index, allowed
+    return None
+
+
+class _SupportIndex:
+    """The right side of a :class:`CHashJoin`, indexed by null supports.
+
+    Each null-keyed right row is *pinned* under every support value of its
+    first supported key null, so an all-constant probe meets only the rows
+    that can take its value.  A probe carrying a supported null visits the
+    constant-keyed rows whose key holds one of that null's support values,
+    plus the null-keyed rows.  Every candidate list is then filtered by
+    :meth:`CTableContext.admits_row` over the whole key (other columns,
+    null-null disjointness) and comes back in ascending position order —
+    the unpruned join's relative output order.  The pairings skipped,
+    relative to the unpruned join, are added to ``ctx.pruned``.
+    """
+
+    __slots__ = ("ctx", "keys", "keyed", "null_positions", "pinned", "unpinned", "columns", "probes")
+
+    def __init__(
+        self,
+        ctx: CTableContext,
+        right_rows: List[CRow],
+        right_keys: Tuple[int, ...],
+        keyed: Dict[Row, List[int]],
+        null_positions: List[int],
+    ) -> None:
+        self.ctx = ctx
+        self.keys = [tuple(values[j] for j in right_keys) for values, _ in right_rows]
+        self.keyed = keyed
+        self.null_positions = null_positions
+        # key column -> support value -> ascending positions
+        self.pinned: Dict[int, Dict[Any, List[int]]] = {}
+        self.unpinned: List[int] = []
+        for position in null_positions:
+            first = _first_supported(self.keys[position], ctx.supports)
+            if first is None:
+                self.unpinned.append(position)
+                continue
+            by_value = self.pinned.setdefault(first[0], {})
+            for value in first[1]:
+                by_value.setdefault(value, []).append(position)
+        # key column -> value -> positions of constant-keyed rows (lazy)
+        self.columns: Dict[int, Dict[Any, List[int]]] = {}
+        # probe key -> admitted positions
+        self.probes: Dict[Row, List[int]] = {}
+
+    def for_constant(self, l_key: Row) -> List[int]:
+        """The null-keyed right rows the all-constant ``l_key`` can meet."""
+        candidates = self.probes.get(l_key)
+        if candidates is None:
+            hits = [by_value.get(l_key[column], ()) for column, by_value in self.pinned.items()]
+            candidates = self._admitted(l_key, _heapq_merge(self.unpinned, *hits))
+            self.probes[l_key] = candidates
+        self.ctx.pruned += len(self.null_positions) - len(candidates)
+        return candidates
+
+    def for_nulls(self, l_key: Row) -> List[int]:
+        """The right rows the null-carrying ``l_key`` can meet."""
+        candidates = self.probes.get(l_key)
+        if candidates is None:
+            first = _first_supported(l_key, self.ctx.supports)
+            if first is None:
+                pool: Iterable[int] = range(len(self.keys))
+            else:
+                column = self._column(first[0])
+                pool = sorted(
+                    itertools.chain(
+                        self.null_positions, *(column.get(value, ()) for value in first[1])
+                    )
+                )
+            candidates = self._admitted(l_key, pool)
+            self.probes[l_key] = candidates
+        self.ctx.pruned += len(self.keys) - len(candidates)
+        return candidates
+
+    def _admitted(self, l_key: Row, pool: Iterable[int]) -> List[int]:
+        admits_row = self.ctx.admits_row
+        keys = self.keys
+        return [position for position in pool if admits_row(l_key, keys[position])]
+
+    def _column(self, index: int) -> Dict[Any, List[int]]:
+        column = self.columns.get(index)
+        if column is None:
+            column = {}
+            for key, positions in self.keyed.items():
+                column.setdefault(key[index], []).extend(positions)
+            self.columns[index] = column
+        return column
 
 
 class CProduct(COperator):
@@ -369,14 +533,19 @@ class CMembershipIndex:
     The kernel-side counterpart of the interpreter's ``_MembershipIndex``:
     all-constant rows are keyed by their value tuple, so a constant probe
     only meets its exact matches plus the rows mentioning a null (which may
-    coincide with anything under some valuation).
+    coincide with anything under some valuation).  Given a context with
+    supports, a disjunct whose row equality needs a null outside its
+    support is dropped (and counted in ``ctx.pruned``).
     """
 
-    __slots__ = ("rows", "keyed", "null_rows", "kernel")
+    __slots__ = ("rows", "keyed", "null_rows", "kernel", "ctx")
 
-    def __init__(self, rows: List[CRow], kernel: ConditionKernel) -> None:
+    def __init__(
+        self, rows: List[CRow], kernel: ConditionKernel, ctx: Optional[CTableContext] = None
+    ) -> None:
         self.rows = rows
         self.kernel = kernel
+        self.ctx = ctx if ctx is not None and ctx.supports is not None else None
         self.keyed: Dict[Row, List[int]] = {}
         self.null_rows: List[int] = []
         for position, (values, _) in enumerate(rows):
@@ -388,6 +557,7 @@ class CMembershipIndex:
     def condition(self, values: Row) -> Condition:
         """The condition "``values`` is a tuple of the indexed rows"."""
         kernel = self.kernel
+        ctx = self.ctx
         if any(is_null(v) for v in values):
             relevant: Iterable[int] = range(len(self.rows))
         else:
@@ -395,6 +565,9 @@ class CMembershipIndex:
         disjuncts: List[Condition] = []
         for position in relevant:
             r_values, r_condition = self.rows[position]
+            if ctx is not None and not ctx.admits_row(values, r_values):
+                ctx.pruned += 1
+                continue
             disjunct = kernel.and_(r_condition, kernel.row_equality(values, r_values))
             if disjunct is TRUE:
                 return TRUE
@@ -414,7 +587,7 @@ class CIntersection(COperator):
 
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         kernel = ctx.kernel
-        membership = CMembershipIndex(self.right.rows(ctx), kernel)
+        membership = CMembershipIndex(self.right.rows(ctx), kernel, ctx)
         rows: List[CRow] = []
         for values, condition in self.left.rows(ctx):
             combined = kernel.and_(condition, membership.condition(values))
@@ -434,7 +607,7 @@ class CDifference(COperator):
 
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         kernel = ctx.kernel
-        membership = CMembershipIndex(self.right.rows(ctx), kernel)
+        membership = CMembershipIndex(self.right.rows(ctx), kernel, ctx)
         rows: List[CRow] = []
         for values, condition in self.left.rows(ctx):
             combined = kernel.and_(condition, kernel.not_(membership.condition(values)))
@@ -480,7 +653,7 @@ class CDivision(COperator):
         candidates: List[CRow] = [
             (tuple(values[p] for p in keep), condition) for values, condition in left_rows
         ]
-        left_membership = CMembershipIndex(left_rows, kernel)
+        left_membership = CMembershipIndex(left_rows, kernel, ctx)
 
         # reorder(candidate × divisor-row) back into R's column layout,
         # then keep the pairs that may be *missing* from R.
@@ -504,7 +677,7 @@ class CDivision(COperator):
                     continue
                 missing.append((c_values, miss_condition))
 
-        bad_membership = CMembershipIndex(missing, kernel)
+        bad_membership = CMembershipIndex(missing, kernel, ctx)
         rows: List[CRow] = []
         for c_values, c_condition in candidates:
             combined = kernel.and_(c_condition, kernel.not_(bad_membership.condition(c_values)))
@@ -541,7 +714,10 @@ class CInterpret(COperator):
 # Predicate → condition translation over position-resolved predicates
 # ----------------------------------------------------------------------
 def predicate_condition_positional(
-    predicate: Predicate, values: Row, kernel: ConditionKernel
+    predicate: Predicate,
+    values: Row,
+    kernel: ConditionKernel,
+    eq: Callable[[Any, Any], Condition],
 ) -> Condition:
     """The kernel condition expressing ``predicate`` on a (possibly null) row.
 
@@ -549,6 +725,8 @@ def predicate_condition_positional(
     :func:`repro.algebra.ctable_algebra.predicate_condition`: attribute
     references have already been resolved to positions by the logical
     optimizer, and the resulting condition is canonical in ``kernel``.
+    ``eq`` builds the equality atoms: ``kernel.eq``, or
+    :meth:`CTableContext.eq` when supports prune them.
     """
     if isinstance(predicate, PTrue):
         return TRUE
@@ -558,9 +736,9 @@ def predicate_condition_positional(
         left_value = values[left.ref] if isinstance(left, Attr) else left.value
         right_value = values[right.ref] if isinstance(right, Attr) else right.value
         if predicate.op == "=":
-            return kernel.eq(left_value, right_value)
+            return eq(left_value, right_value)
         if predicate.op == "!=":
-            return kernel.not_(kernel.eq(left_value, right_value))
+            return kernel.not_(eq(left_value, right_value))
         if is_null(left_value) or is_null(right_value):
             raise ValueError(
                 f"order comparison {predicate.op!r} on nulls is not expressible as a "
@@ -569,14 +747,14 @@ def predicate_condition_positional(
         return TRUE if _OPERATORS[predicate.op](left_value, right_value) else FALSE
     if isinstance(predicate, PAnd):
         return kernel.conjunction(
-            predicate_condition_positional(op, values, kernel) for op in predicate.operands
+            predicate_condition_positional(op, values, kernel, eq) for op in predicate.operands
         )
     if isinstance(predicate, POr):
         return kernel.disjunction(
-            predicate_condition_positional(op, values, kernel) for op in predicate.operands
+            predicate_condition_positional(op, values, kernel, eq) for op in predicate.operands
         )
     if isinstance(predicate, PNot):
-        return kernel.not_(predicate_condition_positional(predicate.operand, values, kernel))
+        return kernel.not_(predicate_condition_positional(predicate.operand, values, kernel, eq))
     raise TypeError(f"unsupported predicate {predicate!r}")
 
 
@@ -665,6 +843,7 @@ def execute_ctable(
     database: Any,
     plan_cache: "_planner.PlanCache",
     kernel: ConditionKernel,
+    supports: Optional[Supports] = None,
 ) -> ConditionalTable:
     """Evaluate an RA expression over a :class:`CTableDatabase` via the planner.
 
@@ -677,6 +856,15 @@ def execute_ctable(
     ``plan_cache`` and ``kernel`` are the caller's evaluation state
     (typically a session's), so concurrent sessions share neither plans
     nor interned conditions.
+
+    ``supports`` maps nulls to the constants a probability model lets
+    them take (``{null: frozenset(model.support(null))}``).  Given it,
+    the operators skip every derivation that needs a null outside its
+    support (see :class:`CTableContext`): the result then represents the
+    same worlds *of positive probability*, not the same CWA worlds.  The
+    map lives on the per-call context, so the cached lowering and the
+    kernel stay free of any model.  Skipped pairings are counted as
+    ``ctable.support_pruned`` on the ambient metrics registry.
     """
     state = active_budget()
     if state is not None:
@@ -696,10 +884,14 @@ def execute_ctable(
         entry.ctable_physical = lowering.lower(entry.logical)
         entry.ctable_sizes = sizes
 
-    ctx = CTableContext(database, schema, kernel)
+    ctx = CTableContext(database, schema, kernel, supports)
     with span("ctable.execute") as sp:
         crows = entry.ctable_physical.rows(ctx)
-        sp.set(rows=len(crows))
+        sp.set(rows=len(crows), pruned=ctx.pruned)
+    if ctx.pruned:
+        registry = current_metrics()
+        if registry is not None:
+            registry.count("ctable.support_pruned", ctx.pruned)
     make_row = ConditionalRow._from_trusted
-    rows = [make_row(values, condition) for values, condition in crows]
-    return ConditionalTable(entry.out_schema, rows, global_condition)
+    rows = tuple(make_row(values, condition) for values, condition in crows)
+    return ConditionalTable._from_trusted(entry.out_schema, rows, global_condition)

@@ -9,6 +9,9 @@ tuple is the probability of its lineage condition.
 * :mod:`repro.prob.model` — :class:`ProbabilityModel` /
   :class:`ExclusiveBlock`: independent per-null distributions and
   block-exclusive joint alternatives, validated at construction.
+* :mod:`repro.prob.lineage` — ``prob_lineage``: ground answer tuples
+  with their lineage conditions, built by the c-table engine pruned to
+  the model's supports (the input of ``Query.confidence()``).
 * :mod:`repro.prob.confidence` — :func:`confidence`: exact evaluation
   by decomposition over the interned condition DAG (independent splits,
   exclusive-OR detection, Shannon expansion), memoized per

@@ -806,6 +806,7 @@ class Query:
     ) -> List[Tuple[Tuple[Any, ...], Any]]:
         from .prob.conditioning import Conditioner
         from .prob.confidence import confidence as exact_confidence
+        from .prob.lineage import prob_lineage
         from .prob.montecarlo import monte_carlo_confidence
 
         model = self._require_prob("confidence()")
@@ -825,7 +826,14 @@ class Query:
         progress: dict = {}
 
         def run() -> List[Tuple[Tuple[Any, ...], Any]]:
-            candidates, constraint = self._prob_lineage(model, kernel)
+            candidates, constraint = prob_lineage(
+                self.expression,
+                self._require_database(),
+                model,
+                kernel,
+                self.session.evaluate_ctable,
+                self._prob_constraint,
+            )
             progress["candidates"] = candidates
             progress["constraint"] = constraint
             conditioner = (
@@ -898,88 +906,6 @@ class Query:
                 self.session._unregister_state(state)
         finally:
             self.session._end_run()
-
-    def _prob_lineage(
-        self, model: Any, kernel: ConditionKernel
-    ) -> Tuple[List[Tuple[Tuple[Any, ...], Any]], Optional[Any]]:
-        """Ground answer tuples with their lineage conditions, plus the
-        effective conditioning constraint (``None`` when trivial).
-
-        The c-table engine supplies one conditional row per derivation;
-        rows carrying nulls *in the tuple itself* are grounded by
-        enumerating the joint outcomes of those nulls' groups (each
-        outcome pins the nulls with equality atoms conjoined onto the
-        row's condition).  Derivations of the same ground tuple are
-        OR-ed.  Deterministic: candidates come back in first-derivation
-        order.
-        """
-        from .algebra.ctable_algebra import CTableDatabase
-        from .datamodel.conditional import FalseCondition, TrueCondition
-        from .datamodel.valuation import Valuation
-        from .resilience import active_budget
-
-        database = self._require_database()
-        model.require(database.nulls())
-        ctable = self.session.evaluate_ctable(
-            self.expression, CTableDatabase.from_database(database)
-        )
-        state = active_budget()
-        lineages: dict = {}
-        order: List[Tuple[Any, ...]] = []
-
-        def add(values: Tuple[Any, ...], lineage: Any) -> None:
-            bucket = lineages.get(values)
-            if bucket is None:
-                lineages[values] = [lineage]
-                order.append(values)
-            else:
-                bucket.append(lineage)
-
-        for row in ctable.rows:
-            condition = kernel.intern(row.condition)
-            value_nulls = sorted(
-                {v for v in row.values if is_null(v)}, key=lambda n: n.name
-            )
-            if not value_nulls:
-                if not isinstance(condition, FalseCondition):
-                    add(row.values, condition)
-                continue
-            # Ground the tuple: one candidate per distinct restriction of
-            # the involved groups' joint outcomes to the tuple's nulls.
-            seen: set = set()
-            for assignment, _probability in model.joint_outcomes(value_nulls):
-                if state is not None:
-                    state.tick_world()
-                restricted = tuple(assignment[n] for n in value_nulls)
-                if restricted in seen:
-                    continue
-                seen.add(restricted)
-                valuation = Valuation(dict(zip(value_nulls, restricted)))
-                values = valuation.apply_row(row.values)
-                pins = [kernel.eq(n, v) for n, v in zip(value_nulls, restricted)]
-                lineage = kernel.conjunction([condition, *pins])
-                if not isinstance(lineage, FalseCondition):
-                    add(values, lineage)
-
-        candidates: List[Tuple[Tuple[Any, ...], Any]] = []
-        for values in order:
-            bucket = lineages[values]
-            lineage = bucket[0] if len(bucket) == 1 else kernel.disjunction(bucket)
-            candidates.append((values, lineage))
-        self.session._metrics.count("prob.confidence.candidates", len(candidates))
-
-        parts = []
-        global_condition = kernel.intern(ctable.global_condition)
-        if not isinstance(global_condition, TrueCondition):
-            parts.append(global_condition)
-        if self._prob_constraint is not None:
-            constraint = kernel.intern(self._prob_constraint)
-            if not isinstance(constraint, TrueCondition):
-                parts.append(constraint)
-        if not parts:
-            return candidates, None
-        effective = parts[0] if len(parts) == 1 else kernel.conjunction(parts)
-        return candidates, effective
 
     @staticmethod
     def _rank_confidence(
@@ -1365,13 +1291,17 @@ class Session:
             return self._sql3vl_execute(query, database)
         return SQLEngine(database).execute(query)
 
-    def evaluate_ctable(self, expression: RAExpression, database: Any):
+    def evaluate_ctable(
+        self, expression: RAExpression, database: Any, *, _supports: Any = None
+    ):
         """Evaluate an RA expression over a c-table database.
 
         Runs the planned conditional-row path with *this session's* plan
         cache and condition kernel (``engine="interpreter"`` sessions run
         the seed tree-walking algebra,
-        :func:`repro.algebra.ctable_evaluate`, instead).
+        :func:`repro.algebra.ctable_evaluate`, instead).  ``_supports`` is
+        internal to ``Query.confidence()``: the model's supports, which
+        prune the planned path (:func:`repro.prob.lineage.prob_lineage`).
         """
         from .algebra.ctable_algebra import ctable_evaluate
         from .engine.ctable import execute_ctable
@@ -1379,7 +1309,11 @@ class Session:
         if self.engine == "interpreter":
             return ctable_evaluate(expression, database)
         return execute_ctable(
-            expression, database, plan_cache=self.plan_cache, kernel=self.kernel
+            expression,
+            database,
+            plan_cache=self.plan_cache,
+            kernel=self.kernel,
+            supports=_supports,
         )
 
     # ------------------------------------------------------------------

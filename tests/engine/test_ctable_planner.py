@@ -130,3 +130,92 @@ class TestHelpers:
         index = CMembershipIndex(rows, ConditionKernel())
         condition = index.condition((5, 2))
         assert condition == Eq(5, x) or condition == Eq(x, 5)
+
+
+class TestSupportPruning:
+    """``execute_ctable(..., supports=)``: the planned path under a model."""
+
+    X, Y, Z = Null("x"), Null("y"), Null("z")
+
+    def model(self):
+        from repro.prob import ProbabilityModel
+
+        return ProbabilityModel(
+            independent={
+                self.X: {1: 0.5, 2: 0.5},
+                self.Y: {2: 0.3, True: 0.7},
+                self.Z: {3: 1.0},
+            }
+        )
+
+    def database(self):
+        x, y, z = self.X, self.Y, self.Z
+        return Database.from_relations(
+            [
+                Relation.create(
+                    "R", [(1, x), (2, y), (x, 3), (z, 1), (y, y), (5, 5)], attributes=("a", "b")
+                ),
+                Relation.create(
+                    "S",
+                    [(1, "p"), (2, "q"), (3, "r"), (x, "s"), (z, "t"), (True, "u")],
+                    attributes=("b", "c"),
+                ),
+            ]
+        )
+
+    def supports(self, model, ctdb):
+        return {null: frozenset(model.support(null)) for null in ctdb.nulls()}
+
+    @pytest.mark.parametrize(
+        "text", ["join(R, S)", "join(S, R)", "join(R, rename[S(b, a)](S))", "select[a = b](R)"]
+    )
+    def test_pruned_join_rows_are_the_admitted_subsequence(self, text):
+        from repro.prob import brute_force_confidence
+
+        model = self.model()
+        ctdb = CTableDatabase.from_database(self.database())
+        query = parse_ra(text)
+        kernel, cache = ConditionKernel(), PlanCache()
+        full = execute_ctable(query, ctdb, plan_cache=cache, kernel=kernel).rows
+        pruned = execute_ctable(
+            query, ctdb, plan_cache=cache, kernel=kernel, supports=self.supports(model, ctdb)
+        ).rows
+        assert len(pruned) < len(full)
+        kept = iter(full)
+        for row in pruned:
+            # Same values and the very same interned condition, in the
+            # unpruned relative order.
+            assert any(
+                other.values == row.values and other.condition is row.condition for other in kept
+            )
+        survivors = {(row.values, id(row.condition)) for row in pruned}
+        for row in full:
+            if (row.values, id(row.condition)) not in survivors:
+                assert brute_force_confidence(row.condition, model) == 0.0
+
+    def test_span_attribute_and_session_counter(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        query = parse_ra("join(R, S)")
+        with repro.connect(
+            self.database(), semantics="prob", model=self.model(), tracer=tracer
+        ) as session:
+            session.query(query).confidence()
+            counters = session.metrics()["counters"]
+        spans = [s for s in tracer.spans() if s.name == "ctable.execute"]
+        assert spans and spans[0].attrs["pruned"] > 0
+        assert counters["ctable.support_pruned"] == sum(s.attrs["pruned"] for s in spans)
+
+    def test_interpreter_engine_and_public_evaluation_stay_unpruned(self):
+        query = parse_ra("join(R, S)")
+        with repro.connect(
+            self.database(), semantics="prob", model=self.model(), engine="interpreter"
+        ) as session:
+            session.query(query).confidence()
+            assert "ctable.support_pruned" not in session.metrics()["counters"]
+        ctdb = CTableDatabase.from_database(self.database())
+        with repro.connect(self.database(), semantics="prob", model=self.model()) as session:
+            planned = session.evaluate_ctable(query, ctdb)
+        domain = default_domain(self.database())
+        assert planned.possible_worlds(domain) == ctable_evaluate(query, ctdb).possible_worlds(domain)
