@@ -37,6 +37,10 @@ from repro.datamodel import Database, Relation
 SCALE_ROWS = 600_000
 # Address-space headroom granted to each capped child process.
 CAP_MARGIN_BYTES = 128 * 1024 * 1024
+# Headroom left for the cursor streams once the cursor child has loaded:
+# a capped decode memo adds about 25 MB while streaming, one that grew
+# with the 600k distinct values would add about 105 MB.
+STREAM_MARGIN_BYTES = 64 * 1024 * 1024
 # Wall-clock budget for each capped child.
 SCALE_BUDGET_SECONDS = 180.0
 
@@ -71,7 +75,10 @@ def moderate_database(rows):
 # Capped-child machinery (Linux; used by run_all's e25 scale gate too)
 # ----------------------------------------------------------------------
 def _cap_address_space(margin_bytes):
-    """Limit this process's address space to current usage + margin."""
+    """Limit this process's address space to current usage + margin.
+
+    Never raises an existing limit, so a second call only tightens it.
+    """
     import resource
 
     current = 0
@@ -84,6 +91,9 @@ def _cap_address_space(margin_bytes):
     except OSError:
         pass
     limit = current + margin_bytes
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -140,17 +150,22 @@ def _child_load_sqlite():
 
 
 def _child_cursor_stream():
-    """Child target: stream a 600k-row *answer* through a session cursor.
+    """Child target: stream 600k-row *answers* through a session cursor.
 
     Exit code 0 means a Session loaded the scale workload out of core and
     then consumed the full 600k-row answer through ``Query.cursor()``
     under the same address-space cap — which is only possible because the
     cursor never materializes the result ``Relation`` (the materialized
     relation alone needs several times the cap margin; ``gate:scale``
-    proves that side).  1/2/3 are load/count/stream failures.
+    proves that side).  After the load the cap tightens to
+    :data:`STREAM_MARGIN_BYTES`, and a second stream, ``project[b](Big)``,
+    has 600k distinct values, so a decode memo that grew with the answer
+    instead of staying capped runs out of memory too.  1/2/3/4 are
+    load/count/stream/memory failures.
     """
     _cap_address_space(CAP_MARGIN_BYTES)
     import repro
+    from repro.algebra.ast import project
     from repro.algebra.ast import relation as rel
 
     path = os.path.join(tempfile.mkdtemp(prefix="repro_e25c_"), "cursor.sqlite")
@@ -162,10 +177,14 @@ def _child_cursor_stream():
             if written != SCALE_ROWS:
                 code = 2
             else:
-                count = 0
-                for _ in session.query(rel("Big")).cursor(batch_size=10_000):
-                    count += 1
-                code = 0 if count == SCALE_ROWS else 3
+                _cap_address_space(STREAM_MARGIN_BYTES)
+                code = 0
+                for query in (rel("Big"), project(rel("Big"), ("b",))):
+                    count = 0
+                    for _ in session.query(query).cursor(batch_size=10_000):
+                        count += 1
+                    if count != SCALE_ROWS:
+                        code = 3
     except MemoryError:
         code = 4
     finally:
@@ -180,10 +199,11 @@ def _child_cursor_stream():
 def run_cursor_gate(budget_seconds=SCALE_BUDGET_SECONDS):
     """The e25 streaming gate (``gate:cursor`` in ``run_all.py --check``).
 
-    Passes when the capped child streams the full 600k-row answer through
-    ``Session.query(...).cursor()``; a cursor that materialized the
-    result relation would die on the same ``MemoryError`` the in-memory
-    load does in ``gate:scale``.
+    Passes when the capped child streams the full 600k-row answers of
+    ``Big`` and ``project[b](Big)`` through ``Session.query(...).cursor()``;
+    a cursor that materialized the result relation, or a decode memo
+    that grew with the 600k distinct values, would die on the same
+    ``MemoryError`` the in-memory load does in ``gate:scale``.
     """
     if sys.platform not in ("linux", "darwin"):
         return {"passed": True, "note": "skipped: RLIMIT_AS unavailable on this platform"}

@@ -19,7 +19,9 @@ A backend owns four responsibilities, mirrored by the abstract methods of
   streaming so instances larger than Python memory can be loaded;
 * **plan execution** — evaluate an
   :class:`~repro.algebra.ast.RAExpression` against the loaded instance
-  (:meth:`evaluate`), reusing the planner's logical optimization;
+  (:meth:`evaluate`), reusing the planner's logical optimization, or
+  stream its answer in decoded batches (:meth:`execute_batches`, with
+  :meth:`execute_cursor` as the row view over it);
 * **lifecycle** — connection/transaction management (:meth:`close`, the
   context-manager protocol).
 
@@ -31,7 +33,7 @@ in-memory physical engine.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
@@ -100,6 +102,33 @@ class Backend(abc.ABC):
         ``plan_cache`` is the caller's :class:`~repro.engine.PlanCache`,
         which supplies the optimized logical plan.
         """
+
+    def execute_batches(
+        self, expression: RAExpression, plan_cache: Any, batch_size: int = 1024
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """Stream the answer of ``expression`` as non-empty lists of decoded
+        rows, at most ``batch_size`` each, without materializing it.
+
+        Not abstract: a backend that cannot stream still implements the
+        rest of the protocol.  One that can overrides this, and closing
+        the generator early must release whatever the statement holds.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not stream answers")
+
+    def execute_cursor(
+        self, expression: RAExpression, plan_cache: Any, batch_size: int = 1024
+    ) -> Iterator[Tuple[Any, ...]]:
+        """The rows of :meth:`execute_batches`, one at a time.
+
+        Closing this generator closes the batch stream, so an abandoned
+        row view still runs the backend's teardown.
+        """
+        batches = self.execute_batches(expression, plan_cache, batch_size)
+        try:
+            for batch in batches:
+                yield from batch
+        finally:
+            batches.close()
 
     @abc.abstractmethod
     def close(self) -> None:

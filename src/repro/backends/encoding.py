@@ -32,27 +32,72 @@ every ``Null`` becomes a plain SQL ``NULL`` and constants are stored raw.
 It exists for the :mod:`repro.sqlnulls` comparison scenarios — the
 Section 1 "what SQL gets wrong" demos — where the point is to run the
 standard's three-valued semantics on a real SQL engine.
+
+Decoding is memoized in the sentinel codec: a warm query reads back the
+same encoded texts round after round, and the tag dispatch, slice and
+``sys.intern`` of :meth:`SentinelCodec.decode` cost more than SQLite's
+own work.  Caching is sound because the codec is injective and its
+opaque registry only grows, so a text decodes to the same value for the
+codec's whole lifetime; only successful decodes are cached, so a bad
+input raises :class:`EncodingError` on every call.  The memo holds at
+most :data:`DECODE_MEMO_LIMIT` entries and is emptied when it fills.
+:class:`SQLNullCodec` is not memoized: each SQL ``NULL`` it reads must
+become a *fresh* null.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+import sys
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..datamodel.values import Null, intern_null, intern_value, is_null
 from .base import EncodingError
 
 Row = Tuple[Any, ...]
 
+#: Entries the sentinel codec's decode memo holds before it is emptied.
+#: An entry (encoded key, decoded value, dict slot) costs about 170 bytes
+#: for short text values, so a full memo is about 11 MB.  A warm
+#: 8k-order SQLite session decodes about 12k distinct values, well under.
+DECODE_MEMO_LIMIT = 1 << 16
+
+
+class _DecodeMemo(dict):
+    """Encoded text → decoded value; a miss decodes through ``decode``.
+
+    A failed decode raises out of :meth:`__missing__` before anything is
+    stored.  A full memo is emptied before the next insert, so its size
+    never exceeds :data:`DECODE_MEMO_LIMIT`.  Once :attr:`frozen` it
+    serves hits and decodes misses without inserting, so threads sharing
+    a frozen backend only ever read it.
+    """
+
+    __slots__ = ("_decode", "frozen")
+
+    def __init__(self, decode: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._decode = decode
+        self.frozen = False
+
+    def __missing__(self, text: Any) -> Any:
+        value = self._decode(text)
+        if not self.frozen:
+            if len(self) >= DECODE_MEMO_LIMIT:
+                self.clear()
+            self[text] = value
+        return value
+
 
 class SentinelCodec:
     """The injective marked-null ⇄ sentinel-constant codec (naive mode).
 
-    Stateless except for the opaque-constant registry, so one codec
-    instance must be shared between loading a database and compiling the
-    queries that run against it (the backend owns exactly one).
+    Its state is the opaque-constant registry and the decode memo behind
+    :meth:`decode_row`.  The registry is why one codec instance must be
+    shared between loading a database and compiling the queries that run
+    against it (the backend owns exactly one).
     """
 
-    __slots__ = ("_opaque", "_opaque_rev")
+    __slots__ = ("_opaque", "_opaque_rev", "_memo")
 
     #: SQL semantics of the encoded values: sets (the naive model).
     set_semantics = True
@@ -62,6 +107,11 @@ class SentinelCodec:
     def __init__(self) -> None:
         self._opaque: Dict[Any, str] = {}
         self._opaque_rev: Dict[str, Any] = {}
+        self._memo = _DecodeMemo(self.decode)
+
+    def freeze(self) -> None:
+        """Stop inserting into the decode memo (hits are still served)."""
+        self._memo.frozen = True
 
     # ------------------------------------------------------------------
     def encode(self, value: Any) -> str:
@@ -93,12 +143,15 @@ class SentinelCodec:
         return token
 
     def decode(self, text: Any) -> Any:
-        """Invert :meth:`encode`; the result is interned like relation values."""
+        """Invert :meth:`encode`; the result is interned like relation values.
+
+        Uncached: :meth:`decode_row` is the memoized path.
+        """
         if not isinstance(text, str) or not text:
             raise EncodingError(f"not a sentinel-encoded value: {text!r}")
         tag, payload = text[0], text[1:]
         if tag == "s":
-            return intern_value(payload)
+            return sys.intern(payload)
         if tag == "n":
             return intern_null(Null(payload))
         if tag == "i":
@@ -117,7 +170,12 @@ class SentinelCodec:
         return tuple(self.encode(value) for value in row)
 
     def decode_row(self, row: Sequence[Any]) -> Row:
-        return tuple(self.decode(value) for value in row)
+        return tuple(map(self._memo.__getitem__, row))
+
+    def decode_rows(self, rows: Iterable[Sequence[Any]]) -> List[Row]:
+        """:meth:`decode_row` over ``rows``, without a call per row."""
+        lookup = self._memo.__getitem__
+        return [tuple(map(lookup, row)) for row in rows]
 
 
 class SQLNullCodec:
@@ -135,6 +193,9 @@ class SQLNullCodec:
 
     set_semantics = False
     column_type = ""  # no affinity: values keep their storage class
+
+    def freeze(self) -> None:
+        """Nothing to freeze: this codec keeps no decode memo."""
 
     def encode(self, value: Any) -> Any:
         if isinstance(value, Null):
@@ -154,4 +215,8 @@ class SQLNullCodec:
         return tuple(self.encode(value) for value in row)
 
     def decode_row(self, row: Sequence[Any]) -> Row:
-        return tuple(self.decode(value) for value in row)
+        return tuple(map(self.decode, row))
+
+    def decode_rows(self, rows: Iterable[Sequence[Any]]) -> List[Row]:
+        decode = self.decode
+        return [tuple(map(decode, row)) for row in rows]

@@ -13,9 +13,10 @@ makes failure a scheduled, repeatable event:
   and the give-up path (fail calls 1..4).
 
 * :class:`FaultInjectingBackend` wraps any :class:`~.base.Backend` and
-  consults the schedule before delegating.  The stream of
-  ``execute_cursor`` additionally fires a ``"fetch"`` fault per row
-  yielded, which is how the mid-iteration teardown path is tested.
+  consults the schedule before delegating.  A cursor stream
+  (``execute_batches``, and the ``execute_cursor`` row view over it)
+  fires ``"execute_cursor"`` when it starts and a ``"fetch"`` fault per
+  batch yielded, which is how the mid-iteration teardown path is tested.
 
 * :class:`FaultInjectingCodec` wraps a value codec and fails the Nth
   ``encode_row`` call — the only way to die *inside* a bulk refill,
@@ -34,7 +35,7 @@ import time
 from collections import Counter
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
@@ -66,7 +67,7 @@ class FaultSchedule:
     plan:
         Mapping from operation name to a :data:`FaultSpec`.  Operation
         names are the :class:`FaultInjectingBackend` method names plus
-        ``"fetch"`` (one count per row pulled from a cursor stream).
+        ``"fetch"`` (one count per batch pulled from a cursor stream).
     error:
         How to build the injected exception: an exception class
         (instantiated with a descriptive message), or a callable taking
@@ -169,18 +170,21 @@ class FaultInjectingBackend(Backend):
         self.schedule.fire("evaluate")
         return self.inner.evaluate(expression, plan_cache)
 
-    def execute_cursor(
+    def execute_batches(
         self,
         expression: RAExpression,
         plan_cache: Any,
         batch_size: int = 1024,
-    ) -> Iterator[Tuple[Any, ...]]:
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        # Intercepted here, not only in the inherited execute_cursor row
+        # view: the session streams through execute_batches, which the
+        # __getattr__ fallback would otherwise forward unfaulted.
         self.schedule.fire("execute_cursor")
-        stream = self.inner.execute_cursor(expression, plan_cache, batch_size)
+        stream = self.inner.execute_batches(expression, plan_cache, batch_size)
         try:
-            for row in stream:
+            for batch in stream:
                 self.schedule.fire("fetch")
-                yield row
+                yield batch
         finally:
             # An injected fetch fault (or an abandoned consumer) must
             # still run the inner generator's teardown path.

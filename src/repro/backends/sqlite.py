@@ -136,13 +136,16 @@ class SQLiteBackend(Backend):
         skipped: a progress handler is per-connection state and would
         cross-cancel unrelated threads.  The active-domain table is
         materialized eagerly here, while the handle is still private, so
-        adom-using plans keep working afterwards.  Freezing is one-way.
+        adom-using plans keep working afterwards.  The codec's decode memo
+        is frozen too: it keeps serving the values decoded so far and
+        decodes new ones without storing them.  Freezing is one-way.
         """
         if self._frozen:
             return
         self._ensure_healthy()
         if self._schema is not None:
             self._ensure_adom()
+        self.codec.freeze()
         self._frozen = True
 
     def _refuse_frozen(self, action: str) -> None:
@@ -158,7 +161,7 @@ class SQLiteBackend(Backend):
         another thread (``sqlite3.Connection.interrupt`` is documented
         thread-safe) and a no-op when no statement is running.  The
         aborted statement surfaces as ``OperationalError("interrupted")``
-        inside :meth:`evaluate`/:meth:`execute_cursor`, which re-type it
+        inside :meth:`evaluate`/:meth:`execute_batches`, which re-type it
         as :class:`~repro.resilience.QueryCancelled`.
         """
         self._interrupt_requested = True
@@ -438,9 +441,8 @@ class SQLiteBackend(Backend):
             f"SELECT {', '.join(f'c{i}' for i in range(schema.arity))} "
             f"FROM {table_name(name)}"
         )
-        decode_row = self.codec.decode_row
         return Relation._from_trusted(
-            schema, frozenset(decode_row(row) for row in cursor)
+            schema, frozenset(self.codec.decode_rows(cursor))
         )
 
     # ------------------------------------------------------------------
@@ -590,28 +592,28 @@ class SQLiteBackend(Backend):
             if armed:
                 self._disarm_progress()
             self._teardown(cursor, plan)
-        decode_row = self.codec.decode_row
         return Relation._from_trusted(
-            out_schema, frozenset(decode_row(row) for row in rows)
+            out_schema, frozenset(self.codec.decode_rows(rows))
         )
 
-    def execute_cursor(
+    def execute_batches(
         self,
         expression: RAExpression,
         plan_cache: Any,
         batch_size: int = 1024,
-    ) -> Iterator[Tuple[Any, ...]]:
+    ) -> Iterator[List[Tuple[Any, ...]]]:
         """Stream the answer rows of ``expression``, decoded, batch by batch.
 
         Unlike :meth:`evaluate` this never materializes the result set on
-        the Python side — rows are pulled from SQLite with ``fetchmany``
-        and yielded one at a time, so a query whose answer is larger than
-        memory can still be consumed incrementally (this is what
-        :meth:`repro.session.Query.cursor` rides on).  The plan's
-        temp-table teardown runs when the stream is exhausted *or* the
-        generator is closed early, so abandoning a cursor cannot leak
-        spilled intermediates.  Rows are distinct: the generated SQL keeps
-        set semantics, so no Python-side dedup set is needed.
+        the Python side — each ``fetchmany`` of up to ``batch_size`` rows
+        is decoded into one fresh, non-empty list and yielded, so a query
+        whose answer is larger than memory can still be consumed
+        incrementally (this is what :meth:`repro.session.Query.cursor`
+        rides on).  The plan's temp-table teardown runs when the stream is
+        exhausted *or* the generator is closed early, so abandoning a
+        stream cannot leak spilled intermediates.  Rows are distinct: the
+        generated SQL keeps set semantics, so no Python-side dedup set is
+        needed.
 
         When a budget with a deadline is armed the in-statement watchdog
         (:meth:`_arm_progress`) stays installed until the stream is
@@ -622,7 +624,7 @@ class SQLiteBackend(Backend):
         if not self._frozen:
             self._interrupt_requested = False
         plan, out_schema = self._plan_for(expression, plan_cache)
-        decode_row = self.codec.decode_row
+        decode_rows = self.codec.decode_rows
         state = active_budget()
         armed = False if self._frozen else self._arm_progress(state)
         cursor = self._connection.cursor()
@@ -641,8 +643,7 @@ class SQLiteBackend(Backend):
                         sp.set(rows=len(batch))
                     if not batch:
                         break
-                    for row in batch:
-                        yield decode_row(row)
+                    yield decode_rows(batch)
             except sqlite3.OperationalError as error:
                 typed = self._typed_interrupt(error, state)
                 if typed is error:

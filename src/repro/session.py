@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import multiprocessing
 import threading
 import warnings
@@ -147,53 +148,85 @@ class _WorldEvaluator:
 class Cursor:
     """A forward-only row stream over a query answer.
 
-    Iterating yields decoded rows one at a time; :meth:`fetchmany` /
-    :meth:`batches` expose the same stream in chunks.  On the SQLite
-    engine the rows come straight off the backend cursor in batches of
-    ``batch_size`` — the answer :class:`Relation` is never materialized,
-    which is what lets a session stream results larger than memory.  On
-    the in-memory engines the cursor iterates the evaluated relation
-    (documented fallback: those engines materialize by nature).
+    The cursor reads from a source of row batches.  Iterating yields
+    decoded rows one at a time; :meth:`batches` and a :meth:`fetchmany`
+    without a size hand each source batch through as it is, never
+    re-chunked; ``fetchmany(n)`` gathers up to ``n`` rows across batches.
+    All of them may be mixed on one cursor and read the stream in order.
+    On the SQLite engine each batch is one backend ``fetchmany`` of up to
+    ``batch_size`` decoded rows — the answer :class:`Relation` is never
+    materialized, which is what lets a session stream results larger
+    than memory.  On the in-memory engines the cursor slices the
+    evaluated relation (documented fallback: those engines materialize
+    by nature).  The ``cursor.batches``/``cursor.rows`` counters count
+    batches as they enter the cursor, so every consumption style counts
+    the same totals.
     """
 
     def __init__(
         self,
-        rows: Iterator[Tuple[Any, ...]],
+        batches: Iterator[List[Tuple[Any, ...]]],
         batch_size: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._rows = rows
+        self._source = batches
+        # The unread rows of the batch that row reads are working through.
+        self._rows: Iterator[Tuple[Any, ...]] = iter(())
         self.batch_size = batch_size
         self._closed = False
         self._metrics = metrics
 
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return self._rows
+    def _next_batch(self) -> List[Tuple[Any, ...]]:
+        """The unread rest of the current batch, else the next non-empty
+        source batch as it is (counted here); ``[]`` at the end."""
+        rest = list(self._rows)
+        if rest:
+            return rest
+        for batch in self._source:
+            if batch:
+                if self._metrics is not None:
+                    self._metrics.count("cursor.batches")
+                    self._metrics.count("cursor.rows", len(batch))
+                return batch
+        return []
+
+    def __iter__(self) -> "Cursor":
+        return self
 
     def __next__(self) -> Tuple[Any, ...]:
+        for row in self._rows:
+            return row
+        self._rows = iter(self._next_batch())
         return next(self._rows)
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        """Up to ``size`` (default ``batch_size``) more rows; ``[]`` at the end."""
-        count = size if size is not None else self.batch_size
-        out: List[Tuple[Any, ...]] = []
-        for row in self._rows:
-            out.append(row)
-            if len(out) >= count:
+        """Up to ``size`` more rows; ``[]`` at the end.
+
+        Without ``size`` this is the next batch (or the unread rest of
+        the current one) exactly as the source produced it.
+        """
+        if size is None:
+            return self._next_batch()
+        out = list(itertools.islice(self._rows, size))
+        while len(out) < size:
+            batch = self._next_batch()
+            if not batch:
                 break
-        if out and self._metrics is not None:
-            self._metrics.count("cursor.batches")
-            self._metrics.count("cursor.rows", len(out))
+            self._rows = iter(batch)
+            out.extend(itertools.islice(self._rows, size - len(out)))
         return out
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         """Every remaining row (materializes; defeats streaming on purpose)."""
-        return list(self._rows)
+        out: List[Tuple[Any, ...]] = []
+        for batch in self.batches():
+            out.extend(batch)
+        return out
 
     def batches(self) -> Iterator[List[Tuple[Any, ...]]]:
-        """Iterate the remaining rows in lists of ``batch_size``."""
+        """Iterate the remaining rows batch by batch (see :meth:`fetchmany`)."""
         while True:
-            batch = self.fetchmany()
+            batch = self._next_batch()
             if not batch:
                 return
             yield batch
@@ -214,8 +247,9 @@ class Cursor:
         if self._closed:
             return
         self._closed = True
-        rows, self._rows = self._rows, iter(())
-        close = getattr(rows, "close", None)
+        source, self._source = self._source, iter(())
+        self._rows = iter(())
+        close = getattr(source, "close", None)
         if close is not None:
             close()
 
@@ -224,6 +258,16 @@ class Cursor:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _chunks(rows: Iterable[Tuple[Any, ...]], size: int) -> Iterator[List[Tuple[Any, ...]]]:
+    """``rows`` as consecutive lists of at most ``size`` rows."""
+    rows = iter(rows)
+    while True:
+        batch = list(itertools.islice(rows, size))
+        if not batch:
+            return
+        yield batch
 
 
 class Query:
@@ -1027,26 +1071,27 @@ class Query:
                 rows = self.session.sql(
                     self.expression, database=self._database, certain=certain
                 )
-                return Cursor(iter(rows), batch_size, metrics=metrics)
+                return Cursor(_chunks(rows, batch_size), batch_size, metrics=metrics)
             expression = self.expression
             if certain and not naive_evaluation_applies(
                 expression,
                 semantics=applicability_semantics(self.session.world_semantics),
             ):
-                rows: Iterable[Tuple[Any, ...]] = iter(self._certain(
-                    "auto", None, None, 1, None, None, None
-                ).rows)
-                return Cursor(iter(rows), batch_size, metrics=metrics)
-            stream: Iterator[Tuple[Any, ...]]
+                answer = self._certain("auto", None, None, 1, None, None, None)
+                return Cursor(_chunks(answer.rows, batch_size), batch_size, metrics=metrics)
+            batches: Iterator[List[Tuple[Any, ...]]]
             if self.session.engine == "sqlite" and isinstance(expression, RAExpression):
-                stream = self.session._stream_sqlite(
+                batches = self.session._stream_sqlite(
                     expression, self.database, batch_size
                 )
             else:
-                stream = iter(self.answer_object().rows)
+                batches = _chunks(self.answer_object().rows, batch_size)
             if certain:
-                stream = (row for row in stream if not any(is_null(v) for v in row))
-            return Cursor(stream, batch_size, metrics=metrics)
+                batches = (
+                    [row for row in batch if not any(map(is_null, row))]
+                    for batch in batches
+                )
+            return Cursor(batches, batch_size, metrics=metrics)
 
 
 class Session:
@@ -1504,55 +1549,55 @@ class Session:
         expression: RAExpression,
         database: Optional[Database],
         batch_size: int,
-    ) -> Iterator[Tuple[Any, ...]]:
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """The answer of ``expression`` as a stream of decoded row batches."""
         from .backends.base import BackendError
 
         import sqlite3
 
         from .backends import sqlite as _sqlite_module
 
+        def _materialized(db: Database) -> Iterator[List[Tuple[Any, ...]]]:
+            return _chunks(self.plan_cache.execute(expression, db).rows, batch_size)
+
         if (
             self._frozen
             and database is not None
             and database is not self._backend_database
         ):
-            return iter(self.plan_cache.execute(expression, database).rows)
+            return _materialized(database)
         backend = self._ensure_backend(database)
 
-        def _start() -> Tuple[Iterator[Tuple[Any, ...]], Any]:
+        def _start() -> Tuple[Iterator[List[Tuple[Any, ...]]], Any]:
             # A retry re-creates the generator: the faulted one already ran
             # its teardown when the first next() raised.
-            stream = backend.execute_cursor(
+            stream = backend.execute_batches(
                 expression, self.plan_cache, batch_size=batch_size
             )
             return stream, next(stream, _SENTINEL)
 
         try:
-            plan_iter, first = with_retries(_start, policy=self.retry_policy)
+            batches, first = with_retries(_start, policy=self.retry_policy)
         except BackendError:
             if database is None:
                 raise
             # Outside the SQL fragment: fall back to the in-memory engine
             # (materializes — the fragment has no streaming path).
             self._metrics.count("backend.fallbacks.fragment")
-            return iter(self.plan_cache.execute(expression, database).rows)
+            return _materialized(database)
         except sqlite3.Error as error:
             if isinstance(error, sqlite3.OperationalError) and _sqlite_module._is_engine_limit(error):
                 if database is None:
                     raise
                 self._metrics.count("backend.fallbacks.engine_limit")
-                return iter(self.plan_cache.execute(expression, database).rows)
+                return _materialized(database)
             if _sqlite_module.is_runtime_failure(error):
                 self._metrics.count("backend.recoveries")
-                return iter(
-                    self.plan_cache.execute(
-                        expression, self._recover_backend_failure(error, database)
-                    ).rows
-                )
+                return _materialized(self._recover_backend_failure(error, database))
             raise
         if first is _SENTINEL:
             return iter(())
-        return _stream_rest(first, plan_iter)
+        return _stream_rest(first, batches)
 
     def _analyze_sqlite(
         self, expression: RAExpression, database: Optional[Database]
@@ -1622,8 +1667,7 @@ class Session:
         finally:
             backend._teardown(cursor, plan)
         seconds = _time.perf_counter() - t0
-        decode_row = backend.codec.decode_row
-        distinct = frozenset(decode_row(row) for row in rows)
+        distinct = frozenset(backend.codec.decode_rows(rows))
         return AnalyzeReport(
             "sqlite", len(distinct), seconds, statements=statements, spills=spills
         )
@@ -1691,7 +1735,7 @@ class Session:
             codec = backend.codec
             try:
                 cursor = backend.connection.execute(sql, params)
-                return [codec.decode_row(row) for row in cursor]
+                return codec.decode_rows(cursor)
             except Exception as error:
                 if isinstance(error, SQLError):
                     raise
@@ -1718,7 +1762,7 @@ class Session:
         codec = backend.codec
         try:
             cursor = backend.connection.execute(sql, params)
-            return [codec.decode_row(row) for row in cursor]
+            return codec.decode_rows(cursor)
         except Exception as error:
             if isinstance(error, SQLError):
                 raise
@@ -1912,34 +1956,38 @@ _SENTINEL = object()
 
 
 def _stream_rest(
-    first: Tuple[Any, ...], rest: Iterator[Tuple[Any, ...]]
-) -> Iterator[Tuple[Any, ...]]:
-    """Yield ``first`` then drain ``rest``, typing mid-stream backend deaths.
+    first: List[Tuple[Any, ...]], rest: Iterator[List[Tuple[Any, ...]]]
+) -> Iterator[List[Tuple[Any, ...]]]:
+    """Yield batch ``first`` then drain ``rest``, typing mid-stream deaths.
 
     Once rows have been handed to the consumer the in-memory recovery of
     :meth:`Session._execute_sqlite` is no longer sound (splicing a
     restarted answer could repeat or reorder what was already yielded),
     so an environmental failure here becomes a typed
     :class:`BackendUnavailable` — never a silent wrong answer, never a
-    raw driver exception.
+    raw driver exception.  Closing this generator closes ``rest``, which
+    runs the backend's teardown.
     """
     import sqlite3
 
-    yield first
-    while True:
-        try:
-            row = next(rest)
-        except StopIteration:
-            return
-        except sqlite3.Error as error:
-            from .backends.sqlite import is_runtime_failure
+    try:
+        yield first
+        while True:
+            try:
+                batch = next(rest)
+            except StopIteration:
+                return
+            except sqlite3.Error as error:
+                from .backends.sqlite import is_runtime_failure
 
-            if is_runtime_failure(error):
-                raise BackendUnavailable(
-                    f"sqlite backend died mid-stream after yielding rows: {error}"
-                ) from error
-            raise
-        yield row
+                if is_runtime_failure(error):
+                    raise BackendUnavailable(
+                        f"sqlite backend died mid-stream after yielding rows: {error}"
+                    ) from error
+                raise
+            yield batch
+    finally:
+        rest.close()
 
 
 def _render_physical(op: Any, indent: int = 0) -> str:

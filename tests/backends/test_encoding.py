@@ -15,10 +15,14 @@ import random
 
 import pytest
 
-from repro.backends import EncodingError, SentinelCodec
+import repro
+from repro.algebra import parse_ra
+from repro.backends import EncodingError, SentinelCodec, SQLiteBackend
+from repro.backends import encoding
 from repro.backends.encoding import SQLNullCodec
-from repro.datamodel import Null
-from repro.datamodel.values import is_null
+from repro.datamodel import Database, Null, Relation
+from repro.datamodel.values import intern_null, is_null
+from repro.engine import PlanCache
 
 
 def _value_pool():
@@ -94,6 +98,120 @@ class TestSentinelRoundTrip:
         codec = SentinelCodec()
         row = (Null("x"), "nx", 1, 1.5, (1, 2))
         assert codec.decode_row(codec.encode_row(row)) == row
+
+
+def _random_values(rng, count):
+    """Randomized storable values over every encoding branch."""
+    values = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0:
+            values.append(Null("".join(rng.choices("abcxyz0123", k=rng.randrange(1, 8)))))
+        elif kind == 1:
+            values.append("".join(rng.choices("nsifo:\x00abc123", k=rng.randrange(0, 10))))
+        elif kind == 2:
+            values.append(rng.randrange(-(10**9), 10**9))
+        elif kind == 3:
+            values.append(rng.uniform(-1e6, 1e6))
+        else:
+            values.append((rng.randrange(10), "".join(rng.choices("ab", k=3))))
+    return values
+
+
+class TestDecodeMemo:
+    def test_memoized_decode_equals_uncached_decode(self):
+        codec = SentinelCodec()
+        pool = _value_pool() + _random_values(random.Random(11), 500)
+        texts = [codec.encode(value) for value in pool]
+        for _ in range(2):  # the second pass is served from the memo
+            for value, text in zip(pool, texts):
+                (memoized,) = codec.decode_row((text,))
+                uncached = codec.decode(text)
+                assert memoized == uncached == value
+                assert type(memoized) is type(uncached)
+                if is_null(value):
+                    assert memoized is intern_null(Null(value.name))
+
+    def test_numbers_decode_to_one_int(self):
+        codec = SentinelCodec()
+        row = codec.encode_row((1, 1.0, True))
+        for _ in range(2):
+            decoded = codec.decode_row(row)
+            assert decoded == (1, 1, 1)
+            assert all(type(value) is int for value in decoded)
+
+    def test_opaque_tokens_round_trip_through_the_memo(self):
+        codec = SentinelCodec()
+        row = codec.encode_row(((1, 2), frozenset({3}), b"raw"))
+        assert codec.decode_row(row) == ((1, 2), frozenset({3}), b"raw")
+        assert codec.decode_row(row) == ((1, 2), frozenset({3}), b"raw")
+
+    @pytest.mark.parametrize("text", [None, b"", "", "x1", "o999"])
+    def test_bad_inputs_raise_every_time_and_are_not_cached(self, text):
+        codec = SentinelCodec()
+        codec.decode_row(("sa", "i1"))
+        size = len(codec._memo)
+        for _ in range(3):
+            with pytest.raises(EncodingError):
+                codec.decode_row((text,))
+            assert len(codec._memo) == size
+
+    def test_unknown_opaque_token_decodes_once_registered(self):
+        codec = SentinelCodec()
+        with pytest.raises(EncodingError):
+            codec.decode_row(("o0",))
+        assert codec.encode((5, 6)) == "o0"
+        assert codec.decode_row(("o0",)) == ((5, 6),)
+
+    def test_memo_never_exceeds_its_cap(self):
+        codec = SentinelCodec()
+        for i in range(encoding.DECODE_MEMO_LIMIT + 1_000):
+            assert codec.decode_row(("sv%d" % i,)) == ("v%d" % i,)
+            assert len(codec._memo) <= encoding.DECODE_MEMO_LIMIT
+        # emptied when full, then refilled from the values decoded since
+        assert len(codec._memo) == 1_000
+
+    def test_streaming_more_values_than_the_cap_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(encoding, "DECODE_MEMO_LIMIT", 64)
+        database = Database.from_relations(
+            [Relation.create("Big", [("k%d" % (i % 7), "v%d" % i) for i in range(500)],
+                             attributes=("a", "b"))]
+        )
+        backend = SQLiteBackend()
+        backend.load_database(database)
+        rows = []
+        for batch in backend.execute_batches(parse_ra("Big"), PlanCache(), batch_size=16):
+            rows.extend(batch)
+            assert len(backend.codec._memo) <= 64
+        assert frozenset(rows) == database.relation("Big").rows
+        backend.close()
+
+    def test_frozen_backend_memo_does_not_grow(self):
+        database = Database.from_relations(
+            [
+                Relation.create("R", [("a", 1), ("b", Null("x"))], attributes=("k", "v")),
+                Relation.create("S", [("c%d" % i, i) for i in range(50)], attributes=("k", "v")),
+            ]
+        )
+        session = repro.connect(database, engine="sqlite")
+        session.freeze(warm=[parse_ra("R")])
+        memo = session._backend.codec._memo
+        size = len(memo)
+        assert size > 0
+        assert session.query(parse_ra("S")).answer_object() == database.relation("S")
+        assert sorted(session.query(parse_ra("S")).cursor()) == sorted(database.relation("S").rows)
+        assert session.query(parse_ra("R")).answer_object() == database.relation("R")
+        assert len(memo) == size
+        session.close()
+
+    def test_sql_null_codec_decodes_fresh_nulls(self):
+        codec = SQLNullCodec()
+        first = codec.decode_row((None, None, "a"))
+        second = codec.decode_row((None, None, "a"))
+        nulls = [first[0], first[1], second[0], second[1]]
+        assert all(is_null(null) for null in nulls)
+        assert len(set(nulls)) == 4
+        assert first[2] == second[2] == "a"
 
 
 class TestSentinelInjectivity:

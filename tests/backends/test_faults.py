@@ -243,6 +243,22 @@ class TestCursorTeardown:
         session.close()
 
 
+    def test_fetch_fault_reaches_the_session_batch_stream(self, db):
+        session = repro.connect(db, engine="sqlite")
+        session._ensure_backend(db)
+        schedule = FaultSchedule({"fetch": {2}})
+        session._backend = FaultInjectingBackend(session._backend, schedule)
+        cursor = session.query(_spilling_query()).cursor(batch_size=1)
+        assert len(cursor.fetchmany()) == 1
+        with pytest.raises(BackendUnavailable):
+            cursor.fetchmany()
+        assert schedule.calls["execute_cursor"] == 1
+        assert schedule.injected["fetch"] == 1
+        cursor.close()
+        assert _leaked_temp_tables(session._backend.connection) == []
+        session.close()
+
+
 class TestSessionRetries:
     def test_transient_evaluate_fault_is_retried(self, db):
         session = repro.connect(db, engine="sqlite")

@@ -5,6 +5,8 @@ import pytest
 import repro
 from repro import Database, Null, Relation
 from repro.algebra import parse_ra
+from repro.algebra.ast import product, relation, select, union
+from repro.algebra.predicates import Attr, Comparison
 
 
 @pytest.fixture
@@ -59,6 +61,90 @@ class TestSqliteStreaming:
         order_query = parse_ra("select[#0 < #1](WithNulls)")
         with pytest.raises(Exception):  # order comparison on nulls: same error
             list(session.query(order_query).cursor())
+
+
+def _drain_rows(cursor):
+    return list(cursor)
+
+
+def _drain_fetchmany(cursor):
+    rows = []
+    while True:
+        batch = cursor.fetchmany()
+        if not batch:
+            return rows
+        rows.extend(batch)
+
+
+def _drain_batches(cursor):
+    return [row for batch in cursor.batches() for row in batch]
+
+
+def _drain_next(cursor):
+    rows = []
+    while True:
+        try:
+            rows.append(next(cursor))
+        except StopIteration:
+            return rows
+
+
+def _leaked_temp_tables(connection):
+    return connection.execute(
+        "SELECT name FROM sqlite_temp_master "
+        "WHERE type = 'table' AND name LIKE '\\_repro\\_tmp%' ESCAPE '\\'"
+    ).fetchall()
+
+
+class TestCursorBatches:
+    @pytest.mark.parametrize("engine", ["sqlite", "plan"])
+    def test_counters_agree_across_consumption_styles(self, db, engine):
+        totals = []
+        for drain in (_drain_rows, _drain_next, _drain_fetchmany, _drain_batches):
+            session = repro.connect(db, engine=engine)
+            with session.query(QUERY).cursor(batch_size=4) as cursor:
+                rows = drain(cursor)
+            counters = session.metrics()["counters"]
+            assert counters["cursor.rows"] == len(rows) == 50, drain.__name__
+            totals.append((counters["cursor.batches"], counters["cursor.rows"]))
+            session.close()
+        assert totals == [(13, 50)] * 4
+
+    def test_mixed_reads_lose_and_repeat_nothing(self, db):
+        session = repro.connect(db, engine="sqlite")
+        expected = session.query(QUERY).certain().rows
+        cursor = session.query(QUERY).cursor(batch_size=4)
+        rows = [next(cursor)]
+        rows += cursor.fetchmany(3)  # crosses into the second batch
+        rows += cursor.fetchmany()  # the unread rest of that batch
+        rows.append(next(cursor))
+        batches = cursor.batches()
+        first = next(batches)  # the rest of the third batch
+        rows += first
+        assert len(first) == 3
+        rows += cursor.fetchmany(5)
+        rows += [row for batch in batches for row in batch]
+        assert cursor.fetchmany() == [] and cursor.fetchmany(2) == []
+        assert len(rows) == len(set(rows)) == 50
+        assert frozenset(rows) == expected
+
+    def test_default_fetchmany_hands_backend_batches_through(self, db):
+        session = repro.connect(db, engine="sqlite")
+        sizes = [len(batch) for batch in session.query(QUERY).cursor(batch_size=8).batches()]
+        assert sizes == [8] * 6 + [2]
+
+    def test_close_mid_batch_leaks_no_temp_tables(self, db):
+        shared = select(product(relation("Big"), relation("Big")), Comparison(Attr(0), "=", Attr(2)))
+        spilling = union(shared, shared)
+        session = repro.connect(db, engine="sqlite")
+        cursor = session.query(spilling).cursor(batch_size=4)
+        next(cursor)
+        cursor.fetchmany(2)
+        assert _leaked_temp_tables(session._backend.connection) != []
+        cursor.close()
+        assert _leaked_temp_tables(session._backend.connection) == []
+        assert cursor.fetchmany() == [] and list(cursor) == []
+        session.close()
 
 
 class TestInMemoryFallback:
