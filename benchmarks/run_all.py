@@ -589,7 +589,7 @@ def scenario_cancel() -> Dict[str, Any]:
             overshoot = max(0.0, elapsed - deadline)
             leaked = [
                 row[0]
-                for row in session._backend.connection.execute(
+                for row in session._engine.sentinel.backend.connection.execute(
                     "SELECT name FROM sqlite_temp_master "
                     "WHERE type = 'table' AND name LIKE '\\_repro\\_tmp%' ESCAPE '\\'"
                 ).fetchall()

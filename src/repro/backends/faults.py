@@ -47,6 +47,7 @@ __all__ = [
     "FaultInjectingCodec",
     "FaultInjectingExecutor",
     "FaultSchedule",
+    "inject_faults",
 ]
 
 #: A fault spec: 1-based call indexes that fail, or a predicate over them.
@@ -123,7 +124,7 @@ class FaultInjectingBackend(Backend):
     """A :class:`Backend` proxy that fails on schedule, else delegates.
 
     Everything not intercepted here — ``connection``, ``codec``, the
-    private bookkeeping the session layer peeks at — falls through to the
+    private bookkeeping the SQLite engine peeks at — falls through to the
     wrapped backend via ``__getattr__``, so the proxy is drop-in wherever
     a real backend is expected.
     """
@@ -193,6 +194,22 @@ class FaultInjectingBackend(Backend):
     # -- everything else falls through ---------------------------------
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)
+
+
+def inject_faults(
+    session: Any, schedule: FaultSchedule, *, three_valued: bool = False
+) -> FaultInjectingBackend:
+    """Put a :class:`FaultInjectingBackend` in front of an ``engine="sqlite"``
+    session's handle (``three_valued=True``: the one behind ``sql()``).
+
+    The handle is loaded with the session's database first, so
+    ``schedule`` counts what queries do.  Returns the proxy, which serves
+    the session until it closes.
+    """
+    engine = session._engine
+    slot = engine.threevl if three_valued else engine.sentinel
+    slot.backend = FaultInjectingBackend(slot.acquire(session.database), schedule)
+    return slot.backend
 
 
 class _DelayedFuture:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import sqlite3
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
@@ -205,31 +205,28 @@ class SQLiteBackend(Backend):
         if not self._deadline_states:
             self._connection.set_progress_handler(None, 0)
 
-    def _typed_interrupt(
-        self, error: sqlite3.OperationalError, state: Optional[Any]
-    ) -> BaseException:
-        """Re-type SQLite's ``interrupted`` into the resilience taxonomy.
+    def _raise_typed(self, error: sqlite3.OperationalError, state: Optional[Any]) -> NoReturn:
+        """Re-raise ``error``, SQLite's ``interrupted`` in the resilience taxonomy.
 
         Three ways a statement aborts mid-flight: :meth:`interrupt` was
         called (→ :class:`QueryCancelled`), the armed budget's deadline
         passed or it was cancelled (→ the typed error its own ``check()``
         raises), or something external interrupted the connection — that
-        last one is not ours to re-type and returns ``error`` unchanged.
+        last one is not ours to re-type and re-raises ``error`` unchanged.
         """
-        if "interrupt" not in str(error).lower():
-            return error
-        if self._interrupt_requested:
-            if not self._frozen:
-                # Frozen handles serve many threads: one consumer must not
-                # clear the flag before the others re-type their aborts.
-                self._interrupt_requested = False
-            return QueryCancelled("statement interrupted by Session.cancel()")
-        if state is not None:
-            try:
-                state.check()
-            except (BudgetExceeded, QueryCancelled) as typed:
-                return typed
-        return error
+        if "interrupt" in str(error).lower():
+            if self._interrupt_requested:
+                if not self._frozen:
+                    # Frozen handles serve many threads: one consumer must not
+                    # clear the flag before the others re-type their aborts.
+                    self._interrupt_requested = False
+                raise QueryCancelled("statement interrupted by Session.cancel()") from error
+            if state is not None:
+                try:
+                    state.check()
+                except (BudgetExceeded, QueryCancelled) as typed:
+                    raise typed from error
+        raise error
 
     def _ensure_healthy(self) -> None:
         """Rebuild a poisoned handle before it serves anything.
@@ -493,31 +490,12 @@ class SQLiteBackend(Backend):
         self, expression: RAExpression, plan_cache: Any
     ) -> Tuple[CompiledPlan, RelationSchema]:
         """The compiled SQL plan and output schema for ``expression`` (cached)."""
-        if self._schema is None:
+        schema = self._schema
+        if schema is None:
             raise BackendError("no database loaded")
         entry = self._plans.get(expression)
-        if self._frozen:
-            # Read-only: serve hits without LRU reordering, compile misses
-            # without publishing them, and never create indexes or adom
-            # tables on the shared connection.  Plans that spill to temp
-            # tables cannot run concurrently on one connection — refuse
-            # them so the caller's in-memory fallback takes over.
-            if entry is None:
-                schema = self._schema
-                out_schema = expression.output_schema(schema)
-                logical = plan_cache.compile(expression, schema)
-                stats = self._database if self._database is not None else _BackendStats(self)
-                entry = (SQLCompiler(stats, self.codec).compile(logical), out_schema)
-            plan, out_schema = entry
-            if plan.uses_adom and not self._adom_ready:
-                raise BackendError("frozen backend has no materialized active domain")
-            if plan.setup:
-                raise BackendError(
-                    "plan spills to temp tables; not runnable on a frozen backend"
-                )
-            return plan, out_schema
-        if entry is None:
-            schema = self._schema
+        hit = entry is not None
+        if not hit:
             out_schema = expression.output_schema(schema)
             # Reuse the planner's (expression, schema) logical-plan cache:
             # the SQL path optimizes exactly once with the in-memory one.
@@ -527,14 +505,27 @@ class SQLiteBackend(Backend):
             # is attached, else against SQL COUNT(*) statistics — the
             # out-of-core case, where no Database object ever exists.
             stats = self._database if self._database is not None else _BackendStats(self)
-            plan = SQLCompiler(stats, self.codec).compile(logical)
-            entry = (plan, out_schema)
+            entry = (SQLCompiler(stats, self.codec).compile(logical), out_schema)
+        plan, out_schema = entry
+        if self._frozen:
+            # Read-only: serve hits without LRU reordering, compile misses
+            # without publishing them, and never create indexes or adom
+            # tables on the shared connection.  Plans that spill to temp
+            # tables cannot run concurrently on one connection — refuse
+            # them so the caller's in-memory fallback takes over.
+            if plan.uses_adom and not self._adom_ready:
+                raise BackendError("frozen backend has no materialized active domain")
+            if plan.setup:
+                raise BackendError(
+                    "plan spills to temp tables; not runnable on a frozen backend"
+                )
+            return plan, out_schema
+        if hit:
+            self._plans.move_to_end(expression)
+        else:
             self._plans[expression] = entry
             if len(self._plans) > _PLAN_CACHE_LIMIT:
                 self._plans.popitem(last=False)
-        else:
-            self._plans.move_to_end(expression)
-        plan, out_schema = entry
         if plan.uses_adom:
             self._ensure_adom()
         for name, positions in plan.index_requests:
@@ -562,7 +553,9 @@ class SQLiteBackend(Backend):
             except sqlite3.Error:
                 pass
 
-    def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
+    def _open(self, expression: RAExpression, plan_cache: Any) -> Tuple[Any, ...]:
+        """``(plan, out_schema, state, armed, cursor)``: the caller runs the
+        plan, disarms the deadline watchdog if ``armed``, and tears down."""
         self._ensure_healthy()
         if not self._frozen:
             self._interrupt_requested = False
@@ -573,7 +566,10 @@ class SQLiteBackend(Backend):
         # other thread's statement.  Deadlines still trip at the world
         # ticks; Session.cancel() still interrupts via interrupt().
         armed = False if self._frozen else self._arm_progress(state)
-        cursor = self._connection.cursor()
+        return plan, out_schema, state, armed, self._connection.cursor()
+
+    def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
+        plan, out_schema, state, armed, cursor = self._open(expression, plan_cache)
         try:
             with span("backend.evaluate", spills=len(plan.setup)) as sp:
                 try:
@@ -582,10 +578,7 @@ class SQLiteBackend(Backend):
                     rows = cursor.execute(plan.query, plan.params).fetchall()
                     sp.set(rows=len(rows))
                 except sqlite3.OperationalError as error:
-                    typed = self._typed_interrupt(error, state)
-                    if typed is error:
-                        raise
-                    raise typed from error
+                    self._raise_typed(error, state)
         finally:
             # Disarm before teardown so an expired deadline cannot abort
             # the DROPs that keep temp tables from leaking.
@@ -620,14 +613,8 @@ class SQLiteBackend(Backend):
         closed — fetches happen mid-statement, so the deadline must be
         enforced across the whole consumption, not just the first execute.
         """
-        self._ensure_healthy()
-        if not self._frozen:
-            self._interrupt_requested = False
-        plan, out_schema = self._plan_for(expression, plan_cache)
+        plan, _, state, armed, cursor = self._open(expression, plan_cache)
         decode_rows = self.codec.decode_rows
-        state = active_budget()
-        armed = False if self._frozen else self._arm_progress(state)
-        cursor = self._connection.cursor()
         try:
             # A span per fetched batch, not per stream: a generator can be
             # parked indefinitely between next() calls, which would make a
@@ -645,10 +632,7 @@ class SQLiteBackend(Backend):
                         break
                     yield decode_rows(batch)
             except sqlite3.OperationalError as error:
-                typed = self._typed_interrupt(error, state)
-                if typed is error:
-                    raise
-                raise typed from error
+                self._raise_typed(error, state)
         finally:
             # Teardown must survive a backend that died mid-iteration
             # (fetch fault, closed connection): the original error, not a

@@ -24,8 +24,6 @@ from .ctable import execute_ctable
 from .logical import LogicalNode, explain, optimize
 from .planner import PlanCache
 
-_ENGINES = ("plan", "interpreter", "sqlite")
-
 __all__ = [
     "LogicalNode",
     "PlanCache",

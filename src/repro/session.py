@@ -21,17 +21,18 @@ Koch & Olteanu::
 A :class:`Session` owns **all** of its evaluation state: its own plan
 cache (:class:`repro.engine.PlanCache`), its own condition kernel
 (:class:`repro.datamodel.ConditionKernel`, bounded via
-``connect(kernel_watermark=...)``), and its own
-:class:`~repro.backends.SQLiteBackend` handles (one sentinel-mode, one
-three-valued for :meth:`Session.sql`), kept open across queries — the
-first step of the ROADMAP "persistent backend" item: switching to another
-database with the same schema refills the existing tables instead of
-opening a fresh backend.  Two live sessions therefore share *no* mutable
-state and can use different engines, semantics and cache settings in the
-same process.  There is no process-wide evaluation state to fall back
-on: code outside a session builds its own
-:class:`~repro.engine.PlanCache` (``docs/api.md`` maps the calls removed
-in 2.0 to their replacements).
+``connect(kernel_watermark=...)``), and one engine object from the
+registry in :mod:`repro.engine.registry`.  The session decides *what* to
+answer — the mode, the semantics, the budget and its degradation ladder
+— and hands every evaluation to that engine, whatever its name: this
+module never branches on the engine.  The ``"sqlite"`` engine
+(:mod:`repro.backends.sqlite_engine`) keeps its SQLite handles open
+across queries and owns every retry, fallback and recovery decision of
+that path.  Two live sessions therefore share *no* mutable state and can
+use different engines, semantics and cache settings in the same process.
+There is no process-wide evaluation state to fall back on: code outside
+a session builds its own :class:`~repro.engine.PlanCache`
+(``docs/api.md`` maps the calls removed in 2.0 to their replacements).
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ import hashlib
 import itertools
 import multiprocessing
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra.ast import RAExpression
 from .core.answers import (
@@ -58,8 +58,6 @@ from .core.answers import (
 )
 from .resilience import (
     DEFAULT_RETRY_POLICY,
-    BackendRecoveryWarning,
-    BackendUnavailable,
     Budget,
     BudgetExceeded,
     BudgetState,
@@ -69,15 +67,15 @@ from .resilience import (
     RetryPolicy,
     SessionClosedError,
     budget_scope,
-    with_retries,
 )
 from .core.naive_evaluation import naive_evaluation_applies
 from .datamodel import Database, Relation
 from .datamodel.condition_kernel import ConditionKernel
 from .datamodel.schema import DatabaseSchema
 from .datamodel.values import is_null
+from .engine.registry import NO_DATABASE, chunks, engine_factory
 from .logic.formulas import FOQuery
-from .obs.analyze import AnalyzeReport, OpStats
+from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer, entry_scope, env_tracer, span
 from .semantics.certain import (
@@ -88,13 +86,17 @@ from .semantics.certain import (
 from .semantics import certain as _certain_module
 
 _SEMANTICS = ("owa", "cwa", "wcwa", "prob")
+_BUDGET_POLICIES = ("degrade", "raise", "partial")
 
 
-def _engine_names() -> Tuple[str, ...]:
-    """The canonical engine tuple (single source: :mod:`repro.engine`)."""
-    from .engine import _ENGINES
-
-    return _ENGINES
+def _budget_policy(policy: Any) -> str:
+    """``policy`` if it names an ``on_budget`` policy, else :class:`InvalidRequestError`."""
+    if policy not in _BUDGET_POLICIES:
+        raise InvalidRequestError(
+            f"unknown on_budget policy {policy!r}; "
+            "expected 'degrade', 'raise' or 'partial'"
+        )
+    return policy
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +120,7 @@ class _WorldEvaluator:
 
     def __init__(self, query: QueryLike, session: "Session", boolean: bool = False) -> None:
         self.query = query
-        self.interpret = session.engine == "interpreter"
+        self.interpret = session._engine.interprets
         self.boolean = boolean
         self.plan_cache = session.plan_cache
         self.session: Optional["Session"] = session
@@ -260,16 +262,6 @@ class Cursor:
         self.close()
 
 
-def _chunks(rows: Iterable[Tuple[Any, ...]], size: int) -> Iterator[List[Tuple[Any, ...]]]:
-    """``rows`` as consecutive lists of at most ``size`` rows."""
-    rows = iter(rows)
-    while True:
-        batch = list(itertools.islice(rows, size))
-        if not batch:
-            return
-        yield batch
-
-
 class Query:
     """A lazy handle on ``(session, query, database)``.
 
@@ -321,14 +313,42 @@ class Query:
     def _require_database(self) -> Database:
         database = self.database
         if database is None:
-            raise InvalidRequestError(
-                "no database: pass one to connect() or session.query(..., database=)"
-            )
+            raise InvalidRequestError(NO_DATABASE)
         return database
 
-    def _world_evaluator(self, boolean: bool = False) -> _WorldEvaluator:
-        """The per-world evaluator of this query (picklable for ``workers=``)."""
-        return _WorldEvaluator(self.expression, self.session, boolean)
+    def _run(
+        self,
+        run: Callable[[], Any],
+        budget: Optional[Budget],
+        on_expiry: Optional[Callable[[BudgetExceeded], Any]] = None,
+    ) -> Any:
+        """``run()`` as one session run, under ``budget`` (else the session's).
+
+        The run is counted in flight (so :meth:`Session.cancel` can reach
+        it and one cancel cannot poison the next query) and its armed
+        budget is registered for cancellation.  When the budget expires,
+        ``on_expiry(error)`` answers instead — outside the expired budget,
+        so a degradation rung is not cut short by the deadline that sent
+        the run there; without ``on_expiry`` the error propagates.
+        """
+        session = self.session
+        if budget is None:
+            budget = session.budget
+        state = None if budget is None else budget.start()
+        session._begin_run(state)
+        try:
+            if state is None:
+                return run()
+            try:
+                with budget_scope(state):
+                    return run()
+            except BudgetExceeded as error:
+                if on_expiry is None:
+                    raise
+                session._metrics.count("budget.expired." + (error.resource or "budget"))
+                return on_expiry(error)
+        finally:
+            session._end_run(state)
 
     # -- modes of answering --------------------------------------------
     def certain(
@@ -393,13 +413,7 @@ class Query:
                 )
             return self.session.sql(self.expression, database=self._database, certain=True)
         self._resilience_verdict = None
-        budget = budget if budget is not None else self.session.budget
-        policy = on_budget if on_budget is not None else self.session.on_budget
-        if policy not in ("degrade", "raise", "partial"):
-            raise InvalidRequestError(
-                f"unknown on_budget policy {policy!r}; "
-                "expected 'degrade', 'raise' or 'partial'"
-            )
+        policy = _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
         token = self._validated_resume(resume, method, domain, extra_constants, max_extra_facts)
         run = functools.partial(
             certain_strategy,
@@ -412,29 +426,16 @@ class Query:
             extra_constants=extra_constants,
             max_extra_facts=max_extra_facts,
             workers=self.session.workers,
-            world_evaluator=self._world_evaluator(),
+            world_evaluator=_WorldEvaluator(self.expression, self.session),
             resume=token,
             executor=self.session._worker_executor(),
         )
-        self.session._begin_run()
-        try:
-            if budget is None:
-                return run()
-            state = budget.start()
-            self.session._register_state(state)
-            try:
-                with budget_scope(state):
-                    return run()
-            except BudgetExceeded as error:
-                self.session._metrics.count(
-                    "budget.expired." + (error.resource or "budget")
-                )
-                self._stamp_resume(error, domain, extra_constants, max_extra_facts)
-                return self._degrade_certain(error, policy)
-            finally:
-                self.session._unregister_state(state)
-        finally:
-            self.session._end_run()
+
+        def degrade(error: BudgetExceeded) -> Any:
+            self._stamp_resume(error, domain, extra_constants, max_extra_facts)
+            return self._degrade_certain(error, policy)
+
+        return self._run(run, budget, degrade)
 
     def _validated_resume(
         self,
@@ -622,42 +623,20 @@ class Query:
         subset of the possible answers, which no sound rung can complete.
         """
         with self.session._obs("query.possible"):
-            return self._possible(domain, extra_constants, max_extra_facts, budget)
-
-    def _possible(
-        self,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-        budget: Optional[Budget],
-    ) -> Relation:
-        self._no_sql("possible()")
-        budget = budget if budget is not None else self.session.budget
-        run = functools.partial(
-            enumeration_strategy,
-            self.expression,
-            self._require_database(),
-            self.session._evaluate,
-            semantics=self.session.world_semantics,
-            domain=domain,
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-            world_evaluator=self._world_evaluator(),
-            mode="possible",
-        )
-        self.session._begin_run()
-        try:
-            if budget is None:
-                return run()
-            state = budget.start()
-            self.session._register_state(state)
-            try:
-                with budget_scope(state):
-                    return run()
-            finally:
-                self.session._unregister_state(state)
-        finally:
-            self.session._end_run()
+            self._no_sql("possible()")
+            run = functools.partial(
+                enumeration_strategy,
+                self.expression,
+                self._require_database(),
+                self.session._evaluate,
+                semantics=self.session.world_semantics,
+                domain=domain,
+                extra_constants=extra_constants,
+                max_extra_facts=max_extra_facts,
+                world_evaluator=_WorldEvaluator(self.expression, self.session),
+                mode="possible",
+            )
+            return self._run(run, budget)
 
     def answer_object(self) -> Relation:
         """``certainO``: the naive answer itself, nulls included (eq. (9)).
@@ -667,12 +646,9 @@ class Query:
         with self.session._obs("query.answer_object"):
             if self._is_sql():
                 return self.session.sql(self.expression, database=self._database)
-            database = self.database
-            if database is None:
-                # Backend-resident data (out-of-core sessions loaded through
-                # Session.load_rows): evaluate directly on the backend.
-                return self.session._execute_sqlite(self.expression, None)
-            return object_strategy(self.expression, database, self.session._evaluate)
+            # Without a database the engine answers from its own store
+            # (data loaded through Session.load_rows), if it has one.
+            return object_strategy(self.expression, self.database, self.session._evaluate)
 
     def knowledge(self):
         """``certainK``: the δ-formula of the naive answer (eq. (10))."""
@@ -704,33 +680,11 @@ class Query:
         has no sound middle ground to degrade to).
         """
         with self.session._obs("query.boolean"):
-            return self._boolean_entry(
-                mode, domain, extra_constants, max_extra_facts, budget
+            self._no_sql("boolean()")
+            return self._run(
+                functools.partial(self._boolean, mode, domain, extra_constants, max_extra_facts),
+                budget,
             )
-
-    def _boolean_entry(
-        self,
-        mode: str,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-        budget: Optional[Budget],
-    ) -> bool:
-        self._no_sql("boolean()")
-        budget = budget if budget is not None else self.session.budget
-        self.session._begin_run()
-        try:
-            if budget is None:
-                return self._boolean(mode, domain, extra_constants, max_extra_facts)
-            state = budget.start()
-            self.session._register_state(state)
-            try:
-                with budget_scope(state):
-                    return self._boolean(mode, domain, extra_constants, max_extra_facts)
-            finally:
-                self.session._unregister_state(state)
-        finally:
-            self.session._end_run()
 
     def _boolean(
         self,
@@ -740,7 +694,7 @@ class Query:
         max_extra_facts: int,
     ) -> bool:
         database = self._require_database()
-        evaluate = self._world_evaluator(boolean=True)
+        evaluate = _WorldEvaluator(self.expression, self.session, boolean=True)
         domain = enumeration_domain(self.expression, database, domain, extra_constants)
         if mode == "certain":
             return enumerate_certain_boolean(
@@ -836,83 +790,56 @@ class Query:
         dies before the lineage exists (c-table evaluation itself) always
         raises — with no lineage there is nothing to estimate.
         """
-        with self.session._obs("query.confidence"):
-            return self._confidence(limit, min_p, budget, on_budget, samples, seed)
-
-    def _confidence(
-        self,
-        limit: Optional[int],
-        min_p: float,
-        budget: Optional[Budget],
-        on_budget: Optional[str],
-        samples: int,
-        seed: Optional[int],
-    ) -> List[Tuple[Tuple[Any, ...], Any]]:
         from .prob.conditioning import Conditioner
         from .prob.confidence import confidence as exact_confidence
         from .prob.lineage import prob_lineage
         from .prob.montecarlo import monte_carlo_confidence
 
-        model = self._require_prob("confidence()")
-        if limit is not None and limit < 1:
-            raise InvalidRequestError(f"limit must be >= 1, got {limit!r}")
-        policy = on_budget if on_budget is not None else self.session.on_budget
-        if policy not in ("degrade", "raise", "partial"):
-            raise InvalidRequestError(
-                f"unknown on_budget policy {policy!r}; "
-                "expected 'degrade', 'raise' or 'partial'"
-            )
-        self._resilience_verdict = None
-        budget = budget if budget is not None else self.session.budget
-        kernel = self.session.kernel
-        # Mutable carrier: on a budget overrun the except-branch reads the
-        # lineage and the exact prefix computed before the expiry.
-        progress: dict = {}
+        with self.session._obs("query.confidence"):
+            model = self._require_prob("confidence()")
+            if limit is not None and limit < 1:
+                raise InvalidRequestError(f"limit must be >= 1, got {limit!r}")
+            policy = _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
+            self._resilience_verdict = None
+            kernel = self.session.kernel
+            # Mutable carrier: on a budget overrun estimate() reads the
+            # lineage and the exact prefix computed before the expiry.
+            progress: dict = {}
 
-        def run() -> List[Tuple[Tuple[Any, ...], Any]]:
-            candidates, constraint = prob_lineage(
-                self.expression,
-                self._require_database(),
-                model,
-                kernel,
-                self.session.evaluate_ctable,
-                self._prob_constraint,
-            )
-            progress["candidates"] = candidates
-            progress["constraint"] = constraint
-            conditioner = (
-                Conditioner(constraint, model, kernel)
-                if constraint is not None
-                else None
-            )
-            scored: List[Tuple[Tuple[Any, ...], Any]] = []
-            progress["scored"] = scored
-            for values, lineage in candidates:
-                if conditioner is not None:
-                    p = conditioner.probability(lineage)
-                else:
-                    p = exact_confidence(lineage, model, kernel)
-                scored.append((values, p))
-            return scored
+            def run() -> List[Tuple[Tuple[Any, ...], Any]]:
+                candidates, constraint = prob_lineage(
+                    self.expression,
+                    self._require_database(),
+                    model,
+                    kernel,
+                    self.session.evaluate_ctable,
+                    self._prob_constraint,
+                )
+                progress["candidates"] = candidates
+                progress["constraint"] = constraint
+                conditioner = (
+                    Conditioner(constraint, model, kernel)
+                    if constraint is not None
+                    else None
+                )
+                scored: List[Tuple[Tuple[Any, ...], Any]] = []
+                progress["scored"] = scored
+                for values, lineage in candidates:
+                    if conditioner is not None:
+                        p = conditioner.probability(lineage)
+                    else:
+                        p = exact_confidence(lineage, model, kernel)
+                    scored.append((values, p))
+                return scored
 
-        self.session._begin_run()
-        try:
-            if budget is None:
-                return self._rank_confidence(run(), limit, min_p)
-            state = budget.start()
-            self.session._register_state(state)
-            try:
-                with budget_scope(state):
-                    return self._rank_confidence(run(), limit, min_p)
-            except BudgetExceeded as error:
+            def estimate(error: BudgetExceeded) -> List[Tuple[Tuple[Any, ...], Any]]:
                 resource = error.resource or "budget"
-                self.session._metrics.count("budget.expired." + resource)
                 if policy == "raise":
                     self._resilience_verdict = (
                         f"budget exceeded ({resource}); on_budget='raise' — "
                         "no estimator ran"
                     )
-                    raise
+                    raise error
                 candidates = progress.get("candidates")
                 if candidates is None:
                     # Lineage construction itself blew the budget: no
@@ -921,7 +848,7 @@ class Query:
                         f"budget exceeded ({resource}) during c-table lineage "
                         "construction — nothing to estimate; raised"
                     )
-                    raise
+                    raise error
                 scored = list(progress.get("scored", ()))
                 constraint = progress.get("constraint")
                 verdict = (
@@ -946,10 +873,8 @@ class Query:
                     scored.append((values, estimate))
                 self._resilience_verdict = verdict
                 return self._rank_confidence(scored, limit, min_p)
-            finally:
-                self.session._unregister_state(state)
-        finally:
-            self.session._end_run()
+
+            return self._run(lambda: self._rank_confidence(run(), limit, min_p), budget, estimate)
 
     @staticmethod
     def _rank_confidence(
@@ -1017,8 +942,6 @@ class Query:
         ``world.evaluate`` spans of the tracer are for.  Caveats are in
         ``docs/observability.md#analyze``.
         """
-        import time as _time
-
         self._no_sql("analyze()")
         if not isinstance(self.expression, RAExpression):
             raise InvalidRequestError(
@@ -1026,29 +949,8 @@ class Query:
                 "queries are evaluated by satisfaction, without a plan"
             )
         database = self._require_database()
-        engine = self.session.engine
         with self.session._obs("query.analyze"):
-            if engine == "sqlite":
-                report = self.session._analyze_sqlite(self.expression, database)
-                if report is not None:
-                    return report
-            notes: List[str] = []
-            if engine == "sqlite":
-                notes.append(
-                    "plan outside the SQL fragment (or not runnable on this "
-                    "backend); analyzed on the in-memory plan engine instead"
-                )
-            elif engine == "interpreter":
-                notes.append(
-                    "interpreter engine has no operator tree; analyzed on the "
-                    "plan engine (same logical plan, different executor)"
-                )
-            t0 = _time.perf_counter()
-            relation, root = self.session.plan_cache.analyze(self.expression, database)
-            seconds = _time.perf_counter() - t0
-            return AnalyzeReport(
-                "plan", len(relation), seconds, root=root, notes=notes
-            )
+            return self.session._engine.analyze(self.expression, database)
 
     # -- streaming -----------------------------------------------------
     def cursor(self, batch_size: int = 1024, certain: bool = False) -> Cursor:
@@ -1071,21 +973,19 @@ class Query:
                 rows = self.session.sql(
                     self.expression, database=self._database, certain=certain
                 )
-                return Cursor(_chunks(rows, batch_size), batch_size, metrics=metrics)
+                return Cursor(chunks(rows, batch_size), batch_size, metrics=metrics)
             expression = self.expression
             if certain and not naive_evaluation_applies(
                 expression,
                 semantics=applicability_semantics(self.session.world_semantics),
             ):
                 answer = self._certain("auto", None, None, 1, None, None, None)
-                return Cursor(_chunks(answer.rows, batch_size), batch_size, metrics=metrics)
+                return Cursor(chunks(answer.rows, batch_size), batch_size, metrics=metrics)
             batches: Iterator[List[Tuple[Any, ...]]]
-            if self.session.engine == "sqlite" and isinstance(expression, RAExpression):
-                batches = self.session._stream_sqlite(
-                    expression, self.database, batch_size
-                )
+            if isinstance(expression, RAExpression):
+                batches = self.session._stream(expression, self.database, batch_size)
             else:
-                batches = _chunks(self.answer_object().rows, batch_size)
+                batches = chunks(self.answer_object().rows, batch_size)
             if certain:
                 batches = (
                     [row for row in batch if not any(map(is_null, row))]
@@ -1121,19 +1021,12 @@ class Session:
     ) -> None:
         from .engine.planner import PlanCache
 
-        if engine not in _engine_names():
-            raise InvalidRequestError(
-                f"unknown engine {engine!r}; expected one of {_engine_names()}"
-            )
+        open_engine = engine_factory(engine)
         if semantics not in _SEMANTICS:
             raise InvalidRequestError(
                 f"unknown semantics {semantics!r}; expected one of {_SEMANTICS}"
             )
-        if on_budget not in ("degrade", "raise", "partial"):
-            raise InvalidRequestError(
-                f"unknown on_budget policy {on_budget!r}; "
-                "expected 'degrade', 'raise' or 'partial'"
-            )
+        _budget_policy(on_budget)
         if database is not None and not isinstance(database, Database):
             raise TypeError(
                 f"connect() expects a Database (or None), got {type(database).__name__}"
@@ -1179,17 +1072,24 @@ class Session:
         self._tracer = tracer if tracer is not None else env_tracer()
         self.kernel = ConditionKernel(watermark=kernel_watermark, memo_limit=kernel_memo_limit)
         self.plan_cache = PlanCache(kernel=self.kernel, metrics=self._metrics)
-        self._backend: Optional[Any] = None          # sentinel-mode SQLiteBackend
-        self._backend_database: Optional[Database] = None
-        self._sql3vl_backend: Optional[Any] = None   # three-valued SQLiteBackend
-        self._sql3vl_database: Optional[Database] = None
-        self._backend_recovery_warned = False
         self._lock = threading.RLock()
-        # Armed budget states of in-flight queries, for Session.cancel().
-        # Guarded by a dedicated lock (never the RLock: cancel() must not
-        # block behind a query thread holding the backend lock).
-        self._active_states: List[BudgetState] = []
-        self._states_lock = threading.Lock()
+        # The one engine every evaluation is handed to (repro.engine.registry).
+        self._engine = open_engine(
+            self.plan_cache,
+            self.kernel,
+            metrics=self._metrics,
+            backend_path=backend_path,
+            retry_policy=self.retry_policy,
+            lock=self._lock,
+        )
+        # One entry per in-flight run: its armed budget state (None when
+        # unbudgeted), for Session.cancel().  When a run begins on an idle
+        # session the workers cancel event is cleared, so one cancel()
+        # cannot poison the next, unrelated query.  Guarded by a dedicated
+        # lock (never the RLock: cancel() must not block behind a query
+        # thread holding the backend lock).
+        self._runs: List[Optional[BudgetState]] = []
+        self._runs_lock = threading.Lock()
         # The session-held process pool for workers= fan-outs, built
         # lazily on first use and reused across certain()/boolean() calls
         # (rebuilding a pool per call costs a fork per worker per query).
@@ -1200,11 +1100,6 @@ class Session:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._cancel_event: Optional[Any] = None
-        # In-flight run counter: the cancel event is cleared when a run
-        # begins on an idle session, so one cancel() cannot poison the
-        # next, unrelated query.
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self._frozen = False
         self._closed = False
 
@@ -1319,7 +1214,6 @@ class Session:
         (``IS NOT NULL`` guards) of :mod:`repro.sqlnulls.rewriting`.
         """
         from .sqlnulls import parse_sql
-        from .sqlnulls.engine import SQLEngine
         from .sqlnulls.rewriting import certain_answer_rewriting
 
         if isinstance(query, str):
@@ -1332,9 +1226,7 @@ class Session:
             )
         if certain:
             query = certain_answer_rewriting(query, database)
-        if self.engine == "sqlite":
-            return self._sql3vl_execute(query, database)
-        return SQLEngine(database).execute(query)
+        return self._engine.sql(query, database)
 
     def evaluate_ctable(
         self, expression: RAExpression, database: Any, *, _supports: Any = None
@@ -1348,30 +1240,11 @@ class Session:
         internal to ``Query.confidence()``: the model's supports, which
         prune the planned path (:func:`repro.prob.lineage.prob_lineage`).
         """
-        from .algebra.ctable_algebra import ctable_evaluate
-        from .engine.ctable import execute_ctable
-
-        if self.engine == "interpreter":
-            return ctable_evaluate(expression, database)
-        return execute_ctable(
-            expression,
-            database,
-            plan_cache=self.plan_cache,
-            kernel=self.kernel,
-            supports=_supports,
-        )
+        return self._engine.evaluate_ctable(expression, database, _supports)
 
     # ------------------------------------------------------------------
     # the session-held worker pool
     # ------------------------------------------------------------------
-    def _ensure_cancel_event(self) -> Any:
-        """The shared cancel flag, created once (before any pool inherits it)."""
-        event = self._cancel_event
-        if event is None:
-            event = multiprocessing.Event()
-            self._cancel_event = event
-        return event
-
     def _worker_executor(self) -> Optional[ProcessPoolExecutor]:
         """The session's warm process pool, or ``None`` when workers <= 1.
 
@@ -1390,39 +1263,29 @@ class Session:
                 executor = None
                 self._metrics.count("workers.pool_rebuilds")
             if executor is None:
+                # The shared cancel flag, created before any pool inherits it.
+                if self._cancel_event is None:
+                    self._cancel_event = multiprocessing.Event()
                 executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_pool_initializer,
-                    initargs=(self._ensure_cancel_event(),),
+                    initargs=(self._cancel_event,),
                 )
                 self._executor = executor
             return executor
 
-    def _begin_run(self) -> None:
-        with self._inflight_lock:
-            if self._inflight == 0:
-                event = self._cancel_event
-                if event is not None:
-                    event.clear()
-            self._inflight += 1
-
-    def _end_run(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
     # ------------------------------------------------------------------
-    # cancellation
+    # runs and cancellation
     # ------------------------------------------------------------------
-    def _register_state(self, state: BudgetState) -> None:
-        with self._states_lock:
-            self._active_states.append(state)
+    def _begin_run(self, state: Optional[BudgetState]) -> None:
+        with self._runs_lock:
+            if not self._runs and self._cancel_event is not None:
+                self._cancel_event.clear()
+            self._runs.append(state)
 
-    def _unregister_state(self, state: BudgetState) -> None:
-        with self._states_lock:
-            try:
-                self._active_states.remove(state)
-            except ValueError:  # pragma: no cover - double unregister
-                pass
+    def _end_run(self, state: Optional[BudgetState]) -> None:
+        with self._runs_lock:
+            self._runs.remove(state)
 
     def cancel(self) -> None:
         """Cancel every in-flight evaluation of this session, from any thread.
@@ -1449,324 +1312,35 @@ class Session:
         have no cooperative check points in the in-memory engines.
         Idempotent; a session with nothing running is a no-op.
         """
-        with self._states_lock:
-            states = list(self._active_states)
+        with self._runs_lock:
+            states = [state for state in self._runs if state is not None]
         for state in states:
             state.cancel()
         event = self._cancel_event
         if event is not None:
             event.set()
-        for backend in (self._backend, self._sql3vl_backend):
-            if backend is not None:
-                try:
-                    backend.interrupt()
-                except Exception:  # noqa: BLE001 - cancel must never throw
-                    pass
+        self._engine.interrupt()
 
     # ------------------------------------------------------------------
     # evaluation plumbing
     # ------------------------------------------------------------------
-    def _evaluate(self, query: QueryLike, database: Database) -> Relation:
+    def _evaluate(self, query: QueryLike, database: Optional[Database]) -> Relation:
         """Evaluate ``query`` on ``database`` with this session's state."""
         if self._closed:
             raise SessionClosedError("session is closed")
         if isinstance(query, FOQuery):
+            if database is None:
+                raise InvalidRequestError(NO_DATABASE)
             return query.evaluate(database)
-        engine = self.engine
-        if engine == "plan":
-            return self.plan_cache.execute(query, database)
-        if engine == "interpreter":
-            return query._interpret(database)
-        return self._execute_sqlite(query, database)
+        return self._engine.evaluate(query, database)
 
-    def _recover_backend_failure(
-        self, error: BaseException, database: Optional[Database]
-    ) -> Database:
-        """Decide the fate of an *environmental* backend failure.
-
-        With a :class:`Database` resident in memory the evaluation
-        recovers on the in-memory engine (the semantics oracle), warning
-        once per session; backend-resident (out-of-core) sessions have
-        nothing to recover onto and get :class:`BackendUnavailable`.
-        """
-        if database is None:
-            raise BackendUnavailable(
-                f"sqlite backend failed and no in-memory database is resident "
-                f"to recover onto: {error}"
-            ) from error
-        if not self._backend_recovery_warned:
-            self._backend_recovery_warned = True
-            warnings.warn(
-                f"sqlite backend failed ({error}); this session recovered via "
-                "the in-memory engine and will keep recovering silently",
-                BackendRecoveryWarning,
-                stacklevel=4,
-            )
-        return database
-
-    def _execute_sqlite(
-        self, expression: RAExpression, database: Optional[Database]
-    ) -> Relation:
-        import sqlite3
-
-        from .backends.base import BackendError
-        from .backends import sqlite as _sqlite_module
-
-        try:
-            # A database the backend cannot store (e.g. NaN) raises a
-            # BackendError here and takes the same fallback.
-            backend = self._ensure_backend(database)
-            # Retries live here (not inside the backend) so wrapper-level
-            # injected faults exercise the same path real SQLITE_BUSY does.
-            return with_retries(
-                functools.partial(
-                    backend.evaluate, expression, plan_cache=self.plan_cache
-                ),
-                policy=self.retry_policy,
-            )
-        except BackendError:
-            if database is None:
-                raise
-            # Outside the SQL fragment (or a compile-time failure): the
-            # quiet, by-design fallback — no warning, the backend is fine.
-            self._metrics.count("backend.fallbacks.fragment")
-            return self.plan_cache.execute(expression, database)
-        except sqlite3.Error as error:
-            if isinstance(error, sqlite3.OperationalError) and _sqlite_module._is_engine_limit(error):
-                if database is None:
-                    raise
-                self._metrics.count("backend.fallbacks.engine_limit")
-                return self.plan_cache.execute(expression, database)
-            if _sqlite_module.is_runtime_failure(error):
-                self._metrics.count("backend.recoveries")
-                return self.plan_cache.execute(
-                    expression, self._recover_backend_failure(error, database)
-                )
-            raise
-
-    def _stream_sqlite(
-        self,
-        expression: RAExpression,
-        database: Optional[Database],
-        batch_size: int,
+    def _stream(
+        self, expression: RAExpression, database: Optional[Database], batch_size: int
     ) -> Iterator[List[Tuple[Any, ...]]]:
-        """The answer of ``expression`` as a stream of decoded row batches."""
-        from .backends.base import BackendError
-
-        import sqlite3
-
-        from .backends import sqlite as _sqlite_module
-
-        def _materialized(db: Database) -> Iterator[List[Tuple[Any, ...]]]:
-            return _chunks(self.plan_cache.execute(expression, db).rows, batch_size)
-
-        if (
-            self._frozen
-            and database is not None
-            and database is not self._backend_database
-        ):
-            return _materialized(database)
-        backend = self._ensure_backend(database)
-
-        def _start() -> Tuple[Iterator[List[Tuple[Any, ...]]], Any]:
-            # A retry re-creates the generator: the faulted one already ran
-            # its teardown when the first next() raised.
-            stream = backend.execute_batches(
-                expression, self.plan_cache, batch_size=batch_size
-            )
-            return stream, next(stream, _SENTINEL)
-
-        try:
-            batches, first = with_retries(_start, policy=self.retry_policy)
-        except BackendError:
-            if database is None:
-                raise
-            # Outside the SQL fragment: fall back to the in-memory engine
-            # (materializes — the fragment has no streaming path).
-            self._metrics.count("backend.fallbacks.fragment")
-            return _materialized(database)
-        except sqlite3.Error as error:
-            if isinstance(error, sqlite3.OperationalError) and _sqlite_module._is_engine_limit(error):
-                if database is None:
-                    raise
-                self._metrics.count("backend.fallbacks.engine_limit")
-                return _materialized(database)
-            if _sqlite_module.is_runtime_failure(error):
-                self._metrics.count("backend.recoveries")
-                return _materialized(self._recover_backend_failure(error, database))
-            raise
-        if first is _SENTINEL:
-            return iter(())
-        return _stream_rest(first, batches)
-
-    def _analyze_sqlite(
-        self, expression: RAExpression, database: Optional[Database]
-    ) -> Optional[AnalyzeReport]:
-        """The SQLite side of :meth:`Query.analyze`, or ``None`` to fall back.
-
-        Runs the compiled plan statement by statement, timing each one and
-        counting the rows of every temp-table spill (the out-of-core
-        intermediates).  ``None`` means the plan cannot run here — outside
-        the SQL fragment, or a spilling plan on a frozen backend — and the
-        caller should analyze on the in-memory engine instead.
-        """
-        import re
-        import sqlite3
-        import time as _time
-
-        from .backends.base import BackendError
-
-        if (
-            self._frozen
-            and database is not None
-            and database is not self._backend_database
-        ):
-            return None
-        try:
-            backend = self._ensure_backend(database)
-            plan, out_schema = backend._plan_for(expression, self.plan_cache)
-        except (BackendError, sqlite3.Error):
-            return None
-        statements: List[dict] = []
-        spills: dict = {}
-        cursor = backend._connection.cursor()
-        t0 = _time.perf_counter()
-        try:
-            try:
-                for statement, params in plan.setup:
-                    s0 = _time.perf_counter()
-                    cursor.execute(statement, params)
-                    elapsed = _time.perf_counter() - s0
-                    statements.append(
-                        {
-                            "kind": "setup",
-                            "sql": " ".join(statement.split()),
-                            "seconds": elapsed,
-                        }
-                    )
-                    match = re.match(
-                        r"CREATE TEMP(?:ORARY)? TABLE (\"[^\"]+\"|\S+)", statement
-                    )
-                    if match is not None:
-                        name = match.group(1)
-                        count = cursor.execute(
-                            f"SELECT COUNT(*) FROM {name}"
-                        ).fetchone()[0]
-                        spills[name.strip('"')] = count
-                s0 = _time.perf_counter()
-                rows = cursor.execute(plan.query, plan.params).fetchall()
-                statements.append(
-                    {
-                        "kind": "query",
-                        "sql": " ".join(plan.query.split()),
-                        "seconds": _time.perf_counter() - s0,
-                    }
-                )
-            except sqlite3.Error:
-                return None
-        finally:
-            backend._teardown(cursor, plan)
-        seconds = _time.perf_counter() - t0
-        distinct = frozenset(backend.codec.decode_rows(rows))
-        return AnalyzeReport(
-            "sqlite", len(distinct), seconds, statements=statements, spills=spills
-        )
-
-    def _ensure_backend(self, database: Optional[Database]) -> Any:
-        """The session's sentinel-mode backend, loaded with ``database``.
-
-        Keeps one live handle: a new database with the same schema refills
-        the existing tables (persistent backend — indexes and the
-        connection survive); a different schema rebuilds the DDL on the
-        same connection.
-        """
-        from .backends.sqlite import SQLiteBackend
-
+        """The answer of ``expression`` as a stream of row batches."""
         if self._closed:
             raise SessionClosedError("session is closed")
-        if self._frozen:
-            # Lock-free fast path: a frozen session's backend never changes
-            # again, so concurrent readers take no lock at all.
-            backend = self._backend
-            if backend is None:
-                raise InvalidRequestError(
-                    "frozen session has no backend; freeze() a session after "
-                    "its backend is loaded (engine='sqlite' with a database)"
-                )
-            if database is not None and database is not self._backend_database:
-                raise InvalidRequestError(
-                    "frozen session cannot switch databases; open a mutable "
-                    "session for per-query database overrides"
-                )
-            return backend
-        with self._lock:
-            if self._backend is None:
-                self._backend = SQLiteBackend(self.backend_path)
-                if database is not None:
-                    self._backend.load_database(database)
-                    self._backend_database = database
-            elif database is not None and database is not self._backend_database:
-                # Crash-consistent switch (single transaction inside the
-                # backend): a failed refill leaves the *old* database
-                # loaded, and `_backend_database` deliberately only moves
-                # forward after it succeeds.
-                with_retries(
-                    functools.partial(self._backend.replace_database, database),
-                    policy=self.retry_policy,
-                )
-                self._backend_database = database
-            return self._backend
-
-    def _sql3vl_execute(self, query: Any, database: Database) -> List[Tuple[Any, ...]]:
-        from .backends.encoding import SQLNullCodec
-        from .backends.sqlite import SQLiteBackend
-        from .sqlnulls.backend import compile_select
-        from .sqlnulls.engine import SQLError
-
-        if self._frozen:
-            backend = self._sql3vl_backend
-            if backend is None or database is not self._sql3vl_database:
-                raise InvalidRequestError(
-                    "frozen session has no three-valued backend for this "
-                    "database; run the sql() query once before freeze(), or "
-                    "use a mutable session"
-                )
-            sql, params = compile_select(database, query)
-            codec = backend.codec
-            try:
-                cursor = backend.connection.execute(sql, params)
-                return codec.decode_rows(cursor)
-            except Exception as error:
-                if isinstance(error, SQLError):
-                    raise
-                raise SQLError(f"sqlite execution failed: {error}") from error
-        with self._lock:
-            if self._closed:
-                raise SessionClosedError("session is closed")
-            if self._sql3vl_backend is None:
-                path = self.backend_path
-                if path != ":memory:":
-                    # A second store on disk: never share the sentinel file.
-                    path = path + ".3vl"
-                self._sql3vl_backend = SQLiteBackend(path, codec=SQLNullCodec())
-                self._sql3vl_backend.load_database(database)
-                self._sql3vl_database = database
-            elif database is not self._sql3vl_database:
-                with_retries(
-                    functools.partial(self._sql3vl_backend.replace_database, database),
-                    policy=self.retry_policy,
-                )
-                self._sql3vl_database = database
-            backend = self._sql3vl_backend
-        sql, params = compile_select(database, query)
-        codec = backend.codec
-        try:
-            cursor = backend.connection.execute(sql, params)
-            return codec.decode_rows(cursor)
-        except Exception as error:
-            if isinstance(error, SQLError):
-                raise
-            raise SQLError(f"sqlite execution failed: {error}") from error
+        return self._engine.stream(expression, database, batch_size)
 
     # ------------------------------------------------------------------
     # out-of-core loading (backend-resident databases)
@@ -1780,20 +1354,11 @@ class Session:
         ``COUNT(*)`` statistics replace the in-memory cardinalities.
         Requires ``engine="sqlite"``.
         """
-        if self.engine != "sqlite":
-            raise InvalidRequestError(
-                f'backend-resident loading requires engine="sqlite", '
-                f"not {self.engine!r}"
-            )
-        if self._frozen:
-            raise InvalidRequestError("cannot create a schema on a frozen session")
-        self._ensure_backend(None).create_schema(schema)
+        self._engine.store("create a schema on").create_schema(schema)
 
     def load_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> int:
         """Stream rows into relation ``name`` of the backend-resident database."""
-        if self._frozen:
-            raise InvalidRequestError("cannot load rows into a frozen session")
-        return self._ensure_backend(None).load_rows(name, rows)
+        return self._engine.store("load rows into").load_rows(name, rows)
 
     # ------------------------------------------------------------------
     # explain
@@ -1803,8 +1368,7 @@ class Session:
         from .engine.logical import explain as explain_logical
 
         lines: List[str] = [f"query: {expression!r}"]
-        engine = self.engine
-        lines.append(f"engine: {engine}; semantics: {self.semantics}")
+        lines.append(f"engine: {self.engine}; semantics: {self.semantics}")
         verdict = explain_method(expression, semantics=self.world_semantics)
         certainty = "naive evaluation" if verdict.applies else "world enumeration"
         lines.append(
@@ -1821,7 +1385,7 @@ class Session:
         if not isinstance(expression, RAExpression):
             lines.append("plan: n/a (first-order query, evaluated by satisfaction)")
             return "\n".join(lines)
-        schema = database.schema if database is not None else self._backend_schema()
+        schema = database.schema if database is not None else self._engine.resident_schema()
         if schema is None:
             lines.append("plan: n/a (no database attached)")
             return "\n".join(lines)
@@ -1836,36 +1400,11 @@ class Session:
                 "  " + line
                 for line in _render_physical(lower(logical, database)).splitlines()
             )
-        if engine == "sqlite":
+        sql = self._engine.explain_sql(logical, database)
+        if sql is not None:
             lines.append("sql:")
-            lines.extend("  " + line for line in self._explain_sql(logical, database))
+            lines.extend("  " + line for line in sql)
         return "\n".join(lines)
-
-    def _backend_schema(self) -> Optional[DatabaseSchema]:
-        backend = self._backend
-        return backend._schema if backend is not None else None
-
-    def _explain_sql(
-        self, logical: Any, database: Optional[Database]
-    ) -> List[str]:
-        from .backends.base import UnsupportedPlanError
-        from .backends.compiler import SQLCompiler
-        from .backends.encoding import SentinelCodec
-        from .backends.sqlite import _BackendStats
-
-        if database is not None:
-            stats: Any = database
-        elif self._backend is not None:
-            stats = _BackendStats(self._backend)
-        else:
-            return ["n/a (no database attached)"]
-        try:
-            plan = SQLCompiler(stats, SentinelCodec()).compile(logical)
-        except UnsupportedPlanError as error:
-            return [f"n/a (outside the SQL fragment: {error})"]
-        lines = [statement for statement, _ in plan.setup]
-        lines.append(plan.query)
-        return [line for chunk in lines for line in chunk.splitlines()]
 
     # ------------------------------------------------------------------
     # freezing (read-only, thread-shareable sessions)
@@ -1890,10 +1429,13 @@ class Session:
         ``boolean()`` / ``answer_object()`` / ``cursor()`` on its one
         database, and :meth:`cancel` still works (budget flags, backend
         ``interrupt()`` and the workers cancel event are all thread-safe
-        by construction).  What it refuses: switching databases, loading
-        rows, ``clear_caches()``.  Queries the warm set did not cover stay
-        correct — they recompile per call without populating any cache.
-        Freezing is one-way; returns ``self`` for chaining.
+        by construction).  What it refuses: switching a backend handle to
+        another database (on ``engine="sqlite"`` a per-query ``database=``
+        runs on the in-memory plan engine; ``sql()`` on another database
+        raises), loading rows, ``clear_caches()``.  Queries the warm set
+        did not cover stay correct — they recompile per call without
+        populating any cache.  Freezing is one-way; returns ``self`` for
+        chaining.
         """
         with self._lock:
             if self._closed:
@@ -1908,13 +1450,9 @@ class Session:
                     self.query(query).confidence()
                 else:
                     self.query(query).certain()
-            if self.engine == "sqlite" and self.database is not None:
-                self._ensure_backend(self.database)
             self.kernel.freeze()
             self.plan_cache.freeze()
-            for backend in (self._backend, self._sql3vl_backend):
-                if backend is not None:
-                    backend.freeze()
+            self._engine.freeze(self.database)
             self._frozen = True
         return self
 
@@ -1937,57 +1475,13 @@ class Session:
             self._executor = None
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
-            for backend in (self._backend, self._sql3vl_backend):
-                if backend is not None:
-                    backend.close()
-            self._backend = None
-            self._sql3vl_backend = None
-            self._backend_database = None
-            self._sql3vl_database = None
+            self._engine.close()
 
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-_SENTINEL = object()
-
-
-def _stream_rest(
-    first: List[Tuple[Any, ...]], rest: Iterator[List[Tuple[Any, ...]]]
-) -> Iterator[List[Tuple[Any, ...]]]:
-    """Yield batch ``first`` then drain ``rest``, typing mid-stream deaths.
-
-    Once rows have been handed to the consumer the in-memory recovery of
-    :meth:`Session._execute_sqlite` is no longer sound (splicing a
-    restarted answer could repeat or reorder what was already yielded),
-    so an environmental failure here becomes a typed
-    :class:`BackendUnavailable` — never a silent wrong answer, never a
-    raw driver exception.  Closing this generator closes ``rest``, which
-    runs the backend's teardown.
-    """
-    import sqlite3
-
-    try:
-        yield first
-        while True:
-            try:
-                batch = next(rest)
-            except StopIteration:
-                return
-            except sqlite3.Error as error:
-                from .backends.sqlite import is_runtime_failure
-
-                if is_runtime_failure(error):
-                    raise BackendUnavailable(
-                        f"sqlite backend died mid-stream after yielding rows: {error}"
-                    ) from error
-                raise
-            yield batch
-    finally:
-        rest.close()
 
 
 def _render_physical(op: Any, indent: int = 0) -> str:

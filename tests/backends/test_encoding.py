@@ -195,7 +195,7 @@ class TestDecodeMemo:
         )
         session = repro.connect(database, engine="sqlite")
         session.freeze(warm=[parse_ra("R")])
-        memo = session._backend.codec._memo
+        memo = session._engine.sentinel.backend.codec._memo
         size = len(memo)
         assert size > 0
         assert session.query(parse_ra("S")).answer_object() == database.relation("S")

@@ -15,6 +15,7 @@ from repro.backends.faults import (
     FaultInjectingBackend,
     FaultInjectingCodec,
     FaultSchedule,
+    inject_faults,
 )
 from repro.backends.sqlite import is_runtime_failure
 from repro.datamodel import Database, Null
@@ -232,22 +233,20 @@ class TestCursorTeardown:
 
     def test_session_cursor_close_after_fetch_fault_is_quiet(self, db):
         session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
         schedule = FaultSchedule({"fetch": {3}})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        backend = inject_faults(session, schedule)
         cursor = session.query(_spilling_query()).cursor(batch_size=1)
         with pytest.raises(Exception):
             cursor.fetchall()
         cursor.close()  # must not raise on an already-torn-down stream
-        assert _leaked_temp_tables(session._backend.connection) == []
+        assert _leaked_temp_tables(backend.connection) == []
         session.close()
 
 
     def test_fetch_fault_reaches_the_session_batch_stream(self, db):
         session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
         schedule = FaultSchedule({"fetch": {2}})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        backend = inject_faults(session, schedule)
         cursor = session.query(_spilling_query()).cursor(batch_size=1)
         assert len(cursor.fetchmany()) == 1
         with pytest.raises(BackendUnavailable):
@@ -255,16 +254,15 @@ class TestCursorTeardown:
         assert schedule.calls["execute_cursor"] == 1
         assert schedule.injected["fetch"] == 1
         cursor.close()
-        assert _leaked_temp_tables(session._backend.connection) == []
+        assert _leaked_temp_tables(backend.connection) == []
         session.close()
 
 
 class TestSessionRetries:
     def test_transient_evaluate_fault_is_retried(self, db):
         session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
         schedule = FaultSchedule({"evaluate": {1}})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        inject_faults(session, schedule)
         query = project(relation("R"), (1,))
         with warnings.catch_warnings():
             # A retried transient fault is *not* a recovery event.
@@ -276,27 +274,38 @@ class TestSessionRetries:
         session.close()
 
     def test_persistent_runtime_failure_recovers_in_memory_once(self, db):
-        session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
-        schedule = FaultSchedule({"evaluate": lambda index: True})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
         query = project(relation("R"), (1,))
-        with pytest.warns(BackendRecoveryWarning):
-            assert session.query(query).answer_object() == query.evaluate(db)
-        with warnings.catch_warnings():
-            # The second recovery is silent (once-per-session warning).
-            warnings.simplefilter("error", BackendRecoveryWarning)
-            assert session.query(query).answer_object() == query.evaluate(db)
-        session.close()
+        answer = query.evaluate(db)
+        modes = (
+            (lambda q: q.answer_object(), answer),
+            (lambda q: q.certain(), answer.complete_part()),
+            (lambda q: frozenset(q.cursor()), answer.rows),
+        )
+        for run, expected in modes:
+            session = repro.connect(db, engine="sqlite")
+            always = lambda index: True  # noqa: E731
+            inject_faults(session, FaultSchedule({"evaluate": always, "execute_cursor": always}))
+            with pytest.warns(BackendRecoveryWarning) as caught:
+                assert run(session.query(query)) == expected
+            # The warning names the caller's line, not a library frame.
+            assert [
+                warning.filename
+                for warning in caught
+                if issubclass(warning.category, BackendRecoveryWarning)
+            ] == [__file__]
+            with warnings.catch_warnings():
+                # The second recovery is silent (once-per-session warning).
+                warnings.simplefilter("error", BackendRecoveryWarning)
+                assert run(session.query(query)) == expected
+            session.close()
 
     def test_non_transient_sql_error_is_not_retried_or_masked(self, db):
         session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
         schedule = FaultSchedule(
             {"evaluate": {1}},
             error=lambda op: sqlite3.OperationalError('near "FROM": syntax error'),
         )
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        inject_faults(session, schedule)
         with pytest.raises(sqlite3.OperationalError):
             session.query(project(relation("R"), (0,))).answer_object()
         assert schedule.calls["evaluate"] == 1
@@ -308,20 +317,23 @@ class TestSessionRetries:
         session.load_rows("R", db.relation("R").rows)
         session.load_rows("S", db.relation("S").rows)
         schedule = FaultSchedule({"evaluate": lambda index: True})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        inject_faults(session, schedule)
         with pytest.raises(BackendUnavailable):
             session.query(project(relation("R"), (0,))).answer_object()
         session.close()
 
-    def test_replace_database_transient_fault_retried(self, db):
+    @pytest.mark.parametrize("three_valued", [False, True], ids=["sentinel", "threevl"])
+    def test_replace_database_transient_fault_retried(self, db, three_valued):
         session = repro.connect(db, engine="sqlite")
-        session._ensure_backend(db)
         schedule = FaultSchedule({"replace_database": {1}})
-        session._backend = FaultInjectingBackend(session._backend, schedule)
+        inject_faults(session, schedule, three_valued=three_valued)
         other = Database.from_dict({"R": [(7, 8)], "S": [(9, "z")]})
-        query = project(relation("R"), (0,))
-        result = session.query(query, database=other).answer_object()
-        assert result == query.evaluate(other)
+        if three_valued:
+            assert session.sql("SELECT * FROM R", database=other) == [(7, 8)]
+        else:
+            query = project(relation("R"), (0,))
+            result = session.query(query, database=other).answer_object()
+            assert result == query.evaluate(other)
         assert schedule.calls["replace_database"] == 2
         session.close()
 

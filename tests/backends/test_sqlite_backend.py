@@ -83,9 +83,9 @@ class TestLoadExtract:
         path = str(tmp_path / "scale.sqlite")
         with repro.connect(db, engine="sqlite", backend_path=path) as session:
             session.query(relation("T")).answer_object()
-            backend = session._backend
+            backend = session._engine.sentinel.backend
             session.query(relation("R")).answer_object()
-            assert session._backend is backend
+            assert session._engine.sentinel.backend is backend
             assert backend.extract_relation("T") == db.relation("T")
 
     def test_incremental_load_invalidates_active_domain(self, db):
@@ -244,7 +244,7 @@ class TestFallback:
         session = repro.connect(db, engine="sqlite")
         query = project(relation("S"), (0,))
         session.query(query).answer_object()
-        backend = session._backend
+        backend = session._engine.sentinel.backend
         _, out_schema = backend._plans[query]
         backend._plans[query] = (
             CompiledPlan(

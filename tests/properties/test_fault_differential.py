@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro import BudgetExceeded, PartialResult, ReproError
-from repro.backends.faults import FaultInjectingBackend, FaultSchedule
+from repro.backends.faults import FaultSchedule, inject_faults
 from repro.resilience import BackendRecoveryWarning, Budget, ManualClock, budget_scope
 from repro.workloads import (
     random_database,
@@ -72,8 +72,7 @@ def test_sqlite_fault_pairs_never_answer_wrong(seed):
 
     schedule = _random_schedule(rng)
     session = repro.connect(database, engine="sqlite")
-    session._ensure_backend(database)
-    session._backend = FaultInjectingBackend(session._backend, schedule)
+    backend = inject_faults(session, schedule)
     try:
         with warnings.catch_warnings():
             # In-memory recovery warnings are an expected chaos outcome.
@@ -86,7 +85,7 @@ def test_sqlite_fault_pairs_never_answer_wrong(seed):
                 answer = None
         if answer is not None:
             assert answer == oracle, f"seed {seed}: faulted session answered wrong"
-        assert _leaked_temp_tables(session._backend.connection) == []
+        assert _leaked_temp_tables(backend.connection) == []
     finally:
         session.close()
 

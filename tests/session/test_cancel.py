@@ -64,7 +64,7 @@ class TestInStatementDeadline:
                     method="naive", budget=Budget(deadline=0.25),
                     on_budget="raise",
                 )
-            backend = session._backend
+            backend = session._engine.sentinel.backend
             assert backend._deadline_states == []
             # The connection still works: the handler (and the interrupt
             # flag) did not leak into subsequent statements.

@@ -140,9 +140,9 @@ class TestCursorBatches:
         cursor = session.query(spilling).cursor(batch_size=4)
         next(cursor)
         cursor.fetchmany(2)
-        assert _leaked_temp_tables(session._backend.connection) != []
+        assert _leaked_temp_tables(session._engine.sentinel.backend.connection) != []
         cursor.close()
-        assert _leaked_temp_tables(session._backend.connection) == []
+        assert _leaked_temp_tables(session._engine.sentinel.backend.connection) == []
         assert cursor.fetchmany() == [] and list(cursor) == []
         session.close()
 

@@ -99,9 +99,20 @@ def test_frozen_sqlite_backend_refuses_database_switch():
         session.freeze()
         other = Database.from_dict({"R": [(9, 9)], "S": [(9, "z")]})
         with pytest.raises(InvalidRequestError):
-            session._ensure_backend(other)
+            session._engine.sentinel.acquire(other)
     finally:
         session.close()
+
+
+def test_frozen_session_answers_a_database_override(frozen_session):
+    # The frozen SQLite handle cannot switch; the in-memory engine answers.
+    other = Database.from_dict({"R": [(9, 9), (8, Null("z"))], "S": [(9, "z")]})
+    expected = WARM_QUERY.evaluate(other)
+    query = frozen_session.query(WARM_QUERY, database=other)
+    assert query.answer_object() == expected
+    assert query.certain() == expected.complete_part()
+    assert set(query.cursor()) == expected.rows
+    assert frozen_session.query(WARM_QUERY).answer_object() == WARM_QUERY.evaluate(_database())
 
 
 def test_freeze_on_closed_session_raises():

@@ -31,6 +31,8 @@ class TestConnect:
     def test_connect_validates_engine_and_semantics(self, db):
         with pytest.raises(ValueError, match="unknown engine"):
             repro.connect(db, engine="postgres")
+        with pytest.raises(ValueError, match="unknown engine"):
+            repro.connect(db, engine=["plan"])
         with pytest.raises(ValueError, match="unknown semantics"):
             repro.connect(db, semantics="open-ish")
         with pytest.raises(TypeError, match="Database"):
@@ -180,7 +182,7 @@ class TestSessionSql:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.sql(self.SQL)
-        assert session._sql3vl_backend is None
+        assert session._engine.threevl.backend is None
 
 
 class TestExplain:
@@ -210,7 +212,7 @@ class TestBackendLifecycle:
     def test_persistent_handle_reused_across_same_schema_databases(self, db):
         session = repro.connect(db, engine="sqlite")
         assert len(session.query(PROJECT).certain()) == 3
-        backend_before = session._backend
+        backend_before = session._engine.sentinel.backend
         other = Database.from_relations(
             [
                 Relation.create("Orders", [("z9", "q")], attributes=("o_id", "prod")),
@@ -219,16 +221,16 @@ class TestBackendLifecycle:
         )
         rows = session.query(PROJECT, database=other).certain()
         assert sorted(rows.rows) == [("z9",)]
-        assert session._backend is backend_before  # the handle survived
+        assert session._engine.sentinel.backend is backend_before  # the handle survived
 
     def test_schema_change_rebuilds_on_same_connection(self, db):
         session = repro.connect(db, engine="sqlite")
         session.query(PROJECT).certain()
-        backend_before = session._backend
+        backend_before = session._engine.sentinel.backend
         different = Database.from_dict({"Animals": [("cat",), ("dog",)]})
         rows = session.query(parse_ra("Animals"), database=different).certain()
         assert len(rows) == 2
-        assert session._backend is backend_before
+        assert session._engine.sentinel.backend is backend_before
 
     def test_out_of_core_loading_without_database_object(self, tmp_path):
         from repro.datamodel.schema import DatabaseSchema
@@ -249,3 +251,64 @@ class TestBackendLifecycle:
         session = repro.connect(engine="plan")
         with pytest.raises(ValueError, match='engine="sqlite"'):
             session.create_schema(DatabaseSchema.from_attributes({"R": ("a",)}))
+
+    @pytest.mark.parametrize("engine", ["plan", "interpreter"])
+    def test_database_less_in_memory_session_opens_no_backend(self, engine, monkeypatch):
+        # Regression: answer_object()/cursor() on a database-less in-memory
+        # session used to open a SQLite backend and fail with a BackendError,
+        # and load_rows() opened one too.
+        from repro.backends.sqlite import SQLiteBackend
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-memory session opened a SQLite backend")
+
+        monkeypatch.setattr(SQLiteBackend, "__init__", refuse)
+        session = repro.connect(engine=engine)
+        query = session.query(PROJECT)
+        with pytest.raises(repro.InvalidRequestError, match="no database"):
+            query.answer_object()
+        with pytest.raises(repro.InvalidRequestError, match="no database"):
+            query.cursor()
+        with pytest.raises(repro.InvalidRequestError, match='engine="sqlite"'):
+            session.load_rows("R", [("a",)])
+        session.close()
+
+
+class TestThreeValuedBackend:
+    SQL = "SELECT ord FROM Pay"
+
+    def test_frozen_after_sql_serves_that_database_only(self, db):
+        session = repro.connect(db, engine="sqlite")
+        try:
+            assert len(session.sql(self.SQL)) == 2
+            session.freeze()
+            rows = session.sql(self.SQL)
+            assert ("o1",) in rows and len(rows) == 2
+            other = Database.from_relations(
+                [
+                    Relation.create("Orders", [("z1", "q")], attributes=("o_id", "prod")),
+                    Relation.create("Pay", [("y1", "z1")], attributes=("p_id", "ord")),
+                ]
+            )
+            with pytest.raises(repro.InvalidRequestError, match="frozen"):
+                session.sql(self.SQL, database=other)
+            assert len(session.sql(self.SQL)) == 2
+        finally:
+            session.close()
+
+    def test_switching_databases_refills_the_same_handle(self, db):
+        session = repro.connect(db, engine="sqlite")
+        try:
+            session.sql(self.SQL)
+            backend = session._engine.threevl.backend
+            other = Database.from_relations(
+                [
+                    Relation.create("Orders", [("z1", "q")], attributes=("o_id", "prod")),
+                    Relation.create("Pay", [("y1", "z1")], attributes=("p_id", "ord")),
+                ]
+            )
+            assert session.sql(self.SQL, database=other) == [("z1",)]
+            assert session._engine.threevl.backend is backend
+            assert len(session.sql(self.SQL)) == 2
+        finally:
+            session.close()
