@@ -8,9 +8,10 @@ Three ways of answering a query ``Q`` over an incomplete database ``D``:
 * :func:`enumeration_strategy` — the classical definition (eq. (1))
   computed literally by possible-world enumeration; exponential in the
   number of nulls, used as ground truth and as the baseline in benchmarks.
-* :func:`certain_strategy` — the "do the right thing" dispatch: uses
-  naive evaluation when the query's fragment guarantees it for the chosen
-  semantics, and falls back to enumeration otherwise.
+* :func:`certain_strategy` — the "do the right thing" dispatch: walks the
+  semantics' strategy list (:mod:`repro.semantics.registry`) for the
+  first exact strategy — naive evaluation when the query's fragment
+  guarantees it, enumeration otherwise.
 
 The strategies are *thin*: each takes an ``evaluator`` — a function from
 ``(query, database)`` to a relation — so the caller decides which engine
@@ -38,7 +39,7 @@ from ..semantics.certain import (
     enumerate_possible_answers,
 )
 from ..semantics.worlds import default_domain
-from .naive_evaluation import Applicability, naive_evaluation_applies
+from .naive_evaluation import Applicability
 
 Query = Union[RAExpression, FOQuery]
 
@@ -80,19 +81,6 @@ def enumeration_domain(
     return default_domain(
         database, extra_constants=extra_constants, constants=query_constants(query)
     )
-
-
-def applicability_semantics(semantics: str) -> str:
-    """The semantics the naive-evaluation test should be asked about.
-
-    The syntactic criteria cover OWA and CWA; under the *weak* CWA the
-    worlds sit between the two, so a query whose naive evaluation is
-    correct under OWA (monotone UCQs — correct under every
-    homomorphism-closed semantics) is safe there as well, while the
-    CWA-only ``RA_cwa`` guarantee does not transfer.  Map ``wcwa`` to the
-    conservative ``owa`` test.
-    """
-    return "owa" if semantics == "wcwa" else semantics
 
 
 # ----------------------------------------------------------------------
@@ -192,57 +180,29 @@ def certain_strategy(
     evaluator: QueryEvaluator,
     semantics: str = "cwa",
     method: str = "auto",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    workers: Optional[int] = None,
-    world_evaluator: Optional[Callable[[Database], Relation]] = None,
     resume: Optional[ResumeToken] = None,
-    heartbeat: Optional[float] = None,
-    pool_factory: Optional[Callable[[int], Any]] = None,
-    executor: Optional[Any] = None,
+    **options: Any,
 ) -> Relation:
     """Certain answers with automatic method selection.
 
-    ``method`` is ``'auto'`` (naive when the fragment guarantees it,
-    enumeration otherwise), ``'naive'`` or ``'enumeration'``.  A
-    ``resume`` token forces the enumeration path — it checkpoints world
-    enumeration, which the naive method does not perform.
+    ``method`` is ``'auto'`` (the first exact strategy of the semantics'
+    list that applies: naive evaluation when the fragment guarantees it,
+    enumeration otherwise), ``'naive'`` or ``'enumeration'``; anything
+    else raises :class:`~repro.resilience.InvalidRequestError`.  A
+    ``resume`` token forces enumeration — it checkpoints world
+    enumeration, which the naive method does not perform.  ``options``
+    (``domain``, ``workers``, ``world_evaluator``, ...) are the
+    :func:`enumeration_strategy` ones.
     """
-    if resume is not None and method == "auto":
-        method = "enumeration"
-    if method == "naive":
-        if resume is not None:
-            raise ValueError("resume= is only meaningful for method='enumeration'")
-        return naive_strategy(query, database, evaluator)
-    if method not in ("auto", "enumeration"):
-        raise ValueError(
-            f"unknown method {method!r}; expected 'auto', 'naive' or 'enumeration'"
-        )
-    if method == "auto":
-        verdict = naive_evaluation_applies(
-            query, semantics=applicability_semantics(semantics)
-        )
-        if verdict.applies:
-            return naive_strategy(query, database, evaluator)
-    return enumeration_strategy(
-        query,
-        database,
-        evaluator,
-        semantics=semantics,
-        domain=domain,
-        extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts,
-        workers=workers,
-        world_evaluator=world_evaluator,
-        mode="certain",
-        resume=resume,
-        heartbeat=heartbeat,
-        pool_factory=pool_factory,
-        executor=executor,
-    )
+    from ..semantics.registry import semantics_named
+
+    space = semantics_named(semantics)
+    strategy = space.choose(query, method, resume)
+    return strategy.run(space, query, database, evaluator, resume=resume, **options)
 
 
 def explain_method(query: Query, semantics: str = "cwa") -> Applicability:
-    """The applicability verdict :func:`certain_strategy` acts on."""
-    return naive_evaluation_applies(query, semantics=applicability_semantics(semantics))
+    """The naive-evaluation verdict :func:`certain_strategy` acts on."""
+    from ..semantics.registry import NAIVE, semantics_named
+
+    return NAIVE.applies(semantics_named(semantics), query)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from ..algebra.ast import RAExpression
-from ..core.answers import enumeration_strategy, naive_strategy
+from ..core.answers import certain_strategy
 from ..core.naive_evaluation import evaluate_query as _evaluate_query
 from ..core.naive_evaluation import naive_evaluation_applies
 from ..datamodel import Database, Relation
@@ -45,20 +45,19 @@ def certain_answers_exchange(
         ``'enumeration'`` — chase, then enumerate worlds of the canonical
         solution under ``semantics`` and intersect (ground truth for small
         instances — solutions are open-world objects, hence the default
-        ``'owa'``).
+        ``'owa'``); ``'auto'`` — naive when the query's fragment
+        guarantees it under ``semantics``, else enumeration
+        (:func:`repro.core.answers.certain_strategy`).
     """
     solution = canonical_solution(mapping, source)
-    if method == "naive":
-        return naive_strategy(query, solution, _evaluate_query)
-    if method == "enumeration":
-        return enumeration_strategy(
-            query,
-            solution,
-            _evaluate_query,
-            semantics=semantics,
-            max_extra_facts=max_extra_facts,
-        )
-    raise ValueError(f"unknown method {method!r}; expected 'naive' or 'enumeration'")
+    return certain_strategy(
+        query,
+        solution,
+        _evaluate_query,
+        semantics=semantics,
+        method=method,
+        max_extra_facts=max_extra_facts,
+    )
 
 
 def naive_exchange_answer_is_guaranteed(query: Query) -> bool:

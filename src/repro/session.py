@@ -23,9 +23,12 @@ cache (:class:`repro.engine.PlanCache`), its own condition kernel
 (:class:`repro.datamodel.ConditionKernel`, bounded via
 ``connect(kernel_watermark=...)``), and one engine object from the
 registry in :mod:`repro.engine.registry`.  The session decides *what* to
-answer — the mode, the semantics, the budget and its degradation ladder
-— and hands every evaluation to that engine, whatever its name: this
-module never branches on the engine.  The ``"sqlite"`` engine
+answer — the mode and the budget — and hands every evaluation to that
+engine, and every semantics-dependent decision (which certain-answer
+strategy runs, how a budget overrun degrades, the probabilistic
+``confidence()`` path) to one semantics object from
+:mod:`repro.semantics.registry`: this module branches on neither the
+engine nor the semantics.  The ``"sqlite"`` engine
 (:mod:`repro.backends.sqlite_engine`) keeps its SQLite handles open
 across queries and owns every retry, fallback and recovery decision of
 that path.  Two live sessions therefore share *no* mutable state and can
@@ -48,12 +51,8 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from .algebra.ast import RAExpression
 from .core.answers import (
     Query as QueryLike,
-    applicability_semantics,
-    certain_strategy,
     enumeration_domain,
-    enumeration_strategy,
     knowledge_strategy,
-    naive_strategy,
     object_strategy,
 )
 from .resilience import (
@@ -68,7 +67,6 @@ from .resilience import (
     SessionClosedError,
     budget_scope,
 )
-from .core.naive_evaluation import naive_evaluation_applies
 from .datamodel import Database, Relation
 from .datamodel.condition_kernel import ConditionKernel
 from .datamodel.schema import DatabaseSchema
@@ -77,15 +75,15 @@ from .engine.registry import NO_DATABASE, chunks, engine_factory
 from .logic.formulas import FOQuery
 from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
-from .obs.trace import Tracer, entry_scope, env_tracer, span
+from .obs.trace import Tracer, entry_scope, env_tracer
 from .semantics.certain import (
     _pool_initializer,
     enumerate_certain_boolean,
     enumerate_possible_boolean,
 )
 from .semantics import certain as _certain_module
+from .semantics.registry import ENUMERATION, NAIVE, semantics_named
 
-_SEMANTICS = ("owa", "cwa", "wcwa", "prob")
 _BUDGET_POLICIES = ("degrade", "raise", "partial")
 
 
@@ -275,6 +273,7 @@ class Query:
         "expression",
         "_database",
         "_resilience_verdict",
+        "_ran",
         "_prob_constraint",
     )
 
@@ -289,6 +288,8 @@ class Query:
         self._database = database
         #: How the last certain() call degraded, if it did (shown by explain()).
         self._resilience_verdict: Optional[str] = None
+        #: The strategy the last certain() call ran (shown by explain()).
+        self._ran: Optional[str] = None
         #: Conditioning constraint for confidence() (set by condition_on()).
         self._prob_constraint: Optional[Any] = None
 
@@ -363,10 +364,13 @@ class Query:
     ) -> Relation:
         """Certain answers under the session's semantics.
 
-        ``method='auto'`` uses naive evaluation when the query's fragment
-        guarantees it and falls back to world enumeration; ``'naive'`` and
-        ``'enumeration'`` force a strategy.  For a three-valued SQL query
-        this applies the certain-answer rewriting and returns rows.
+        ``method='auto'`` runs the first exact strategy of the semantics'
+        list that applies (:mod:`repro.semantics.registry`): naive
+        evaluation when the query's fragment guarantees it, else world
+        enumeration; ``'naive'`` and ``'enumeration'`` force a strategy,
+        anything else raises :class:`InvalidRequestError`.  For a
+        three-valued SQL query this applies the certain-answer rewriting
+        and returns rows.
 
         ``budget`` caps the evaluation (falling back to the session's
         default budget); when it expires, ``on_budget`` decides the
@@ -406,41 +410,69 @@ class Query:
         on_budget: Optional[str],
         resume: Any,
     ) -> Relation:
+        session = self.session
         if self._is_sql():
             if resume is not None:
                 raise InvalidRequestError(
                     "resume= is not defined for three-valued SQL queries"
                 )
-            return self.session.sql(self.expression, database=self._database, certain=True)
+            return session.sql(self.expression, database=self._database, certain=True)
         self._resilience_verdict = None
-        policy = _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
-        token = self._validated_resume(resume, method, domain, extra_constants, max_extra_facts)
-        run = functools.partial(
-            certain_strategy,
-            self.expression,
-            self._require_database(),
-            self.session._evaluate,
-            semantics=self.session.world_semantics,
-            method=method,
+        policy = self._policy(on_budget)
+        token = self._validated_resume(resume, domain, extra_constants, max_extra_facts)
+        semantics, expression = session._semantics, self.expression
+        # The strategy is picked before anything only enumeration needs.
+        strategy = semantics.choose(expression, method, token)
+        database, evaluate = self._require_database(), session._evaluate
+        self._ran = strategy.label if method == "auto" else f"{strategy.label} (method={method!r})"
+        options = {} if strategy.polynomial else self._worlds(
+            domain, extra_constants, max_extra_facts,
+            workers=session.workers, resume=token, executor=session._worker_executor(),
+        )
+
+        def run() -> Relation:
+            return strategy.run(semantics, expression, database, evaluate, **options)
+
+        def degrade(error: BudgetExceeded) -> Any:
+            # The enumeration mints fingerprint-agnostic checkpoints; bind
+            # this one to the query's inputs so certain(resume=) refuses a
+            # replay on others.  A fingerprint that cannot be computed (the
+            # database swapped mid-flight) voids the token, not the error.
+            if error.resume_token is not None:
+                try:
+                    error.resume_token.key = self._resume_key(
+                        domain, extra_constants, max_extra_facts
+                    )
+                    error.resume_token.kernel_epoch = session.kernel.epoch
+                except Exception:
+                    error.resume_token = None
+            return semantics.degrade(self, error, policy)
+
+        return self._run(run, budget, degrade)
+
+    def _worlds(
+        self,
+        domain: Optional[Sequence[Any]],
+        extra_constants: Optional[int],
+        max_extra_facts: int,
+        **options: Any,
+    ) -> dict:
+        """The options of one world enumeration (built only when one runs)."""
+        return dict(
             domain=domain,
             extra_constants=extra_constants,
             max_extra_facts=max_extra_facts,
-            workers=self.session.workers,
             world_evaluator=_WorldEvaluator(self.expression, self.session),
-            resume=token,
-            executor=self.session._worker_executor(),
+            **options,
         )
 
-        def degrade(error: BudgetExceeded) -> Any:
-            self._stamp_resume(error, domain, extra_constants, max_extra_facts)
-            return self._degrade_certain(error, policy)
-
-        return self._run(run, budget, degrade)
+    def _policy(self, on_budget: Optional[str]) -> str:
+        """The validated ``on_budget`` policy of one call (else the session's)."""
+        return _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
 
     def _validated_resume(
         self,
         resume: Any,
-        method: str,
         domain: Optional[Sequence[Any]],
         extra_constants: Optional[int],
         max_extra_facts: int,
@@ -458,11 +490,6 @@ class Query:
             raise InvalidRequestError(
                 "resume= expects a PartialResult or ResumeToken, "
                 f"got {type(resume).__name__}"
-            )
-        if method == "naive":
-            raise InvalidRequestError(
-                "resume= checkpoints world enumeration; it is not defined for "
-                "method='naive'"
             )
         if token.key != self._resume_key(domain, extra_constants, max_extra_facts):
             raise InvalidRequestError(
@@ -501,113 +528,6 @@ class Query:
         feed(database.content_digest())
         return digest.hexdigest()
 
-    def _stamp_resume(
-        self,
-        error: BudgetExceeded,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-    ) -> None:
-        """Bind the strategy-level checkpoint to this query's inputs.
-
-        The enumeration layer mints fingerprint-agnostic tokens (it never
-        sees the session); the session layer stamps the input fingerprint
-        and kernel epoch here so ``certain(resume=)`` can refuse a token
-        replayed against different inputs.
-        """
-        token = error.resume_token
-        if token is None:
-            return
-        try:
-            token.key = self._resume_key(domain, extra_constants, max_extra_facts)
-            token.kernel_epoch = self.session.kernel.epoch
-        except Exception:
-            # A fingerprint that cannot be computed (e.g. the database was
-            # swapped mid-flight) makes the token unusable, not the error.
-            error.resume_token = None
-
-    def _degrade_certain(self, error: BudgetExceeded, policy: str) -> Any:
-        """The degradation ladder: answer soundly, or fail loudly.
-
-        Runs *outside* the expired budget — each rung is polynomial, so
-        the overrun is bounded (one naive evaluation, not another
-        enumeration).  The rungs, cheapest sound approximation first:
-
-        1. naive evaluation is *exact* for this (query, semantics) —
-           possible when the budget died in a forced enumeration;
-        2. naive evaluation applies under OWA — its answer is
-           ``certain_owa``, a sound lower bound for CWA/WCWA too (those
-           worlds are a subset of the OWA worlds and the fragment is
-           monotone);
-        3. CWA + relational algebra — the polynomial sound approximation
-           of :func:`repro.core.sound_evaluation.sound_certain_answers`;
-        4. nothing sound exists: ``degrade`` re-raises, ``partial``
-           returns an *empty* sound subset (never the unsound prefix of
-           the aborted world intersection — that is an over-approximation).
-        """
-        metrics = self.session._metrics
-        resource = error.resource or "budget"
-        if policy == "raise":
-            metrics.count("degrade.raised")
-            self._resilience_verdict = (
-                f"budget exceeded ({resource}); on_budget='raise' — no fallback ran"
-            )
-            raise error
-        expression = self.expression
-        database = self._require_database()
-        semantics = self.session.world_semantics
-        relation: Optional[Relation] = None
-        quality: Optional[str] = None
-        rung: Optional[str] = None
-        with span("degrade.decide", resource=resource, policy=policy) as decision:
-            exact = naive_evaluation_applies(
-                expression, semantics=applicability_semantics(semantics)
-            )
-            if exact.applies:
-                relation = naive_strategy(expression, database, self.session._evaluate)
-                quality = f"exact (naive evaluation applies: {exact.fragment})"
-                rung = "exact"
-            elif naive_evaluation_applies(expression, semantics="owa").applies:
-                relation = naive_strategy(expression, database, self.session._evaluate)
-                quality = (
-                    "sound lower bound (naive/OWA answer; "
-                    f"certain_owa ⊆ certain_{semantics} for monotone queries)"
-                )
-                rung = "naive_owa"
-            elif semantics == "cwa" and isinstance(expression, RAExpression):
-                from .core.sound_evaluation import sound_certain_answers
-
-                relation = sound_certain_answers(expression, database)
-                quality = "sound lower bound (polynomial CWA approximation)"
-                rung = "sound_cwa"
-            if relation is None:
-                if policy == "degrade":
-                    decision.set(rung="raised")
-                    metrics.count("degrade.raised")
-                    self._resilience_verdict = (
-                        f"budget exceeded ({resource}); no sound fallback exists for "
-                        f"this query under {semantics} — raised"
-                    )
-                    raise error
-                # policy == "partial": the only sound subset we can certify
-                # without finishing the enumeration is the empty one.
-                if isinstance(expression, RAExpression):
-                    schema = expression.output_schema(database.schema)
-                else:
-                    schema = expression.output_schema()
-                relation = Relation.empty(schema)
-                quality = "empty sound subset (no sound approximation exists)"
-                rung = "empty_partial"
-            decision.set(rung=rung)
-        metrics.count("degrade." + rung)
-        verdict = f"budget exceeded ({resource}); degraded to {quality}"
-        self._resilience_verdict = verdict
-        if policy == "partial":
-            return PartialResult(
-                relation, verdict, resource=error.resource, token=error.resume_token
-            )
-        return relation
-
     def possible(
         self,
         domain: Optional[Sequence[Any]] = None,
@@ -625,16 +545,13 @@ class Query:
         with self.session._obs("query.possible"):
             self._no_sql("possible()")
             run = functools.partial(
-                enumeration_strategy,
+                ENUMERATION.run,
+                self.session._semantics,
                 self.expression,
                 self._require_database(),
                 self.session._evaluate,
-                semantics=self.session.world_semantics,
-                domain=domain,
-                extra_constants=extra_constants,
-                max_extra_facts=max_extra_facts,
-                world_evaluator=_WorldEvaluator(self.expression, self.session),
                 mode="possible",
+                **self._worlds(domain, extra_constants, max_extra_facts),
             )
             return self._run(run, budget)
 
@@ -695,44 +612,23 @@ class Query:
     ) -> bool:
         database = self._require_database()
         evaluate = _WorldEvaluator(self.expression, self.session, boolean=True)
-        domain = enumeration_domain(self.expression, database, domain, extra_constants)
+        options = dict(
+            semantics=self.session.world_semantics,
+            domain=enumeration_domain(self.expression, database, domain, extra_constants),
+            extra_constants=extra_constants,
+            max_extra_facts=max_extra_facts,
+        )
         if mode == "certain":
+            session = self.session
             return enumerate_certain_boolean(
-                evaluate,
-                database,
-                semantics=self.session.world_semantics,
-                domain=domain,
-                extra_constants=extra_constants,
-                max_extra_facts=max_extra_facts,
-                workers=self.session.workers,
-                executor=self.session._worker_executor(),
+                evaluate, database, workers=session.workers,
+                executor=session._worker_executor(), **options,
             )
         if mode == "possible":
-            return enumerate_possible_boolean(
-                evaluate,
-                database,
-                semantics=self.session.world_semantics,
-                domain=domain,
-                extra_constants=extra_constants,
-                max_extra_facts=max_extra_facts,
-            )
+            return enumerate_possible_boolean(evaluate, database, **options)
         raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
 
     # -- probabilistic answering (semantics="prob") --------------------
-    def _require_prob(self, what: str) -> Any:
-        self._no_sql(what)
-        if self.session.semantics != "prob" or self.session.model is None:
-            raise InvalidRequestError(
-                f'{what} needs a probabilistic session: '
-                "connect(semantics='prob', model=ProbabilityModel(...))"
-            )
-        if not isinstance(self.expression, RAExpression):
-            raise InvalidRequestError(
-                f"{what} requires a relational-algebra query; the c-table "
-                "engine supplies the lineage conditions"
-            )
-        return self.session.model
-
     def condition_on(self, constraint: Any) -> "Query":
         """A new query conditioned on ``constraint`` (Koch–Olteanu).
 
@@ -744,20 +640,8 @@ class Query:
         raises :class:`~repro.resilience.InvalidRequestError` at
         :meth:`confidence` time.
         """
-        from .datamodel.conditional import And, Condition
-
-        self._require_prob("condition_on()")
-        if not isinstance(constraint, Condition):
-            raise InvalidRequestError(
-                "condition_on() expects a Condition over the model's nulls, "
-                f"got {type(constraint).__name__}"
-            )
-        clone = Query(self.session, self.expression, self._database)
-        if self._prob_constraint is None:
-            clone._prob_constraint = constraint
-        else:
-            clone._prob_constraint = And((self._prob_constraint, constraint)).simplify()
-        return clone
+        self._no_sql("condition_on()")
+        return self.session._semantics.condition_on(self, constraint)
 
     def confidence(
         self,
@@ -782,7 +666,8 @@ class Query:
         ``budget`` caps the evaluation (falling back to the session
         default).  When it expires *during* confidence computation the
         remaining answers degrade to Monte Carlo estimates over
-        ``samples`` sampled worlds — their probabilities come back as
+        ``samples`` sampled worlds (``samples`` must be >= 1) — their
+        probabilities come back as
         :class:`~repro.resilience.ConfidenceInterval` (flagged
         ``partial``) instead of floats, and :meth:`explain` records the
         verdict; ``on_budget="raise"`` propagates
@@ -790,113 +675,19 @@ class Query:
         dies before the lineage exists (c-table evaluation itself) always
         raises — with no lineage there is nothing to estimate.
         """
-        from .prob.conditioning import Conditioner
-        from .prob.confidence import confidence as exact_confidence
-        from .prob.lineage import prob_lineage
-        from .prob.montecarlo import monte_carlo_confidence
-
         with self.session._obs("query.confidence"):
-            model = self._require_prob("confidence()")
-            if limit is not None and limit < 1:
-                raise InvalidRequestError(f"limit must be >= 1, got {limit!r}")
-            policy = _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
+            self._no_sql("confidence()")
             self._resilience_verdict = None
-            kernel = self.session.kernel
-            # Mutable carrier: on a budget overrun estimate() reads the
-            # lineage and the exact prefix computed before the expiry.
-            progress: dict = {}
-
-            def run() -> List[Tuple[Tuple[Any, ...], Any]]:
-                candidates, constraint = prob_lineage(
-                    self.expression,
-                    self._require_database(),
-                    model,
-                    kernel,
-                    self.session.evaluate_ctable,
-                    self._prob_constraint,
-                )
-                progress["candidates"] = candidates
-                progress["constraint"] = constraint
-                conditioner = (
-                    Conditioner(constraint, model, kernel)
-                    if constraint is not None
-                    else None
-                )
-                scored: List[Tuple[Tuple[Any, ...], Any]] = []
-                progress["scored"] = scored
-                for values, lineage in candidates:
-                    if conditioner is not None:
-                        p = conditioner.probability(lineage)
-                    else:
-                        p = exact_confidence(lineage, model, kernel)
-                    scored.append((values, p))
-                return scored
-
-            def estimate(error: BudgetExceeded) -> List[Tuple[Tuple[Any, ...], Any]]:
-                resource = error.resource or "budget"
-                if policy == "raise":
-                    self._resilience_verdict = (
-                        f"budget exceeded ({resource}); on_budget='raise' — "
-                        "no estimator ran"
-                    )
-                    raise error
-                candidates = progress.get("candidates")
-                if candidates is None:
-                    # Lineage construction itself blew the budget: no
-                    # conditions exist to sample, so degrading is impossible.
-                    self._resilience_verdict = (
-                        f"budget exceeded ({resource}) during c-table lineage "
-                        "construction — nothing to estimate; raised"
-                    )
-                    raise error
-                scored = list(progress.get("scored", ()))
-                constraint = progress.get("constraint")
-                verdict = (
-                    f"budget exceeded ({resource}); "
-                    f"{len(candidates) - len(scored)} of {len(candidates)} "
-                    f"answers degraded to Monte Carlo ({samples} samples)"
-                )
-                self.session._metrics.count("degrade.monte_carlo")
-                # Estimation runs outside the expired budget: a fixed
-                # sample count is polynomial, the overrun bounded.
-                for index in range(len(scored), len(candidates)):
-                    values, lineage = candidates[index]
-                    estimate = monte_carlo_confidence(
-                        lineage,
-                        model,
-                        samples=samples,
-                        seed=None if seed is None else seed + index,
-                        given=constraint,
-                        verdict=verdict,
-                        resource=error.resource,
-                    )
-                    scored.append((values, estimate))
-                self._resilience_verdict = verdict
-                return self._rank_confidence(scored, limit, min_p)
-
-            return self._run(lambda: self._rank_confidence(run(), limit, min_p), budget, estimate)
-
-    @staticmethod
-    def _rank_confidence(
-        scored: List[Tuple[Tuple[Any, ...], Any]],
-        limit: Optional[int],
-        min_p: float,
-    ) -> List[Tuple[Tuple[Any, ...], Any]]:
-        # Zero-probability derivations (a lineage the model rules out) are
-        # not answers in any retained world; they never surface.
-        kept = [
-            (values, p)
-            for values, p in scored
-            if float(p) > 0.0 and float(p) >= min_p
-        ]
-        kept.sort(key=lambda item: (-float(item[1]), tuple(str(v) for v in item[0])))
-        return kept if limit is None else kept[:limit]
+            return self.session._semantics.confidence(
+                self, limit, min_p, budget, on_budget, samples, seed
+            )
 
     # -- introspection -------------------------------------------------
     def explain(self, analyze: bool = False) -> str:
         """A unified, human-readable account of how this query would run.
 
-        Sections: the certain-answer method ``certain()`` would pick, the
+        Sections: the certain-answer strategy the last ``certain()`` ran
+        (before any run: the one ``method="auto"`` would pick), the
         optimized logical plan, the lowered physical operator tree, and —
         when the session's engine is ``"sqlite"`` and the plan is inside
         the SQL fragment — the compiled SQL text.  For a three-valued SQL
@@ -916,12 +707,37 @@ class Query:
                 "engine: sqlnulls (three-valued logic)\n"
                 f"sql:\n  {sql}\n  params: {params!r}"
             )
-        text = self.session._explain(self.expression, self.database)
+        from .engine.logical import explain as explain_logical
+        from .engine.planner import lower
+
+        session, expression, database = self.session, self.expression, self.database
+        lines = [
+            f"query: {expression!r}",
+            f"engine: {session.engine}; semantics: {session.semantics}",
+        ]
+        lines.extend(session._semantics.explain(expression, session.model, self._ran))
+        schema = database.schema if database is not None else session._engine.resident_schema()
+        if not isinstance(expression, RAExpression):
+            lines.append("plan: n/a (first-order query, evaluated by satisfaction)")
+        elif schema is None:
+            lines.append("plan: n/a (no database attached)")
+        else:
+            logical = session.plan_cache.compile(expression, schema)
+            lines.append("logical plan:")
+            lines.extend("  " + line for line in explain_logical(logical).splitlines())
+            if database is not None:
+                lines.append("physical plan:")
+                physical = _render_physical(lower(logical, database))
+                lines.extend("  " + line for line in physical.splitlines())
+            sql = session._engine.explain_sql(logical, database)
+            if sql is not None:
+                lines.append("sql:")
+                lines.extend("  " + line for line in sql)
         if analyze:
-            text += "\n" + self.analyze().render()
+            lines.append(self.analyze().render())
         if self._resilience_verdict is not None:
-            text += f"\nresilience: {self._resilience_verdict}"
-        return text
+            lines.append(f"resilience: {self._resilience_verdict}")
+        return "\n".join(lines)
 
     def analyze(self) -> "AnalyzeReport":
         """Execute the plan once and return per-operator statistics.
@@ -975,10 +791,7 @@ class Query:
                 )
                 return Cursor(chunks(rows, batch_size), batch_size, metrics=metrics)
             expression = self.expression
-            if certain and not naive_evaluation_applies(
-                expression,
-                semantics=applicability_semantics(self.session.world_semantics),
-            ):
+            if certain and self.session._semantics.choose(expression) is not NAIVE:
                 answer = self._certain("auto", None, None, 1, None, None, None)
                 return Cursor(chunks(answer.rows, batch_size), batch_size, metrics=metrics)
             batches: Iterator[List[Tuple[Any, ...]]]
@@ -1022,10 +835,8 @@ class Session:
         from .engine.planner import PlanCache
 
         open_engine = engine_factory(engine)
-        if semantics not in _SEMANTICS:
-            raise InvalidRequestError(
-                f"unknown semantics {semantics!r}; expected one of {_SEMANTICS}"
-            )
+        #: The semantics object every semantics-dependent decision goes to.
+        self._semantics = semantics_named(semantics)
         _budget_policy(on_budget)
         if database is not None and not isinstance(database, Database):
             raise TypeError(
@@ -1035,23 +846,7 @@ class Session:
             raise TypeError(
                 f"retry_policy must be a RetryPolicy, got {type(retry_policy).__name__}"
             )
-        if semantics == "prob":
-            from .prob import ProbabilityModel
-
-            if model is None:
-                raise InvalidRequestError(
-                    'semantics="prob" needs a probability model: '
-                    "connect(semantics='prob', model=ProbabilityModel(...))"
-                )
-            if not isinstance(model, ProbabilityModel):
-                raise TypeError(
-                    f"model must be a ProbabilityModel, got {type(model).__name__}"
-                )
-        elif model is not None:
-            raise InvalidRequestError(
-                f'model= is only meaningful with semantics="prob", '
-                f"not {semantics!r}"
-            )
+        self._semantics.check_model(model)
         self.database = database
         self.model = model
         #: The engine queries run on (``"plan"``, ``"interpreter"``, ``"sqlite"``).
@@ -1111,12 +906,9 @@ class Session:
         """The possible-world semantics evaluation strategies quantify over.
 
         ``semantics="prob"`` is a *probability layer on top of* the
-        closed-world possible-world space: a pc-table's worlds are the
-        valuations of its nulls (no open-world fact invention), so
-        certain/possible/boolean modes on a prob session evaluate under
-        CWA while ``confidence()`` adds the measure.
+        closed-world possible-world space, so this is ``"cwa"`` there.
         """
-        return "cwa" if self.semantics == "prob" else self.semantics
+        return self._semantics.worlds
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         db = "None" if self.database is None else f"<{len(self.database)} facts>"
@@ -1361,52 +1153,6 @@ class Session:
         return self._engine.store("load rows into").load_rows(name, rows)
 
     # ------------------------------------------------------------------
-    # explain
-    # ------------------------------------------------------------------
-    def _explain(self, expression: QueryLike, database: Optional[Database]) -> str:
-        from .core.answers import explain_method
-        from .engine.logical import explain as explain_logical
-
-        lines: List[str] = [f"query: {expression!r}"]
-        lines.append(f"engine: {self.engine}; semantics: {self.semantics}")
-        verdict = explain_method(expression, semantics=self.world_semantics)
-        certainty = "naive evaluation" if verdict.applies else "world enumeration"
-        lines.append(
-            f"certain(): {certainty} — {verdict.reason} (fragment: {verdict.fragment})"
-        )
-        if self.semantics == "prob" and self.model is not None:
-            shape = self.model.stats()
-            lines.append(
-                "confidence(): exact decomposition over the c-table lineage "
-                f"({shape['nulls']} modeled nulls, {shape['groups']} independent "
-                f"groups, {shape['blocks']} exclusive blocks); budget overruns "
-                "degrade to a Monte Carlo ConfidenceInterval"
-            )
-        if not isinstance(expression, RAExpression):
-            lines.append("plan: n/a (first-order query, evaluated by satisfaction)")
-            return "\n".join(lines)
-        schema = database.schema if database is not None else self._engine.resident_schema()
-        if schema is None:
-            lines.append("plan: n/a (no database attached)")
-            return "\n".join(lines)
-        logical = self.plan_cache.compile(expression, schema)
-        lines.append("logical plan:")
-        lines.extend("  " + line for line in explain_logical(logical).splitlines())
-        if database is not None:
-            from .engine.planner import lower
-
-            lines.append("physical plan:")
-            lines.extend(
-                "  " + line
-                for line in _render_physical(lower(logical, database)).splitlines()
-            )
-        sql = self._engine.explain_sql(logical, database)
-        if sql is not None:
-            lines.append("sql:")
-            lines.extend("  " + line for line in sql)
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
     # freezing (read-only, thread-shareable sessions)
     # ------------------------------------------------------------------
     @property
@@ -1443,13 +1189,9 @@ class Session:
             if self._frozen:
                 return self
             for query in warm:
-                # Warming must populate the caches the serving tier will
-                # read: on a prob session that is the lineage plans and
-                # the kernel's confidence memo, reached via confidence().
-                if self.semantics == "prob":
-                    self.query(query).confidence()
-                else:
-                    self.query(query).certain()
+                # Warm the caches the serving tier will read (on a prob
+                # session: the lineage plans and the confidence memo).
+                self._semantics.warm(self.query(query))
             self.kernel.freeze()
             self.plan_cache.freeze()
             self._engine.freeze(self.database)

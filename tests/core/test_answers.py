@@ -67,7 +67,7 @@ class TestAutoDispatch:
         query = parse_ra("project[#0](R)")
         assert _certain(db, query, method="naive") == frozenset({(1,), (2,)})
         assert _certain(db, query, method="enumeration") == frozenset({(1,), (2,)})
-        with pytest.raises(ValueError):
+        with pytest.raises(repro.InvalidRequestError, match="unknown method 'bogus'"):
             repro.connect(db).query(query).certain(method="bogus")
 
     def test_division_auto_under_cwa(self):

@@ -48,6 +48,15 @@ class TestNaiveExchangeAnswers:
         )
         assert naive.rows == enumerated.rows
 
+    def test_auto_picks_naive_for_ucq_and_enumeration_otherwise(self, mapping, source):
+        ucq = parse_ra("project[product](Pref)")
+        p = var("p")
+        negative = FOQuery(Not(atom("Pref", "alice", p)), (p,))
+        for query, method in ((ucq, "naive"), (negative, "enumeration")):
+            auto = certain_answers_exchange(mapping, source, query, method="auto")
+            forced = certain_answers_exchange(mapping, source, query, method=method)
+            assert auto.rows == forced.rows
+
     def test_unknown_method_rejected(self, mapping, source):
         with pytest.raises(ValueError):
             certain_answers_exchange(mapping, source, parse_ra("Cust"), method="bogus")

@@ -7,6 +7,8 @@ import repro
 from repro.algebra import (
     Attr,
     Comparison,
+    Difference,
+    Division,
     Projection,
     RelationRef,
     Selection,
@@ -58,6 +60,27 @@ def test_naive_evaluation_computes_certain_answers_owa(database, query):
         .certain(method="enumeration", max_extra_facts=1)
     )
     assert naive.rows == exact.rows
+
+
+def other_queries():
+    """Queries outside the positive fragment: difference and division."""
+    r, s = RelationRef("R"), RelationRef("S")
+    return st.sampled_from(
+        [Difference(Projection(r, (0,)), s), Division(r, s), Projection(Difference(r, r), (1,))]
+    )
+
+
+@given(st.one_of(positive_queries(), other_queries()))
+def test_naive_under_owa_implies_naive_under_every_semantics(query):
+    """Applies under OWA => applies under CWA (and under every registered
+    semantics' own test): the degradation ladder's exact rung already covers
+    every query whose naive answer is certain_owa, so it needs no OWA rung."""
+    from repro.core import naive_evaluation_applies
+    from repro.semantics.registry import NAIVE, SEMANTICS
+
+    if naive_evaluation_applies(query, semantics="owa").applies:
+        assert naive_evaluation_applies(query, semantics="cwa").applies
+        assert all(NAIVE.applies(semantics, query) for semantics in SEMANTICS.values())
 
 
 @settings(max_examples=50, deadline=None)

@@ -202,6 +202,22 @@ class TestExplain:
         text = session.query(order_query).explain()
         assert "outside the SQL fragment" in text
 
+    def test_explain_reports_the_strategy_that_ran(self, db):
+        q = repro.connect(db).query(UNPAID)
+        # Before any run: what certain(method="auto") would pick.
+        assert "certain(): world enumeration" in q.explain()
+        q.certain(method="naive")
+        assert "certain(): naive evaluation (method='naive')" in q.explain()
+        q.certain()
+        assert "certain(): world enumeration" in q.explain()
+
+    def test_explain_names_the_degradation_rung(self, db):
+        q = repro.connect(db, semantics="cwa").query(UNPAID)
+        q.certain(budget=repro.Budget(max_worlds=1))
+        text = q.explain()
+        assert "certain(): sound CWA approximation (degraded)" in text
+        assert "resilience: budget exceeded (worlds); degraded to sound lower bound" in text
+
     def test_explain_fo_query(self, db):
         session = repro.connect(db)
         text = session.query(FOQuery(exists((var("p"), var("pr")), atom("Orders", var("p"), var("pr"))))).explain()
