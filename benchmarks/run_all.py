@@ -42,8 +42,8 @@ of speedups: ``gate:correctness`` (``engine="sqlite"`` equals the physical
 engine on the bench workload) and ``gate:scale`` (SQLite completes a
 workload the in-memory path cannot even load under a capped address
 space).  The chaos family contributes ``gate:chaos``: the fault and
-resume differential suites must pass with zero leaked SQLite temp files
-(``docs/robustness.md``).  The cancel family contributes ``gate:cancel``:
+resume differential suites and the worker-pool suites must pass with
+zero leaked SQLite temp files (``docs/robustness.md``).  The cancel family contributes ``gate:cancel``:
 a deadline budget must abort a running SQLite statement as a typed
 ``BudgetExceeded`` within 250 ms of expiry, leaking no temp tables.
 The serve family contributes ``gate:serve``: eight concurrent async
@@ -505,8 +505,11 @@ scenario_e25.timing_only_retry = True
 def scenario_chaos() -> Dict[str, Any]:
     """The robustness gate: the chaos differential suite, leak-checked.
 
-    Runs ``tests/properties/test_fault_differential.py`` and
-    ``tests/properties/test_resume_differential.py`` in a child pytest
+    Runs ``tests/properties/test_fault_differential.py``,
+    ``tests/properties/test_resume_differential.py`` and the worker-pool
+    suites (``tests/session/test_worker_resilience.py``: SIGKILLed and
+    failing children; ``tests/semantics/test_parallel_worlds.py``:
+    ``workers=`` parity with the sequential fold) in a child pytest
     whose temp directories (``TMPDIR`` + ``SQLITE_TMPDIR``) point at a
     fresh scratch directory, then sweeps it for SQLite spill artifacts
     (``etilqs_*`` anonymous temp files, ``*-journal``/``*-wal`` sidecars).
@@ -521,6 +524,8 @@ def scenario_chaos() -> Dict[str, Any]:
     suites = [
         os.path.join(repo_root, "tests", "properties", "test_fault_differential.py"),
         os.path.join(repo_root, "tests", "properties", "test_resume_differential.py"),
+        os.path.join(repo_root, "tests", "session", "test_worker_resilience.py"),
+        os.path.join(repo_root, "tests", "semantics", "test_parallel_worlds.py"),
     ]
     with tempfile.TemporaryDirectory(prefix="chaos-gate-") as scratch:
         env = dict(
@@ -548,11 +553,11 @@ def scenario_chaos() -> Dict[str, Any]:
     passed = proc.returncode == 0 and not leaked
     if proc.returncode != 0:
         tail = "\n".join(proc.stdout.strip().splitlines()[-5:])
-        note = f"fault differential suite failed (exit {proc.returncode}): {tail}"
+        note = f"chaos suites failed (exit {proc.returncode}): {tail}"
     elif leaked:
         note = f"suite green but leaked sqlite temp files: {sorted(leaked)}"
     else:
-        note = "fault differential suite green, zero leaked sqlite temp files"
+        note = "chaos suites green, zero leaked sqlite temp files"
     return {"gate:chaos": {"passed": passed, "note": note}}
 
 

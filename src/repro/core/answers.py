@@ -26,6 +26,8 @@ included) and :func:`knowledge_strategy` (its δ-formula).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..algebra.ast import ConstantRelation, RAExpression, Selection
@@ -33,7 +35,7 @@ from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
 from ..logic.diagrams import delta as delta_formula
 from ..logic.formulas import FOQuery, Formula
-from ..resilience import ResumeToken, active_budget
+from ..resilience import BudgetExceeded, InvalidRequestError, ResumeToken, active_budget
 from ..semantics.certain import (
     enumerate_certain_answers,
     enumerate_possible_answers,
@@ -113,6 +115,50 @@ def knowledge_strategy(
     )
 
 
+def _fingerprint(
+    query: Query,
+    database: Database,
+    semantics: str,
+    domain: Sequence[Any],
+    extra_constants: Optional[int],
+    max_extra_facts: int,
+) -> str:
+    """Fingerprint of everything the world-enumeration order depends on."""
+    digest = hashlib.sha256()
+    # Databases are immutable, so the O(rows) content walk is cached on
+    # the instance — consecutive stamps of the same database reuse it.
+    for part in (
+        query,
+        semantics,
+        (extra_constants, max_extra_facts),
+        [repr(value) for value in domain],
+        database.content_digest(),
+    ):
+        digest.update(repr(part).encode("utf-8"))
+        digest.update(b"\x1f")
+    return digest.hexdigest()
+
+
+def _check_resume(token: Any, key: str, kernel_epoch: Optional[int]) -> None:
+    """Refuse a ``resume`` token minted for other inputs or kernel state."""
+    if not isinstance(token, ResumeToken):
+        raise InvalidRequestError(
+            "resume= expects a PartialResult or ResumeToken, "
+            f"got {type(token).__name__}"
+        )
+    if token.key != key:
+        raise InvalidRequestError(
+            "resume token does not match this enumeration: the query, "
+            "database, semantics, domain or extra-facts cap changed since "
+            "it was minted"
+        )
+    if token.kernel_epoch is not None and token.kernel_epoch != kernel_epoch:
+        raise InvalidRequestError(
+            "resume token predates a condition-kernel eviction/clear on "
+            "this session; re-run certain() from the start"
+        )
+
+
 def enumeration_strategy(
     query: Query,
     database: Database,
@@ -125,21 +171,26 @@ def enumeration_strategy(
     world_evaluator: Optional[Callable[[Database], Relation]] = None,
     mode: str = "certain",
     resume: Optional[ResumeToken] = None,
-    heartbeat: Optional[float] = None,
-    pool_factory: Optional[Callable[[int], Any]] = None,
     executor: Optional[Any] = None,
+    kernel_epoch: Optional[int] = None,
 ) -> Relation:
     """Certain (or possible) answers computed literally by world enumeration.
 
-    ``world_evaluator`` overrides the per-world callable — sessions pass a
-    *picklable* one when ``workers`` should fan out over a process pool;
-    the default closure works but forces the sequential path.  ``resume``,
-    ``heartbeat``, ``pool_factory`` and ``executor`` (a live caller-owned
-    pool that takes precedence over ``pool_factory``) are forwarded to
-    :func:`~repro.semantics.certain.enumerate_certain_answers`
-    (``mode="certain"`` only — a possible-answers union has no sound
-    partial state to resume from).
+    ``semantics`` names an entry of :mod:`repro.semantics.registry`; its
+    world space is enumerated.  ``world_evaluator`` overrides the
+    per-world callable — sessions pass a *picklable* one when ``workers``
+    should fan out over a process pool (``executor``: a live,
+    caller-owned pool); the default closure works but forces the
+    sequential path.  ``mode="certain"`` only: ``resume`` continues a
+    checkpoint minted by an interrupted run.  It is refused unless its
+    key (a fingerprint of the query, database, semantics, resolved domain
+    and extra-facts cap) and kernel epoch match these inputs and
+    ``kernel_epoch`` (the caller's condition-kernel epoch); a budget
+    expiry stamps both on the checkpoint it raises.  A possible-answers
+    union has no sound partial state to resume from.
     """
+    from ..semantics.registry import semantics_named
+
     state = active_budget()
     if state is not None:
         # Refuse to even start an enumeration on an already-expired budget
@@ -148,30 +199,27 @@ def enumeration_strategy(
     if world_evaluator is None:
         world_evaluator = lambda world: evaluator(query, world)  # noqa: E731
     resolved_domain = enumeration_domain(query, database, domain, extra_constants)
-    if mode == "certain":
-        return enumerate_certain_answers(
-            world_evaluator,
-            database,
-            semantics=semantics,
-            domain=resolved_domain,
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-            workers=workers,
-            resume=resume,
-            heartbeat=heartbeat,
-            pool_factory=pool_factory,
-            executor=executor,
-        )
+    inputs = (
+        world_evaluator, database, semantics_named(semantics).worlds, resolved_domain,
+        extra_constants, max_extra_facts,
+    )
     if mode == "possible":
-        return enumerate_possible_answers(
-            world_evaluator,
-            database,
-            semantics=semantics,
-            domain=resolved_domain,
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-        )
-    raise ValueError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
+        return enumerate_possible_answers(*inputs)
+    if mode != "certain":
+        raise ValueError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
+    # The fingerprint is computed only when a token comes in or goes out.
+    key = functools.partial(
+        _fingerprint, query, database, semantics, resolved_domain, extra_constants, max_extra_facts
+    )
+    if resume is not None:
+        _check_resume(resume, key(), kernel_epoch)
+    try:
+        return enumerate_certain_answers(*inputs, workers=workers, resume=resume, executor=executor)
+    except BudgetExceeded as error:
+        if error.resume_token is not None:
+            error.resume_token.key = key()
+            error.resume_token.kernel_epoch = kernel_epoch
+        raise
 
 
 def certain_strategy(

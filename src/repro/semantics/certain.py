@@ -10,7 +10,11 @@ directly, by enumerating the (finitely approximated) set of worlds from
 deliberately naive: it serves as the *ground truth* against which the
 efficient methods (naive evaluation, ``RA_cwa`` evaluation, c-table
 algebra) are validated, and as the "expensive" side of the complexity-shape
-benchmarks.  Its cost is exponential in the number of nulls.
+benchmarks.  Its cost is exponential in the number of nulls.  A Boolean
+query is the 0-ary query it is (:class:`NonEmpty`: ``{()}`` where it
+holds, ``{}`` where not), so Boolean certainty is the same intersection
+fold — with the same ``workers=`` fan-out — and false when no world
+exists, like every other empty intersection.
 
 Two properties this module guarantees beyond the definition:
 
@@ -112,18 +116,26 @@ def _check_child_cancelled() -> None:
         raise QueryCancelled("worker chunk cancelled by Session.cancel()")
 
 
-def _observed_chunk(
-    body: Callable[[], Any], observe: bool
-) -> Tuple[Any, Optional[Tuple[List[dict], dict]]]:
-    """Run a chunk body, optionally under fresh local obs instruments.
+def _intersect_chunk(
+    evaluate: Evaluator, chunk: List[Database], observe: bool = False
+) -> Tuple[Tuple[Optional[RelationSchema], Optional[Set[Row]]], Any]:
+    """Worker task: intersect the query answers over a chunk of worlds.
 
-    ``observe=True`` is how worker *children* trace: they cannot share
-    the parent's sink or registry across the process boundary, so the
-    chunk runs under a local ring-buffer :class:`Tracer` and a local
-    :class:`MetricsRegistry`, and the serialized spans + counter deltas
-    travel back with the result (both picklable).  The parent absorbs
-    them in :func:`_windowed_chunk_results`.
+    The intersection fold, checking the shared cancel Event before each
+    world, so the cancellation latency of a ``workers=`` fan-out is
+    bounded by one world's evaluation, not by a whole chunk
+    (``_CHUNK_SIZE`` worlds).  ``observe=True`` is how worker *children*
+    trace: they cannot share the parent's sink or registry across the
+    process boundary, so the chunk runs under a local ring-buffer
+    :class:`Tracer` and a local :class:`MetricsRegistry`, and the
+    serialized spans + counter deltas travel back with the result (both
+    picklable).  The parent absorbs them in :func:`_windowed_chunk_results`.
     """
+
+    def body() -> Tuple[Optional[RelationSchema], Optional[Set[Row]]]:
+        running = _Intersection().fold(evaluate, chunk, _check_child_cancelled)
+        return running.schema, running.rows
+
     if not observe:
         return body(), None
     tracer = Tracer()
@@ -133,70 +145,7 @@ def _observed_chunk(
     return payload, (serialize_spans(tracer), registry.counters())
 
 
-def _intersect_chunk(
-    evaluate: Evaluator, chunk: List[Database], observe: bool = False
-) -> Tuple[Tuple[Optional[RelationSchema], Optional[Set[Row]]], Any]:
-    """Worker task: intersect the query answers over a chunk of worlds.
-
-    Checks the shared cancel Event between worlds, so the cancellation
-    latency of a ``workers=`` fan-out is bounded by one world's
-    evaluation, not by a whole chunk (``_CHUNK_SIZE`` worlds).
-    """
-
-    def body() -> Tuple[Optional[RelationSchema], Optional[Set[Row]]]:
-        registry = current_metrics()
-        tracer = current_tracer()
-        schema: Optional[RelationSchema] = None
-        certain: Optional[Set[Row]] = None
-        for world in chunk:
-            _check_child_cancelled()
-            if tracer is not None:
-                with tracer.span("world.evaluate"):
-                    answer = evaluate(world)
-            else:
-                answer = evaluate(world)
-            if registry is not None:
-                registry.count("worlds.evaluated")
-            if schema is None:
-                schema = answer.schema
-            if certain is None:
-                certain = set(answer.rows)
-            else:
-                certain &= answer.rows
-            if not certain:
-                break  # the parent's intersection is empty too: stop, as it does
-        return schema, certain
-
-    return _observed_chunk(body, observe)
-
-
-def _all_hold_chunk(
-    evaluate: Callable[[Database], bool], chunk: List[Database], observe: bool = False
-) -> Tuple[bool, Any]:
-    """Worker task: ``True`` iff the Boolean query holds in every chunk world."""
-
-    def body() -> bool:
-        registry = current_metrics()
-        tracer = current_tracer()
-        result = True
-        for world in chunk:
-            _check_child_cancelled()
-            if tracer is not None:
-                with tracer.span("world.evaluate"):
-                    holds = evaluate(world)
-            else:
-                holds = evaluate(world)
-            if registry is not None:
-                registry.count("worlds.evaluated")
-            if not holds:
-                result = False
-                break
-        return result
-
-    return _observed_chunk(body, observe)
-
-
-def _run_chunk_locally(task: Callable[..., Any], evaluate: Any, chunk: List[Database]) -> Any:
+def _run_chunk_locally(evaluate: Any, chunk: List[Database]) -> Any:
     """Re-run a failed chunk in the parent, attributing per-world failures.
 
     This is both the recovery path (a chunk whose child died takes the
@@ -213,18 +162,17 @@ def _run_chunk_locally(task: Callable[..., Any], evaluate: Any, chunk: List[Data
                 f"world evaluation failed deterministically: {error}", world=world
             ) from error
 
-    return task(attributed, chunk)
+    return _intersect_chunk(attributed, chunk)
 
 
 def _windowed_chunk_results(
     pool: Any,
-    task: Callable[..., Any],
     evaluate: Any,
     chunks: Iterable[List[Database]],
     window: int,
     heartbeat: Optional[float] = None,
 ) -> Iterator[Tuple[Any, int]]:
-    """Run ``task(evaluate, chunk)`` over the pool with bounded in-flight work.
+    """Intersect each chunk's answers over the pool, with bounded in-flight work.
 
     World enumeration is exponential in the number of nulls, so the chunk
     stream must never be materialized: at most ``window`` chunks are
@@ -294,7 +242,7 @@ def _windowed_chunk_results(
                 exhausted = True
                 break
             try:
-                pending.append((pool.submit(task, evaluate, chunk, observe), chunk))
+                pending.append((pool.submit(_intersect_chunk, evaluate, chunk, observe), chunk))
             except BrokenExecutor:
                 # The pool noticed a dead child at submission time; the
                 # chunk must wait its turn behind the pending ones so the
@@ -307,7 +255,7 @@ def _windowed_chunk_results(
                 # Futures of a broken/hung pool may never resolve: do not
                 # wait another heartbeat per future, re-run right away.
                 future.cancel()
-                result = _run_chunk_locally(task, evaluate, chunk)
+                result = _run_chunk_locally(evaluate, chunk)
             else:
                 timeout = heartbeat
                 if state is not None:
@@ -328,10 +276,10 @@ def _windowed_chunk_results(
                     # The deadline is fine but the heartbeat tripped: the
                     # child hung without dying.  Degrade to sequential.
                     broken = True
-                    result = _run_chunk_locally(task, evaluate, chunk)
+                    result = _run_chunk_locally(evaluate, chunk)
                 except BrokenExecutor:
                     broken = True
-                    result = _run_chunk_locally(task, evaluate, chunk)
+                    result = _run_chunk_locally(evaluate, chunk)
                 except (WorkerPoolError, QueryCancelled):
                     # A cancelled child is the *requested* outcome of
                     # Session.cancel(), not a chunk failure: re-running the
@@ -339,35 +287,43 @@ def _windowed_chunk_results(
                     # whole chunk — exactly the latency bug being fixed.
                     raise
                 except Exception:
-                    result = _run_chunk_locally(task, evaluate, chunk)
+                    result = _run_chunk_locally(evaluate, chunk)
             yield from emit(result, chunk)
         elif leftover is not None:
             chunk, leftover = leftover, None
-            yield from emit(_run_chunk_locally(task, evaluate, chunk), chunk)
+            yield from emit(_run_chunk_locally(evaluate, chunk), chunk)
         elif not exhausted:
             # broken before the stream was fully submitted: finish the
             # remaining worlds sequentially in the parent.
             for chunk in chunk_iter:
-                yield from emit(_run_chunk_locally(task, evaluate, chunk), chunk)
+                yield from emit(_run_chunk_locally(evaluate, chunk), chunk)
             return
         else:
             return
 
 
-def _evaluated(evaluate: Callable[[Any], Any], world_iter: Iterable[Any]) -> Iterator[Any]:
-    """``evaluate(world)`` for each world: the one sequential loop over possible worlds.
+def _evaluated(
+    evaluate: Callable[[Any], Any],
+    world_iter: Iterable[Any],
+    check: Optional[Callable[[], Any]] = None,
+) -> Iterator[Any]:
+    """``evaluate(world)`` for each world: the one loop over possible worlds.
 
-    Each world first ticks the armed budget (``max_worlds``, the deadline,
-    ``Session.cancel()``), then is evaluated under a ``world.evaluate``
-    span and counted in ``worlds.evaluated``.  A fold that stops early
-    simply stops pulling, so only the worlds it consumed are counted.
+    Each world first passes ``check`` — by default it ticks the armed
+    budget (``max_worlds``, the deadline, ``Session.cancel()``); a worker
+    chunk checks the cross-process cancel event instead — then is
+    evaluated under a ``world.evaluate`` span and counted in
+    ``worlds.evaluated``.  A fold that stops early simply stops pulling,
+    so only the worlds it consumed are counted.
     """
-    state = active_budget()
+    if check is None:
+        state = active_budget()
+        check = None if state is None else state.tick_world
     registry = current_metrics()
     tracer = current_tracer()
     for world in world_iter:
-        if state is not None:
-            state.tick_world()
+        if check is not None:
+            check()
         if tracer is not None:
             with tracer.span("world.evaluate"):
                 answer = evaluate(world)
@@ -405,9 +361,14 @@ class _Intersection:
             self.rows &= rows
         return bool(self.rows)
 
-    def fold(self, evaluate: Callable[[Any], Relation], world_iter: Iterable[Any]) -> "_Intersection":
+    def fold(
+        self,
+        evaluate: Callable[[Any], Relation],
+        world_iter: Iterable[Any],
+        check: Optional[Callable[[], Any]] = None,
+    ) -> "_Intersection":
         """Intersect ``evaluate(world)`` in for each world, stopping once empty."""
-        for answer in _evaluated(evaluate, world_iter):
+        for answer in _evaluated(evaluate, world_iter, check):
             if not self.add(answer.schema, answer.rows):
                 break
         return self
@@ -437,6 +398,8 @@ def possible_over(evaluate: Callable[[Any], Relation], world_iter: Iterable[Any]
         if schema is None:
             schema = answer.schema
         possible |= answer.rows
+        if possible and not schema.attributes:
+            break  # a 0-ary answer is at most {()}: no world can add to it
     if schema is None:
         schema = fallback().schema
     return Relation(schema, possible)
@@ -447,18 +410,28 @@ def space_over(evaluate: Callable[[Any], Any], world_iter: Iterable[Any]) -> Set
     return set(_evaluated(evaluate, world_iter))
 
 
-def _pool_scope(workers: int, pool_factory: Optional[Callable[[int], Any]], executor: Optional[Any]) -> Any:
-    """The pool of a ``workers=`` fan-out, as a context manager.
+_BOOLEAN = RelationSchema("Boolean", ())
+_HOLDS = Relation(_BOOLEAN, [()])
+_FAILS = Relation(_BOOLEAN, ())
 
-    The caller's ``executor`` is used as-is and never shut down here;
-    otherwise ``pool_factory`` (default ``ProcessPoolExecutor``) makes a
-    per-call pool that is torn down on exit.
+
+class NonEmpty:
+    """A Boolean query as the 0-ary one it is: ``{()}`` where it holds, else ``{}``.
+
+    ``NonEmpty(evaluate)(world)`` is :data:`_HOLDS` when
+    ``evaluate(world)`` is truthy (a true Boolean, a non-empty answer),
+    so the intersection fold over these answers is Boolean certainty and
+    the union fold Boolean possibility.  Picklable when ``evaluate`` is,
+    so it crosses to ``workers=`` children.
     """
-    if executor is not None:
-        return contextlib.nullcontext(executor)
-    if pool_factory is None:
-        return ProcessPoolExecutor(max_workers=workers)
-    return pool_factory(workers)
+
+    __slots__ = ("evaluate",)
+
+    def __init__(self, evaluate: Callable[[Database], Any]) -> None:
+        self.evaluate = evaluate
+
+    def __call__(self, world: Database) -> Relation:
+        return _HOLDS if self.evaluate(world) else _FAILS
 
 
 def enumerate_certain_answers(
@@ -501,8 +474,9 @@ def enumerate_certain_answers(
         budget-interrupted run over the *same* inputs: the first
         ``resume.worlds_done`` worlds are skipped (the enumeration order
         is deterministic) and the running intersection is seeded from the
-        token.  Callers are responsible for checking the token's ``key``
-        against the inputs — this function trusts it.
+        token.  This function trusts the token; sessions reach it through
+        :func:`repro.core.answers.enumeration_strategy`, which checks the
+        token's ``key`` and kernel epoch against the inputs.
     heartbeat:
         Seconds the parent waits on one worker chunk before treating the
         child as hung and degrading to a sequential re-run (default
@@ -543,10 +517,14 @@ def enumerate_certain_answers(
         world_iter = iter(())
     try:
         if workers is not None and workers > 1 and _can_pickle(evaluate):
-            with _pool_scope(workers, pool_factory, executor) as pool:
+            # A caller's executor is used as-is; a per-call pool is torn down on exit.
+            if executor is not None:
+                scope = contextlib.nullcontext(executor)
+            else:
+                scope = (pool_factory or ProcessPoolExecutor)(workers)
+            with scope as pool:
                 for (schema, rows), count in _windowed_chunk_results(
                     pool,
-                    _intersect_chunk,
                     evaluate,
                     _chunks(world_iter, _CHUNK_SIZE),
                     2 * workers,
@@ -620,26 +598,14 @@ def enumerate_certain_boolean(
 ) -> bool:
     """Certain answer of a Boolean query: true iff true in every enumerated world.
 
-    ``workers`` parallelizes the per-world checks over a process pool in
-    chunks, like :func:`enumerate_certain_answers` (``heartbeat``,
-    ``pool_factory`` and the caller-owned ``executor`` behave as they do
-    there); early exit then happens per chunk rather than per world.
+    The intersection of :func:`enumerate_certain_answers` over the
+    query's 0-ary answers (:class:`NonEmpty`), with its ``workers=``
+    fan-out, early stop and options; with no world at all it is false.
     """
-    world_iter = worlds(database, semantics, domain, extra_constants, max_extra_facts)
-    if workers is None or workers <= 1 or not _can_pickle(evaluate):
-        return all(_evaluated(evaluate, world_iter))
-    with _pool_scope(workers, pool_factory, executor) as pool:
-        return all(
-            result
-            for result, _ in _windowed_chunk_results(
-                pool,
-                _all_hold_chunk,
-                evaluate,
-                _chunks(world_iter, _CHUNK_SIZE),
-                2 * workers,
-                heartbeat=heartbeat,
-            )
-        )
+    return bool(enumerate_certain_answers(
+        NonEmpty(evaluate), database, semantics, domain, extra_constants, max_extra_facts,
+        workers=workers, heartbeat=heartbeat, pool_factory=pool_factory, executor=executor,
+    ))
 
 
 def enumerate_possible_boolean(
@@ -651,4 +617,6 @@ def enumerate_possible_boolean(
     max_extra_facts: int = 1,
 ) -> bool:
     """Possibility of a Boolean query: true iff true in at least one world."""
-    return any(_evaluated(evaluate, worlds(database, semantics, domain, extra_constants, max_extra_facts)))
+    return bool(enumerate_possible_answers(
+        NonEmpty(evaluate), database, semantics, domain, extra_constants, max_extra_facts
+    ))

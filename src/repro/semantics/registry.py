@@ -12,7 +12,9 @@ subset; CWA and relational algebra only), ``enumeration`` (exact, not
 polynomial) — and every reader walks it: :meth:`WorldSemantics.choose`
 for the first exact strategy that applies (``certain(method="auto")``,
 ``cursor(certain=True)``, ``explain()``), :meth:`WorldSemantics.degrade`
-for the first polynomial one after a budget expired.
+for the first polynomial one after a budget expired.  Every world
+enumeration a session runs (``certain()``, ``possible()``, ``boolean()``)
+is the ``ENUMERATION`` row.
 """
 
 from __future__ import annotations
@@ -69,11 +71,24 @@ ENUMERATION = Strategy(
     "enumeration", "world enumeration", True, False,
     lambda semantics, query: Applicability(True, semantics.worlds, "any", "every world"),
     lambda semantics, query, database, evaluator, **options: enumeration_strategy(
-        query, database, evaluator, semantics=semantics.worlds, **options
+        query, database, evaluator, semantics=semantics.name, **options
     ),
 )
 #: The strategies ``certain(method=)`` may force.
 METHODS = {"naive": NAIVE, "enumeration": ENUMERATION}
+
+
+def forced_method(method: Any) -> Optional[Strategy]:
+    """The strategy ``certain(method=)`` forces (``None`` for ``"auto"``);
+    any other name raises :class:`InvalidRequestError`."""
+    if method == "auto":
+        return None
+    strategy = METHODS.get(method) if isinstance(method, str) else None
+    if strategy is None:
+        raise InvalidRequestError(
+            f"unknown method {method!r}; expected 'auto', 'naive' or 'enumeration'"
+        )
+    return strategy
 
 
 class WorldSemantics:
@@ -95,17 +110,13 @@ class WorldSemantics:
         exact one that applies, else the forced one.  A ``resume`` token
         checkpoints world enumeration: it forces enumeration, and any
         other forced method is refused."""
-        if method == "auto":
+        strategy = forced_method(method)
+        if strategy is None:
             if resume is None:
                 for strategy in self.strategies:
                     if strategy.exact and strategy.applies(self, query):
                         return strategy
             return ENUMERATION
-        strategy = METHODS.get(method) if isinstance(method, str) else None
-        if strategy is None:
-            raise InvalidRequestError(
-                f"unknown method {method!r}; expected 'auto', 'naive' or 'enumeration'"
-            )
         if resume is not None and strategy is not ENUMERATION:
             raise InvalidRequestError(
                 f"resume= checkpoints world enumeration; it is not defined for method={method!r}"

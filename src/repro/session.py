@@ -28,7 +28,11 @@ engine, and every semantics-dependent decision (which certain-answer
 strategy runs, how a budget overrun degrades, the probabilistic
 ``confidence()`` path) to one semantics object from
 :mod:`repro.semantics.registry`: this module branches on neither the
-engine nor the semantics.  The ``"sqlite"`` engine
+engine nor the semantics.  Every world enumeration — ``certain()``,
+``possible()``, ``boolean()`` (the 0-ary "answer is non-empty") — runs
+the registry's ``ENUMERATION`` row, which also checks and stamps resume
+tokens; this module only unwraps a ``PartialResult`` into its token.
+The ``"sqlite"`` engine
 (:mod:`repro.backends.sqlite_engine`) keeps its SQLite handles open
 across queries and owns every retry, fallback and recovery decision of
 that path.  Two live sessions therefore share *no* mutable state and can
@@ -40,8 +44,6 @@ a session builds its own :class:`~repro.engine.PlanCache`
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import itertools
 import multiprocessing
 import threading
@@ -49,12 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra.ast import RAExpression
-from .core.answers import (
-    Query as QueryLike,
-    enumeration_domain,
-    knowledge_strategy,
-    object_strategy,
-)
+from .core.answers import Query as QueryLike, knowledge_strategy, object_strategy
 from .resilience import (
     DEFAULT_RETRY_POLICY,
     Budget,
@@ -62,7 +59,6 @@ from .resilience import (
     BudgetState,
     InvalidRequestError,
     PartialResult,
-    ResumeToken,
     RetryPolicy,
     SessionClosedError,
     budget_scope,
@@ -76,13 +72,9 @@ from .logic.formulas import FOQuery
 from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer, entry_scope, env_tracer
-from .semantics.certain import (
-    _pool_initializer,
-    enumerate_certain_boolean,
-    enumerate_possible_boolean,
-)
+from .semantics.certain import NonEmpty, _pool_initializer
 from .semantics import certain as _certain_module
-from .semantics.registry import ENUMERATION, NAIVE, semantics_named
+from .semantics.registry import ENUMERATION, NAIVE, forced_method, semantics_named
 
 _BUDGET_POLICIES = ("degrade", "raise", "partial")
 
@@ -114,35 +106,32 @@ class _WorldEvaluator:
     (:func:`~repro.semantics.certain._pool_initializer`).
     """
 
-    __slots__ = ("query", "interpret", "boolean", "plan_cache", "session")
+    __slots__ = ("query", "interpret", "plan_cache", "session")
 
-    def __init__(self, query: QueryLike, session: "Session", boolean: bool = False) -> None:
+    def __init__(self, query: QueryLike, session: "Session") -> None:
         self.query = query
         self.interpret = session._engine.interprets
-        self.boolean = boolean
         self.plan_cache = session.plan_cache
         self.session: Optional["Session"] = session
 
-    def __getstate__(self) -> Tuple[QueryLike, bool, bool]:
-        return (self.query, self.interpret, self.boolean)
+    def __getstate__(self) -> Tuple[QueryLike, bool]:
+        return (self.query, self.interpret)
 
-    def __setstate__(self, state: Tuple[QueryLike, bool, bool]) -> None:
-        self.query, self.interpret, self.boolean = state
+    def __setstate__(self, state: Tuple[QueryLike, bool]) -> None:
+        self.query, self.interpret = state
         self.plan_cache = _certain_module._child_plan_cache
         self.session = None
 
-    def __call__(self, world: Database) -> Any:
+    def __call__(self, world: Database) -> Relation:
         session = self.session
         if session is not None and session._closed:
             raise SessionClosedError("session is closed")
         query = self.query
         if isinstance(query, FOQuery):
-            return query.boolean(world) if self.boolean else query.evaluate(world)
+            return query.evaluate(world)
         if self.interpret:
-            answer = query._interpret(world)
-        else:
-            answer = self.plan_cache.execute(query, world)
-        return bool(answer) if self.boolean else answer
+            return query._interpret(world)
+        return self.plan_cache.execute(query, world)
 
 
 class Cursor:
@@ -411,122 +400,73 @@ class Query:
         resume: Any,
     ) -> Relation:
         session = self.session
+        policy = self._policy(on_budget)
         if self._is_sql():
+            forced_method(method)  # validated as choose() validates it below
             if resume is not None:
                 raise InvalidRequestError(
                     "resume= is not defined for three-valued SQL queries"
                 )
             return session.sql(self.expression, database=self._database, certain=True)
         self._resilience_verdict = None
-        policy = self._policy(on_budget)
-        token = self._validated_resume(resume, domain, extra_constants, max_extra_facts)
-        semantics, expression = session._semantics, self.expression
-        # The strategy is picked before anything only enumeration needs.
-        strategy = semantics.choose(expression, method, token)
-        database, evaluate = self._require_database(), session._evaluate
+        if isinstance(resume, PartialResult):
+            if resume.token is None:
+                raise InvalidRequestError(
+                    "this PartialResult carries no resume token — the interrupted "
+                    "evaluation never reached an enumeration checkpoint"
+                )
+            resume = resume.token
+        semantics = session._semantics
+        strategy = semantics.choose(self.expression, method, resume)
         self._ran = strategy.label if method == "auto" else f"{strategy.label} (method={method!r})"
-        options = {} if strategy.polynomial else self._worlds(
-            domain, extra_constants, max_extra_facts,
-            workers=session.workers, resume=token, executor=session._worker_executor(),
+        return self._enumerate(
+            strategy, "certain", domain, extra_constants, max_extra_facts, budget,
+            lambda error: semantics.degrade(self, error, policy), resume,
         )
 
-        def run() -> Relation:
-            return strategy.run(semantics, expression, database, evaluate, **options)
-
-        def degrade(error: BudgetExceeded) -> Any:
-            # The enumeration mints fingerprint-agnostic checkpoints; bind
-            # this one to the query's inputs so certain(resume=) refuses a
-            # replay on others.  A fingerprint that cannot be computed (the
-            # database swapped mid-flight) voids the token, not the error.
-            if error.resume_token is not None:
-                try:
-                    error.resume_token.key = self._resume_key(
-                        domain, extra_constants, max_extra_facts
-                    )
-                    error.resume_token.kernel_epoch = session.kernel.epoch
-                except Exception:
-                    error.resume_token = None
-            return semantics.degrade(self, error, policy)
-
-        return self._run(run, budget, degrade)
-
-    def _worlds(
+    def _enumerate(
         self,
+        strategy: Any,
+        mode: str,
         domain: Optional[Sequence[Any]],
         extra_constants: Optional[int],
         max_extra_facts: int,
-        **options: Any,
-    ) -> dict:
-        """The options of one world enumeration (built only when one runs)."""
-        return dict(
-            domain=domain,
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-            world_evaluator=_WorldEvaluator(self.expression, self.session),
-            **options,
-        )
+        budget: Optional[Budget],
+        on_expiry: Optional[Callable[[BudgetExceeded], Any]] = None,
+        resume: Any = None,
+        boolean: bool = False,
+    ) -> Any:
+        """``strategy`` as one session run (``on_expiry`` as in :meth:`_run`).
+
+        World enumeration also gets its options, built only when it runs:
+        ``mode``, the world-space knobs, ``resume`` and, with ``boolean``,
+        the 0-ary answers "the answer is non-empty"."""
+        session, expression = self.session, self.expression
+        database = self._require_database()
+        options: dict = {}
+        if not strategy.polynomial:
+            per_world: Any = _WorldEvaluator(expression, session)
+            options = dict(
+                mode=mode,
+                domain=domain,
+                extra_constants=extra_constants,
+                max_extra_facts=max_extra_facts,
+                world_evaluator=NonEmpty(per_world) if boolean else per_world,
+                resume=resume,
+                kernel_epoch=session.kernel.epoch,
+            )
+            if mode == "certain":
+                # Only the intersection fans out over the worker pool.
+                options.update(workers=session.workers, executor=session._worker_executor())
+
+        def run() -> Any:
+            return strategy.run(session._semantics, expression, database, session._evaluate, **options)
+
+        return self._run(run, budget, on_expiry)
 
     def _policy(self, on_budget: Optional[str]) -> str:
         """The validated ``on_budget`` policy of one call (else the session's)."""
         return _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
-
-    def _validated_resume(
-        self,
-        resume: Any,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-    ) -> Optional[ResumeToken]:
-        """Unwrap and validate a ``resume=`` argument into a :class:`ResumeToken`."""
-        if resume is None:
-            return None
-        token = resume.token if isinstance(resume, PartialResult) else resume
-        if token is None:
-            raise InvalidRequestError(
-                "this PartialResult carries no resume token — the interrupted "
-                "evaluation never reached an enumeration checkpoint"
-            )
-        if not isinstance(token, ResumeToken):
-            raise InvalidRequestError(
-                "resume= expects a PartialResult or ResumeToken, "
-                f"got {type(resume).__name__}"
-            )
-        if token.key != self._resume_key(domain, extra_constants, max_extra_facts):
-            raise InvalidRequestError(
-                "resume token does not match this enumeration: the query, "
-                "database, semantics, domain or extra-facts cap changed since "
-                "it was minted"
-            )
-        if token.kernel_epoch is not None and token.kernel_epoch != self.session.kernel.epoch:
-            raise InvalidRequestError(
-                "resume token predates a condition-kernel eviction/clear on "
-                "this session; re-run certain() from the start"
-            )
-        return token
-
-    def _resume_key(
-        self,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-    ) -> str:
-        """Fingerprint of everything the world-enumeration order depends on."""
-        database = self._require_database()
-        resolved = enumeration_domain(self.expression, database, domain, extra_constants)
-        digest = hashlib.sha256()
-
-        def feed(part: Any) -> None:
-            digest.update(repr(part).encode("utf-8"))
-            digest.update(b"\x1f")
-
-        feed(self.expression)
-        feed(self.session.semantics)
-        feed((extra_constants, max_extra_facts))
-        feed([repr(value) for value in resolved])
-        # Databases are immutable, so the O(rows) content walk is cached on
-        # the instance — consecutive stamps of the same database reuse it.
-        feed(database.content_digest())
-        return digest.hexdigest()
 
     def possible(
         self,
@@ -544,16 +484,9 @@ class Query:
         """
         with self.session._obs("query.possible"):
             self._no_sql("possible()")
-            run = functools.partial(
-                ENUMERATION.run,
-                self.session._semantics,
-                self.expression,
-                self._require_database(),
-                self.session._evaluate,
-                mode="possible",
-                **self._worlds(domain, extra_constants, max_extra_facts),
+            return self._enumerate(
+                ENUMERATION, "possible", domain, extra_constants, max_extra_facts, budget
             )
-            return self._run(run, budget)
 
     def answer_object(self) -> Relation:
         """``certainO``: the naive answer itself, nulls included (eq. (9)).
@@ -591,42 +524,20 @@ class Query:
         """Certainty (or possibility) of "the answer is non-empty".
 
         For a Boolean first-order query this is its truth value per world;
-        for relational algebra it is non-emptiness of the answer.
+        for relational algebra it is non-emptiness of the answer.  Either
+        way it is ``certain()`` (``possible()``) of the 0-ary query
+        "the answer is non-empty", so it is false when no world exists.
         ``budget`` caps the enumeration; on expiry
         :class:`~repro.resilience.BudgetExceeded` is raised (a Boolean
         has no sound middle ground to degrade to).
         """
+        if mode not in ("certain", "possible"):
+            raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
         with self.session._obs("query.boolean"):
             self._no_sql("boolean()")
-            return self._run(
-                functools.partial(self._boolean, mode, domain, extra_constants, max_extra_facts),
-                budget,
-            )
-
-    def _boolean(
-        self,
-        mode: str,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-    ) -> bool:
-        database = self._require_database()
-        evaluate = _WorldEvaluator(self.expression, self.session, boolean=True)
-        options = dict(
-            semantics=self.session.world_semantics,
-            domain=enumeration_domain(self.expression, database, domain, extra_constants),
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-        )
-        if mode == "certain":
-            session = self.session
-            return enumerate_certain_boolean(
-                evaluate, database, workers=session.workers,
-                executor=session._worker_executor(), **options,
-            )
-        if mode == "possible":
-            return enumerate_possible_boolean(evaluate, database, **options)
-        raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
+            return bool(self._enumerate(
+                ENUMERATION, mode, domain, extra_constants, max_extra_facts, budget, boolean=True
+            ))
 
     # -- probabilistic answering (semantics="prob") --------------------
     def condition_on(self, constraint: Any) -> "Query":

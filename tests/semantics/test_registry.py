@@ -56,6 +56,22 @@ def test_prob_is_compared_only_in_the_registry():
     assert comparing <= {REGISTRY}, sorted(comparing - {REGISTRY})
 
 
+def test_session_reaches_world_enumeration_only_through_the_registry():
+    """``session.py`` neither calls an enumerator nor fingerprints tokens."""
+    tree = ast.parse((ROOT / "session.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not sorted(name for name in names if name.startswith("enumerate_"))
+    assert "hashlib" not in names
+
+
 def _connect(name):
     """A session over a two-row R (one null) and S under semantics ``name``."""
     x, y = Null("x"), Null("y")
@@ -94,3 +110,26 @@ def test_confidence_validates_samples_at_entry(samples):
     with _connect("prob") as session:
         with pytest.raises(repro.InvalidRequestError, match="samples must be >= 1"):
             session.query(parse_ra("project[#0](R)")).confidence(samples=samples)
+
+
+@pytest.mark.parametrize("mode", ["certain", "boolean"])
+def test_session_enumeration_runs_through_the_one_entry(mode, monkeypatch):
+    """``certain()`` and ``boolean()`` reach ``enumerate_certain_answers`` once,
+    through the module global the end-to-end layer table wraps."""
+    import repro.core.answers as answers
+
+    calls = []
+    real = answers.enumerate_certain_answers
+
+    def counted(*args, **kwargs):
+        calls.append(mode)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(answers, "enumerate_certain_answers", counted)
+    with _connect("cwa") as session:
+        query = session.query(parse_ra("diff(project[#1](R), S)"))
+        if mode == "certain":
+            query.certain(method="enumeration")
+        else:
+            query.boolean()
+    assert calls == [mode]

@@ -4,7 +4,8 @@ Graphs, trees, c-tables and constraints fold over their worlds with the
 folds of :mod:`repro.semantics.certain`, so they share its behaviour:
 
 * with no world at all (an empty valuation domain) the certain answers
-  are empty, never the naive answer with its nulls;
+  are empty, never the naive answer with its nulls, and a Boolean query
+  is not certain;
 * an armed budget caps the worlds and ``Session.cancel()`` stops the
   enumeration;
 * only :mod:`repro.semantics.worlds` enumerates valuations itself.
@@ -31,9 +32,9 @@ from repro.graphs import (
     certain_answers_rpq,
     parse_rpq,
 )
-from repro.logic import var
+from repro.logic import FOQuery, atom, exists, var
 from repro.resilience import budget_scope
-from repro.semantics import answer_space
+from repro.semantics import answer_space, enumerate_certain_boolean
 from repro.trees import DataTree, PatternNode, TreePattern, certain_answers_tree_pattern
 
 X, Y = var("x"), var("y")
@@ -58,6 +59,19 @@ def test_empty_domain_has_no_certain_answer(case):
     assert naive.rows, "the naive answer must be non-empty for the check to bite"
     answer = certain_answers(query, source, domain=[])
     assert answer == Relation(naive.schema, ())
+
+
+def test_empty_domain_boolean_is_not_certain():
+    """With no world, a Boolean query is false, as certain() has no row."""
+    exists_r = FOQuery(exists(X, atom("R", X)))
+    database = Database.from_dict({"R": [(Null("x"),)]})
+    with repro.connect(database) as session:
+        query = session.query(exists_r)
+        assert query.boolean() is True, "with worlds the query must hold for the check to bite"
+        assert query.certain(method="enumeration", domain=[]).rows == frozenset()
+        assert query.boolean(domain=[]) is False
+        assert query.boolean(mode="possible", domain=[]) is False
+    assert enumerate_certain_boolean(lambda world: True, database, "cwa", domain=[]) is False
 
 
 def _ctable():

@@ -90,6 +90,11 @@ class TestQueryModes:
         with pytest.raises(ValueError, match="unknown mode"):
             session.query(PROJECT).boolean(mode="definitely")
 
+    def test_boolean_checks_mode_before_looking_for_a_database(self):
+        with repro.connect() as session:
+            with pytest.raises(repro.InvalidRequestError, match="unknown mode 'perhaps'"):
+                session.query(PROJECT).boolean(mode="perhaps")
+
     def test_fo_queries_work(self, db):
         session = repro.connect(db)
         q = session.query(FOQuery(exists((var("p"), var("pr")), atom("Orders", var("p"), var("pr")))))
@@ -169,6 +174,14 @@ class TestSessionSql:
         with pytest.raises(ValueError, match="not defined"):
             q.possible()
         assert "sql" in q.explain()
+
+    @pytest.mark.parametrize(
+        "arguments", [{"method": "bogus"}, {"on_budget": "bogus"}], ids=["method", "on_budget"]
+    )
+    def test_certain_validates_its_arguments_for_sql_queries(self, db, arguments):
+        session = repro.connect(db)
+        with pytest.raises(repro.InvalidRequestError, match="unknown"):
+            session.query(self.SQL).certain(**arguments)
 
     def test_sql_requires_database(self):
         session = repro.connect()
