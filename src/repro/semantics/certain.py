@@ -601,11 +601,16 @@ def enumerate_certain_boolean(
     The intersection of :func:`enumerate_certain_answers` over the
     query's 0-ary answers (:class:`NonEmpty`), with its ``workers=``
     fan-out, early stop and options; with no world at all it is false.
+    A budget expiry raises without a resume token (a 0-ary checkpoint).
     """
-    return bool(enumerate_certain_answers(
-        NonEmpty(evaluate), database, semantics, domain, extra_constants, max_extra_facts,
-        workers=workers, heartbeat=heartbeat, pool_factory=pool_factory, executor=executor,
-    ))
+    try:
+        return bool(enumerate_certain_answers(
+            NonEmpty(evaluate), database, semantics, domain, extra_constants, max_extra_facts,
+            workers=workers, heartbeat=heartbeat, pool_factory=pool_factory, executor=executor,
+        ))
+    except BudgetExceeded as error:
+        error.resume_token = None
+        raise
 
 
 def enumerate_possible_boolean(

@@ -434,26 +434,23 @@ class Query:
         budget: Optional[Budget],
         on_expiry: Optional[Callable[[BudgetExceeded], Any]] = None,
         resume: Any = None,
-        boolean: bool = False,
+        wrap: Optional[Callable[[Any], Any]] = None,
     ) -> Any:
         """``strategy`` as one session run (``on_expiry`` as in :meth:`_run`).
 
         World enumeration also gets its options, built only when it runs:
-        ``mode``, the world-space knobs, ``resume`` and, with ``boolean``,
-        the 0-ary answers "the answer is non-empty"."""
+        ``mode``, the world-space knobs, ``resume`` and the per-world
+        evaluator, passed through ``wrap`` when given (``boolean()``
+        passes :class:`NonEmpty`)."""
         session, expression = self.session, self.expression
         database = self._require_database()
         options: dict = {}
         if not strategy.polynomial:
             per_world: Any = _WorldEvaluator(expression, session)
             options = dict(
-                mode=mode,
-                domain=domain,
-                extra_constants=extra_constants,
-                max_extra_facts=max_extra_facts,
-                world_evaluator=NonEmpty(per_world) if boolean else per_world,
-                resume=resume,
-                kernel_epoch=session.kernel.epoch,
+                mode=mode, domain=domain, extra_constants=extra_constants,
+                max_extra_facts=max_extra_facts, resume=resume, kernel_epoch=session.kernel.epoch,
+                world_evaluator=per_world if wrap is None else wrap(per_world),
             )
             if mode == "certain":
                 # Only the intersection fans out over the worker pool.
@@ -535,9 +532,15 @@ class Query:
             raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
         with self.session._obs("query.boolean"):
             self._no_sql("boolean()")
-            return bool(self._enumerate(
-                ENUMERATION, mode, domain, extra_constants, max_extra_facts, budget, boolean=True
-            ))
+            try:
+                return bool(self._enumerate(
+                    ENUMERATION, mode, domain, extra_constants, max_extra_facts, budget,
+                    wrap=NonEmpty,
+                ))
+            except BudgetExceeded as error:
+                # A 0-ary checkpoint has certain()'s key; it must not resume it.
+                error.resume_token = None
+                raise
 
     # -- probabilistic answering (semantics="prob") --------------------
     def condition_on(self, constraint: Any) -> "Query":
