@@ -25,6 +25,11 @@ Usage::
     python benchmarks/run_all.py --compare      # exit 1 if any op regressed
                                                 # >20% vs the committed snapshot
 
+The report goes to the git-ignored ``benchmarks/out/BENCH_results.json``,
+so a check run leaves the work tree clean.  The committed snapshot
+``benchmarks/BENCH_results.json`` is what ``--baseline`` reads; refresh
+it on purpose with ``--output benchmarks/BENCH_results.json``.
+
 ``--compare`` diffs the fresh run against an earlier report (default: the
 committed ``BENCH_results.json``).  To stay meaningful across machines of
 different absolute speed, per-op ratios are normalized by the median ratio
@@ -885,8 +890,10 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_results.json"),
-        help="path of the JSON report (default: benchmarks/BENCH_results.json)",
+        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "out", "BENCH_results.json"),
+        help="path of the JSON report (default: the git-ignored "
+        "benchmarks/out/BENCH_results.json; pass benchmarks/BENCH_results.json "
+        "to refresh the committed snapshot)",
     )
     args = parser.parse_args(argv)
 
@@ -1002,6 +1009,7 @@ def main(argv: Optional[list] = None) -> int:
         "join_heavy_min_speedup": join_heavy_min,
         "gated_min_speedup": gated_min,
     }
+    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     print(f"\nwrote {args.output}")

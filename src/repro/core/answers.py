@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Any, Callable, Optional, Sequence, Union
+from collections import Counter
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..algebra import ast
 from ..algebra.ast import ConstantRelation, RAExpression, Selection
 from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
@@ -85,6 +87,68 @@ def enumeration_domain(
     )
 
 
+#: The operators whose answers commute with every renaming of constants
+#: outside the query (genericity), given equality-only selections.
+_GENERIC_OPERATORS = frozenset({
+    ast.RelationRef, ast.ConstantRelation, ast.Delta, ast.ActiveDomain, ast.Selection,
+    ast.Projection, ast.Rename, ast.Product, ast.NaturalJoin, ast.Union_, ast.Difference,
+    ast.Intersection, ast.Division,
+})
+
+
+class ValuationSpace(NamedTuple):
+    """The valuations a certain-answer enumeration runs, and why.
+
+    ``interchangeable`` holds the domain values the query cannot tell
+    apart; with them only canonical valuations run (one per renaming of
+    these values).  Empty means every valuation, for ``reason``.
+    """
+
+    interchangeable: Tuple[Any, ...]
+    reason: str = ""
+
+    def describe(self) -> str:
+        if self.interchangeable:
+            return f"canonical valuations ({len(self.interchangeable)} interchangeable constants)"
+        return f"every valuation ({self.reason})"
+
+
+def valuation_space(
+    query: Query, database: Database, domain: Sequence[Any], mode: str = "certain"
+) -> ValuationSpace:
+    """The valuations enumerating ``query``'s ``mode`` answers over ``domain`` needs.
+
+    Certain answers of a generic query (relational algebra over the known
+    operators with equality-only selections, or first-order logic) do not
+    change when values outside the database and the query are renamed, so
+    one valuation per renaming suffices.  The interchangeable values are
+    the ``domain`` values outside ``database.constants()`` and the query's
+    constants that equal no other value of ``domain``; canonical
+    enumeration needs at least two.  Possible answers, order comparisons,
+    other queries and databases without nulls keep every valuation.
+    """
+    if mode != "certain":
+        return ValuationSpace((), "possible answers")
+    if isinstance(query, RAExpression):
+        for node in query.walk():
+            if type(node) not in _GENERIC_OPERATORS:
+                return ValuationSpace((), "unknown operator")
+            if isinstance(node, Selection) and not node.predicate.is_equality_only():
+                return ValuationSpace((), "order comparison")
+    elif not isinstance(query, FOQuery):
+        return ValuationSpace((), "unknown operator")
+    if not database.nulls():
+        return ValuationSpace((), "no nulls: one valuation")
+    fixed = set(database.constants()) | query_constants(query)
+    occurrences = Counter(domain)
+    fresh = tuple(
+        value for value in domain if occurrences[value] == 1 and value not in fixed
+    )
+    if len(fresh) < 2:
+        return ValuationSpace((), "fewer than 2 fresh values")
+    return ValuationSpace(fresh)
+
+
 # ----------------------------------------------------------------------
 # Strategy functions
 # ----------------------------------------------------------------------
@@ -122,6 +186,7 @@ def _fingerprint(
     domain: Sequence[Any],
     extra_constants: Optional[int],
     max_extra_facts: int,
+    interchangeable: Sequence[Any],
 ) -> str:
     """Fingerprint of everything the world-enumeration order depends on."""
     digest = hashlib.sha256()
@@ -132,6 +197,7 @@ def _fingerprint(
         semantics,
         (extra_constants, max_extra_facts),
         [repr(value) for value in domain],
+        [repr(value) for value in interchangeable],
         database.content_digest(),
     ):
         digest.update(repr(part).encode("utf-8"))
@@ -149,8 +215,8 @@ def _check_resume(token: Any, key: str, kernel_epoch: Optional[int]) -> None:
     if token.key != key:
         raise InvalidRequestError(
             "resume token does not match this enumeration: the query, "
-            "database, semantics, domain or extra-facts cap changed since "
-            "it was minted"
+            "database, semantics, domain, extra-facts cap or valuation space "
+            "changed since it was minted"
         )
     if token.kernel_epoch is not None and token.kernel_epoch != kernel_epoch:
         raise InvalidRequestError(
@@ -188,6 +254,10 @@ def enumeration_strategy(
     ``kernel_epoch`` (the caller's condition-kernel epoch); a budget
     expiry stamps both on the checkpoint it raises.  A possible-answers
     union has no sound partial state to resume from.
+
+    Each call decides its :func:`valuation_space` (certain answers of a
+    generic query run canonical valuations only); the space is part of
+    the token key.
     """
     from ..semantics.registry import semantics_named
 
@@ -207,14 +277,18 @@ def enumeration_strategy(
         return enumerate_possible_answers(*inputs)
     if mode != "certain":
         raise ValueError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
+    fresh = valuation_space(query, database, resolved_domain).interchangeable
     # The fingerprint is computed only when a token comes in or goes out.
     key = functools.partial(
-        _fingerprint, query, database, semantics, resolved_domain, extra_constants, max_extra_facts
+        _fingerprint, query, database, semantics, resolved_domain, extra_constants,
+        max_extra_facts, fresh,
     )
     if resume is not None:
         _check_resume(resume, key(), kernel_epoch)
     try:
-        return enumerate_certain_answers(*inputs, workers=workers, resume=resume, executor=executor)
+        return enumerate_certain_answers(
+            *inputs, workers=workers, resume=resume, executor=executor, interchangeable=fresh
+        )
     except BudgetExceeded as error:
         if error.resume_token is not None:
             error.resume_token.key = key()

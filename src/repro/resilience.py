@@ -396,12 +396,17 @@ class ResumeToken:
         The session's condition-kernel eviction epoch when the token was
         minted; resuming after the kernel was cleared/evicted is refused
         (interned condition identity may have changed under the session).
+    interchangeable:
+        The interchangeable values the counted enumeration ran canonical
+        valuations over (:mod:`repro.semantics.worlds`); ``()`` when it
+        ran every valuation.  ``worlds_done`` counts worlds of that
+        enumeration only, so a run over the other one refuses the token.
 
     Tokens pickle (all fields are plain data), so a serving tier can park
     an interrupted enumeration and resume it in another process.
     """
 
-    __slots__ = ("key", "worlds_done", "schema", "intersection", "kernel_epoch")
+    __slots__ = ("key", "worlds_done", "schema", "intersection", "kernel_epoch", "interchangeable")
 
     def __init__(
         self,
@@ -410,20 +415,22 @@ class ResumeToken:
         schema: Any = None,
         intersection: Optional[FrozenSet[Tuple[Any, ...]]] = None,
         kernel_epoch: Optional[int] = None,
+        interchangeable: Tuple[Any, ...] = (),
     ) -> None:
         self.key = key
         self.worlds_done = int(worlds_done)
         self.schema = schema
         self.intersection = None if intersection is None else frozenset(intersection)
         self.kernel_epoch = kernel_epoch
+        self.interchangeable = tuple(interchangeable)
 
     def __getstate__(self) -> Tuple[Any, ...]:
         return (self.key, self.worlds_done, self.schema, self.intersection,
-                self.kernel_epoch)
+                self.kernel_epoch, self.interchangeable)
 
     def __setstate__(self, state: Tuple[Any, ...]) -> None:
         (self.key, self.worlds_done, self.schema, self.intersection,
-         self.kernel_epoch) = state
+         self.kernel_epoch, self.interchangeable) = state
 
     def __repr__(self) -> str:
         held = "no rows" if self.intersection is None else f"{len(self.intersection)} rows held"

@@ -48,6 +48,7 @@ from ..obs.metrics import MetricsRegistry, current_metrics
 from ..obs.trace import Tracer, current_tracer, obs_scope, serialize_spans
 from ..resilience import (
     BudgetExceeded,
+    InvalidRequestError,
     QueryCancelled,
     ResumeToken,
     WorkerPoolError,
@@ -446,6 +447,8 @@ def enumerate_certain_answers(
     heartbeat: Optional[float] = None,
     pool_factory: Optional[Callable[[int], Any]] = None,
     executor: Optional[Any] = None,
+    *,
+    interchangeable: Sequence[Any] = (),
 ) -> Relation:
     """Intersection-based certain answers computed by world enumeration.
 
@@ -474,9 +477,12 @@ def enumerate_certain_answers(
         budget-interrupted run over the *same* inputs: the first
         ``resume.worlds_done`` worlds are skipped (the enumeration order
         is deterministic) and the running intersection is seeded from the
-        token.  This function trusts the token; sessions reach it through
-        :func:`repro.core.answers.enumeration_strategy`, which checks the
-        token's ``key`` and kernel epoch against the inputs.
+        token.  A token that counts the other enumeration (its
+        ``interchangeable`` differs) raises
+        :class:`~repro.resilience.InvalidRequestError`; otherwise this
+        function trusts the token.  Sessions reach it through
+        :func:`repro.core.answers.enumeration_strategy`, which also checks
+        the token's ``key`` and kernel epoch against the inputs.
     heartbeat:
         Seconds the parent waits on one worker chunk before treating the
         child as hung and degrading to a sequential re-run (default
@@ -493,6 +499,15 @@ def enumerate_certain_answers(
         ``ProcessPoolExecutor`` across ``certain()``/``boolean()`` calls
         instead of paying pool startup per call.  Ignored when ``workers``
         does not fan out; takes precedence over ``pool_factory``.
+    interchangeable:
+        Values of the domain the query cannot tell apart: outside the
+        database and the query, pairwise distinct.  With at least two,
+        only the canonical valuations run (one per renaming of these
+        values, :mod:`repro.semantics.worlds`) and answer rows holding one
+        of them are dropped; for a generic query (equality-only
+        relational algebra, first-order logic) the answer is the same as
+        over every valuation.  The default, none, enumerates every
+        valuation.
 
     Returns
     -------
@@ -507,7 +522,16 @@ def enumerate_certain_answers(
     instead of restarting.  With ``workers=`` the checkpoint is
     chunk-granular: in-flight chunks are simply re-evaluated on resume.
     """
-    world_iter = worlds(database, semantics, domain, extra_constants, max_extra_facts)
+    fresh = tuple(interchangeable) if len(interchangeable) >= 2 else ()
+    if resume is not None and tuple(resume.interchangeable) != fresh:
+        raise InvalidRequestError(
+            "resume token does not match this enumeration: it counts the worlds of "
+            f"valuations canonical over {resume.interchangeable!r}, this run's are "
+            f"canonical over {fresh!r} (() is every valuation)"
+        )
+    world_iter = worlds(
+        database, semantics, domain, extra_constants, max_extra_facts, interchangeable=fresh
+    )
     running = _Intersection(resume)
     if running.done:
         world_iter = itertools.islice(world_iter, running.done, None)
@@ -543,9 +567,17 @@ def enumerate_certain_answers(
             worlds_done=running.done,
             schema=running.schema,
             intersection=None if running.rows is None else frozenset(running.rows),
+            interchangeable=fresh,
         )
         raise
-    return running.relation(lambda: evaluate(database.complete_part()))
+    answer = running.relation(lambda: evaluate(database.complete_part()))
+    if fresh and answer.rows:
+        # A canonical world stands for all its renamings: a row holding an
+        # interchangeable value is not in every renamed answer.
+        dropped = set(fresh)
+        answer = Relation(answer.schema, [row for row in answer.rows if dropped.isdisjoint(row)])
+    return answer
+
 
 
 def enumerate_possible_answers(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..algebra.ast import RAExpression
-from ..core.answers import enumeration_strategy, naive_strategy
+from ..core.answers import enumeration_domain, enumeration_strategy, naive_strategy, valuation_space
 from ..core.naive_evaluation import Applicability, naive_evaluation_applies
 from ..core.sound_evaluation import sound_certain_answers
 from ..datamodel import Relation
@@ -190,11 +190,30 @@ class WorldSemantics:
         """Run ``query`` once, so ``freeze()`` caches what serving reads."""
         query.certain()
 
-    def explain(self, expression: Any, model: Any, ran: Optional[str] = None) -> List[str]:
+    def valuations(
+        self,
+        expression: Any,
+        database: Any,
+        domain: Optional[Any] = None,
+        extra_constants: Optional[int] = None,
+    ) -> str:
+        """`` over <valuations>``: what :data:`ENUMERATION`'s certain answers
+        of ``expression`` range over, for ``explain()``."""
+        resolved = enumeration_domain(expression, database, domain, extra_constants)
+        return f" over {valuation_space(expression, database, resolved).describe()}"
+
+    def explain(
+        self, expression: Any, model: Any, ran: Optional[str] = None, database: Any = None
+    ) -> List[str]:
         """The strategy ``certain()`` ran (before any run: the one ``"auto"``
-        picks), with the naive-evaluation verdict."""
+        picks, with the valuations its enumeration would run over the
+        default domain of ``database``), with the naive-evaluation verdict."""
         verdict = _naive_verdict(self, expression)
-        ran = ran or self.choose(expression).label
+        if ran is None:
+            strategy = self.choose(expression)
+            ran = strategy.label
+            if strategy is ENUMERATION and database is not None:
+                ran += self.valuations(expression, database)
         return [f"certain(): {ran} — {verdict.reason} (fragment: {verdict.fragment})"]
 
     def condition_on(self, query: Any, constraint: Any) -> Any:
@@ -236,9 +255,11 @@ class ProbSemantics(WorldSemantics):
         # Serving reads the lineage plans and the kernel's confidence memo.
         query.confidence()
 
-    def explain(self, expression: Any, model: Any, ran: Optional[str] = None) -> List[str]:
+    def explain(
+        self, expression: Any, model: Any, ran: Optional[str] = None, database: Any = None
+    ) -> List[str]:
         shape = model.stats()
-        return super().explain(expression, model, ran) + [
+        return super().explain(expression, model, ran, database) + [
             "confidence(): exact decomposition over the c-table lineage "
             f"({shape['nulls']} modeled nulls, {shape['groups']} independent "
             f"groups, {shape['blocks']} exclusive blocks); budget overruns "

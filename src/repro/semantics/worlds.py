@@ -34,6 +34,24 @@ before.  Worlds come out in valuation order (nulls sorted by name, the
 domain in the given order, then extra-fact combinations), the order the
 ``ResumeToken.worlds_done`` checkpoint counts in.
 
+**Canonical valuations.**  Genericity says more than "a finite domain
+suffices": a query that compares values only for equality cannot tell
+apart the *interchangeable* values — domain values outside the database
+and the query, pairwise distinct — so renaming them renames its answers
+and nothing else.  Every valuation is a renaming of a *canonical* one,
+whose k-th distinct interchangeable value is the k-th in domain order
+(restricted-growth order), so for certain answers these suffice once the
+answer rows holding an interchangeable value are dropped (with two or
+more such values, some world avoids each one).  Passing
+``interchangeable=`` runs only the canonical valuations, in the same
+valuation order (a subsequence of it): on the e2e ``worlds`` instance
+(3 nulls, 5 constants, 4 fresh values) that is 235 of 729 valuations and
+20 of 64 worlds.  OWA/WCWA extra facts still range over the whole domain
+(or world active domain): a renaming maps each fact pool onto itself.
+Without ``interchangeable`` every valuation runs; sessions pass it for
+``certain()`` and ``boolean(mode="certain")`` of generic queries only
+(:func:`repro.core.answers.valuation_space`).
+
 **Other sources.**  Graphs, data trees and c-tables reach the folds of
 :mod:`repro.semantics.certain` through :func:`valuation_worlds`: one
 ``build(v)`` per valuation, in valuation order.  It does not deduplicate:
@@ -47,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import ConstantPool, Database, Null, Relation, Valuation, enumerate_valuations
 from ..datamodel.relations import Row
@@ -108,6 +126,67 @@ def _valuation_values(domain: Sequence[Any]) -> List[Any]:
     return values
 
 
+def _canonical_valuations(
+    values: Sequence[Any], interchangeable: Collection[Any], length: int
+) -> Iterator[Tuple[Any, ...]]:
+    """The canonical ``length``-tuples over ``values``, in product order.
+
+    A tuple is canonical when the k-th distinct ``interchangeable`` value
+    it uses is the k-th of them in ``values`` (restricted-growth order):
+    every tuple is one of these up to a permutation of the interchangeable
+    values.  The tuples are the subsequence of
+    ``itertools.product(values, repeat=length)`` that is canonical.  An
+    odometer over the positions walks them, so any ``length`` runs in
+    constant stack depth.
+    """
+    if not length:
+        yield ()
+        return
+    fresh = set(interchangeable)
+    # ranks[i]: the rank of values[i] among the interchangeable values, -1
+    # for the others; position p may take values[i] iff ranks[i] <= used[p].
+    ranks, count = [], 0
+    for value in values:
+        if value in fresh:
+            ranks.append(count)
+            count += 1
+        else:
+            ranks.append(-1)
+    end = len(ranks)
+
+    def allowed(start: int, used: int) -> int:
+        """The first index from ``start`` a position with ``used`` fresh values before it may take."""
+        while start < end and ranks[start] > used:
+            start += 1
+        return start
+
+    choices = list(zip(values, ranks))
+    last = length - 1
+    index = [0] * length  # the value index at each position before the last
+    used = [0] * length  # used[p]: distinct fresh values before position p
+    current: List[Any] = [None] * last
+    position = 0
+    index[0] = allowed(0, 0)
+    while True:
+        if position == last:  # the last position runs through its values at once
+            prefix = tuple(current)
+            for value, rank in choices:
+                if rank <= used[last]:
+                    yield prefix + (value,)
+        elif index[position] < end:
+            i = index[position]
+            current[position] = values[i]
+            used[position + 1] = used[position] + (ranks[i] == used[position])
+            position += 1
+            index[position] = allowed(0, used[position])
+            continue
+        # This position is exhausted: advance the one before it.
+        if position == 0:
+            return
+        position -= 1
+        index[position] = allowed(index[position] + 1, used[position])
+
+
 class _SplitDatabase:
     """An incomplete database split into complete rows and null-row templates."""
 
@@ -149,13 +228,17 @@ class _SplitDatabase:
             self.completes.append(rows)
         self.constants = tuple(constants)
 
-    def distinct_keys(self, domain: Sequence[Any]) -> Iterator[Tuple[Tuple[Any, ...], Key]]:
+    def distinct_keys(
+        self, domain: Sequence[Any], interchangeable: Collection[Any] = ()
+    ) -> Iterator[Tuple[Tuple[Any, ...], Key]]:
         """``(valuation tuple, key)`` for each first valuation of a new world.
 
         Valuations run in :func:`~repro.datamodel.enumerate_valuations`
         order: the tuple assigns ``domain`` values to the nulls sorted by
-        name.  With no nulls the single empty valuation is enumerated;
-        with nulls and an empty domain, none is.
+        name.  With ``interchangeable`` values only the canonical ones
+        run (:func:`_canonical_valuations`), in the same order.  With no
+        nulls the single empty valuation is enumerated; with nulls and an
+        empty domain, none is.
         """
         values = _valuation_values(domain) if self.nulls else []
         constants = self.constants
@@ -163,7 +246,13 @@ class _SplitDatabase:
         templated = self.templated
         blank = (frozenset(),) * len(completes)
         seen: Set[Key] = set()
-        for combo in itertools.product(values, repeat=len(self.nulls)):
+        if interchangeable:
+            combos: Iterable[Tuple[Any, ...]] = _canonical_valuations(
+                values, interchangeable, len(self.nulls)
+            )
+        else:
+            combos = itertools.product(values, repeat=len(self.nulls))
+        for combo in combos:
             row_values = combo + constants
             key = list(blank)
             for index, templates in templated:
@@ -221,16 +310,20 @@ def cwa_worlds(
     database: Database,
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
+    *,
+    interchangeable: Collection[Any] = (),
 ) -> Iterator[Database]:
     """Enumerate ``{ v(D) | v : Null(D) → domain }`` (the finite CWA approximation).
 
     Every yielded database is complete.  Duplicates (different valuations
-    producing the same world) are suppressed.
+    producing the same world) are suppressed.  ``interchangeable`` values
+    of ``domain`` restrict the valuations to the canonical ones (see the
+    module docstring); the default, none, enumerates every valuation.
     """
     if domain is None:
         domain = default_domain(database, extra_constants=extra_constants)
     split = _SplitDatabase(database)
-    for _, key in split.distinct_keys(domain):
+    for _, key in split.distinct_keys(domain, interchangeable):
         yield split.world(key)
 
 
@@ -239,6 +332,8 @@ def owa_worlds(
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
     max_extra_facts: int = 1,
+    *,
+    interchangeable: Collection[Any] = (),
 ) -> Iterator[Database]:
     """Enumerate a finite approximation of ``[[D]]_owa``.
 
@@ -247,14 +342,16 @@ def owa_worlds(
     approximation is exhaustive relative to the chosen domain and fact
     bound; experiments that rely on OWA enumeration state explicitly why
     the bound suffices for the query under test (e.g. monotone queries need
-    ``max_extra_facts = 0``).
+    ``max_extra_facts = 0``).  ``interchangeable`` restricts the
+    valuations as in :func:`cwa_worlds`; extra facts still range over the
+    whole domain.
     """
     if domain is None:
         domain = default_domain(database, extra_constants=extra_constants)
     split = _SplitDatabase(database)
     pool = _fact_pool(database.schema, domain) if max_extra_facts > 0 else []
     seen: Set[Key] = set()
-    for _, base in split.distinct_keys(domain):
+    for _, base in split.distinct_keys(domain, interchangeable):
         yield from split.extended_worlds(base, pool, max_extra_facts, seen)
 
 
@@ -276,18 +373,21 @@ def wcwa_worlds(
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
     max_extra_facts: int = 1,
+    *,
+    interchangeable: Collection[Any] = (),
 ) -> Iterator[Database]:
     """Enumerate a finite approximation of the weak-CWA semantics.
 
     Worlds are ``v(D)`` extended with at most ``max_extra_facts`` facts whose
     values are drawn from the *world's own* active domain (Reiter's weak
     closed-world assumption: new tuples yes, new values no).
+    ``interchangeable`` restricts the valuations as in :func:`cwa_worlds`.
     """
     if domain is None:
         domain = default_domain(database, extra_constants=extra_constants)
     split = _SplitDatabase(database)
     seen: Set[Key] = set()
-    for combo, base in split.distinct_keys(domain):
+    for combo, base in split.distinct_keys(domain, interchangeable):
         pool: List[Tuple[int, Row]] = []
         if max_extra_facts > 0:
             pool = _fact_pool(database.schema, _world_domain(database, split.nulls, combo))
@@ -323,12 +423,18 @@ def worlds(
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
     max_extra_facts: int = 1,
+    *,
+    interchangeable: Collection[Any] = (),
 ) -> Iterator[Database]:
     """Dispatch to :func:`cwa_worlds`, :func:`owa_worlds` or :func:`wcwa_worlds`."""
     if semantics == "cwa":
-        return cwa_worlds(database, domain, extra_constants)
+        return cwa_worlds(database, domain, extra_constants, interchangeable=interchangeable)
     if semantics == "owa":
-        return owa_worlds(database, domain, extra_constants, max_extra_facts)
+        return owa_worlds(
+            database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
+        )
     if semantics == "wcwa":
-        return wcwa_worlds(database, domain, extra_constants, max_extra_facts)
+        return wcwa_worlds(
+            database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
+        )
     raise ValueError(f"unknown semantics {semantics!r}; expected 'cwa', 'owa' or 'wcwa'")

@@ -378,8 +378,8 @@ class Query:
         :class:`~repro.resilience.ResumeToken` off a raised
         :class:`BudgetExceeded`).  The token is validated against a
         fingerprint of the enumeration inputs — query, database facts,
-        semantics, resolved domain — and the session's condition-kernel
-        epoch; a stale or mismatched token raises
+        semantics, resolved domain, valuation space — and the session's
+        condition-kernel epoch; a stale or mismatched token raises
         :class:`InvalidRequestError` rather than silently intersecting
         unrelated answers.  A resumed run that completes returns exactly
         the uninterrupted answer.
@@ -419,6 +419,10 @@ class Query:
         semantics = session._semantics
         strategy = semantics.choose(self.expression, method, resume)
         self._ran = strategy.label if method == "auto" else f"{strategy.label} (method={method!r})"
+        if strategy is ENUMERATION:
+            self._ran += semantics.valuations(
+                self.expression, self._require_database(), domain, extra_constants
+            )
         return self._enumerate(
             strategy, "certain", domain, extra_constants, max_extra_facts, budget,
             lambda error: semantics.degrade(self, error, policy), resume,
@@ -629,7 +633,7 @@ class Query:
             f"query: {expression!r}",
             f"engine: {session.engine}; semantics: {session.semantics}",
         ]
-        lines.extend(session._semantics.explain(expression, session.model, self._ran))
+        lines.extend(session._semantics.explain(expression, session.model, self._ran, database))
         schema = database.schema if database is not None else session._engine.resident_schema()
         if not isinstance(expression, RAExpression):
             lines.append("plan: n/a (first-order query, evaluated by satisfaction)")

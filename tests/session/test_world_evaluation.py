@@ -17,7 +17,7 @@ from repro.algebra import parse_ra
 from repro.backends.sqlite import SQLiteBackend
 from repro.datamodel import Database, Null
 from repro.semantics import cwa_worlds
-from repro.core.answers import enumeration_domain
+from repro.core.answers import enumeration_domain, valuation_space
 
 #: Needs every world (a difference is not in the naive fragment).
 DIFF = parse_ra("diff(project[#0](R), project[#0](S))")
@@ -73,12 +73,17 @@ class TestSqliteSessionsEnumerateInMemory:
 
 class TestWorldsEvaluatedCounter:
     @staticmethod
-    def _visited(query, stop):
-        """Worlds a mode visits: up to and including the first ``stop`` world."""
+    def _visited(query, stop, mode):
+        """Worlds a mode visits: up to and including the first ``stop`` world.
+
+        Certain answers of a generic query run canonical valuations
+        only; possible answers run every valuation.
+        """
         database = _database()
         domain = enumeration_domain(query, database)
+        space = valuation_space(query, database, domain, mode)
         count = 0
-        for world in cwa_worlds(database, domain):
+        for world in cwa_worlds(database, domain, interchangeable=space.interchangeable):
             count += 1
             if stop(query.evaluate(world).rows):
                 break
@@ -87,22 +92,31 @@ class TestWorldsEvaluatedCounter:
     @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])
     def test_every_mode_counts_the_worlds_it_visited(self, engine):
         modes = {
-            "certain()": (lambda q: q.certain(method="enumeration"), DIFF, lambda rows: False),
-            "possible()": (lambda q: q.possible(), DIFF, lambda rows: False),
-            "boolean(certain)": (lambda q: q.boolean(mode="certain"), ALWAYS, lambda rows: not rows),
-            "boolean(possible)": (lambda q: q.boolean(mode="possible"), NEVER, bool),
-            "boolean(possible), early exit": (lambda q: q.boolean(mode="possible"), ALWAYS, bool),
+            "certain()": (
+                lambda q: q.certain(method="enumeration"), DIFF, lambda rows: False, "certain"
+            ),
+            "possible()": (lambda q: q.possible(), DIFF, lambda rows: False, "possible"),
+            "boolean(certain)": (
+                lambda q: q.boolean(mode="certain"), ALWAYS, lambda rows: not rows, "certain"
+            ),
+            "boolean(possible)": (lambda q: q.boolean(mode="possible"), NEVER, bool, "possible"),
+            "boolean(possible), early exit": (
+                lambda q: q.boolean(mode="possible"), ALWAYS, bool, "possible"
+            ),
         }
-        for name, (run, query, stop) in modes.items():
+        for name, (run, query, stop, mode) in modes.items():
             tracer = repro.Tracer()
             with repro.connect(_database(), engine=engine, tracer=tracer) as session:
                 run(session.query(query))
                 counted = session.metrics()["counters"].get("worlds.evaluated")
-            assert counted == self._visited(query, stop), name
+            assert counted == self._visited(query, stop, mode), name
             spans = [span for span in tracer.spans() if span.name == "world.evaluate"]
             assert len(spans) == counted, name
-        assert self._visited(DIFF, lambda rows: False) == 6
-        assert self._visited(ALWAYS, bool) == 1
+        assert self._visited(DIFF, lambda rows: False, "possible") == 6
+        # x ranges over 1, 2, "a", "b" and the two fresh values, which are
+        # interchangeable: only the first fresh value runs.
+        assert self._visited(DIFF, lambda rows: False, "certain") == 5
+        assert self._visited(ALWAYS, bool, "possible") == 1
 
 
 def test_world_evaluation_refuses_a_closed_session():
