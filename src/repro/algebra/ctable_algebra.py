@@ -74,16 +74,28 @@ class CTableDatabase:
             if table.name in self._tables:
                 raise ValueError(f"duplicate conditional table {table.name!r}")
             self._tables[table.name] = table
+        self._schema = DatabaseSchema(table.schema for table in self._tables.values())
 
     @classmethod
     def from_database(cls, database: Database) -> "CTableDatabase":
-        """Lift every relation of a naive database to an all-true c-table."""
-        return cls(ConditionalTable.from_relation(rel) for rel in database.relations())
+        """Lift every relation of a naive database to an all-true c-table.
+
+        Both are immutable, so the lift is computed once per ``database``
+        instance (kept on its :meth:`~repro.datamodel.Database.analysis_cache`)
+        and every call returns that same object.
+        """
+        cache = database.analysis_cache()
+        lifted = cache.get("ctable.lifted")
+        if lifted is None:
+            lifted = cache["ctable.lifted"] = cls(
+                ConditionalTable.from_relation(rel) for rel in database.relations()
+            )
+        return lifted
 
     @property
     def schema(self) -> DatabaseSchema:
         """The relational schema of the underlying tables."""
-        return DatabaseSchema(table.schema for table in self._tables.values())
+        return self._schema
 
     def table(self, name: str) -> ConditionalTable:
         """The conditional table assigned to ``name``."""

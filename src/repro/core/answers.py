@@ -29,10 +29,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import Counter
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..algebra import ast
 from ..algebra.ast import ConstantRelation, RAExpression, Selection
+from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, Predicate
 from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
 from ..logic.diagrams import delta as delta_formula
@@ -42,7 +43,7 @@ from ..semantics.certain import (
     enumerate_certain_answers,
     enumerate_possible_answers,
 )
-from ..semantics.worlds import default_domain
+from ..semantics.worlds import default_domain, fresh_value_worlds
 from .naive_evaluation import Applicability
 
 Query = Union[RAExpression, FOQuery]
@@ -147,6 +148,115 @@ def valuation_space(
     if len(fresh) < 2:
         return ValuationSpace((), "fewer than 2 fresh values")
     return ValuationSpace(fresh)
+
+
+def _order_comparisons(predicate: Predicate) -> Iterator[Comparison]:
+    """The ``<``/``<=``/``>``/``>=`` comparisons inside ``predicate``."""
+    if isinstance(predicate, Comparison):
+        if not predicate.is_equality_only():
+            yield predicate
+    elif isinstance(predicate, (PAnd, POr)):
+        for operand in predicate.operands:
+            yield from _order_comparisons(operand)
+    elif isinstance(predicate, PNot):
+        yield from _order_comparisons(predicate.operand)
+
+
+def _incomparable(
+    comparisons: List[Comparison], fresh: Sequence[Any], constants: Sequence[Any]
+) -> Optional[Tuple[Comparison, Any, Any]]:
+    """The first ``(comparison, fresh value, other value)`` the operator refuses.
+
+    A fresh value stands in for an attribute: it meets the comparison's
+    constant, or any of ``constants`` (the domain's database and query
+    constants) when both sides are attributes.
+    """
+    for comparison in comparisons:
+        compare = _OPERATORS[comparison.op]
+        left, right = comparison.left, comparison.right
+        if isinstance(left, Attr):
+            others = constants if isinstance(right, Attr) else (right.value,)
+            flipped = False
+        elif isinstance(right, Attr):
+            others, flipped = (left.value,), True
+        else:
+            continue
+        for value in fresh:
+            for other in others:
+                try:
+                    compare(other, value) if flipped else compare(value, other)
+                except TypeError:
+                    return comparison, value, other
+    return None
+
+
+def check_order_comparisons(
+    query: Query,
+    database: Database,
+    domain: Sequence[Any],
+    world_evaluator: Callable[[Database], Relation],
+    worlds: str,
+    max_extra_facts: int,
+) -> None:
+    """Refuse, before enumerating, order comparisons a fresh value breaks.
+
+    Worlds take the domain's fresh values too (outside the database's and
+    the query's constants; :func:`default_domain` makes them strings
+    ``w0, w1, ...``): nulls range over them, and open-world extra facts
+    are made of them.  An order comparison that meets one it cannot
+    compare — ``'w0' < 3`` — would stop the enumeration with a bare
+    ``TypeError`` at the first world holding it.  So the few worlds of
+    the ``worlds`` space that put the first fresh value everywhere it can
+    go (:func:`~repro.semantics.worlds.fresh_value_worlds`; with an
+    attribute-to-attribute comparison, also next to one database or
+    query constant of each type) are evaluated up front; if one fails on
+    an order comparison that a fresh value cannot meet, the request is
+    refused with an :class:`~repro.resilience.InvalidRequestError`
+    naming both.  Queries without order comparisons pay one AST walk.
+    """
+    if not isinstance(query, RAExpression):
+        return
+    comparisons = [
+        comparison
+        for node in query.walk()
+        if isinstance(node, Selection)
+        for comparison in _order_comparisons(node.predicate)
+    ]
+    if not comparisons:
+        return
+    fixed = set(database.constants()) | query_constants(query)
+    fresh = [value for value in domain if value not in fixed]
+    if not fresh:
+        return
+    constants = [value for value in domain if value in fixed]
+    partners: List[Any] = []
+    if any(isinstance(c.left, Attr) and isinstance(c.right, Attr) for c in comparisons):
+        # Two nulls compared with each other: one takes the fresh value,
+        # the others one constant of each type.
+        by_type: dict = {}
+        for value in constants:
+            by_type.setdefault(type(value), value)
+        partners = list(by_type.values())
+    try:
+        for world in fresh_value_worlds(
+            database, worlds, fresh[0], max_extra_facts, partners
+        ):
+            world_evaluator(world)
+    except TypeError as error:
+        culprit = _incomparable(comparisons, fresh, constants)
+        if culprit is None:
+            raise
+        comparison, value, other = culprit
+        shown = " ".join(
+            f"#{term.ref}" if isinstance(term, Attr) and isinstance(term.ref, int) else str(term)
+            for term in (comparison.left, comparison.op, comparison.right)
+        )
+        raise InvalidRequestError(
+            f"order comparison {shown} cannot be evaluated in every world: "
+            f"worlds take the fresh value {value!r}, which {comparison.op!r} "
+            f"cannot compare with {other!r} ({type(value).__name__} vs "
+            f"{type(other).__name__}); pass domain= with comparable values"
+        ) from error
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +379,12 @@ def enumeration_strategy(
     if world_evaluator is None:
         world_evaluator = lambda world: evaluator(query, world)  # noqa: E731
     resolved_domain = enumeration_domain(query, database, domain, extra_constants)
+    space = semantics_named(semantics).worlds
+    check_order_comparisons(
+        query, database, resolved_domain, world_evaluator, space, max_extra_facts
+    )
     inputs = (
-        world_evaluator, database, semantics_named(semantics).worlds, resolved_domain,
-        extra_constants, max_extra_facts,
+        world_evaluator, database, space, resolved_domain, extra_constants, max_extra_facts,
     )
     if mode == "possible":
         return enumerate_possible_answers(*inputs)

@@ -179,15 +179,28 @@ class ConditionKernel:
 
     @property
     def epoch(self) -> int:
-        """The eviction epoch: bumped by :meth:`clear` and :meth:`evict`.
+        """The canonical-mark epoch: bumped by :meth:`clear`.
 
-        Anything that caches interned-condition identity across calls
-        (plan caches, resumption tokens) records this and treats a
-        mismatch as "the cache is stale" — surviving nodes are re-marked
-        lazily, but nodes held *outside* the kernel may no longer be
-        canonical.
+        Resumption tokens record this and treat a mismatch as "the kernel
+        was reset".  :meth:`evict` does not bump it — eviction unmarks
+        only the conditions it drops — so a cache of interned conditions
+        that must also notice evictions keys on :attr:`generation`.
         """
         return self._epoch
+
+    @property
+    def generation(self) -> int:
+        """Bumped by :meth:`clear` and by every :meth:`evict`, automatic ones too.
+
+        A condition held *outside* the kernel since an older generation
+        may no longer be canonical (an eviction unmarks what it drops), so
+        anything that keeps interned conditions across calls — the
+        c-table engine's scan snapshots and join build sides — records
+        this and rebuilds on a mismatch.  Within one generation every
+        condition the kernel handed out stays canonical.  Constant once
+        the kernel is frozen.
+        """
+        return self._use_epoch
 
     def _trim_memo(
         self, table: Dict[Tuple[int, int], Tuple[Condition, Condition, Condition]]

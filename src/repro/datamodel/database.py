@@ -224,11 +224,19 @@ class Database:
     # nulls, constants, completeness
     # ------------------------------------------------------------------
     def nulls(self) -> Set[Null]:
-        """``Null(D)``: all marked nulls occurring in the instance."""
-        result: Set[Null] = set()
-        for rel in self._relations.values():
-            result |= rel.nulls()
-        return result
+        """``Null(D)``: all marked nulls occurring in the instance.
+
+        Computed once per instance (kept on :meth:`analysis_cache`); each
+        call returns a fresh ``set`` the caller may modify.
+        """
+        cache = self.analysis_cache()
+        nulls = cache.get("nulls")
+        if nulls is None:
+            found: Set[Null] = set()
+            for rel in self._relations.values():
+                found |= rel.nulls()
+            nulls = cache["nulls"] = frozenset(found)
+        return set(nulls)
 
     def constants(self) -> Set[Any]:
         """``Const(D)``: all constants occurring in the instance."""

@@ -39,7 +39,7 @@ from ..algebra.ctable_algebra import _merge_sorted
 from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, Predicate, PTrue
 from ..datamodel import ConditionalRow, ConditionalTable
 from ..datamodel.condition_kernel import ConditionKernel
-from ..datamodel.conditional import FALSE, TRUE, Condition
+from ..datamodel.conditional import FALSE, TRUE, Condition, PositionIndex
 from ..datamodel.relations import Relation, Row
 from ..datamodel.schema import DatabaseSchema
 from ..datamodel.values import Null, is_null
@@ -76,10 +76,14 @@ class CTableContext:
     support, or ``n = m`` with disjoint supports — holds in no world of
     positive probability, so the operators fold it to ``false`` and never
     pair the rows it would join; ``pruned`` counts those skipped pairings.
-    Nulls missing from the map are unrestricted.
+    Nulls missing from the map are unrestricted.  ``reused`` counts the
+    join build sides and selection indexes served from an operator's
+    cache (see :class:`CIndexedSelect` and :class:`CHashJoin`).
     """
 
-    __slots__ = ("database", "schema", "memo", "kernel", "budget", "_adom", "supports", "pruned")
+    __slots__ = (
+        "database", "schema", "memo", "kernel", "budget", "_adom", "supports", "pruned", "reused",
+    )
 
     def __init__(
         self,
@@ -98,43 +102,46 @@ class CTableContext:
         self._adom: Optional[List[Any]] = None
         self.supports = supports
         self.pruned = 0
+        self.reused = 0
 
     def active_domain(self) -> List[Any]:
         if self._adom is None:
             self._adom = sorted(self.database.active_domain(), key=str)
         return self._adom
 
-    def admits(self, left: Any, right: Any) -> bool:
-        """Whether ``left = right`` can hold in a world the supports allow.
-
-        Constant pairs are left to the kernel's folding; only a support
-        can rule an equality out here.  Requires ``supports``.
-        """
-        supports = self.supports
-        if isinstance(left, Null):
-            allowed = supports.get(left)
-            if allowed is None:
-                return True
-            if isinstance(right, Null):
-                other = supports.get(right)
-                return other is None or left == right or not allowed.isdisjoint(other)
-            return right in allowed
-        if isinstance(right, Null):
-            allowed = supports.get(right)
-            return allowed is None or left in allowed
-        return True
-
-    def admits_row(self, left: Row, right: Row) -> bool:
-        """:meth:`admits` for every position of two equal-length rows."""
-        admits = self.admits
-        return all(admits(a, b) for a, b in zip(left, right))
-
     def eq(self, left: Any, right: Any) -> Condition:
         """``kernel.eq``, folded to ``FALSE`` when the supports rule it out."""
-        if (isinstance(left, Null) or isinstance(right, Null)) and not self.admits(left, right):
+        if (isinstance(left, Null) or isinstance(right, Null)) and not admits(
+            self.supports, left, right
+        ):
             self.pruned += 1
             return FALSE
         return self.kernel.eq(left, right)
+
+
+def admits(supports: Supports, left: Any, right: Any) -> bool:
+    """Whether ``left = right`` can hold in a world ``supports`` allow.
+
+    Constant pairs are left to the kernel's folding; only a support can
+    rule an equality out here.
+    """
+    if isinstance(left, Null):
+        allowed = supports.get(left)
+        if allowed is None:
+            return True
+        if isinstance(right, Null):
+            other = supports.get(right)
+            return other is None or left == right or not allowed.isdisjoint(other)
+        return right in allowed
+    if isinstance(right, Null):
+        allowed = supports.get(right)
+        return allowed is None or left in allowed
+    return True
+
+
+def admits_row(supports: Supports, left: Row, right: Row) -> bool:
+    """:func:`admits` for every position of two equal-length rows."""
+    return all(admits(supports, a, b) for a, b in zip(left, right))
 
 
 class COperator:
@@ -160,21 +167,130 @@ class COperator:
 
 
 class CScan(COperator):
-    __slots__ = ("name",)
+    """The rows of a base c-table, conditions interned.
+
+    The output depends only on the (immutable) table, the kernel and the
+    kernel's :attr:`~ConditionKernel.generation`, so it is kept as a
+    snapshot for as long as all three stay the same: a warm request
+    returns the same list object, and a :class:`CHashJoin` over it keeps
+    its build side.  :meth:`ConditionKernel.clear` and every eviction
+    bump the generation, so the next request rebuilds.  The snapshot is
+    published with one attribute assignment once complete (plan-cache
+    operators are shared by the threads of a frozen session) and lives
+    as long as the plan-cache entry.  No operator mutates a child's rows.
+    """
+
+    __slots__ = ("name", "_snapshot")
 
     def __init__(self, name: str, key: Any = None) -> None:
         super().__init__(key)
         self.name = name
+        self._snapshot: Optional[Tuple[ConditionalTable, ConditionKernel, int, List[CRow]]] = None
 
     def _compute(self, ctx: CTableContext) -> List[CRow]:
+        table = ctx.database.table(self.name)
+        kernel = ctx.kernel
+        generation = kernel.generation
+        snapshot = self._snapshot
+        if (
+            snapshot is not None
+            and snapshot[0] is table
+            and snapshot[1] is kernel
+            and snapshot[2] == generation
+        ):
+            return snapshot[3]
         rows: List[CRow] = []
-        intern = ctx.kernel.intern
-        for row in ctx.database.table(self.name):
+        intern = kernel.intern
+        for row in table:
             condition = intern(row.condition)
             if condition is FALSE:
                 continue
             rows.append((row.values, condition))
+        # The generation read *before* interning: an eviction during the
+        # build leaves a stale stamp, so the next request rebuilds.
+        self._snapshot = (table, kernel, generation, rows)
         return rows
+
+
+class CIndexedSelect(COperator):
+    """``σ[#column = constant]`` (possibly ``∧ …``) directly over a base c-table.
+
+    Reads the constant's bucket and the null-keyed rows from the table's
+    :meth:`~ConditionalTable.position_index` instead of scanning: every
+    other row holds a different constant in ``column``, so the equality
+    folds to ``false`` on it (without touching the supports — two
+    constants are never pruned, and a leading conjunct that folds to
+    ``false`` stops the conjunction).  The candidates are merged in row
+    order and get exactly :class:`CFilter`'s treatment, so the output —
+    rows, order and ``pruned`` count — is the scan path's.
+    """
+
+    __slots__ = ("name", "predicate", "column", "constant", "_index")
+
+    def __init__(
+        self, name: str, predicate: Predicate, column: int, constant: Any, key: Any = None
+    ) -> None:
+        super().__init__(key)
+        self.name = name
+        self.predicate = predicate
+        self.column = column
+        self.constant = constant
+        self._index: Optional[Tuple[ConditionalTable, PositionIndex]] = None
+
+    def _compute(self, ctx: CTableContext) -> List[CRow]:
+        table = ctx.database.table(self.name)
+        held = self._index
+        if held is not None and held[0] is table:
+            index = held[1]
+            ctx.reused += 1
+        else:
+            index = table.position_index(self.column)
+            self._index = (table, index)
+        positions = _merge_sorted(index.buckets.get(self.constant, ()), index.null_positions)
+        predicate = self.predicate
+        kernel = ctx.kernel
+        intern = kernel.intern
+        eq = kernel.eq if ctx.supports is None else ctx.eq
+        table_rows = table.rows
+        rows: List[CRow] = []
+        for position in positions:
+            row = table_rows[position]
+            condition = intern(row.condition)
+            if condition is FALSE:
+                continue
+            values = row.values
+            combined = kernel.and_(
+                condition, predicate_condition_positional(predicate, values, kernel, eq)
+            )
+            if combined is FALSE:
+                continue
+            rows.append((values, combined))
+        return rows
+
+
+def _indexed_equality(predicate: Predicate) -> Optional[Tuple[int, Any]]:
+    """``(column, constant)`` when ``predicate`` is, or leads with, ``#column = constant``.
+
+    Only a non-null hashable constant qualifies: against a null constant
+    an equality does not fold to ``false``.
+    """
+    if isinstance(predicate, PAnd) and predicate.operands:
+        predicate = predicate.operands[0]
+    if not isinstance(predicate, Comparison) or predicate.op != "=":
+        return None
+    left, right = predicate.left, predicate.right
+    if isinstance(right, Attr):
+        left, right = right, left
+    if not isinstance(left, Attr) or isinstance(right, Attr) or not isinstance(left.ref, int):
+        return None
+    constant = right.value
+    if constant is None or is_null(constant):
+        return None
+    try:
+        hash(constant)
+    except TypeError:
+        return None
+    return left.ref, constant
 
 
 class CConstScan(COperator):
@@ -278,9 +394,14 @@ class CHashJoin(COperator):
     With supports (``semantics="prob"``) a null ranges over its support
     only, and :class:`_SupportIndex` narrows both probe kinds to the right
     rows the supports admit.
+
+    The build side (:class:`_JoinBuild`) is kept for as long as the right
+    input and the supports are the same objects and the kernel and its
+    generation are unchanged: a warm :class:`CScan` on the right hands
+    back the same list, so only the probes run.
     """
 
-    __slots__ = ("left", "right", "left_keys", "right_keys", "right_keep")
+    __slots__ = ("left", "right", "left_keys", "right_keys", "right_keep", "_build")
 
     def __init__(
         self,
@@ -297,6 +418,23 @@ class CHashJoin(COperator):
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.right_keep = right_keep
+        self._build: Optional[_JoinBuild] = None
+
+    def _build_side(self, ctx: CTableContext, right_rows: List[CRow]) -> _JoinBuild:
+        kernel = ctx.kernel
+        build = self._build
+        if (
+            build is not None
+            and build.rows is right_rows
+            and build.supports is ctx.supports
+            and build.kernel is kernel
+            and build.generation == kernel.generation
+        ):
+            ctx.reused += 1
+            return build
+        build = _JoinBuild(right_rows, self.right_keys, ctx.supports, kernel)
+        self._build = build
+        return build
 
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         left_keys = self.left_keys
@@ -306,28 +444,18 @@ class CHashJoin(COperator):
         right_rows = self.right.rows(ctx)
         if not right_rows:
             return []
-
-        keyed: Dict[Row, List[int]] = {}
-        null_key_positions: List[int] = []
-        for position, (values, _) in enumerate(right_rows):
-            key = tuple(values[j] for j in right_keys)
-            if any(is_null(v) for v in key):
-                null_key_positions.append(position)
-            else:
-                keyed.setdefault(key, []).append(position)
-        pins = (
-            None
-            if ctx.supports is None
-            else _SupportIndex(ctx, right_rows, right_keys, keyed, null_key_positions)
-        )
+        build = self._build_side(ctx, right_rows)
+        keyed = build.keyed
+        null_key_positions = build.null_positions
+        pins = build.pins
 
         keep_all = right_keep == tuple(range(len(right_rows[0][0])))
         single_key = left_keys[0] if len(left_keys) == 1 else None
         single_right = right_keys[0] if len(right_keys) == 1 else None
         # Dense joins probe the same few key tuples over and over; the
         # composed "right condition ∧ key equalities" only depends on
-        # (probe key, right row), so it is cached per pair.
-        probe_cache: Dict[Tuple[Row, int], Condition] = {}
+        # (probe key, right row), so it is cached per pair with the build.
+        probe_cache = build.probe_conditions
 
         def right_part(l_key: Row, position: int) -> Condition:
             pair = (l_key, position)
@@ -347,6 +475,7 @@ class CHashJoin(COperator):
         rows: List[CRow] = []
         append = rows.append
         budget = ctx.budget
+        pruned = 0
         for l_values, l_condition in self.left.rows(ctx):
             if budget is not None:
                 budget.check()
@@ -372,11 +501,16 @@ class CHashJoin(COperator):
                         else:
                             values = l_values + tuple(r_values[p] for p in right_keep)
                         append((values, condition))
-                candidates: Iterable[int] = (
-                    null_key_positions if pins is None else pins.for_constant(l_key)
-                )
+                if pins is None:
+                    candidates: Iterable[int] = null_key_positions
+                else:
+                    candidates, skipped = pins.for_constant(l_key)
+                    pruned += skipped
+            elif pins is None:
+                candidates = range(len(right_rows))
             else:
-                candidates = range(len(right_rows)) if pins is None else pins.for_nulls(l_key)
+                candidates, skipped = pins.for_nulls(l_key)
+                pruned += skipped
             for position in candidates:
                 part = right_part(l_key, position)
                 if part is FALSE:
@@ -390,7 +524,51 @@ class CHashJoin(COperator):
                 else:
                     values = l_values + tuple(r_values[p] for p in right_keep)
                 append((values, condition))
+        ctx.pruned += pruned
         return rows
+
+
+class _JoinBuild:
+    """The build side of a :class:`CHashJoin` over one right input.
+
+    The hash partition (``keyed``/``null_positions``), the support index
+    and the per-(probe key, right row) condition memo.  Everything here
+    depends only on the right rows, the supports and the kernel generation
+    it records, which is what :meth:`CHashJoin._build_side` checks before
+    reusing it.  Concurrent requests of a frozen session may share one:
+    the memos only gain complete entries, one dict store each.
+    """
+
+    __slots__ = ("rows", "supports", "kernel", "generation", "keyed", "null_positions", "pins",
+                 "probe_conditions")
+
+    def __init__(
+        self,
+        right_rows: List[CRow],
+        right_keys: Tuple[int, ...],
+        supports: Optional[Supports],
+        kernel: ConditionKernel,
+    ) -> None:
+        self.rows = right_rows
+        self.supports = supports
+        self.kernel = kernel
+        self.generation = kernel.generation
+        keyed: Dict[Row, List[int]] = {}
+        null_positions: List[int] = []
+        for position, (values, _) in enumerate(right_rows):
+            key = tuple(values[j] for j in right_keys)
+            if any(is_null(v) for v in key):
+                null_positions.append(position)
+            else:
+                keyed.setdefault(key, []).append(position)
+        self.keyed = keyed
+        self.null_positions = null_positions
+        self.pins = (
+            None
+            if supports is None
+            else _SupportIndex(supports, right_rows, right_keys, keyed, null_positions)
+        )
+        self.probe_conditions: Dict[Tuple[Row, int], Condition] = {}
 
 
 def _first_supported(values: Row, supports: Supports) -> Optional[Tuple[int, FrozenSet[Any]]]:
@@ -411,23 +589,26 @@ class _SupportIndex:
     that can take its value.  A probe carrying a supported null visits the
     constant-keyed rows whose key holds one of that null's support values,
     plus the null-keyed rows.  Every candidate list is then filtered by
-    :meth:`CTableContext.admits_row` over the whole key (other columns,
-    null-null disjointness) and comes back in ascending position order —
-    the unpruned join's relative output order.  The pairings skipped,
-    relative to the unpruned join, are added to ``ctx.pruned``.
+    :func:`admits_row` over the whole key (other columns, null-null
+    disjointness) and comes back in ascending position order —
+    the unpruned join's relative output order.  Each probe also returns
+    the number of pairings skipped relative to the unpruned join, which
+    the join adds to its request's ``pruned`` count: the index holds no
+    per-request state, so it outlives the request that built it.
     """
 
-    __slots__ = ("ctx", "keys", "keyed", "null_positions", "pinned", "unpinned", "columns", "probes")
+    __slots__ = ("supports", "keys", "keyed", "null_positions", "pinned", "unpinned", "columns",
+                 "probes")
 
     def __init__(
         self,
-        ctx: CTableContext,
+        supports: Supports,
         right_rows: List[CRow],
         right_keys: Tuple[int, ...],
         keyed: Dict[Row, List[int]],
         null_positions: List[int],
     ) -> None:
-        self.ctx = ctx
+        self.supports = supports
         self.keys = [tuple(values[j] for j in right_keys) for values, _ in right_rows]
         self.keyed = keyed
         self.null_positions = null_positions
@@ -435,7 +616,7 @@ class _SupportIndex:
         self.pinned: Dict[int, Dict[Any, List[int]]] = {}
         self.unpinned: List[int] = []
         for position in null_positions:
-            first = _first_supported(self.keys[position], ctx.supports)
+            first = _first_supported(self.keys[position], supports)
             if first is None:
                 self.unpinned.append(position)
                 continue
@@ -444,24 +625,23 @@ class _SupportIndex:
                 by_value.setdefault(value, []).append(position)
         # key column -> value -> positions of constant-keyed rows (lazy)
         self.columns: Dict[int, Dict[Any, List[int]]] = {}
-        # probe key -> admitted positions
-        self.probes: Dict[Row, List[int]] = {}
+        # probe key -> (admitted positions, pairings skipped)
+        self.probes: Dict[Row, Tuple[List[int], int]] = {}
 
-    def for_constant(self, l_key: Row) -> List[int]:
+    def for_constant(self, l_key: Row) -> Tuple[List[int], int]:
         """The null-keyed right rows the all-constant ``l_key`` can meet."""
-        candidates = self.probes.get(l_key)
-        if candidates is None:
+        probe = self.probes.get(l_key)
+        if probe is None:
             hits = [by_value.get(l_key[column], ()) for column, by_value in self.pinned.items()]
             candidates = self._admitted(l_key, _heapq_merge(self.unpinned, *hits))
-            self.probes[l_key] = candidates
-        self.ctx.pruned += len(self.null_positions) - len(candidates)
-        return candidates
+            probe = self.probes[l_key] = (candidates, len(self.null_positions) - len(candidates))
+        return probe
 
-    def for_nulls(self, l_key: Row) -> List[int]:
+    def for_nulls(self, l_key: Row) -> Tuple[List[int], int]:
         """The right rows the null-carrying ``l_key`` can meet."""
-        candidates = self.probes.get(l_key)
-        if candidates is None:
-            first = _first_supported(l_key, self.ctx.supports)
+        probe = self.probes.get(l_key)
+        if probe is None:
+            first = _first_supported(l_key, self.supports)
             if first is None:
                 pool: Iterable[int] = range(len(self.keys))
             else:
@@ -472,14 +652,13 @@ class _SupportIndex:
                     )
                 )
             candidates = self._admitted(l_key, pool)
-            self.probes[l_key] = candidates
-        self.ctx.pruned += len(self.keys) - len(candidates)
-        return candidates
+            probe = self.probes[l_key] = (candidates, len(self.keys) - len(candidates))
+        return probe
 
     def _admitted(self, l_key: Row, pool: Iterable[int]) -> List[int]:
-        admits_row = self.ctx.admits_row
+        supports = self.supports
         keys = self.keys
-        return [position for position in pool if admits_row(l_key, keys[position])]
+        return [position for position in pool if admits_row(supports, l_key, keys[position])]
 
     def _column(self, index: int) -> Dict[Any, List[int]]:
         column = self.columns.get(index)
@@ -565,7 +744,7 @@ class CMembershipIndex:
         disjuncts: List[Condition] = []
         for position in relevant:
             r_values, r_condition = self.rows[position]
-            if ctx is not None and not ctx.admits_row(values, r_values):
+            if ctx is not None and not admits_row(ctx.supports, values, r_values):
                 ctx.pruned += 1
                 continue
             disjunct = kernel.and_(r_condition, kernel.row_equality(values, r_values))
@@ -796,6 +975,10 @@ class _CTableLowering(_planner._Lowering):
         return CAdomScan(key=self.key())
 
     def make_filter(self, child: COperator, predicate: Predicate) -> COperator:
+        if isinstance(child, CScan):
+            indexed = _indexed_equality(predicate)
+            if indexed is not None:
+                return CIndexedSelect(child.name, predicate, *indexed, key=self.key())
         return CFilter(child, predicate, key=self.key())
 
     def make_eq_filter(self, child: COperator, left: int, right: int) -> COperator:
@@ -887,11 +1070,14 @@ def execute_ctable(
     ctx = CTableContext(database, schema, kernel, supports)
     with span("ctable.execute") as sp:
         crows = entry.ctable_physical.rows(ctx)
-        sp.set(rows=len(crows), pruned=ctx.pruned)
-    if ctx.pruned:
+        sp.set(rows=len(crows), pruned=ctx.pruned, reused=ctx.reused)
+    if ctx.pruned or ctx.reused:
         registry = current_metrics()
         if registry is not None:
-            registry.count("ctable.support_pruned", ctx.pruned)
+            if ctx.pruned:
+                registry.count("ctable.support_pruned", ctx.pruned)
+            if ctx.reused:
+                registry.count("ctable.build_reused", ctx.reused)
     make_row = ConditionalRow._from_trusted
     rows = tuple(make_row(values, condition) for values, condition in crows)
     return ConditionalTable._from_trusted(entry.out_schema, rows, global_condition)

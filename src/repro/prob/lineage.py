@@ -21,12 +21,35 @@ from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import Condition, FalseCondition, TrueCondition
 from ..datamodel.valuation import Valuation
 from ..datamodel.values import is_null
+from ..engine.ctable import Supports
 from ..obs.metrics import current_metrics
 from ..resilience import active_budget
 from .model import ProbabilityModel
 
 #: One answer tuple with its lineage condition.
 Candidate = Tuple[Tuple[Any, ...], Condition]
+
+
+def model_supports(database: Database, model: ProbabilityModel) -> Supports:
+    """``{null: frozenset(model.support(null))}`` over ``database``'s nulls.
+
+    Checks that ``model`` covers every null (:meth:`ProbabilityModel.require`).
+    The database and the model are both immutable, so the map is computed
+    once per pair and kept on the database's
+    :meth:`~repro.datamodel.Database.analysis_cache`, keyed by the model's
+    identity: one session's requests hand the c-table engine the same map
+    object, which lets it keep its support-indexed join build sides.
+    """
+    cache = database.analysis_cache()
+    entry = cache.get("prob.supports")
+    if entry is None or entry[0] is not model:
+        nulls = database.nulls()
+        model.require(nulls)
+        entry = cache["prob.supports"] = (
+            model,
+            {null: frozenset(model.support(null)) for null in nulls},
+        )
+    return entry[1]
 
 
 def prob_lineage(
@@ -54,9 +77,7 @@ def prob_lineage(
     ``evaluate(expression, ctable_database, _supports=supports)``; an
     ``engine="interpreter"`` session ignores the supports.
     """
-    nulls = database.nulls()
-    model.require(nulls)
-    supports = {null: frozenset(model.support(null)) for null in nulls}
+    supports = model_supports(database, model)
     ctable = evaluate(expression, CTableDatabase.from_database(database), _supports=supports)
     state = active_budget()
     lineages: Dict[Tuple[Any, ...], List[Condition]] = {}

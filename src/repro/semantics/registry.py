@@ -252,7 +252,15 @@ class ProbSemantics(WorldSemantics):
             raise TypeError(f"model must be a ProbabilityModel, got {type(model).__name__}")
 
     def warm(self, query: Any) -> None:
-        # Serving reads the lineage plans and the kernel's confidence memo.
+        """Run ``confidence()`` once before the session freezes.
+
+        Serving (``Session.freeze(warm=)``, ``Server(warm=)``) then reads
+        the lineage plans, the kernel's confidence memo, and the
+        per-instance c-table caches this builds: the lifted tables and
+        supports map on the database, and the scan snapshots, selection
+        indexes and join build sides on the plan (see
+        ``docs/engine.md``, "Per-instance caches").
+        """
         query.confidence()
 
     def explain(

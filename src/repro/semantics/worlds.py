@@ -438,3 +438,39 @@ def worlds(
             database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
         )
     raise ValueError(f"unknown semantics {semantics!r}; expected 'cwa', 'owa' or 'wcwa'")
+
+
+def fresh_value_worlds(
+    database: Database,
+    semantics: str,
+    value: Any,
+    max_extra_facts: int = 1,
+    partners: Sequence[Any] = (),
+) -> Iterator[Database]:
+    """Worlds of :func:`worlds` that put ``value``, a domain value outside
+    the database, everywhere the semantics can put one.
+
+    Every null mapped to ``value``; where worlds gain facts (OWA, and
+    weak CWA once ``value`` is in the world's active domain), that world
+    plus one fact ``R(value, ..., value)`` per relation; and for each of
+    ``partners`` (domain values) and each null, that null mapped to
+    ``value`` and every other null to the partner, so two nulls can hold
+    ``value`` and a partner side by side.  Each is a world of
+    ``worlds(database, semantics, domain)`` for any ``domain`` holding
+    ``value``, the partners and the same ``max_extra_facts``, so an
+    error evaluating one is an error the full enumeration meets too.
+    """
+    nulls = sorted(database.nulls(), key=lambda null: null.name)
+    base = Valuation({null: value for null in nulls}).apply(database)
+    if nulls:
+        yield base
+    grows = semantics == "owa" or (semantics == "wcwa" and bool(nulls))
+    if grows and max_extra_facts > 0:
+        for rel_schema in database.schema:
+            yield base.add_facts([(rel_schema.name, (value,) * rel_schema.arity)])
+    if len(nulls) > 1:
+        for partner in partners:
+            for chosen in nulls:
+                yield Valuation(
+                    {null: value if null is chosen else partner for null in nulls}
+                ).apply(database)

@@ -15,7 +15,9 @@ from repro.datamodel import (
     Relation,
 )
 from repro.engine import PlanCache, execute_ctable
-from repro.engine.ctable import CMembershipIndex, _merge_sorted
+from repro.engine.ctable import CIndexedSelect, CMembershipIndex, _merge_sorted
+from repro.obs import Tracer
+from repro.obs.trace import obs_scope
 from repro.semantics import default_domain
 
 
@@ -219,3 +221,151 @@ class TestSupportPruning:
             planned = session.evaluate_ctable(query, ctdb)
         domain = default_domain(self.database())
         assert planned.possible_worlds(domain) == ctable_evaluate(query, ctdb).possible_worlds(domain)
+
+
+class TestWarmCaches:
+    """Per-instance caches of the c-table path; every answer is checked
+    against a fresh session's."""
+
+    X, Y = Null("x"), Null("y")
+
+    def table(self):
+        # A user c-table: a row whose condition interns to FALSE, null-keyed
+        # rows, and constants equal under == (1, 1.0, True).
+        x, y = self.X, self.Y
+        return ConditionalTable.create(
+            "R",
+            [
+                ((1, "a"), Eq(1, 2)),
+                ((x, "b"), Eq(x, 2)),
+                ((1.0, "c"), TRUE),
+                ((2, "d"), Eq(y, 1)),
+                ((y, "e"), TRUE),
+                ((True, "f"), Eq(x, y)),
+            ],
+            attributes=("k", "v"),
+        )
+
+    def fresh(self, query, ctdb):
+        return repro.connect().evaluate_ctable(query, ctdb)
+
+    @staticmethod
+    def canonical(table, kernel):
+        return all(kernel.intern(row.condition) is row.condition for row in table)
+
+    def test_indexed_selection_is_lowered_and_matches_the_oracle(self):
+        ctdb = CTableDatabase([self.table()])
+        session = repro.connect()
+        query = parse_ra("select[k = 1](R)")
+        result = session.evaluate_ctable(query, ctdb)
+        entry = session.plan_cache.entry(query, ctdb.schema)
+        assert isinstance(entry.ctable_physical, CIndexedSelect)
+        # (x, "b") needs x = 2 and x = 1: its condition folds to false.
+        assert [row.values for row in result] == [(1.0, "c"), (Null("y"), "e"), (True, "f")]
+        oracle = ctable_evaluate(query, ctdb)
+        assert result.possible_worlds([1, 2, 3]) == oracle.possible_worlds([1, 2, 3])
+
+    def test_repeated_requests_reuse_and_agree(self):
+        ctdb = CTableDatabase([self.table()])
+        session = repro.connect()
+        query = parse_ra("project[v](join(select[k = 1](R), rename[S(k, w)](R)))")
+        expected = self.fresh(query, ctdb)
+        tracer = Tracer()
+        with obs_scope(tracer, None):
+            results = [session.evaluate_ctable(query, ctdb) for _ in range(3)]
+        for result in results:
+            assert [row.values for row in result] == [row.values for row in expected]
+            assert self.canonical(result, session.kernel)
+        reused = [s.attrs["reused"] for s in tracer.spans() if s.name == "ctable.execute"]
+        assert reused == [0, 2, 2]  # the index and the join build side
+
+    def test_clear_and_eviction_between_requests(self):
+        ctdb = CTableDatabase([self.table()])
+        query = parse_ra("project[v](R)")
+        expected = [row.values for row in self.fresh(query, ctdb)]
+        session = repro.connect()
+        session.evaluate_ctable(query, ctdb)
+        session.kernel.clear()
+        after_clear = session.evaluate_ctable(query, ctdb)
+        assert [row.values for row in after_clear] == expected
+        # A stale scan would hand back conditions of the cleared epoch.
+        assert self.canonical(after_clear, session.kernel)
+        session.evaluate_ctable(query, ctdb)
+        session.kernel.evict()
+        session.kernel.evict()
+        after_evict = session.evaluate_ctable(query, ctdb)
+        assert [row.values for row in after_evict] == expected
+        assert self.canonical(after_evict, session.kernel)
+
+    def test_watermark_eviction_between_requests(self):
+        ctdb = CTableDatabase([self.table()])
+        query = parse_ra("project[v](R)")
+        expected = [row.values for row in self.fresh(query, ctdb)]
+        # Other work interns enough fresh conditions to trigger automatic
+        # evictions that reclaim the untouched conditions of the scan.
+        churn = CTableDatabase(
+            [ConditionalTable.create("C", [((i,), Eq(Null(f"c{i}"), i)) for i in range(40)])]
+        )
+        session = repro.connect(kernel_watermark=4)
+        for _ in range(4):
+            result = session.evaluate_ctable(query, ctdb)
+            assert [row.values for row in result] == expected
+            assert self.canonical(result, session.kernel)
+            session.evaluate_ctable(parse_ra("project[#0](C)"), churn)
+        assert session.kernel.auto_evictions > 1
+
+    def test_alternating_databases(self):
+        query = parse_ra("project[#1](select[#0 = 1](R))")
+        # Equal table sizes: both databases run on the same cached lowering.
+        one = _lifted({"R": [(1, "a"), (2, "b"), (3, "c")]})
+        other = _lifted({"R": [(2, "c"), (1, "d"), (Null("z"), "e")]})
+        session = repro.connect()
+        for _ in range(3):
+            for ctdb in (one, other):
+                got = session.evaluate_ctable(query, ctdb)
+                assert [row.values for row in got] == [
+                    row.values for row in self.fresh(query, ctdb)
+                ]
+
+    def test_lift_nulls_and_index_are_per_instance(self):
+        rows = {"R": [(1, "a"), (Null("z"), "b")]}
+        first, second = Database.from_dict(rows), Database.from_dict(rows)
+        assert first == second and first is not second
+        assert CTableDatabase.from_database(first) is CTableDatabase.from_database(first)
+        assert CTableDatabase.from_database(first) is not CTableDatabase.from_database(second)
+        nulls = first.nulls()
+        nulls.add(Null("other"))
+        assert first.nulls() == {Null("z")}
+        table = CTableDatabase.from_database(first).table("R")
+        assert table.position_index(0) is table.position_index(0)
+        assert table.position_index(0).null_positions == tuple(
+            i for i, row in enumerate(table) if row.values[0] == Null("z")
+        )
+
+    def test_build_side_follows_the_supports(self):
+        x = self.X
+        ctdb = CTableDatabase.from_database(
+            Database.from_relations(
+                [
+                    Relation.create("R", [(1, x), (2, 2)], attributes=("a", "b")),
+                    Relation.create("S", [(1, "p"), (2, "q"), (3, "r")], attributes=("b", "c")),
+                ]
+            )
+        )
+        query = parse_ra("join(R, S)")
+        supports = {x: frozenset({1, 2})}
+        fresh_cache = PlanCache()
+        expected = execute_ctable(query, ctdb, fresh_cache, fresh_cache.kernel, supports=supports)
+        cache = PlanCache()
+        for given in (None, supports, None, supports):
+            tracer = Tracer()
+            with obs_scope(tracer, None):
+                got = execute_ctable(query, ctdb, cache, cache.kernel, supports=given)
+            (span,) = [s for s in tracer.spans() if s.name == "ctable.execute"]
+            # A build side made for other supports is never served.
+            assert span.attrs["reused"] == 0
+            if given is None:
+                assert span.attrs["pruned"] == 0 and len(got) == 4
+            else:
+                assert span.attrs["pruned"] == 1
+                assert [row.values for row in got] == [row.values for row in expected]

@@ -1,13 +1,16 @@
 """The session tier of semantics="prob": confidence(), condition_on, budgets."""
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
 import repro
 from repro import connect
-from repro.algebra import parse_ra
+from repro.algebra import CTableDatabase, parse_ra
 from repro.datamodel import And, Database, Eq, Null, Relation
+from repro.obs import Tracer
 from repro.prob import ExclusiveBlock, ProbabilityModel, brute_force_confidence
 from repro.resilience import (
     Budget,
@@ -297,3 +300,178 @@ class TestFrozenAndServe:
         assert repro.ProbabilityModel is ProbabilityModel
         assert repro.ExclusiveBlock is ExclusiveBlock
         assert repro.ConfidenceInterval is ConfidenceInterval
+
+
+class TestWarmCaches:
+    """Lifted tables, supports, selection indexes and join build sides are
+    kept per immutable instance; every answer is checked against a fresh
+    session's."""
+
+    SELECT = parse_ra("project[c](select[b = 2](join(R, S)))")
+
+    @staticmethod
+    def pruning_database():
+        # x ∈ {1, 2} never meets S's 3; y ∈ {2, 3} never meets R's 5.
+        return Database.from_relations(
+            [
+                Relation.create("R", [(1, X), (2, 2), (5, 5)], attributes=("a", "b")),
+                Relation.create("S", [(Y, "p"), (2, "q"), (3, "r")], attributes=("b", "c")),
+            ]
+        )
+
+    @staticmethod
+    def fresh(query, database=None):
+        with connect(database or make_database(), semantics="prob", model=make_model()) as s:
+            return s.query(query).confidence()
+
+    @staticmethod
+    def traced(tracer):
+        return [span.attrs for span in tracer.spans() if span.name == "ctable.execute"]
+
+    def test_repeated_confidence(self):
+        tracer = Tracer()
+        expected = {query: self.fresh(query) for query in (JOIN, PROJECT, self.SELECT)}
+        with connect(make_database(), semantics="prob", model=make_model(), tracer=tracer) as s:
+            for _ in range(10):
+                for query, answer in expected.items():
+                    assert s.query(query).confidence() == answer
+            counters = s.metrics()["counters"]
+        reused = [attrs["reused"] for attrs in self.traced(tracer)]
+        assert reused[:3] == [0, 0, 0] and all(count >= 1 for count in reused[3:])
+        assert counters["ctable.build_reused"] == sum(reused)
+
+    def test_pruned_counts_are_per_request(self):
+        tracer = Tracer()
+        database = self.pruning_database()
+        with connect(database, semantics="prob", model=make_model(), tracer=tracer) as s:
+            before = 0
+            for request in range(10):
+                s.query(PROJECT).confidence()
+                counted = s.metrics()["counters"].get("ctable.support_pruned", 0)
+                if request == 0:
+                    first = counted
+                assert counted - before == first
+                before = counted
+        pruned = [attrs["pruned"] for attrs in self.traced(tracer)]
+        assert first > 0 and pruned == [first] * 10
+
+    def test_kernel_clear_and_eviction_between_requests(self):
+        expected = self.fresh(PROJECT)
+        tracer = Tracer()
+        with connect(
+            make_database(), semantics="prob", model=make_model(), tracer=tracer,
+            kernel_watermark=4,
+        ) as s:
+            assert s.query(PROJECT).confidence() == expected
+            s.kernel.clear()
+            assert s.query(PROJECT).confidence() == expected
+            s.kernel.evict()
+            assert s.query(PROJECT).confidence() == expected
+            assert s.query(PROJECT).confidence() == expected
+            assert s.kernel.auto_evictions > 0
+        # A cleared or evicted kernel rebuilds the build side.
+        assert [attrs["reused"] for attrs in self.traced(tracer)][:3] == [0, 0, 0]
+
+    def test_alternating_databases(self):
+        other = Database.from_relations(
+            [
+                Relation.create("R", [(2, Y), (1, 1)], attributes=("a", "b")),
+                Relation.create("S", [(X, "r"), (1, "s")], attributes=("b", "c")),
+            ]
+        )
+        base = make_database()
+        expected = {"base": self.fresh(PROJECT, base), "other": self.fresh(PROJECT, other)}
+        assert expected["base"] != expected["other"]
+        # Equal table sizes: both databases run on the same cached lowering.
+        with connect(base, semantics="prob", model=make_model()) as s:
+            for _ in range(3):
+                assert s.query(PROJECT).confidence() == expected["base"]
+                assert s.query(PROJECT, database=other).confidence() == expected["other"]
+
+    def test_one_database_under_two_models(self):
+        database = self.pruning_database()
+        wide = ProbabilityModel(independent={X: {1: 0.5, 3: 0.5}, Y: {2: 0.5, 5: 0.5}})
+        expected = {}
+        for model in (make_model(), wide):
+            with connect(self.pruning_database(), semantics="prob", model=model) as s:
+                expected[model] = s.query(JOIN).confidence()
+        narrow_answer, wide_answer = expected.values()
+        assert narrow_answer != wide_answer
+        sessions = [connect(database, semantics="prob", model=m) for m in expected]
+        try:
+            for _ in range(2):
+                for session in sessions:
+                    assert session.query(JOIN).confidence() == expected[session.model]
+        finally:
+            for session in sessions:
+                session.close()
+
+    def test_distinct_database_with_equal_content(self):
+        base, copy = make_database(), make_database()
+        assert base == copy and base is not copy
+        tracer = Tracer()
+        with connect(base, semantics="prob", model=make_model(), tracer=tracer) as s:
+            warm = s.query(PROJECT).confidence()
+            s.query(PROJECT).confidence()
+            assert s.query(PROJECT, database=copy).confidence() == warm == self.fresh(PROJECT)
+        assert CTableDatabase.from_database(base) is not CTableDatabase.from_database(copy)
+        # Caches key on the instance: the copy's first request builds afresh.
+        assert [attrs["reused"] for attrs in self.traced(tracer)] == [0, 1, 0]
+
+    def test_freeze_warms_the_build_sides(self):
+        tracer = Tracer()
+        session = connect(make_database(), semantics="prob", model=make_model(), tracer=tracer)
+        try:
+            session.freeze(warm=[PROJECT])
+            assert session.query(PROJECT).confidence() == self.fresh(PROJECT)
+        finally:
+            session.close()
+        assert [attrs["reused"] for attrs in self.traced(tracer)] == [0, 1]
+
+    def test_threads_on_a_frozen_session(self):
+        queries = (JOIN, PROJECT, self.SELECT)
+        database = self.pruning_database()
+        expected = {query: self.fresh(query, database) for query in queries}
+        pruned_once = {}
+        for query in queries:
+            tracer = Tracer()
+            with connect(database, semantics="prob", model=make_model(), tracer=tracer) as s:
+                s.query(query).confidence()
+            pruned_once[query] = self.traced(tracer)[0]["pruned"]
+        assert max(pruned_once.values()) > 0
+
+        tracer = Tracer()
+        session = connect(database, semantics="prob", model=make_model(), tracer=tracer)
+        failures = []
+        threads_count, rounds = 4, 30  # more threads than cores
+
+        def worker(offset):
+            try:
+                for index in range(rounds):
+                    query = queries[(index + offset) % len(queries)]
+                    if session.query(query).confidence() != expected[query]:
+                        failures.append(query)
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        try:
+            session.freeze(warm=[JOIN])
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert failures == []
+        spans = [s for s in tracer.spans() if s.name == "ctable.execute"]
+        assert len(spans) == 1 + threads_count * rounds
+        # Each thread ran each query rounds / 3 times; the warm-up ran JOIN
+        # once.  A count kept on a shared build side would drift.
+        per_thread = rounds // len(queries) * sum(pruned_once.values())
+        total = sum(s.attrs["pruned"] for s in spans)
+        assert total == pruned_once[JOIN] + threads_count * per_thread

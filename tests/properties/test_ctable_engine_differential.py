@@ -8,13 +8,26 @@ worlds over any finite domain, in the style of
 ``tests/properties/test_engine_differential.py``.
 """
 
+import random
+
 import pytest
 
 import repro
 from repro.algebra import CTableDatabase, ctable_evaluate, parse_ra
-from repro.algebra.predicates import Attr, Comparison
+from repro.algebra.predicates import Attr, Comparison, Const, PAnd
 from repro.algebra.ast import Selection, relation
-from repro.datamodel import ConditionalTable, Database, Eq, Null, Or, Relation
+from repro.datamodel import (
+    TRUE,
+    ConditionKernel,
+    ConditionalTable,
+    Database,
+    Eq,
+    Not,
+    Null,
+    Or,
+    Relation,
+)
+from repro.engine.ctable import CFilter, CIndexedSelect, CScan, CTableContext, _indexed_equality
 from repro.semantics import default_domain
 from repro.workloads import (
     random_database,
@@ -24,6 +37,7 @@ from repro.workloads import (
 )
 
 POSITIVE_SEEDS = list(range(40))
+INDEXED_SEEDS = list(range(60))
 FULL_RA_SEEDS = list(range(30))
 DIVISION_SEEDS = list(range(20))
 
@@ -118,3 +132,60 @@ def test_disjunctive_global_condition_agrees():
 
 def test_pair_budget_is_at_least_90():
     assert len(POSITIVE_SEEDS) + len(FULL_RA_SEEDS) + len(DIVISION_SEEDS) >= 90
+
+
+def _random_ctable(rng):
+    """A two-column c-table over colliding constants (1, 1.0, True), nulls and
+    conditions that fold to true, to false, or stay symbolic."""
+    nulls = [Null(f"n{i}") for i in range(3)]
+    values = [1, 1.0, True, 2, "a", "b"] + nulls
+
+    def condition():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return TRUE
+        atom = Eq(rng.choice(values), rng.choice(values))
+        return Not(atom) if kind == 3 else atom
+
+    rows = [
+        ((rng.choice(values), rng.choice(values)), condition())
+        for _ in range(rng.randrange(10))
+    ]
+    return ConditionalTable.create("R", rows, attributes=("a", "b")), nulls, values
+
+
+@pytest.mark.parametrize("seed", INDEXED_SEEDS)
+def test_indexed_selection_is_the_scan_path(seed):
+    """``σ[#i = c]`` over a base c-table through the position index yields the
+    scan path's rows — same values, same interned conditions, same order —
+    and the same ``pruned`` count, with and without supports."""
+    rng = random.Random(seed)
+    table, nulls, values = _random_ctable(rng)
+    ctdb = CTableDatabase([table])
+    column = rng.randrange(2)
+    constant = rng.choice([1, 1.0, True, 2, "a", "zz"])
+    equality = Comparison(Attr(column), "=", constant)
+    predicates = [
+        equality,
+        Comparison(Const(constant), "=", Attr(column)),
+        PAnd((equality, Comparison(Attr(1 - column), "!=", rng.choice(values)))),
+    ]
+    supports = {null: frozenset(rng.sample([1, 2, "a", "b"], 2)) for null in nulls}
+    for predicate in predicates:
+        assert _indexed_equality(predicate) == (column, constant)
+        for model_supports in (None, supports):
+            kernel = ConditionKernel()
+            scan = CTableContext(ctdb, ctdb.schema, kernel, model_supports)
+            scanned = CFilter(CScan("R"), predicate).rows(scan)
+            index = CTableContext(ctdb, ctdb.schema, kernel, model_supports)
+            indexed = CIndexedSelect("R", predicate, column, constant).rows(index)
+            assert [(v, id(c)) for v, c in indexed] == [(v, id(c)) for v, c in scanned]
+            assert index.pruned == scan.pruned
+
+
+def test_null_and_order_selections_are_not_indexed():
+    assert _indexed_equality(Comparison(Attr(0), "=", Null("x"))) is None
+    assert _indexed_equality(Comparison(Attr(0), "<", 3)) is None
+    assert _indexed_equality(Comparison(Attr(0), "=", Attr(1))) is None
+    trailing = PAnd((Comparison(Attr(0), "<", 3), Comparison(Attr(1), "=", 2)))
+    assert _indexed_equality(trailing) is None

@@ -126,3 +126,75 @@ def test_world_evaluation_refuses_a_closed_session():
         session.query(DIFF).certain()
     with pytest.raises(repro.SessionClosedError):
         session.query(DIFF).boolean(mode="possible")
+
+
+class TestOrderComparisonsOverFreshValues:
+    """Worlds also take the domain's fresh values (strings ``w0``, ``w1``,
+    ...): nulls range over them and open-world extra facts are made of
+    them.  An order comparison one of them cannot meet is refused with a
+    typed error before any world is enumerated, on every engine and mode,
+    sequential or with workers — never a bare ``TypeError``."""
+
+    DATABASE = Database.from_dict({"R": [(Null("x"), 2), (1, 5)]})
+    CALLS = {
+        "certain": lambda q: q.certain(),
+        "possible": lambda q: q.possible(),
+        "boolean-certain": lambda q: q.boolean(mode="certain"),
+        "boolean-possible": lambda q: q.boolean(mode="possible"),
+    }
+
+    @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("mode", sorted(CALLS))
+    @pytest.mark.parametrize("text", ["select[#0 < 3](R)", "select[3 >= #0](R)"])
+    def test_refused_with_a_typed_error(self, engine, workers, mode, text):
+        from repro.resilience import InvalidRequestError
+
+        with repro.connect(self.DATABASE, engine=engine, workers=workers) as session:
+            with pytest.raises(InvalidRequestError, match=r"order comparison .*'w0'.*3") as info:
+                self.CALLS[mode](session.query(parse_ra(text)))
+            assert session.metrics()["counters"].get("worlds.evaluated", 0) == 0
+        assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("semantics", ["owa", "wcwa"])
+    @pytest.mark.parametrize("mode", sorted(CALLS))
+    def test_open_world_extra_facts_reach_complete_columns(self, semantics, mode):
+        from repro.resilience import InvalidRequestError
+
+        # #1 holds no null, but an extra fact R(w0, w0) puts 'w0' there.
+        with repro.connect(self.DATABASE, semantics=semantics) as session:
+            with pytest.raises(InvalidRequestError, match=r"#1 < 3 .*'w0'"):
+                self.CALLS[mode](session.query(parse_ra("select[#1 < 3](R)")))
+
+    def test_closed_world_without_nulls_never_meets_a_fresh_value(self):
+        complete = Database.from_dict({"R": [(1, 2)]})
+        for semantics in ("cwa", "wcwa"):
+            with repro.connect(complete, semantics=semantics) as session:
+                assert session.query(parse_ra("select[#0 < 3](R)")).certain().rows == {(1, 2)}
+
+    def test_attribute_pairs_name_the_other_constant(self):
+        from repro.resilience import InvalidRequestError
+
+        with repro.connect(self.DATABASE) as session:
+            with pytest.raises(InvalidRequestError, match=r"#0 < #1 .*'w0'.*with 1\b"):
+                session.query(parse_ra("select[#0 < #1](R)")).possible()
+        # Two nulls side by side: only a world holding 'w0' next to an int fails.
+        pair = Database.from_dict({"R": [(Null("x"), Null("y")), (1, 2)]})
+        with repro.connect(pair) as session:
+            with pytest.raises(InvalidRequestError, match=r"#0 < #1 .*'w0'"):
+                session.query(parse_ra("select[#0 < #1](R)")).possible()
+        strings = Database.from_dict({"R": [(Null("x"), Null("y")), ("a", "b")]})
+        with repro.connect(strings) as session:
+            assert session.query(parse_ra("select[#0 < #1](R)")).certain().rows == {("a", "b")}
+
+    @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])
+    def test_comparisons_fresh_values_never_meet_still_answer(self, engine):
+        # #1 never holds a null, so no world compares a fresh value.
+        with repro.connect(self.DATABASE, engine=engine) as session:
+            query = session.query(parse_ra("project[#1](select[#1 < 3](R))"))
+            assert query.certain().rows == {(2,)}
+
+    def test_comparable_domain_answers(self):
+        with repro.connect(self.DATABASE) as session:
+            query = session.query(parse_ra("project[#1](select[#0 < 3](R))"))
+            assert query.certain(domain=[1, 2, 3, 5]).rows == {(5,)}
