@@ -260,7 +260,7 @@ class FaultInjectingExecutor:
 
     Everything else (``shutdown``, ``map``, context management) falls
     through to the wrapped executor, so the proxy drops into
-    ``enumerate_certain_answers(pool_factory=...)`` unchanged.
+    ``enumerate_certain_answers(executor=...)`` unchanged.
     """
 
     def __init__(

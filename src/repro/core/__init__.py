@@ -48,7 +48,6 @@ from .orderings import (
     OWA_ORDERING,
     WCWA_ORDERING,
     cwa_leq,
-    ordering,
     owa_leq,
     relation_leq,
     semantic_leq,
@@ -102,7 +101,6 @@ __all__ = [
     "is_preserved_under_homomorphisms",
     "knowledge_includes",
     "naive_evaluation_applies",
-    "ordering",
     "owa_leq",
     "owa_representation_system",
     "possible_answer_bound",

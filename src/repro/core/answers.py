@@ -36,14 +36,13 @@ from ..algebra.ast import ConstantRelation, RAExpression, Selection
 from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, Predicate
 from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
-from ..logic.diagrams import delta as delta_formula
 from ..logic.formulas import FOQuery, Formula
 from ..resilience import BudgetExceeded, InvalidRequestError, ResumeToken, active_budget
 from ..semantics.certain import (
     enumerate_certain_answers,
     enumerate_possible_answers,
 )
-from ..semantics.worlds import default_domain, fresh_value_worlds
+from ..semantics.worlds import check_world_options, default_domain, fresh_value_worlds
 from .naive_evaluation import Applicability
 
 Query = Union[RAExpression, FOQuery]
@@ -195,7 +194,7 @@ def check_order_comparisons(
     database: Database,
     domain: Sequence[Any],
     world_evaluator: Callable[[Database], Relation],
-    worlds: str,
+    semantics: Any,
     max_extra_facts: int,
 ) -> None:
     """Refuse, before enumerating, order comparisons a fresh value breaks.
@@ -206,8 +205,9 @@ def check_order_comparisons(
     are made of them.  An order comparison that meets one it cannot
     compare — ``'w0' < 3`` — would stop the enumeration with a bare
     ``TypeError`` at the first world holding it.  So the few worlds of
-    the ``worlds`` space that put the first fresh value everywhere it can
-    go (:func:`~repro.semantics.worlds.fresh_value_worlds`; with an
+    ``semantics`` (a registry row) that put the first fresh value
+    everywhere it can go
+    (:func:`~repro.semantics.worlds.fresh_value_worlds`; with an
     attribute-to-attribute comparison, also next to one database or
     query constant of each type) are evaluated up front; if one fails on
     an order comparison that a fresh value cannot meet, the request is
@@ -239,7 +239,7 @@ def check_order_comparisons(
         partners = list(by_type.values())
     try:
         for world in fresh_value_worlds(
-            database, worlds, fresh[0], max_extra_facts, partners
+            database, semantics, fresh[0], max_extra_facts, partners
         ):
             world_evaluator(world)
     except TypeError as error:
@@ -282,11 +282,13 @@ def object_strategy(query: Query, database: Database, evaluator: QueryEvaluator)
 def knowledge_strategy(
     query: Query, database: Database, evaluator: QueryEvaluator, semantics: str = "cwa"
 ) -> Formula:
-    """``certainK(Q, D) = δ_{Q(D)}``: the knowledge-level certain answer (eq. (10))."""
+    """``certainK(Q, D) = δ_{Q(D)}``: the knowledge-level certain answer (eq. (10)),
+    with the δ of ``semantics`` (a registered name, or its registry row)."""
+    from ..semantics.registry import semantics_named
+
+    delta = semantics_named(semantics).delta
     answer = evaluator(query, database)
-    return delta_formula(
-        Database.from_relations([answer.rename("Answer")]), semantics=semantics
-    )
+    return delta(Database.from_relations([answer.rename("Answer")]))
 
 
 def _fingerprint(
@@ -352,8 +354,10 @@ def enumeration_strategy(
 ) -> Relation:
     """Certain (or possible) answers computed literally by world enumeration.
 
-    ``semantics`` names an entry of :mod:`repro.semantics.registry`; its
-    world space is enumerated.  ``world_evaluator`` overrides the
+    ``semantics`` is a row of :data:`repro.semantics.registry.SEMANTICS`
+    (the registry's ``ENUMERATION`` strategy hands its own row down) or
+    its name; its worlds are enumerated.  ``extra_constants`` and
+    ``max_extra_facts`` are checked before anything runs.  ``world_evaluator`` overrides the
     per-world callable — sessions pass a *picklable* one when ``workers``
     should fan out over a process pool (``executor``: a live,
     caller-owned pool); the default closure works but forces the
@@ -371,6 +375,8 @@ def enumeration_strategy(
     """
     from ..semantics.registry import semantics_named
 
+    semantics = semantics_named(semantics)
+    check_world_options(extra_constants, max_extra_facts)
     state = active_budget()
     if state is not None:
         # Refuse to even start an enumeration on an already-expired budget
@@ -379,12 +385,11 @@ def enumeration_strategy(
     if world_evaluator is None:
         world_evaluator = lambda world: evaluator(query, world)  # noqa: E731
     resolved_domain = enumeration_domain(query, database, domain, extra_constants)
-    space = semantics_named(semantics).worlds
     check_order_comparisons(
-        query, database, resolved_domain, world_evaluator, space, max_extra_facts
+        query, database, resolved_domain, world_evaluator, semantics, max_extra_facts
     )
     inputs = (
-        world_evaluator, database, space, resolved_domain, extra_constants, max_extra_facts,
+        world_evaluator, database, semantics, resolved_domain, extra_constants, max_extra_facts,
     )
     if mode == "possible":
         return enumerate_possible_answers(*inputs)
@@ -393,7 +398,7 @@ def enumeration_strategy(
     fresh = valuation_space(query, database, resolved_domain).interchangeable
     # The fingerprint is computed only when a token comes in or goes out.
     key = functools.partial(
-        _fingerprint, query, database, semantics, resolved_domain, extra_constants,
+        _fingerprint, query, database, semantics.name, resolved_domain, extra_constants,
         max_extra_facts, fresh,
     )
     if resume is not None:
@@ -431,9 +436,9 @@ def certain_strategy(
     """
     from ..semantics.registry import semantics_named
 
-    space = semantics_named(semantics)
-    strategy = space.choose(query, method, resume)
-    return strategy.run(space, query, database, evaluator, resume=resume, **options)
+    row = semantics_named(semantics)
+    strategy = row.choose(query, method, resume)
+    return strategy.run(row, query, database, evaluator, resume=resume, **options)
 
 
 def explain_method(query: Query, semantics: str = "cwa") -> Applicability:

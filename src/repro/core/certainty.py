@@ -24,13 +24,12 @@ properties against explicitly enumerated answer sets.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..datamodel import Database, Null, Relation, is_null
+from ..datamodel import Database, Null, is_null
 from ..homomorphisms import core as core_of
-from ..logic.diagrams import delta as delta_formula
 from ..logic.formulas import Formula
-from .orderings import InformationOrdering, ordering
+from .orderings import InformationOrdering
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +154,12 @@ def certain_knowledge_formula(database: Database, semantics: str = "cwa") -> For
     For a single object the paper shows the certain knowledge of its
     semantics is its defining formula; for query answering (eq. (10)) the
     certain knowledge of ``Q([[D]])`` is ``δ_{Q(D)}`` — the δ-formula of the
-    naively evaluated answer.
+    naively evaluated answer.  ``semantics`` is a name registered in
+    :data:`repro.semantics.registry.SEMANTICS` (or its row).
     """
-    return delta_formula(database, semantics=semantics)
+    from ..semantics.registry import semantics_named  # the registry imports this package
+
+    return semantics_named(semantics).delta(database)
 
 
 def knowledge_includes(formula: Formula, objects: Iterable[Database]) -> bool:

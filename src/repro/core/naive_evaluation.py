@@ -20,15 +20,15 @@ genericity checkers used by the experiment and property-test suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Optional, Tuple, Union
 
 from ..algebra.ast import RAExpression
 from ..algebra.ra_cwa import Fragment, classify
 from ..datamodel import Database, Relation
-from ..homomorphisms import Homomorphism, all_homomorphisms
+from ..homomorphisms import Homomorphism
 from ..logic.formulas import FOQuery
 from ..logic.fragments import FormulaFragment, classify_formula
-from .orderings import InformationOrdering, ordering, relation_leq
+from .orderings import relation_leq
 
 Query = Union[RAExpression, FOQuery]
 
@@ -49,45 +49,50 @@ class Applicability:
 def naive_evaluation_applies(query: Query, semantics: str = "cwa") -> Applicability:
     """Syntactic test: is naive evaluation guaranteed correct for ``query``?
 
-    Under OWA the guaranteed class is positive relational algebra / UCQ;
-    under CWA it is ``RA_cwa`` (which contains the positive fragment) on
-    the algebra side and Pos∀G on the calculus side.
+    ``semantics`` is a name registered in
+    :data:`repro.semantics.registry.SEMANTICS` (or its row); the test is
+    :func:`naive_verdict` on that row.
     """
-    if semantics not in ("owa", "cwa"):
-        raise ValueError(f"unknown semantics {semantics!r}; expected 'owa' or 'cwa'")
+    from ..semantics.registry import semantics_named  # the registry imports this module
 
+    return naive_verdict(query, semantics_named(semantics))
+
+
+def naive_verdict(query: Query, semantics: Any) -> Applicability:
+    """The naive-evaluation test for a :mod:`repro.semantics.registry` row.
+
+    The guaranteed class is positive relational algebra / UCQ; where worlds
+    gain no facts (``not semantics.grows``: CWA) it widens to ``RA_cwa`` on
+    the algebra side and Pos∀G on the calculus side, whose guarantee rests
+    on strong onto homomorphisms and so does not transfer to OWA or weak CWA.
+    """
     if isinstance(query, RAExpression):
         fragment = classify(query)
-        if fragment is Fragment.POSITIVE:
-            return Applicability(True, semantics, fragment.value, "positive relational algebra (UCQ)")
-        if fragment is Fragment.RA_CWA:
-            if semantics == "cwa":
-                return Applicability(True, semantics, fragment.value, "RA_cwa under CWA")
-            return Applicability(
-                False, semantics, fragment.value, "division is only safe under CWA, not OWA"
-            )
-        return Applicability(
-            False, semantics, fragment.value, "query uses non-positive features (e.g. difference)"
+        positive, guarded = fragment is Fragment.POSITIVE, fragment is Fragment.RA_CWA
+        reasons = (
+            "positive relational algebra (UCQ)",
+            "RA_cwa under CWA",
+            "division is only safe under CWA, not OWA",
+            "query uses non-positive features (e.g. difference)",
         )
-
-    if isinstance(query, FOQuery):
+    elif isinstance(query, FOQuery):
         fragment = classify_formula(query.formula)
-        if fragment in (FormulaFragment.CQ, FormulaFragment.UCQ):
-            return Applicability(True, semantics, fragment.value, "existential positive (UCQ)")
-        if fragment is FormulaFragment.POS_FORALL_GUARDED:
-            if semantics == "cwa":
-                return Applicability(True, semantics, fragment.value, "Pos∀G under CWA")
-            return Applicability(
-                False, semantics, fragment.value, "guarded universals are only safe under CWA"
-            )
-        return Applicability(
-            False,
-            semantics,
-            fragment.value,
+        positive = fragment in (FormulaFragment.CQ, FormulaFragment.UCQ)
+        guarded = fragment is FormulaFragment.POS_FORALL_GUARDED
+        reasons = (
+            "existential positive (UCQ)",
+            "Pos∀G under CWA",
+            "guarded universals are only safe under CWA",
             "formula is outside UCQ / Pos∀G; naive evaluation is not guaranteed",
         )
-
-    raise TypeError(f"unsupported query type {type(query).__name__}")
+    else:
+        raise TypeError(f"unsupported query type {type(query).__name__}")
+    if positive:
+        return Applicability(True, semantics.name, fragment.value, reasons[0])
+    if guarded:
+        closed = not semantics.grows
+        return Applicability(closed, semantics.name, fragment.value, reasons[1 if closed else 2])
+    return Applicability(False, semantics.name, fragment.value, reasons[3])
 
 
 # ----------------------------------------------------------------------
@@ -114,14 +119,16 @@ def is_monotone_on(
     answers must satisfy ``Q(smaller) ⊑ Q(larger)`` in the answer ordering.
     Pairs that are not ordered are skipped.
     """
-    answer_semantics = answer_semantics or input_semantics
-    input_order = ordering(input_semantics)
+    from ..semantics.registry import semantics_named  # the registry imports this module
+
+    input_order = semantics_named(input_semantics).ordering
+    answers = semantics_named(answer_semantics or input_semantics)
     for smaller, larger in pairs:
         if not input_order(smaller, larger):
             continue
         left = evaluate_query(query, smaller)
         right = evaluate_query(query, larger)
-        if not relation_leq(left, right, semantics=answer_semantics):
+        if not relation_leq(left, right, semantics=answers):
             return False
     return True
 

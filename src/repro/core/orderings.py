@@ -23,7 +23,7 @@ in the experiment suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..datamodel import Database, Relation
 from ..homomorphisms import (
@@ -101,18 +101,6 @@ OWA_ORDERING = InformationOrdering("owa", owa_leq)
 CWA_ORDERING = InformationOrdering("cwa", cwa_leq)
 WCWA_ORDERING = InformationOrdering("wcwa", wcwa_leq)
 
-_ORDERINGS = {"owa": OWA_ORDERING, "cwa": CWA_ORDERING, "wcwa": WCWA_ORDERING}
-
-
-def ordering(semantics: str) -> InformationOrdering:
-    """The information ordering associated with a semantics name."""
-    try:
-        return _ORDERINGS[semantics]
-    except KeyError:
-        raise ValueError(
-            f"unknown semantics {semantics!r}; expected one of {sorted(_ORDERINGS)}"
-        ) from None
-
 
 # ----------------------------------------------------------------------
 # Orderings on single relations (query answers)
@@ -126,11 +114,15 @@ def relation_leq(left: Relation, right: Relation, semantics: str = "owa") -> boo
 
     Query answers are single relations; to compare them we wrap each in a
     one-relation database (under a common name, so only the tuples matter)
-    and apply the database ordering for the given semantics.
+    and apply the database ordering of ``semantics`` (a name registered
+    in :data:`repro.semantics.registry.SEMANTICS`, or its row).
     """
+    from ..semantics.registry import semantics_named  # the registry holds the orderings
+
+    order = semantics_named(semantics).ordering
     if left.arity != right.arity:
         raise ValueError("can only compare relations of equal arity")
-    return ordering(semantics)(_as_database(left), _as_database(right))
+    return order(_as_database(left), _as_database(right))
 
 
 def semantic_leq(

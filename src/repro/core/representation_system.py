@@ -28,16 +28,11 @@ and the δ-formulas, however, are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Iterable, List, Optional
 
-from ..datamodel import Database
 from ..logic.diagrams import delta_cwa, delta_owa, delta_wcwa
-from ..logic.formulas import FOQuery, Formula
+from ..logic.formulas import Formula
 from ..logic.fragments import is_pos_forall_guarded, is_positive, is_ucq
-from ..semantics.membership import is_member
-from ..semantics.worlds import default_domain, worlds
-from .orderings import InformationOrdering, ordering
 
 
 class Domain:
@@ -174,52 +169,49 @@ def relational_domain(
     extra_constants: Optional[int] = None,
     max_extra_facts: int = 1,
 ) -> Domain:
-    """The relational domain for OWA or CWA (Section 5.2).
+    """The relational domain of a registered semantics (Section 5.2).
 
-    The semantics function enumerates worlds over the default finite
-    domain (active domain plus fresh constants); membership and the
-    ordering are exact (homomorphism-based).
+    ``semantics`` names a row of :data:`repro.semantics.registry.SEMANTICS`
+    (or is one).  The semantics function enumerates that row's worlds over
+    the default finite domain (active domain plus fresh constants);
+    membership and the ordering are the row's exact, homomorphism-based ones.
     """
+    from ..semantics.registry import semantics_named  # the registry imports this package
 
-    def semantics_fn(database: Database) -> Iterable[Database]:
-        return worlds(
-            database,
-            semantics=semantics,
-            extra_constants=extra_constants,
-            max_extra_facts=max_extra_facts,
-        )
-
-    def contains_fn(database: Database, complete: Database) -> bool:
-        return is_member(database, complete, semantics=semantics)
-
+    row = semantics_named(semantics)
     return Domain(
         is_complete=lambda database: database.is_complete(),
-        semantics=semantics_fn,
-        contains=contains_fn,
-        less_equal=ordering(semantics).less_equal,
-        name=f"relational-{semantics}",
+        semantics=lambda database: row.worlds(
+            database, extra_constants=extra_constants, max_extra_facts=max_extra_facts
+        ),
+        contains=row.member,
+        less_equal=row.ordering.less_equal,
+        name=f"relational-{row.name}",
+    )
+
+
+def _relational_system(
+    semantics: str, delta: Callable[[Any], Formula], in_fragment: Callable[[Formula], bool],
+    name: str, extra_constants: Optional[int],
+) -> RepresentationSystem:
+    return RepresentationSystem(
+        domain=relational_domain(semantics, extra_constants=extra_constants),
+        delta=delta,
+        satisfies=lambda database, formula: formula.holds(database),
+        in_fragment=in_fragment,
+        name=name,
     )
 
 
 def owa_representation_system(extra_constants: Optional[int] = None) -> RepresentationSystem:
     """``RS_owa = ⟨D_owa, UCQ⟩`` with ``δ_D = ∃x̄ PosDiag(D)``."""
-    return RepresentationSystem(
-        domain=relational_domain("owa", extra_constants=extra_constants),
-        delta=delta_owa,
-        satisfies=lambda database, formula: formula.holds(database),
-        in_fragment=is_ucq,
-        name="RS_owa (UCQ)",
-    )
+    return _relational_system("owa", delta_owa, is_ucq, "RS_owa (UCQ)", extra_constants)
 
 
 def cwa_representation_system(extra_constants: Optional[int] = None) -> RepresentationSystem:
     """``RS_cwa = ⟨D_cwa, Pos∀G⟩`` with ``δ_D`` = diagram + domain closure."""
-    return RepresentationSystem(
-        domain=relational_domain("cwa", extra_constants=extra_constants),
-        delta=delta_cwa,
-        satisfies=lambda database, formula: formula.holds(database),
-        in_fragment=is_pos_forall_guarded,
-        name="RS_cwa (Pos∀G)",
+    return _relational_system(
+        "cwa", delta_cwa, is_pos_forall_guarded, "RS_cwa (Pos∀G)", extra_constants
     )
 
 
@@ -232,10 +224,4 @@ def wcwa_representation_system(extra_constants: Optional[int] = None) -> Represe
     the active domain; then a representation system for this semantics will
     use the class of positive FO formulae").
     """
-    return RepresentationSystem(
-        domain=relational_domain("wcwa", extra_constants=extra_constants),
-        delta=delta_wcwa,
-        satisfies=lambda database, formula: formula.holds(database),
-        in_fragment=is_positive,
-        name="RS_wcwa (Pos)",
-    )
+    return _relational_system("wcwa", delta_wcwa, is_positive, "RS_wcwa (Pos)", extra_constants)

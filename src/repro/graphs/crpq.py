@@ -22,6 +22,7 @@ from ..datamodel import Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import Variable, is_variable
 from ..semantics.certain import certain_over
+from ..semantics.registry import semantics_named
 from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 from .rpq import RegularPathQuery, parse_rpq
@@ -203,12 +204,12 @@ def certain_answers_crpq(
 ) -> Relation:
     """Intersection-based certain answers by explicit valuation enumeration.
 
-    Monotonicity makes the OWA and CWA intersections coincide, so one
-    enumeration over valuation images serves both semantics; this is the
+    Monotonicity makes the intersections of every registered semantics
+    coincide (as for :func:`~repro.graphs.rpq.certain_answers_rpq`), so
+    one enumeration over valuation images serves them all; this is the
     exponential ground truth the naive shortcut is validated against.
     """
-    if semantics not in ("cwa", "owa"):
-        raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
+    semantics_named(semantics)
     if domain is None:
         domain = default_domain(graph, extra_constants=extra_constants)
     return certain_over(

@@ -33,6 +33,7 @@ from ..datamodel import Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import Variable, is_variable
 from ..semantics.certain import certain_over
+from ..semantics.registry import semantics_named
 from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 
@@ -204,11 +205,11 @@ def certain_answers_pattern(
 ) -> Relation:
     """Intersection-based certain answers by explicit valuation enumeration.
 
-    As for RPQs, monotonicity makes the OWA and CWA intersections coincide,
-    so a single enumeration over valuation images serves both semantics.
+    As for RPQs, monotonicity makes the intersections of every registered
+    semantics coincide, so a single enumeration over valuation images
+    serves them all.
     """
-    if semantics not in ("cwa", "owa"):
-        raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
+    semantics_named(semantics)
     if domain is None:
         domain = default_domain(graph, extra_constants=extra_constants)
     return certain_over(

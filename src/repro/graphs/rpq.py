@@ -41,6 +41,7 @@ from typing import (
 from ..datamodel import Relation
 from ..datamodel.values import is_null
 from ..semantics.certain import certain_over
+from ..semantics.registry import semantics_named
 from ..semantics.worlds import default_domain, valuation_worlds
 from .model import IncompleteGraph
 
@@ -460,16 +461,16 @@ def certain_answers_rpq(
 ) -> Relation:
     """Intersection-based certain answers by explicit valuation enumeration.
 
-    For ``semantics='cwa'`` the possible worlds are the valuation images
-    ``v(G)``.  For ``semantics='owa'`` the worlds additionally include every
-    extension of some ``v(G)``; because RPQs are monotone, extensions can
-    only add answers, so the intersection over OWA worlds coincides with
-    the intersection over the valuation images and the same enumeration is
-    used.  This function is the exponential ground truth the naive shortcut
-    is validated against.
+    ``semantics`` is a name registered in
+    :data:`repro.semantics.registry.SEMANTICS`.  Under each, the worlds
+    include the valuation images ``v(G)`` (``'cwa'`` and ``'prob'``: only
+    those); ``'owa'`` and ``'wcwa'`` add extensions of some ``v(G)``.
+    Because RPQs are monotone, extensions can only add answers, so every
+    one of these intersections is the one over the valuation images, and
+    that one enumeration is used.  This function is the exponential
+    ground truth the naive shortcut is validated against.
     """
-    if semantics not in ("cwa", "owa"):
-        raise ValueError(f"unknown semantics {semantics!r}; use 'cwa' or 'owa'")
+    semantics_named(semantics)
     if domain is None:
         domain = default_domain(graph, extra_constants=extra_constants)
     return certain_over(

@@ -23,7 +23,6 @@ from .containment import (
 from .diagrams import (
     adom_closure,
     database_as_query,
-    delta,
     delta_cwa,
     delta_owa,
     delta_wcwa,
@@ -92,7 +91,6 @@ __all__ = [
     "classify_query",
     "conj",
     "database_as_query",
-    "delta",
     "delta_cwa",
     "delta_owa",
     "delta_wcwa",

@@ -19,21 +19,18 @@ answering to containment and to naive satisfaction (``D ⊨ Q``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..datamodel import Database, Null, Relation
+from ..datamodel import Database, Null
 from ..datamodel.schema import DatabaseSchema
 from .formulas import (
-    And,
     Equality,
     Exists,
     FOQuery,
     Forall,
     Formula,
     Implies,
-    Or,
     RelationAtom,
-    Top,
     Variable,
     conj,
     disj,
@@ -41,11 +38,18 @@ from .formulas import (
 
 
 def _null_variable_map(database: Database) -> Dict[Null, Variable]:
-    """A fresh variable ``x_i`` for every null ``⊥_i`` of the database."""
+    """A fresh variable ``x_i`` for every null ``⊥_i`` of the database, by name."""
     return {
         null: Variable(f"x_{null.name}")
         for null in sorted(database.nulls(), key=lambda n: n.name)
     }
+
+
+def _closed(database: Database, *closures: Formula) -> Formula:
+    """``∃x̄ (PosDiag(D) ∧ closures)``, without the quantifier when ``D`` has no null."""
+    diagram, variables = positive_diagram(database)
+    body = conj(diagram, *closures) if closures else diagram
+    return Exists(variables, body) if variables else body
 
 
 def positive_diagram(database: Database) -> Tuple[Formula, List[Variable]]:
@@ -60,26 +64,17 @@ def positive_diagram(database: Database) -> Tuple[Formula, List[Variable]]:
     ``R(1,2) ∧ R(2,x_1) ∧ R(x_1,x_2)`` (paper, Section 5.2).
     """
     mapping = _null_variable_map(database)
-
-    def to_term(value):
-        if isinstance(value, Null):
-            return mapping[value]
-        return value
-
-    atoms: List[Formula] = []
-    for rel in database.relations():
-        for row in rel.sorted_rows():
-            atoms.append(RelationAtom(rel.name, tuple(to_term(v) for v in row)))
-    variables = [mapping[null] for null in sorted(mapping, key=lambda n: n.name)]
-    return conj(*atoms), variables
+    atoms = [
+        RelationAtom(rel.name, tuple(mapping.get(value, value) for value in row))
+        for rel in database.relations()
+        for row in rel.sorted_rows()
+    ]
+    return conj(*atoms), list(mapping.values())
 
 
 def delta_owa(database: Database) -> Formula:
     """``δ_D`` under OWA: ``∃x̄ PosDiag(D)``, with ``Mod_C(δ_D) = [[D]]_owa``."""
-    diagram, variables = positive_diagram(database)
-    if not variables:
-        return diagram
-    return Exists(variables, diagram)
+    return _closed(database)
 
 
 def domain_closure(database: Database) -> Formula:
@@ -91,12 +86,6 @@ def domain_closure(database: Database) -> Formula:
     used under the same quantifier prefix (see :func:`delta_cwa`).
     """
     mapping = _null_variable_map(database)
-
-    def to_term(value):
-        if isinstance(value, Null):
-            return mapping[value]
-        return value
-
     closures: List[Formula] = []
     for rel in database.relations():
         arity = rel.arity
@@ -105,7 +94,7 @@ def domain_closure(database: Database) -> Formula:
         ys = [Variable(f"y_{rel.name}_{i}") for i in range(arity)]
         disjuncts: List[Formula] = []
         for row in rel.sorted_rows():
-            equalities = [Equality(y, to_term(value)) for y, value in zip(ys, row)]
+            equalities = [Equality(y, mapping.get(value, value)) for y, value in zip(ys, row)]
             disjuncts.append(conj(*equalities))
         body = Implies(RelationAtom(rel.name, tuple(ys)), disj(*disjuncts))
         closures.append(Forall(ys, body))
@@ -117,12 +106,7 @@ def delta_cwa(database: Database) -> Formula:
 
     ``Mod_C(δ_D^cwa) = [[D]]_cwa`` (paper, Section 5.2).
     """
-    diagram, variables = positive_diagram(database)
-    closure = domain_closure(database)
-    body = conj(diagram, closure)
-    if not variables:
-        return body
-    return Exists(variables, body)
+    return _closed(database, domain_closure(database))
 
 
 def adom_closure(database: Database) -> Formula:
@@ -136,17 +120,11 @@ def adom_closure(database: Database) -> Formula:
     assumption.
     """
     mapping = _null_variable_map(database)
-
-    def to_term(value):
-        if isinstance(value, Null):
-            return mapping[value]
-        return value
-
     values = sorted(database.active_domain(), key=lambda v: (str(type(v)), str(v)))
     if not values:
         return conj()
     y = Variable("y_adom")
-    return Forall([y], disj(*(Equality(y, to_term(value)) for value in values)))
+    return Forall([y], disj(*(Equality(y, mapping.get(value, value)) for value in values)))
 
 
 def delta_wcwa(database: Database) -> Formula:
@@ -156,22 +134,7 @@ def delta_wcwa(database: Database) -> Formula:
     paper's remark that the weak-CWA representation system uses positive FO
     formulas, and ``Mod_C(δ_D^wcwa) = [[D]]_wcwa``.
     """
-    diagram, variables = positive_diagram(database)
-    body = conj(diagram, adom_closure(database))
-    if not variables:
-        return body
-    return Exists(variables, body)
-
-
-def delta(database: Database, semantics: str = "owa") -> Formula:
-    """Dispatch to :func:`delta_owa`, :func:`delta_cwa` or :func:`delta_wcwa`."""
-    if semantics == "owa":
-        return delta_owa(database)
-    if semantics == "cwa":
-        return delta_cwa(database)
-    if semantics == "wcwa":
-        return delta_wcwa(database)
-    raise ValueError(f"unknown semantics {semantics!r}; expected 'owa', 'cwa' or 'wcwa'")
+    return _closed(database, adom_closure(database))
 
 
 def database_as_query(database: Database, name: str = "Q_D") -> FOQuery:

@@ -188,6 +188,12 @@ class InvalidRequestError(ReproError, ValueError):
     """
 
 
+def check_count(name: str, value: Any, minimum: int = 0) -> None:
+    """Refuse ``value`` unless it is an ``int`` (not a ``bool``) ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidRequestError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 class BackendRecoveryWarning(RuntimeWarning):
     """A runtime backend failure was recovered by the in-memory engine.
 

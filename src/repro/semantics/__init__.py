@@ -1,7 +1,11 @@
-"""Semantics of incomplete databases: OWA, CWA, weak CWA.
+"""Semantics of incomplete databases: OWA, CWA, weak CWA and the probabilistic tier.
 
 This package provides:
 
+* the registry (:mod:`repro.semantics.registry`): one row per semantics
+  name in its ``SEMANTICS``, carrying the world enumerator, membership
+  test, information ordering and δ-formula of that semantics, and its
+  certain-answer strategies; every ``semantics=`` name is resolved there;
 * possible-world enumeration over finite constant domains
   (:mod:`repro.semantics.worlds`);
 * membership tests ``D' ∈ [[D]]_*`` via homomorphism search
@@ -9,6 +13,9 @@ This package provides:
 * brute-force, intersection-based certain answers used as ground truth
   throughout the test and benchmark suites
   (:mod:`repro.semantics.certain`).
+
+The registry is not imported here: it builds on :mod:`repro.core`, which
+builds on this package.
 """
 
 from .certain import (
@@ -19,19 +26,17 @@ from .certain import (
     enumerate_possible_answers,
     enumerate_possible_boolean,
 )
-from .membership import SEMANTICS, in_cwa, in_owa, in_wcwa, is_member
+from .membership import in_cwa, in_owa, in_wcwa
 from .worlds import (
     count_cwa_worlds,
     cwa_worlds,
     default_domain,
     owa_worlds,
     wcwa_worlds,
-    worlds,
 )
 
 __all__ = [
     "Evaluator",
-    "SEMANTICS",
     "answer_space",
     "count_cwa_worlds",
     "cwa_worlds",
@@ -43,8 +48,6 @@ __all__ = [
     "in_cwa",
     "in_owa",
     "in_wcwa",
-    "is_member",
     "owa_worlds",
     "wcwa_worlds",
-    "worlds",
 ]

@@ -54,10 +54,27 @@ from ..resilience import (
     WorkerPoolError,
     active_budget,
 )
-from .worlds import worlds
 
 Evaluator = Callable[[Database], Relation]
 """A query, abstractly: a function from complete databases to relations."""
+
+
+def _worlds(
+    semantics: Any,
+    database: Database,
+    domain: Optional[Sequence[Any]],
+    extra_constants: Optional[int],
+    max_extra_facts: int,
+    interchangeable: Sequence[Any] = (),
+) -> Iterator[Database]:
+    """The worlds of ``database`` under ``semantics``: a name registered in
+    :data:`repro.semantics.registry.SEMANTICS`, or its row."""
+    from .registry import semantics_named  # the registry imports this module
+
+    return semantics_named(semantics).worlds(
+        database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
+    )
+
 
 #: Worlds handed to each worker task; large enough to amortize submission
 #: overhead, small enough to keep all workers busy on modest world counts.
@@ -445,7 +462,6 @@ def enumerate_certain_answers(
     workers: Optional[int] = None,
     resume: Optional[ResumeToken] = None,
     heartbeat: Optional[float] = None,
-    pool_factory: Optional[Callable[[int], Any]] = None,
     executor: Optional[Any] = None,
     *,
     interchangeable: Sequence[Any] = (),
@@ -459,9 +475,11 @@ def enumerate_certain_answers(
     database:
         The incomplete input database.
     semantics:
-        ``'cwa'`` or ``'owa'``.
+        A name registered in :data:`repro.semantics.registry.SEMANTICS`,
+        or its row; its worlds are enumerated.
     domain, extra_constants, max_extra_facts:
-        Passed to the world enumerators; see :mod:`repro.semantics.worlds`.
+        Passed to the world enumerators (see :mod:`repro.semantics.worlds`),
+        which check them before the first world.
     workers:
         When > 1, fan the per-world query evaluations out over a process
         pool in chunks — each world is an independent complete database,
@@ -487,18 +505,12 @@ def enumerate_certain_answers(
         Seconds the parent waits on one worker chunk before treating the
         child as hung and degrading to a sequential re-run (default
         :data:`_DEFAULT_HEARTBEAT`).
-    pool_factory:
-        Replaces ``ProcessPoolExecutor`` for the ``workers=`` fan-out —
-        the injection point for pool-level chaos tests
-        (:class:`~repro.backends.faults.FaultInjectingExecutor`).
     executor:
-        A *live, caller-owned* pool for the ``workers=`` fan-out.  Unlike
-        ``pool_factory`` (which creates a pool per call and tears it down
-        on exit) the executor is used as-is and **never shut down** here —
-        this is how :class:`~repro.session.Session` amortizes one warm
-        ``ProcessPoolExecutor`` across ``certain()``/``boolean()`` calls
-        instead of paying pool startup per call.  Ignored when ``workers``
-        does not fan out; takes precedence over ``pool_factory``.
+        A *live, caller-owned* pool for the ``workers=`` fan-out, used
+        as-is and **never shut down** here: a session's warm pool, or a
+        :class:`~repro.backends.faults.FaultInjectingExecutor`.  Without
+        one, a ``ProcessPoolExecutor`` is built per call and torn down on
+        exit.  Ignored when ``workers`` does not fan out.
     interchangeable:
         Values of the domain the query cannot tell apart: outside the
         database and the query, pairwise distinct.  With at least two,
@@ -523,15 +535,15 @@ def enumerate_certain_answers(
     chunk-granular: in-flight chunks are simply re-evaluated on resume.
     """
     fresh = tuple(interchangeable) if len(interchangeable) >= 2 else ()
+    world_iter = _worlds(
+        semantics, database, domain, extra_constants, max_extra_facts, interchangeable=fresh
+    )
     if resume is not None and tuple(resume.interchangeable) != fresh:
         raise InvalidRequestError(
             "resume token does not match this enumeration: it counts the worlds of "
             f"valuations canonical over {resume.interchangeable!r}, this run's are "
             f"canonical over {fresh!r} (() is every valuation)"
         )
-    world_iter = worlds(
-        database, semantics, domain, extra_constants, max_extra_facts, interchangeable=fresh
-    )
     running = _Intersection(resume)
     if running.done:
         world_iter = itertools.islice(world_iter, running.done, None)
@@ -545,7 +557,7 @@ def enumerate_certain_answers(
             if executor is not None:
                 scope = contextlib.nullcontext(executor)
             else:
-                scope = (pool_factory or ProcessPoolExecutor)(workers)
+                scope = ProcessPoolExecutor(workers)
             with scope as pool:
                 for (schema, rows), count in _windowed_chunk_results(
                     pool,
@@ -591,7 +603,7 @@ def enumerate_possible_answers(
     """Union-based *possible* answers (tuples appearing in at least one world)."""
     return possible_over(
         evaluate,
-        worlds(database, semantics, domain, extra_constants, max_extra_facts),
+        _worlds(semantics, database, domain, extra_constants, max_extra_facts),
         lambda: evaluate(database.complete_part()),
     )
 
@@ -612,7 +624,7 @@ def answer_space(
     """
     return space_over(
         lambda world: frozenset(evaluate(world).rows),
-        worlds(database, semantics, domain, extra_constants, max_extra_facts),
+        _worlds(semantics, database, domain, extra_constants, max_extra_facts),
     )
 
 
@@ -625,7 +637,6 @@ def enumerate_certain_boolean(
     max_extra_facts: int = 1,
     workers: Optional[int] = None,
     heartbeat: Optional[float] = None,
-    pool_factory: Optional[Callable[[int], Any]] = None,
     executor: Optional[Any] = None,
 ) -> bool:
     """Certain answer of a Boolean query: true iff true in every enumerated world.
@@ -638,7 +649,7 @@ def enumerate_certain_boolean(
     try:
         return bool(enumerate_certain_answers(
             NonEmpty(evaluate), database, semantics, domain, extra_constants, max_extra_facts,
-            workers=workers, heartbeat=heartbeat, pool_factory=pool_factory, executor=executor,
+            workers=workers, heartbeat=heartbeat, executor=executor,
         ))
     except BudgetExceeded as error:
         error.resume_token = None

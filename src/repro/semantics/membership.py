@@ -26,10 +26,6 @@ from ..homomorphisms import (
     exists_strong_onto_homomorphism,
 )
 
-SEMANTICS = ("owa", "cwa", "wcwa")
-"""The semantics names understood by :func:`is_member`."""
-
-
 def _check_complete(world: Database) -> None:
     if not world.is_complete():
         raise ValueError(
@@ -55,13 +51,3 @@ def in_wcwa(database: Database, world: Database) -> bool:
     _check_complete(world)
     return exists_onto_homomorphism(database, world)
 
-
-def is_member(database: Database, world: Database, semantics: str = "cwa") -> bool:
-    """Dispatch membership by semantics name (``'owa'``, ``'cwa'`` or ``'wcwa'``)."""
-    if semantics == "cwa":
-        return in_cwa(database, world)
-    if semantics == "owa":
-        return in_owa(database, world)
-    if semantics == "wcwa":
-        return in_wcwa(database, world)
-    raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")

@@ -1,33 +1,46 @@
-"""The semantics registry: every semantics name, and the one strategy list.
+"""The semantics registry: one row per semantics, and the one strategy list.
 
-A :class:`~repro.session.Session` holds one object from :data:`SEMANTICS`
-and hands it every decision that depends on the semantics (world space,
-``connect(model=)`` check, ``freeze(warm=)``, ``explain()`` lines and, on
-``"prob"`` only, ``confidence()``/``condition_on()``); this is the only
-module that compares semantics names.  Which strategy computes the
+A semantics of incompleteness is one tuple (Section 5): the worlds
+``[[D]]``, the information ordering ``⊑`` and the formula ``δ_D`` whose
+complete models are ``[[D]]``.  Each row of :data:`SEMANTICS` carries it
+whole — world enumerator, membership test, ordering, δ and the open-world
+facts evaluation branches on — and every ``semantics=`` name in the
+library is resolved by :func:`semantics_named`: this is the only module
+that compares semantics names.
+
+A :class:`~repro.session.Session` holds one row and hands it every
+decision that depends on the semantics (world space, ``connect(model=)``
+check, ``freeze(warm=)``, ``explain()`` lines and, on ``"prob"`` only,
+``confidence()``/``condition_on()``).  Which strategy computes the
 certain answers depends only on (query fragment, semantics) (eq. (4)),
 so each semantics carries one ordered list of :class:`Strategy` rows —
 ``naive`` (exact when the fragment test applies), ``sound_cwa`` (a sound
-subset; CWA and relational algebra only), ``enumeration`` (exact, not
-polynomial) — and every reader walks it: :meth:`WorldSemantics.choose`
-for the first exact strategy that applies (``certain(method="auto")``,
-``cursor(certain=True)``, ``explain()``), :meth:`WorldSemantics.degrade`
-for the first polynomial one after a budget expired.  Every world
-enumeration a session runs (``certain()``, ``possible()``, ``boolean()``)
-is the ``ENUMERATION`` row.
+subset; closed worlds and relational algebra only), ``enumeration``
+(exact, not polynomial) — and every reader walks it:
+:meth:`WorldSemantics.choose` for the first exact strategy that applies
+(``certain(method="auto")``, ``cursor(certain=True)``, ``explain()``),
+:meth:`WorldSemantics.degrade` for the first polynomial one after a
+budget expired.  Every world enumeration a session runs (``certain()``,
+``possible()``, ``boolean()``) is the ``ENUMERATION`` row, which hands
+the semantics row down.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..algebra.ast import RAExpression
 from ..core.answers import enumeration_domain, enumeration_strategy, naive_strategy, valuation_space
-from ..core.naive_evaluation import Applicability, naive_evaluation_applies
+from ..core.naive_evaluation import Applicability, naive_verdict
+from ..core.orderings import CWA_ORDERING, OWA_ORDERING, WCWA_ORDERING, InformationOrdering
 from ..core.sound_evaluation import sound_certain_answers
-from ..datamodel import Relation
+from ..datamodel import Database, Relation
+from ..logic.diagrams import delta_cwa, delta_owa, delta_wcwa
+from ..logic.formulas import Formula
 from ..obs.trace import span
 from ..resilience import BudgetExceeded, InvalidRequestError, PartialResult
+from .membership import in_cwa, in_owa, in_wcwa
+from .worlds import check_world_options, cwa_worlds, owa_worlds, wcwa_worlds
 
 
 class Strategy(NamedTuple):
@@ -49,18 +62,15 @@ class Strategy(NamedTuple):
     run: Callable[..., Relation]
 
 
-def _naive_verdict(semantics: "WorldSemantics", query: Any) -> Applicability:
-    return naive_evaluation_applies(query, semantics=semantics.applicability)
-
-
 def _sound_verdict(semantics: "WorldSemantics", query: Any) -> Applicability:
     if isinstance(query, RAExpression):
-        return Applicability(True, semantics.worlds, "RA", "polynomial CWA approximation")
-    return Applicability(False, semantics.worlds, "FO", "relational algebra only")
+        return Applicability(True, semantics.name, "RA", "polynomial CWA approximation")
+    return Applicability(False, semantics.name, "FO", "relational algebra only")
 
 
 NAIVE = Strategy(
-    "naive", "naive evaluation", True, True, _naive_verdict,
+    "naive", "naive evaluation", True, True,
+    lambda semantics, query: naive_verdict(query, semantics),
     lambda semantics, query, database, evaluator, **_: naive_strategy(query, database, evaluator),
 )
 SOUND_CWA = Strategy(
@@ -69,11 +79,13 @@ SOUND_CWA = Strategy(
 )
 ENUMERATION = Strategy(
     "enumeration", "world enumeration", True, False,
-    lambda semantics, query: Applicability(True, semantics.worlds, "any", "every world"),
+    lambda semantics, query: Applicability(True, semantics.name, "any", "every world"),
     lambda semantics, query, database, evaluator, **options: enumeration_strategy(
-        query, database, evaluator, semantics=semantics.name, **options
+        query, database, evaluator, semantics=semantics, **options
     ),
 )
+_OPEN = (NAIVE, ENUMERATION)
+_CLOSED = (NAIVE, SOUND_CWA, ENUMERATION)
 #: The strategies ``certain(method=)`` may force.
 METHODS = {"naive": NAIVE, "enumeration": ENUMERATION}
 
@@ -92,18 +104,53 @@ def forced_method(method: Any) -> Optional[Strategy]:
 
 
 class WorldSemantics:
-    """A possible-world semantics: certain answers over its world space."""
+    """A possible-world semantics: its representation system and strategies.
+
+    ``enumerator`` is the world enumerator behind :meth:`worlds`,
+    ``member(D, D')`` decides ``D' ∈ [[D]]`` for a complete ``D'``,
+    ``ordering`` is ``⊑`` and ``delta(D)`` is ``δ_D``.  ``grows``: worlds
+    may hold facts beyond ``v(D)`` (OWA, weak CWA), so naive evaluation is
+    guaranteed for UCQs only and the sound CWA approximation is off the
+    list; ``new_values``: those facts may hold values outside the world's
+    active domain (OWA).  ``space`` is what
+    :attr:`~repro.session.Session.world_semantics` reports.
+    """
 
     def __init__(
-        self, name: str, worlds: str, applicability: str, strategies: Tuple[Strategy, ...]
+        self, name: str, enumerator: Callable[..., Iterator[Database]],
+        member: Callable[[Database, Database], bool], ordering: InformationOrdering,
+        delta: Callable[[Database], Formula], *, grows: bool = False,
+        new_values: bool = False, space: Optional[str] = None,
     ) -> None:
         self.name = name
-        #: The world space enumeration quantifies over.
-        self.worlds = worlds
-        #: The semantics the naive-evaluation test is asked about.
-        self.applicability = applicability
+        self.space = space or name
+        self.enumerator = enumerator
+        self.member = member
+        self.ordering = ordering
+        self.delta = delta
+        self.grows = grows
+        self.new_values = new_values
         #: The strategy list, cheapest first.
-        self.strategies = strategies
+        self.strategies = _OPEN if grows else _CLOSED
+
+    def worlds(
+        self,
+        database: Database,
+        domain: Optional[Any] = None,
+        extra_constants: Optional[int] = None,
+        max_extra_facts: int = 1,
+        *,
+        interchangeable: Any = (),
+    ) -> Iterator[Database]:
+        """The finite approximation of ``[[database]]``
+        (:mod:`repro.semantics.worlds`); the options are checked before
+        the first world."""
+        check_world_options(extra_constants, max_extra_facts)
+        if self.grows:
+            return self.enumerator(
+                database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
+            )
+        return self.enumerator(database, domain, extra_constants, interchangeable=interchangeable)
 
     def choose(self, query: Any, method: str = "auto", resume: Any = None) -> Strategy:
         """The strategy ``certain(method=)`` runs: for ``"auto"`` the first
@@ -159,7 +206,7 @@ class WorldSemantics:
                     metrics.count("degrade.raised")
                     query._resilience_verdict = (
                         f"budget exceeded ({resource}); no sound fallback exists for "
-                        f"this query under {self.worlds} — raised"
+                        f"this query under {self.name} — raised"
                     )
                     raise error
                 if isinstance(expression, RAExpression):
@@ -208,7 +255,7 @@ class WorldSemantics:
         """The strategy ``certain()`` ran (before any run: the one ``"auto"``
         picks, with the valuations its enumeration would run over the
         default domain of ``database``), with the naive-evaluation verdict."""
-        verdict = _naive_verdict(self, expression)
+        verdict = naive_verdict(expression, self)
         if ran is None:
             strategy = self.choose(expression)
             ran = strategy.label
@@ -386,23 +433,24 @@ def _rank(scored: Scored, limit: Optional[int], min_p: float) -> Scored:
     return kept if limit is None else kept[:limit]
 
 
-_OPEN = (NAIVE, ENUMERATION)
-_CLOSED = (NAIVE, SOUND_CWA, ENUMERATION)
-
-#: Semantics name -> the object a session holds.  Weak CWA worlds sit
-#: between the CWA and the OWA ones, so its naive test is the
-#: conservative OWA one: the CWA-only ``RA_cwa`` guarantee does not
-#: transfer.  ``"prob"`` weighs the CWA worlds.
+#: Semantics name -> the row a session holds.  Weak CWA worlds sit
+#: between the CWA and the OWA ones: they grow, so the CWA-only
+#: ``RA_cwa`` guarantee does not transfer.  ``"prob"`` weighs the CWA worlds.
 SEMANTICS: Dict[str, WorldSemantics] = {
-    "owa": WorldSemantics("owa", "owa", "owa", _OPEN),
-    "cwa": WorldSemantics("cwa", "cwa", "cwa", _CLOSED),
-    "wcwa": WorldSemantics("wcwa", "wcwa", "owa", _OPEN),
-    "prob": ProbSemantics("prob", "cwa", "cwa", _CLOSED),
+    "owa": WorldSemantics(
+        "owa", owa_worlds, in_owa, OWA_ORDERING, delta_owa, grows=True, new_values=True
+    ),
+    "cwa": WorldSemantics("cwa", cwa_worlds, in_cwa, CWA_ORDERING, delta_cwa),
+    "wcwa": WorldSemantics("wcwa", wcwa_worlds, in_wcwa, WCWA_ORDERING, delta_wcwa, grows=True),
+    "prob": ProbSemantics("prob", cwa_worlds, in_cwa, CWA_ORDERING, delta_cwa, space="cwa"),
 }
 
 
 def semantics_named(name: Any) -> WorldSemantics:
-    """The semantics registered as ``name``; unknown names are rejected."""
+    """The row registered as ``name`` (a row passes through as it is);
+    anything else raises :class:`~repro.resilience.InvalidRequestError`."""
+    if isinstance(name, WorldSemantics):
+        return name
     semantics = SEMANTICS.get(name) if isinstance(name, str) else None
     if semantics is None:
         raise InvalidRequestError(

@@ -16,7 +16,10 @@ least as many as there are nulls, so that "all distinct and new" is among
 the enumerated valuations) and, under OWA, to bound the number of extra
 facts added over that finite domain.  The helpers here implement exactly
 that, with the finite domain and OWA fact bound exposed as parameters so
-experiments can cross-check two different pool sizes.
+experiments can cross-check two different pool sizes.  Each row of
+:data:`repro.semantics.registry.SEMANTICS` holds its enumerator
+(:func:`cwa_worlds`, :func:`owa_worlds` or :func:`wcwa_worlds`) and
+reaches it through ``WorldSemantics.worlds``.
 
 **Keyed enumeration.**  Many valuations produce the same world (729
 valuations of the e2e ``worlds`` instance give 64 worlds), so the
@@ -71,6 +74,7 @@ from ..datamodel import ConstantPool, Database, Null, Relation, Valuation, enume
 from ..datamodel.relations import Row
 from ..datamodel.schema import DatabaseSchema
 from ..datamodel.values import check_value, intern_value, is_null
+from ..resilience import check_count
 
 Key = Tuple[FrozenSet[Row], ...]
 """Per relation (schema order), the rows of a world that are not complete rows of the input."""
@@ -99,12 +103,24 @@ def default_domain(
     nulls to pairwise-distinct fresh values is then enumerated, and every
     null always has at least two candidate values, so tuples built from a
     single unavoidable fresh constant cannot masquerade as certain answers.
+    Any other ``extra_constants`` than ``None`` or an ``int >= 0`` raises
+    :class:`~repro.resilience.InvalidRequestError`.
     """
     base: List[Any] = sorted(set(database.constants()) | {c for c in constants}, key=_domain_order)
     if extra_constants is None:
         extra_constants = len(database.nulls()) + 1
+    check_count("extra_constants", extra_constants)
     pool = ConstantPool(forbidden=base, prefix=prefix)
     return base + pool.take(extra_constants)
+
+
+def check_world_options(extra_constants: Optional[int], max_extra_facts: int) -> None:
+    """Refuse, before any world, an ``extra_constants`` that is neither ``None``
+    nor an ``int >= 0``, or a ``max_extra_facts`` that is not an ``int >= 0``
+    (:class:`~repro.resilience.InvalidRequestError`)."""
+    if extra_constants is not None:
+        check_count("extra_constants", extra_constants)
+    check_count("max_extra_facts", max_extra_facts)
 
 
 def _template(positions: List[int]) -> Template:
@@ -417,46 +433,25 @@ def count_cwa_worlds(database: Database, domain: Sequence[Any]) -> int:
     return max(1, len(domain)) ** len(database.nulls())
 
 
-def worlds(
-    database: Database,
-    semantics: str = "cwa",
-    domain: Optional[Sequence[Any]] = None,
-    extra_constants: Optional[int] = None,
-    max_extra_facts: int = 1,
-    *,
-    interchangeable: Collection[Any] = (),
-) -> Iterator[Database]:
-    """Dispatch to :func:`cwa_worlds`, :func:`owa_worlds` or :func:`wcwa_worlds`."""
-    if semantics == "cwa":
-        return cwa_worlds(database, domain, extra_constants, interchangeable=interchangeable)
-    if semantics == "owa":
-        return owa_worlds(
-            database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
-        )
-    if semantics == "wcwa":
-        return wcwa_worlds(
-            database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
-        )
-    raise ValueError(f"unknown semantics {semantics!r}; expected 'cwa', 'owa' or 'wcwa'")
-
-
 def fresh_value_worlds(
     database: Database,
-    semantics: str,
+    semantics: Any,
     value: Any,
     max_extra_facts: int = 1,
     partners: Sequence[Any] = (),
 ) -> Iterator[Database]:
-    """Worlds of :func:`worlds` that put ``value``, a domain value outside
-    the database, everywhere the semantics can put one.
+    """Worlds of ``semantics`` (a :mod:`repro.semantics.registry` row) that
+    put ``value``, a domain value outside the database, everywhere the
+    semantics can put one.
 
-    Every null mapped to ``value``; where worlds gain facts (OWA, and
-    weak CWA once ``value`` is in the world's active domain), that world
-    plus one fact ``R(value, ..., value)`` per relation; and for each of
+    Every null mapped to ``value``; where worlds gain facts made of
+    ``value`` (``semantics.grows``, and, unless ``semantics.new_values``,
+    once ``value`` is in the world's active domain), that world plus one
+    fact ``R(value, ..., value)`` per relation; and for each of
     ``partners`` (domain values) and each null, that null mapped to
     ``value`` and every other null to the partner, so two nulls can hold
     ``value`` and a partner side by side.  Each is a world of
-    ``worlds(database, semantics, domain)`` for any ``domain`` holding
+    ``semantics.worlds(database, domain)`` for any ``domain`` holding
     ``value``, the partners and the same ``max_extra_facts``, so an
     error evaluating one is an error the full enumeration meets too.
     """
@@ -464,8 +459,7 @@ def fresh_value_worlds(
     base = Valuation({null: value for null in nulls}).apply(database)
     if nulls:
         yield base
-    grows = semantics == "owa" or (semantics == "wcwa" and bool(nulls))
-    if grows and max_extra_facts > 0:
+    if semantics.grows and (semantics.new_values or nulls) and max_extra_facts > 0:
         for rel_schema in database.schema:
             yield base.add_facts([(rel_schema.name, (value,) * rel_schema.arity)])
     if len(nulls) > 1:

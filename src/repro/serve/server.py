@@ -36,6 +36,7 @@ from ..resilience import (
     PoolExhausted,
     RetryPolicy,
     SessionClosedError,
+    check_count,
 )
 from ..session import Session, connect
 
@@ -279,8 +280,7 @@ class Server:
         """
         if self._closed:
             raise SessionClosedError("server is closed")
-        if batch_size < 1:
-            raise InvalidRequestError(f"batch_size must be >= 1, got {batch_size!r}")
+        check_count("batch_size", batch_size, 1)
         if timeout is not None and timeout <= 0:
             raise InvalidRequestError(
                 f"timeout must be positive (or None for the server default), "

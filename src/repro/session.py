@@ -62,6 +62,7 @@ from .resilience import (
     RetryPolicy,
     SessionClosedError,
     budget_scope,
+    check_count,
 )
 from .datamodel import Database, Relation
 from .datamodel.condition_kernel import ConditionKernel
@@ -75,6 +76,7 @@ from .obs.trace import Tracer, entry_scope, env_tracer
 from .semantics.certain import NonEmpty, _pool_initializer
 from .semantics import certain as _certain_module
 from .semantics.registry import ENUMERATION, NAIVE, forced_method, semantics_named
+from .semantics.worlds import check_world_options
 
 _BUDGET_POLICIES = ("degrade", "raise", "partial")
 
@@ -189,13 +191,14 @@ class Cursor:
         return next(self._rows)
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
-        """Up to ``size`` more rows; ``[]`` at the end.
+        """Up to ``size`` more rows (an ``int >= 0``); ``[]`` at the end.
 
         Without ``size`` this is the next batch (or the unread rest of
         the current one) exactly as the source produced it.
         """
         if size is None:
             return self._next_batch()
+        check_count("size", size)
         out = list(itertools.islice(self._rows, size))
         while len(out) < size:
             batch = self._next_batch()
@@ -384,6 +387,7 @@ class Query:
         unrelated answers.  A resumed run that completes returns exactly
         the uninterrupted answer.
         """
+        check_world_options(extra_constants, max_extra_facts)
         with self.session._obs("query.certain"):
             return self._certain(
                 method, domain, extra_constants, max_extra_facts, budget, on_budget, resume
@@ -483,6 +487,7 @@ class Query:
         degradation ladder here, because a *subset* of the worlds yields a
         subset of the possible answers, which no sound rung can complete.
         """
+        check_world_options(extra_constants, max_extra_facts)
         with self.session._obs("query.possible"):
             self._no_sql("possible()")
             return self._enumerate(
@@ -504,14 +509,12 @@ class Query:
     def knowledge(self):
         """``certainK``: the δ-formula of the naive answer (eq. (10))."""
         self._no_sql("knowledge()")
-        # delta() natively supports all three semantics (δ_owa/δ_cwa/δ_wcwa),
-        # so the session semantics passes through unchanged.
         with self.session._obs("query.knowledge"):
             return knowledge_strategy(
                 self.expression,
                 self._require_database(),
                 self.session._evaluate,
-                semantics=self.session.world_semantics,
+                semantics=self.session._semantics,
             )
 
     def boolean(
@@ -534,6 +537,7 @@ class Query:
         """
         if mode not in ("certain", "possible"):
             raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
+        check_world_options(extra_constants, max_extra_facts)
         with self.session._obs("query.boolean"):
             self._no_sql("boolean()")
             try:
@@ -697,8 +701,7 @@ class Query:
         containing nulls are dropped in flight); when the fragment offers
         no guarantee it falls back to materializing ``certain()``.
         """
-        if batch_size < 1:
-            raise InvalidRequestError(f"batch_size must be >= 1, got {batch_size!r}")
+        check_count("batch_size", batch_size, 1)
         # The entry scope covers cursor *construction* (planning, backend
         # statement start); consumption is counted per batch by the Cursor.
         metrics = self.session._metrics
@@ -731,6 +734,64 @@ class Session:
     Create through :func:`repro.connect`.  All evaluation state — plan
     cache, condition kernel, backend connections — is owned by the
     session; see the module docstring for the full story.
+
+    Parameters
+    ----------
+    database:
+        The default incomplete database queries run against (individual
+        queries may override it; ``None`` for sessions that stream data
+        straight into the backend via :meth:`Session.load_rows`).
+    engine:
+        ``"plan"`` (optimizing in-memory engine, default),
+        ``"interpreter"`` (the seed tree-walking oracle) or ``"sqlite"``
+        (plans compiled to SQL on a session-owned SQLite handle).
+    semantics:
+        ``"cwa"`` (default), ``"owa"`` or ``"wcwa"`` — the possible-world
+        semantics certain/possible answers quantify over — or ``"prob"``,
+        the probabilistic tier: worlds are CWA valuations weighted by
+        ``model``, and :meth:`Query.confidence` ranks answers by exact
+        probability (see ``docs/probability.md``).
+    model:
+        The :class:`~repro.prob.ProbabilityModel` over the database's
+        nulls; required by (and only meaningful with)
+        ``semantics="prob"``.
+    workers:
+        When > 1, world enumeration fans out over a process pool.
+    backend_path:
+        SQLite storage for ``engine="sqlite"``: the default
+        ``":memory:"``, or a file path for out-of-core instances.
+    kernel_watermark:
+        Bound on the session's condition-kernel intern table; crossing it
+        triggers an automatic epoch eviction (hot conditions survive).
+    kernel_memo_limit:
+        Bound on each of the kernel's ∧/∨ memo tables (defaults to
+        ``8 * kernel_watermark`` when a watermark is set); overflowing
+        drops the oldest half, so long-lived sessions stay bounded.
+    budget:
+        Default :class:`~repro.resilience.Budget` applied to every
+        ``certain()``/``possible()``/``boolean()`` call of this session
+        (individual calls may override it).
+    on_budget:
+        Default budget-expiry policy for ``certain()``: ``"degrade"``
+        (sound fallback, the default), ``"raise"`` or ``"partial"`` —
+        see ``docs/robustness.md``.
+    retry_policy:
+        A :class:`~repro.resilience.RetryPolicy` shaping every transient
+        backend retry of this session (query execution, streaming,
+        database refills, the 3VL bridge).  Defaults to the historical
+        3-retry / 5–40 ms exponential-backoff shape.
+    tracer:
+        A :class:`repro.obs.Tracer` receiving a span for every query
+        entry point, plan compilation, operator execution, backend
+        statement, retry and degradation decision of this session.
+        Defaults to the process tracer selected by ``REPRO_TRACE=path``
+        (a JSONL file sink), else ``None`` — tracing off, at the cost of
+        one branch per instrumentation point.
+    metrics:
+        ``False`` disables the session's :class:`~repro.obs.MetricsRegistry`
+        entirely (every recording call becomes one check and a return);
+        the default keeps counters/histograms on — their overhead is held
+        within the ``gate:obs`` benchmark bound.
     """
 
     def __init__(
@@ -826,7 +887,7 @@ class Session:
         ``semantics="prob"`` is a *probability layer on top of* the
         closed-world possible-world space, so this is ``"cwa"`` there.
         """
-        return self._semantics.worlds
+        return self._semantics.space
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         db = "None" if self.database is None else f"<{len(self.database)} facts>"
@@ -1169,94 +1230,10 @@ def _render_physical(op: Any, indent: int = 0) -> str:
 # ----------------------------------------------------------------------
 # connect()
 # ----------------------------------------------------------------------
-def connect(
-    database: Optional[Database] = None,
-    *,
-    engine: str = "plan",
-    semantics: str = "cwa",
-    model: Optional[Any] = None,
-    workers: Optional[int] = None,
-    backend_path: str = ":memory:",
-    kernel_watermark: Optional[int] = None,
-    kernel_memo_limit: Optional[int] = None,
-    budget: Optional[Budget] = None,
-    on_budget: str = "degrade",
-    retry_policy: Optional[RetryPolicy] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: bool = True,
-) -> Session:
+def connect(database: Optional[Database] = None, **options: Any) -> Session:
     """Open a :class:`Session` owning all of its evaluation state.
 
-    Parameters
-    ----------
-    database:
-        The default incomplete database queries run against (individual
-        queries may override it; ``None`` for sessions that stream data
-        straight into the backend via :meth:`Session.load_rows`).
-    engine:
-        ``"plan"`` (optimizing in-memory engine, default),
-        ``"interpreter"`` (the seed tree-walking oracle) or ``"sqlite"``
-        (plans compiled to SQL on a session-owned SQLite handle).
-    semantics:
-        ``"cwa"`` (default), ``"owa"`` or ``"wcwa"`` — the possible-world
-        semantics certain/possible answers quantify over — or ``"prob"``,
-        the probabilistic tier: worlds are CWA valuations weighted by
-        ``model``, and :meth:`Query.confidence` ranks answers by exact
-        probability (see ``docs/probability.md``).
-    model:
-        The :class:`~repro.prob.ProbabilityModel` over the database's
-        nulls; required by (and only meaningful with)
-        ``semantics="prob"``.
-    workers:
-        When > 1, world enumeration fans out over a process pool.
-    backend_path:
-        SQLite storage for ``engine="sqlite"``: the default
-        ``":memory:"``, or a file path for out-of-core instances.
-    kernel_watermark:
-        Bound on the session's condition-kernel intern table; crossing it
-        triggers an automatic epoch eviction (hot conditions survive).
-    kernel_memo_limit:
-        Bound on each of the kernel's ∧/∨ memo tables (defaults to
-        ``8 * kernel_watermark`` when a watermark is set); overflowing
-        drops the oldest half, so long-lived sessions stay bounded.
-    budget:
-        Default :class:`~repro.resilience.Budget` applied to every
-        ``certain()``/``possible()``/``boolean()`` call of this session
-        (individual calls may override it).
-    on_budget:
-        Default budget-expiry policy for ``certain()``: ``"degrade"``
-        (sound fallback, the default), ``"raise"`` or ``"partial"`` —
-        see ``docs/robustness.md``.
-    retry_policy:
-        A :class:`~repro.resilience.RetryPolicy` shaping every transient
-        backend retry of this session (query execution, streaming,
-        database refills, the 3VL bridge).  Defaults to the historical
-        3-retry / 5–40 ms exponential-backoff shape.
-    tracer:
-        A :class:`repro.obs.Tracer` receiving a span for every query
-        entry point, plan compilation, operator execution, backend
-        statement, retry and degradation decision of this session.
-        Defaults to the process tracer selected by ``REPRO_TRACE=path``
-        (a JSONL file sink), else ``None`` — tracing off, at the cost of
-        one branch per instrumentation point.
-    metrics:
-        ``False`` disables the session's :class:`~repro.obs.MetricsRegistry`
-        entirely (every recording call becomes one check and a return);
-        the default keeps counters/histograms on — their overhead is held
-        within the ``gate:obs`` benchmark bound.
+    ``connect(database, **options)`` is ``Session(database, **options)``;
+    the keyword options are documented on :class:`Session`.
     """
-    return Session(
-        database,
-        engine=engine,
-        semantics=semantics,
-        model=model,
-        workers=workers,
-        backend_path=backend_path,
-        kernel_watermark=kernel_watermark,
-        kernel_memo_limit=kernel_memo_limit,
-        budget=budget,
-        on_budget=on_budget,
-        retry_policy=retry_policy,
-        tracer=tracer,
-        metrics=metrics,
-    )
+    return Session(database, **options)

@@ -453,15 +453,10 @@ class TestFaultInjectingExecutor:
 
         database = _pool_db()
         oracle = enumerate_certain_answers(_pool_evaluate, database)
-        chaos = enumerate_certain_answers(
-            _pool_evaluate,
-            database,
-            workers=2,
-            heartbeat=heartbeat,
-            pool_factory=lambda n: FaultInjectingExecutor(
-                ThreadPoolExecutor(max_workers=n), schedule
-            ),
-        )
+        with FaultInjectingExecutor(ThreadPoolExecutor(max_workers=2), schedule) as pool:
+            chaos = enumerate_certain_answers(
+                _pool_evaluate, database, workers=2, heartbeat=heartbeat, executor=pool
+            )
         assert set(chaos.rows) == set(oracle.rows)
 
     def test_broken_pool_on_submit_degrades_to_local_run(self):

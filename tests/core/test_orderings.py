@@ -7,7 +7,6 @@ from repro.core import (
     OWA_ORDERING,
     WCWA_ORDERING,
     cwa_leq,
-    ordering,
     owa_leq,
     relation_leq,
     semantic_leq,
@@ -15,6 +14,7 @@ from repro.core import (
 )
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import cwa_worlds, default_domain
+from repro.semantics.registry import SEMANTICS, semantics_named
 
 
 @pytest.fixture
@@ -84,11 +84,12 @@ class TestWcwaOrdering:
 
 class TestOrderingHelpers:
     def test_ordering_lookup(self):
-        assert ordering("owa") is OWA_ORDERING
-        assert ordering("cwa") is CWA_ORDERING
-        assert ordering("wcwa") is WCWA_ORDERING
+        assert SEMANTICS["owa"].ordering is OWA_ORDERING
+        assert SEMANTICS["cwa"].ordering is CWA_ORDERING
+        assert SEMANTICS["wcwa"].ordering is WCWA_ORDERING
+        assert SEMANTICS["prob"].ordering is CWA_ORDERING
         with pytest.raises(ValueError):
-            ordering("other")
+            semantics_named("other")
 
     def test_lower_and_upper_bounds(self, less_informative, more_informative):
         another = Database.from_dict({"R": [(1, 3)]})

@@ -10,6 +10,7 @@ from repro.core import (
 from repro.datamodel import Database, Null, Valuation
 from repro.logic import delta_cwa, delta_owa
 from repro.semantics import cwa_worlds, default_domain, owa_worlds
+from repro.semantics.registry import SEMANTICS
 
 
 @pytest.fixture
@@ -42,21 +43,45 @@ class TestRelationalDomain:
         assert not cwa.contains(incomplete_db, bigger)
         assert owa.contains(incomplete_db, bigger)
 
-    def test_condition_1_complete_object_denotes_itself(self, complete_db):
-        for name in ("owa", "cwa"):
-            domain = relational_domain(name)
-            assert domain.condition_reflexivity(complete_db)
-
-    def test_condition_2_represented_objects_are_above(self, incomplete_db):
-        for name in ("owa", "cwa"):
-            domain = relational_domain(name)
-            for world in domain.semantics(incomplete_db):
-                assert domain.condition_dominance(incomplete_db, world)
-
     def test_ordering_exposed(self, incomplete_db, complete_db):
         domain = relational_domain("cwa")
         assert domain.less_equal(incomplete_db, complete_db)
         assert not domain.less_equal(complete_db, incomplete_db)
+
+
+@pytest.mark.parametrize("name", sorted(SEMANTICS))
+class TestEveryRegistryRow:
+    """Each row of the registry is a representation system (Section 5):
+    worlds, membership, ``⊑`` and ``δ`` agree with one another."""
+
+    def test_condition_1_complete_object_denotes_itself(self, name, complete_db):
+        assert relational_domain(name).condition_reflexivity(complete_db)
+
+    def test_condition_2_represented_objects_are_above(self, name, incomplete_db):
+        domain = relational_domain(name)
+        for world in domain.semantics(incomplete_db):
+            assert domain.condition_dominance(incomplete_db, world)
+
+    def test_every_world_is_a_member_above_d_satisfying_delta(self, name, incomplete_db):
+        row = SEMANTICS[name]
+        formula = row.delta(incomplete_db)
+        worlds = list(row.worlds(incomplete_db, max_extra_facts=1))
+        assert worlds
+        for world in worlds:
+            assert row.member(incomplete_db, world)
+            assert formula.holds(world)
+            assert row.ordering(incomplete_db, world)
+
+    def test_membership_is_delta_over_an_owa_pool(self, name, incomplete_db):
+        row = SEMANTICS[name]
+        formula = row.delta(incomplete_db)
+        domain = default_domain(incomplete_db, extra_constants=1)
+        pool = list(owa_worlds(incomplete_db, domain, max_extra_facts=1))
+        pool.append(Database.from_dict({"R": [(5, 5)]}))
+        verdicts = {row.member(incomplete_db, world) for world in pool}
+        assert verdicts == {True, False}
+        for world in pool:
+            assert row.member(incomplete_db, world) == formula.holds(world)
 
 
 class TestOwaRepresentationSystem:

@@ -14,7 +14,7 @@ Paper claims:
 
 import pytest
 
-from repro.core import cwa_representation_system, owa_representation_system, ordering
+from repro.core import cwa_representation_system, owa_representation_system
 from repro.datamodel import Database, Null, Valuation
 from repro.logic import (
     RelationAtom,
@@ -25,6 +25,7 @@ from repro.logic import (
     positive_diagram,
 )
 from repro.semantics import default_domain, in_cwa, in_owa, owa_worlds
+from repro.semantics.registry import SEMANTICS
 from repro.workloads import random_database
 
 
@@ -96,7 +97,7 @@ class TestModelsAreUpwardCones:
         ]
         for semantics, delta_fn in (("owa", delta_owa), ("cwa", delta_cwa)):
             formula = delta_fn(paper_diagram_db)
-            order = ordering(semantics)
+            order = SEMANTICS[semantics].ordering
             for candidate in candidates:
                 expected = order(paper_diagram_db, candidate)
                 if semantics == "cwa" and not candidate.is_complete():

@@ -6,7 +6,6 @@ from repro.datamodel import Database, Null, Valuation
 from repro.logic import (
     RelationAtom,
     database_as_query,
-    delta,
     delta_cwa,
     delta_owa,
     domain_closure,
@@ -17,6 +16,7 @@ from repro.logic import (
 )
 from repro.logic.formulas import And, Exists, FOQuery, Variable, atom, conj, exists, var
 from repro.semantics import cwa_worlds, default_domain, in_cwa, in_owa, owa_worlds
+from repro.semantics.registry import SEMANTICS, semantics_named
 
 
 @pytest.fixture
@@ -110,12 +110,14 @@ class TestDeltaCwa:
         assert closure.holds(db)
         assert not closure.holds(db.add_facts([("R", (3, 3))]))
 
-    def test_dispatch(self):
+    def test_registry_rows_hold_their_delta(self):
         db = Database.from_dict({"R": [(1, 2)]})
-        assert delta(db, "owa").holds(db)
-        assert delta(db, "cwa").holds(db)
+        for row in SEMANTICS.values():
+            assert row.delta(db).holds(db)
+        assert SEMANTICS["owa"].delta is delta_owa
+        assert SEMANTICS["prob"].delta is delta_cwa
         with pytest.raises(ValueError):
-            delta(db, "bogus")
+            semantics_named("bogus")
 
 
 class TestTableau:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.datamodel import Database, Null, Valuation
-from repro.semantics import in_cwa, in_owa, in_wcwa, is_member
+from repro.semantics import in_cwa, in_owa, in_wcwa
+from repro.semantics.registry import SEMANTICS, semantics_named
 
 
 @pytest.fixture
@@ -70,14 +71,14 @@ class TestGeneralProperties:
         with pytest.raises(ValueError):
             in_cwa(db, incomplete)
 
-    def test_dispatch(self):
+    def test_every_registry_row_holds_its_membership_test(self):
         db = Database.from_dict({"R": [(Null("x"),)]})
         world = Database.from_dict({"R": [(1,)]})
-        assert is_member(db, world, "cwa")
-        assert is_member(db, world, "owa")
-        assert is_member(db, world, "wcwa")
+        for row in SEMANTICS.values():
+            assert row.member(db, world)
+        assert SEMANTICS["prob"].member is in_cwa
         with pytest.raises(ValueError):
-            is_member(db, world, "nope")
+            semantics_named("nope")
 
     def test_cwa_implies_wcwa_implies_owa(self):
         """On a small sample, the three semantics are ordered by inclusion."""

@@ -1,8 +1,10 @@
 """The semantics registry is the one place semantics names are told apart.
 
-``repro.session``, ``repro.core.answers`` and ``repro.serve`` hand every
-semantics-dependent decision to the object the registry built, and the
-probabilistic tier is compared by name nowhere but the registry.
+Every module hands each semantics-dependent decision to the row the
+registry built: no module but ``repro/semantics/registry.py`` compares a
+semantics name or keys a dict by one, and every library entry taking a
+``semantics=`` name resolves it there, so all of them accept exactly the
+registered names.
 """
 
 import ast
@@ -18,7 +20,6 @@ from repro.semantics.registry import SEMANTICS
 
 ROOT = Path(repro.__file__).parent
 REGISTRY = "semantics/registry.py"
-DISPATCHERS = ("session.py", "core/answers.py", "serve/")
 
 
 def _modules():
@@ -42,18 +43,29 @@ def _compared_names(tree):
     return names
 
 
-def test_dispatchers_compare_no_semantics_name():
-    comparing = {
+def _keyed_names(tree):
+    """The semantics names a module keys a dict literal (or ``dict(...)``) by."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [keyword.arg for keyword in node.keywords]
+        else:
+            continue
+        names.update(key for key in keys if key in SEMANTICS)
+    return names
+
+
+def test_only_the_registry_tells_semantics_names_apart():
+    telling = {
         name
         for name, tree in _modules()
-        if name.startswith(DISPATCHERS) and _compared_names(tree)
+        if name != REGISTRY and (_compared_names(tree) or _keyed_names(tree))
     }
-    assert not comparing, sorted(comparing)
-
-
-def test_prob_is_compared_only_in_the_registry():
-    comparing = {name for name, tree in _modules() if "prob" in _compared_names(tree)}
-    assert comparing <= {REGISTRY}, sorted(comparing - {REGISTRY})
+    assert not telling, sorted(telling)
+    registry = ast.parse((ROOT / REGISTRY).read_text(encoding="utf-8"))
+    assert _keyed_names(registry) == set(SEMANTICS)
 
 
 def test_session_reaches_world_enumeration_only_through_the_registry():
@@ -133,3 +145,129 @@ def test_session_enumeration_runs_through_the_one_entry(mode, monkeypatch):
         else:
             query.boolean()
     assert calls == [mode]
+
+
+# ---------------------------------------------------------------------------
+# Every ``semantics=`` entry resolves its name through the registry.
+# ---------------------------------------------------------------------------
+def _entries():
+    """Each library entry taking ``semantics=``, as ``call(name)``."""
+    from repro.core import (
+        certain_knowledge_formula,
+        certain_strategy,
+        enumeration_strategy,
+        explain_method,
+        is_monotone_on,
+        knowledge_strategy,
+        naive_evaluation_applies,
+        relation_leq,
+        relational_domain,
+    )
+    from repro.core.naive_evaluation import evaluate_query
+    from repro.exchange import certain_answers_exchange, order_preferences_mapping
+    from repro.graphs import (
+        ConjunctiveRPQ,
+        EdgeAtom,
+        GraphPattern,
+        IncompleteGraph,
+        PathAtom,
+        certain_answers_crpq,
+        certain_answers_pattern,
+        certain_answers_rpq,
+        parse_rpq,
+    )
+    from repro.logic import var
+    from repro.semantics import (
+        answer_space,
+        enumerate_certain_answers,
+        enumerate_certain_boolean,
+        enumerate_possible_answers,
+        enumerate_possible_boolean,
+    )
+
+    database = Database.from_dict({"R": [(1, 2), (2, Null("x"))]})
+    query = parse_ra("project[#0](R)")
+    graph = IncompleteGraph(edges=[("a", "r", Null("x"))])
+    x, y = var("x"), var("y")
+    mapping = order_preferences_mapping()
+    source = Database(mapping.source_schema, {"Order": [("oid1", "pr1")]})
+    answer = query.evaluate(database)
+    return {
+        "enumerate_certain_answers": lambda s: enumerate_certain_answers(query.evaluate, database, s),
+        "enumerate_possible_answers": lambda s: enumerate_possible_answers(query.evaluate, database, s),
+        "enumerate_certain_boolean": lambda s: enumerate_certain_boolean(query.evaluate, database, s),
+        "enumerate_possible_boolean": lambda s: enumerate_possible_boolean(query.evaluate, database, s),
+        "answer_space": lambda s: answer_space(query.evaluate, database, s),
+        "certain_answers_rpq": lambda s: certain_answers_rpq(parse_rpq("r"), graph, s),
+        "certain_answers_crpq": lambda s: certain_answers_crpq(
+            ConjunctiveRPQ([PathAtom(x, "r", y)], output=(x, y)), graph, s
+        ),
+        "certain_answers_pattern": lambda s: certain_answers_pattern(
+            GraphPattern([EdgeAtom(x, "r", y)], output=(x, y)), graph, s
+        ),
+        "knowledge_strategy": lambda s: knowledge_strategy(query, database, evaluate_query, s),
+        "relation_leq": lambda s: relation_leq(answer, answer, s),
+        "is_monotone_on": lambda s: is_monotone_on(query, [(database, database)], s),
+        "naive_evaluation_applies": lambda s: naive_evaluation_applies(query, s),
+        "relational_domain": lambda s: relational_domain(s),
+        "certain_knowledge_formula": lambda s: certain_knowledge_formula(database, s),
+        "certain_answers_exchange": lambda s: certain_answers_exchange(
+            mapping, source, parse_ra("project[product](Pref)"), semantics=s
+        ),
+        "certain_strategy": lambda s: certain_strategy(query, database, evaluate_query, s),
+        "enumeration_strategy": lambda s: enumeration_strategy(query, database, evaluate_query, s),
+        "explain_method": lambda s: explain_method(query, s),
+    }
+
+
+ENTRIES = sorted(_entries())
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_semantics_entry_takes_exactly_the_registered_names(entry):
+    call = _entries()[entry]
+    for name in SEMANTICS:
+        call(name)
+    with pytest.raises(repro.InvalidRequestError, match="unknown semantics 'bogus'"):
+        call("bogus")
+
+
+# ---------------------------------------------------------------------------
+# World-space options are checked before the first world.
+# ---------------------------------------------------------------------------
+BAD_WORLD_OPTIONS = [
+    {"max_extra_facts": -1},
+    {"max_extra_facts": 1.5},
+    {"extra_constants": -1},
+    {"extra_constants": "2"},
+]
+
+
+@pytest.mark.parametrize("options", BAD_WORLD_OPTIONS, ids=str)
+@pytest.mark.parametrize("mode", ["certain", "possible", "boolean"])
+@pytest.mark.parametrize("name", sorted(SEMANTICS))
+def test_sessions_refuse_bad_world_options(name, mode, options):
+    with _connect(name) as session:
+        query = session.query(parse_ra("project[#0](R)"))
+        with pytest.raises(repro.InvalidRequestError, match="must be an int >= 0"):
+            getattr(query, mode)(**options)
+        assert session.metrics()["counters"].get("worlds.evaluated", 0) == 0
+        # max_extra_facts=-1 used to enumerate no world and answer {}.
+        assert query.certain(method="enumeration", max_extra_facts=0).rows == {(1,), (2,)}
+
+
+@pytest.mark.parametrize("options", BAD_WORLD_OPTIONS, ids=str)
+@pytest.mark.parametrize("name", sorted(SEMANTICS))
+def test_enumeration_refuses_bad_world_options_before_any_world(name, options):
+    from repro.semantics import enumerate_certain_answers
+
+    evaluated = []
+
+    def evaluate(world):
+        evaluated.append(world)
+        return parse_ra("project[#0](R)").evaluate(world)
+
+    database = Database.from_dict({"R": [(1, 2), (2, Null("x"))]})
+    with pytest.raises(repro.InvalidRequestError, match="must be an int >= 0"):
+        enumerate_certain_answers(evaluate, database, name, **options)
+    assert evaluated == []

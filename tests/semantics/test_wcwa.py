@@ -5,7 +5,8 @@ import pytest
 from repro.core import wcwa_leq, wcwa_representation_system
 from repro.datamodel import Database, Null, Valuation
 from repro.logic import adom_closure, delta_wcwa, is_positive, is_ucq
-from repro.semantics import default_domain, in_wcwa, owa_worlds, wcwa_worlds, worlds
+from repro.semantics import default_domain, in_wcwa, owa_worlds, wcwa_worlds
+from repro.semantics.registry import SEMANTICS
 
 
 @pytest.fixture
@@ -34,8 +35,8 @@ class TestWcwaWorlds:
         extended = base.add_facts([("R", (1, 1))])
         assert frozenset(extended.facts()) in enumerated
 
-    def test_dispatch(self, incomplete_db):
-        assert list(worlds(incomplete_db, "wcwa", max_extra_facts=0))
+    def test_registry_row(self, incomplete_db):
+        assert list(SEMANTICS["wcwa"].worlds(incomplete_db, max_extra_facts=0))
 
 
 class TestDeltaWcwa:

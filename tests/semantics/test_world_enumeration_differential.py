@@ -35,8 +35,9 @@ from repro.algebra import parse_ra
 from repro.algebra.ast import ConstantRelation, Difference
 from repro.core.answers import enumeration_domain, valuation_space
 from repro.datamodel import Database, Null, Relation, enumerate_valuations
-from repro.semantics import default_domain, enumerate_certain_answers, enumerate_certain_boolean, worlds
+from repro.semantics import default_domain, enumerate_certain_answers, enumerate_certain_boolean
 from repro.semantics.certain import certain_over
+from repro.semantics.registry import SEMANTICS
 
 SEEDS = list(range(210))
 
@@ -151,7 +152,7 @@ def _instance(seed: int, semantics: str):
 def test_keyed_enumeration_equals_valuation_path(seed, semantics):
     database, domain, max_extra_facts = _instance(seed, semantics)
     expected = list(_oracle(database, semantics, domain, max_extra_facts))
-    actual = list(worlds(database, semantics, domain=domain, max_extra_facts=max_extra_facts))
+    actual = list(SEMANTICS[semantics].worlds(database, domain=domain, max_extra_facts=max_extra_facts))
     assert actual == expected
     for world in actual:
         assert world.is_complete()
@@ -218,7 +219,7 @@ def test_domain_values_must_be_constants(semantics, bad):
     with pytest.raises(TypeError):
         list(_oracle(database, semantics, [1, bad], 1))
     with pytest.raises(TypeError):
-        list(worlds(database, semantics, domain=[1, bad]))
+        list(SEMANTICS[semantics].worlds(database, domain=[1, bad]))
 
 
 def test_unhashable_domain_value_is_rejected():
@@ -226,7 +227,7 @@ def test_unhashable_domain_value_is_rejected():
     with pytest.raises(TypeError):
         list(_oracle_cwa(database, [[1]]))
     with pytest.raises(TypeError):
-        list(worlds(database, "cwa", domain=[[1]]))
+        list(SEMANTICS["cwa"].worlds(database, domain=[[1]]))
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +317,9 @@ def test_sweep_takes_the_canonical_path():
                     taken.add("explicit domain")
                 canonical = certain_over(
                     query.evaluate,
-                    worlds(database, semantics, resolved, None, max_extra_facts, interchangeable=fresh),
+                    SEMANTICS[semantics].worlds(
+                        database, resolved, None, max_extra_facts, interchangeable=fresh
+                    ),
                     lambda: query.evaluate(database),
                 )
                 if any(set(fresh) & set(row) for row in canonical.rows):
@@ -372,7 +375,7 @@ def test_edge_cases_are_what_they_say():
     fresh = valuation_space(query, database, domain).interchangeable
     assert fresh == tuple(domain)
     canonical = certain_over(
-        query.evaluate, worlds(database, "cwa", domain, interchangeable=fresh), lambda: None
+        query.evaluate, SEMANTICS["cwa"].worlds(database, domain, interchangeable=fresh), lambda: None
     )
     assert canonical.rows == {(domain[0],)}
     with repro.connect(database) as session:

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro import InvalidRequestError
 from repro.datamodel import Database, Null, Relation, Valuation
 from repro.semantics import (
     count_cwa_worlds,
     cwa_worlds,
     default_domain,
     owa_worlds,
-    worlds,
 )
+from repro.semantics.registry import SEMANTICS, semantics_named
 
 
 @pytest.fixture
@@ -38,6 +39,12 @@ class TestDefaultDomain:
 
     def test_deterministic(self, single_null_db):
         assert default_domain(single_null_db) == default_domain(single_null_db)
+
+    @pytest.mark.parametrize("extra_constants", [-1, 1.5, "2", True])
+    def test_bad_extra_constants_are_refused(self, single_null_db, extra_constants):
+        """Every caller (graphs, trees, c-tables too) gets the typed refusal."""
+        with pytest.raises(InvalidRequestError, match="extra_constants must be an int >= 0"):
+            default_domain(single_null_db, extra_constants=extra_constants)
 
 
 class TestCwaWorlds:
@@ -134,11 +141,11 @@ class TestOwaWorlds:
             assert any(world.contains_database(base) for base in cwa)
 
 
-class TestDispatch:
-    def test_worlds_dispatch(self, single_null_db):
-        assert list(worlds(single_null_db, "cwa"))
-        assert list(worlds(single_null_db, "owa", max_extra_facts=0))
+class TestRegistryRows:
+    def test_rows_enumerate_their_worlds(self, single_null_db):
+        assert list(SEMANTICS["cwa"].worlds(single_null_db))
+        assert list(SEMANTICS["owa"].worlds(single_null_db, max_extra_facts=0))
 
     def test_unknown_semantics(self, single_null_db):
         with pytest.raises(ValueError):
-            list(worlds(single_null_db, "nonsense"))
+            semantics_named("nonsense")

@@ -163,3 +163,31 @@ class TestInMemoryFallback:
         session = repro.connect(db)
         with pytest.raises(ValueError, match="batch_size"):
             session.query(QUERY).cursor(batch_size=0)
+
+
+@pytest.mark.parametrize("engine", ["plan", "sqlite"])
+class TestTypedSizes:
+    """``batch_size`` is an ``int >= 1`` and ``fetchmany(size)`` an ``int >= 0``
+    (``bool`` excluded); anything else is an :class:`InvalidRequestError`,
+    never a raw error from the row slicing."""
+
+    @pytest.mark.parametrize("batch_size", [0, 1.5, "3", True, None])
+    def test_cursor_refuses_a_bad_batch_size(self, db, engine, batch_size):
+        with repro.connect(db, engine=engine) as session:
+            with pytest.raises(repro.InvalidRequestError, match="batch_size must be an int >= 1"):
+                session.query(QUERY).cursor(batch_size=batch_size)
+
+    @pytest.mark.parametrize("size", [-1, 1.5, "2", False])
+    def test_fetchmany_refuses_a_bad_size(self, db, engine, size):
+        with repro.connect(db, engine=engine) as session:
+            with session.query(parse_ra("Big")).cursor(batch_size=64) as cursor:
+                with pytest.raises(repro.InvalidRequestError, match="size must be an int >= 0"):
+                    cursor.fetchmany(size)
+                assert len(cursor.fetchmany(3)) == 3
+                assert cursor.fetchmany(0) == []
+
+    def test_accepted_sizes_stream_every_row(self, db, engine):
+        with repro.connect(db, engine=engine) as session:
+            cursor = session.query(parse_ra("Big")).cursor(batch_size=1)
+            rows = cursor.fetchmany(7) + cursor.fetchall()
+        assert len(rows) == 500

@@ -91,23 +91,30 @@ class TestSessionExecutor:
         with pytest.raises(RuntimeError):
             executor.submit(int)
 
-    def test_per_call_pool_fallback_without_a_session(self):
-        """Sessionless callers (the deprecated shims' road) still build —
-        and tear down — one pool per call."""
-        built = []
+    def test_per_call_pool_fallback_without_a_session(self, monkeypatch):
+        """Sessionless callers without ``executor=`` build — and tear
+        down — one pool per call."""
+        import repro.semantics.certain as certain_module
 
-        def factory(n):
-            built.append(n)
-            return ProcessPoolExecutor(max_workers=n)
+        built, shut = [], []
 
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, workers):
+                built.append(workers)
+                super().__init__(max_workers=workers)
+
+            def shutdown(self, *args, **kwargs):
+                shut.append(self)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(certain_module, "ProcessPoolExecutor", CountedPool)
         database = _database()
         expected = enumerate_certain_answers(_evaluate_world, database)
         for _ in range(2):
-            answer = enumerate_certain_answers(
-                _evaluate_world, database, workers=2, pool_factory=factory
-            )
+            answer = enumerate_certain_answers(_evaluate_world, database, workers=2)
             assert answer == expected
         assert built == [2, 2]
+        assert len(shut) == 2
 
 
 # ---------------------------------------------------------------------------
