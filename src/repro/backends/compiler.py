@@ -48,6 +48,7 @@ from ..engine.logical import (
     LAdom,
     LConst,
     LDelta,
+    LEquiJoin,
     LOpaque,
     LScan,
     LogicalNode,
@@ -289,6 +290,10 @@ class SQLCompiler(_Lowering):
             left.params + right.params,
             left.arity + len(right_keep),
         )
+
+    def make_semijoin(self, join: LEquiJoin, positions: Tuple[int, ...]) -> None:
+        # SQLite plans its own joins: keep join + project.
+        return None
 
     def make_product(self, left: SQLFragment, right: SQLFragment) -> SQLFragment:
         return self.make_join(left, right, (), (), tuple(range(right.arity)))

@@ -13,6 +13,7 @@ on top where it matters for faithfulness to SQL.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Any,
@@ -80,7 +81,8 @@ class Relation:
             _freeze_row(row, schema.arity, schema.name) for row in rows
         )
         self._hash: Optional[int] = None
-        self._indexes: Optional[Dict[Tuple[int, ...], Dict[Row, List[Row]]]] = None
+        # index_on and key_map results, keyed by ("index"|"keys", positions).
+        self._indexes: Optional[Dict[Tuple[str, Tuple[int, ...]], Dict[Any, Any]]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -193,6 +195,17 @@ class Relation:
             self._hash = hash((self._schema, self._rows))
         return self._hash
 
+    def __getstate__(self) -> Tuple[RelationSchema, FrozenSet[Row]]:
+        # Indexes and key maps are per-process scratch, rebuilt on demand:
+        # ship only the data, so the workers= process pools get the rows
+        # and not every cached index.
+        return (self._schema, self._rows)
+
+    def __setstate__(self, state: Tuple[RelationSchema, FrozenSet[Row]]) -> None:
+        self._schema, self._rows = state
+        self._hash = None
+        self._indexes = None
+
     def __repr__(self) -> str:
         preview = ", ".join(repr(row) for row in self.sorted_rows()[:4])
         suffix = ", ..." if len(self) > 4 else ""
@@ -267,14 +280,32 @@ class Relation:
         key_positions = tuple(positions)
         if self._indexes is None:
             self._indexes = {}
-        index = self._indexes.get(key_positions)
+        index = self._indexes.get(("index", key_positions))
         if index is None:
             index = {}
             for row in self._rows:
                 key = tuple(row[p] for p in key_positions)
                 index.setdefault(key, []).append(row)
-            self._indexes[key_positions] = index
+            self._indexes[("index", key_positions)] = index
         return index
+
+    def key_map(self, positions: Sequence[int]) -> Dict[Any, Any]:
+        """The distinct keys at ``positions``, each mapped to this relation's own key.
+
+        Keys and values follow :func:`key_getter`: a bare value for one
+        position, a tuple otherwise.  A semi-join probes the map by
+        membership and reads the stored key back, so its output carries
+        this relation's values (``1`` stays ``1`` when probed with
+        ``1.0``).  Cached beside :meth:`index_on`.
+        """
+        key_positions = tuple(positions)
+        if self._indexes is None:
+            self._indexes = {}
+        keys = self._indexes.get(("keys", key_positions))
+        if keys is None:
+            keys = build_key_map(self._rows, key_positions)
+            self._indexes[("keys", key_positions)] = keys
+        return keys
 
     # ------------------------------------------------------------------
     # bulk transformations
@@ -359,3 +390,19 @@ def rows_with_nulls(relation: Relation) -> Iterator[Row]:
 def drop_null_rows(rows: Iterable[Row]) -> List[Row]:
     """Keep only tuples without nulls (the ``·_cmpl`` operation on row sets)."""
     return [row for row in rows if not any(is_null(v) for v in row)]
+
+
+def key_getter(positions: Tuple[int, ...]) -> Callable[[Row], Any]:
+    """A row's key at ``positions``: a bare value for one position, a tuple otherwise."""
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def build_key_map(rows: Iterable[Row], positions: Tuple[int, ...]) -> Dict[Any, Any]:
+    """Map each distinct key at ``positions`` (see :func:`key_getter`) to itself.
+
+    Keys that compare equal collapse to one entry whose value is one of
+    the rows' own keys, so a probe with ``1.0`` reads back the stored ``1``.
+    """
+    return {key: key for key in map(key_getter(positions), rows)}

@@ -50,6 +50,7 @@ from .logical import (
     LAdom,
     LConst,
     LDelta,
+    LEquiJoin,
     LOpaque,
     LScan,
 )
@@ -996,6 +997,10 @@ class _CTableLowering(_planner._Lowering):
         right_keep: Tuple[int, ...],
     ) -> COperator:
         return CHashJoin(left, right, left_keys, right_keys, right_keep, key=self.key())
+
+    def make_semijoin(self, join: LEquiJoin, positions: Tuple[int, ...]) -> None:
+        # Lineage needs every derivation of an output row: keep join + project.
+        return None
 
     def make_product(self, left: COperator, right: COperator) -> COperator:
         return CProduct(left, right, key=self.key())

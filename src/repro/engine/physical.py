@@ -22,11 +22,15 @@ Operator inventory
 ``Project``         π by positions (set-based dedup)
 ``HashJoin``        equi-join; builds (or reuses a relation's cached)
                     hash index on the right input
+``SemiJoin``        π over an equi-join whose one side supplies only join
+                    keys: the other side's rows are kept by membership in
+                    that side's (or its relation's cached) key map
 ``NestedProduct``   Cartesian product (only when no equality is usable)
 ``HashUnion``       set union
 ``HashDifference``  set difference
 ``HashIntersection``set intersection
-``HashDivision``    grouped hash division
+``HashDivision``    grouped hash division; a group keeps only the values
+                    in the divisor, then compares counts
 ``Interpret``       fallback to the tree-walking interpreter
 """
 
@@ -45,7 +49,7 @@ from ..algebra.predicates import (
     PTrue,
 )
 from ..datamodel import Database, Relation, is_null
-from ..datamodel.relations import Row
+from ..datamodel.relations import Row, build_key_map, key_getter
 
 Rows = AbstractSet[Row]
 RowPredicate = Callable[[Row], bool]
@@ -170,11 +174,12 @@ class HashJoin(PhysicalOperator):
 
     Output rows are ``left_row + (right_row[p] for p in right_keep)``; pass
     the full range of right positions as ``right_keep`` to emulate a
-    filtered Cartesian product.  When the right input is a base-relation
-    scan the relation's cached positional index is reused across queries.
+    filtered Cartesian product.  When the lowering saw a base-relation scan
+    on the right, ``relation`` names it and the relation's cached
+    positional index is reused across queries.
     """
 
-    __slots__ = ("left", "right", "left_keys", "right_keys", "right_keep")
+    __slots__ = ("left", "right", "left_keys", "right_keys", "right_keep", "relation")
 
     def __init__(
         self,
@@ -183,6 +188,7 @@ class HashJoin(PhysicalOperator):
         left_keys: Tuple[int, ...],
         right_keys: Tuple[int, ...],
         right_keep: Tuple[int, ...],
+        relation: Optional[str] = None,
         key: Any = None,
     ) -> None:
         super().__init__(key)
@@ -191,18 +197,20 @@ class HashJoin(PhysicalOperator):
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.right_keep = right_keep
+        self.relation = relation
 
     def _right_index(self, ctx: ExecutionContext) -> Dict[Row, List[Row]]:
-        if isinstance(self.right, Scan):
-            return ctx.database.relation(self.right.name).index_on(self.right_keys)
+        rows = self.right.rows(ctx)  # a scan's stored set: free, and analyze counts it
+        if self.relation is not None:
+            return ctx.database.relation(self.relation).index_on(self.right_keys)
         right_keys = self.right_keys
         index: Dict[Row, List[Row]] = {}
         if len(right_keys) == 1:
             k = right_keys[0]
-            for row in self.right.rows(ctx):
+            for row in rows:
                 index.setdefault((row[k],), []).append(row)
             return index
-        for row in self.right.rows(ctx):
+        for row in rows:
             index.setdefault(tuple(row[p] for p in right_keys), []).append(row)
         return index
 
@@ -228,6 +236,83 @@ class HashJoin(PhysicalOperator):
                 else:
                     for r_row in matches:
                         add(l_row + tuple(r_row[p] for p in right_keep))
+        return result
+
+
+def _tuple_getter(positions: Tuple[int, ...]) -> Callable[[Row], Row]:
+    """A row's values at ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return key_getter(positions)
+
+
+class SemiJoin(PhysicalOperator):
+    """π over an equi-join whose ``keys`` side supplies only join keys.
+
+    A row of ``kept`` survives when its key (the values at ``kept_keys``)
+    is in the key map of the ``keys`` side (keyed on ``key_keys``), and is
+    projected straight to the output: no joined row is built, and the
+    ``keys`` side is read only through its key map.  ``positions`` index
+    the layout ``own + row``, where ``own`` is the key side's own key tuple
+    (``len(key_keys)`` wide), so a projected key column of that side
+    carries its value, as the join would.  When the lowering saw a
+    base-relation scan on the ``keys`` side, ``relation`` names it and the
+    relation's cached :meth:`~repro.datamodel.relations.Relation.key_map`
+    is read instead of hashing the ``keys`` rows.
+    """
+
+    __slots__ = (
+        "kept", "keys", "kept_keys", "key_keys", "positions", "relation",
+        "_kept_key", "_out", "_reads_own",
+    )
+
+    def __init__(
+        self,
+        kept: PhysicalOperator,
+        keys: PhysicalOperator,
+        kept_keys: Tuple[int, ...],
+        key_keys: Tuple[int, ...],
+        positions: Tuple[int, ...],
+        relation: Optional[str] = None,
+        key: Any = None,
+    ) -> None:
+        super().__init__(key)
+        self.kept = kept
+        self.keys = keys
+        self.kept_keys = kept_keys
+        self.key_keys = key_keys
+        self.positions = positions
+        self.relation = relation
+        width = len(key_keys)
+        self._kept_key = key_getter(kept_keys)
+        self._reads_own = any(p < width for p in positions)
+        # Without a projected key-side column the output reads the kept row alone.
+        self._out = _tuple_getter(
+            positions if self._reads_own else tuple(p - width for p in positions)
+        )
+
+    def _key_map(self, ctx: ExecutionContext) -> Dict[Any, Any]:
+        rows = self.keys.rows(ctx)  # a scan's stored set: free, and analyze counts it
+        if self.relation is not None:
+            return ctx.database.relation(self.relation).key_map(self.key_keys)
+        return build_key_map(rows, self.key_keys)
+
+    def _compute(self, ctx: ExecutionContext) -> Rows:
+        keys = self._key_map(ctx)
+        rows = self.kept.rows(ctx)
+        kept_key = self._kept_key
+        out = self._out
+        if not self._reads_own:
+            return {out(row) for row in rows if kept_key(row) in keys}
+        result = set()
+        add = result.add
+        # A one-position key map holds bare values; wider ones hold tuples.
+        single = len(self.key_keys) == 1
+        for row in rows:
+            own = keys.get(kept_key(row))
+            if own is not None:
+                add(out(((own,) if single else own) + row))
         return result
 
 
@@ -312,17 +397,21 @@ class HashDivision(PhysicalOperator):
         self.divisor = divisor
 
     def _compute(self, ctx: ExecutionContext) -> Rows:
-        keep = self.keep
-        divisor = self.divisor
-        divisor_rows = set(self.right.rows(ctx))
-        groups: Dict[Row, set] = {}
-        for row in self.left.rows(ctx):
-            groups.setdefault(tuple(row[p] for p in keep), set()).add(
-                tuple(row[p] for p in divisor)
-            )
+        group_of = _tuple_getter(self.keep)
+        value_of = _tuple_getter(self.divisor)
+        divisor_rows = self.right.rows(ctx)
+        rows = self.left.rows(ctx)
         if not divisor_rows:
-            return set(groups)
-        return {group for group, values in groups.items() if divisor_rows <= values}
+            return {group_of(row) for row in rows}
+        # Semi-join the values against the divisor first: a group divides
+        # exactly when it holds as many distinct divisor values as there are.
+        groups: Dict[Row, set] = {}
+        for row in rows:
+            value = value_of(row)
+            if value in divisor_rows:
+                groups.setdefault(group_of(row), set()).add(value)
+        needed = len(divisor_rows)
+        return {group for group, values in groups.items() if len(values) == needed}
 
 
 class Interpret(PhysicalOperator):

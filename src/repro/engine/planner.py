@@ -69,6 +69,7 @@ from .physical import (
     PhysicalOperator,
     Project,
     Scan,
+    SemiJoin,
     compile_predicate,
 )
 
@@ -419,7 +420,63 @@ class _Lowering:
         right_keys: Tuple[int, ...],
         right_keep: Tuple[int, ...],
     ) -> Any:
-        return HashJoin(left, right, left_keys, right_keys, right_keep, key=self.key())
+        # Decided here, not per run: under analyze probes wrap the right input.
+        relation = right.name if isinstance(right, Scan) else None
+        return HashJoin(
+            left, right, left_keys, right_keys, right_keep, relation, key=self.key()
+        )
+
+    def make_semijoin(self, join: LEquiJoin, positions: Tuple[int, ...]) -> Any:
+        """``π_positions(join)`` as a :class:`SemiJoin`, or ``None`` for join + project.
+
+        Applies when the projection reads no column of one side but its
+        join keys.  That side becomes the key side; the other side's rows
+        are kept by membership and projected directly.  Among the usable
+        sides the cheapest by estimate wins, and the rewrite is taken only
+        when it costs no more than the hash join: scanning the kept side,
+        plus hashing the key side unless it is a base relation whose
+        cached key map is reused, against probing with the left side, plus
+        hashing the right side unless it is a base relation.  Overridden
+        to return ``None`` by lowerings that must see the join itself.
+        """
+        left, right = join.left, join.right
+        left_keys = tuple(i for i, _ in join.pairs)
+        right_keys = tuple(j for _, j in join.pairs)
+        left_arity = left.arity
+        # Each output column as (side, position in that side's row).
+        sources = [
+            (0, p) if p < left_arity else (1, join.right_keep[p - left_arity])
+            for p in positions
+        ]
+
+        def build_cost(node: LogicalNode) -> float:
+            return 0.0 if isinstance(node, LScan) else self.estimate(node)
+
+        usable = [
+            (build_cost(key_node) + self.estimate(kept_node), side, key_node, kept_node, keys, kept)
+            for side, key_node, kept_node, keys, kept in (
+                (0, left, right, left_keys, right_keys),
+                (1, right, left, right_keys, left_keys),
+            )
+            if all(pos in keys for s, pos in sources if s == side)
+        ]
+        if not usable:
+            return None
+        cost, side, key_node, kept_node, key_keys, kept_keys = min(usable, key=lambda u: u[0])
+        if cost > build_cost(right) + self.estimate(left):
+            return None
+        width = len(key_keys)
+        # Key-side columns read the key side's own key tuple; the kept row follows it.
+        layout = tuple(key_keys.index(pos) if s == side else width + pos for s, pos in sources)
+        return SemiJoin(
+            self.lower(kept_node),
+            self.lower(key_node),
+            kept_keys,
+            key_keys,
+            layout,
+            key_node.name if isinstance(key_node, LScan) else None,
+            key=self.key(),
+        )
 
     def make_product(self, left: Any, right: Any) -> Any:
         return NestedProduct(left, right, key=self.key())
@@ -464,6 +521,10 @@ class _Lowering:
         if isinstance(node, LFilter):
             return self.make_filter(self.lower(node.child), node.predicate)
         if isinstance(node, LProject):
+            if isinstance(node.child, LEquiJoin):
+                semijoin = self.make_semijoin(node.child, node.positions)
+                if semijoin is not None:
+                    return semijoin
             return self.make_project(self.lower(node.child), node.positions)
         if isinstance(node, LEquiJoin):
             left_keys = tuple(i for i, _ in node.pairs)

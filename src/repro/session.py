@@ -1213,7 +1213,7 @@ def _render_physical(op: Any, indent: int = 0) -> str:
     children = []
     for klass in type(op).__mro__:
         for attr in getattr(klass, "__slots__", ()):
-            if attr in ("key",):
+            if attr == "key" or attr.startswith("_"):
                 continue
             value = getattr(op, attr, None)
             if hasattr(value, "rows") and hasattr(value, "_compute"):

@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro import Budget, Database, Null, PartialResult, QueryCancelled
 from repro.algebra import parse_ra
+from repro.resilience import ManualClock
 from repro.semantics.certain import _pool_initializer, enumerate_certain_answers
 
 QUERY = parse_ra("project[#0](R)")
@@ -223,19 +224,22 @@ class TestContentDigestCache:
         assert clone.content_digest() == digest
 
     def test_two_budget_stamps_hash_rows_at_most_once(self, monkeypatch):
-        """The ISSUE's regression: two consecutive ``certain(budget=)``
-        calls on an unchanged 100k-row database stamp two resume tokens
-        but hash the rows at most once."""
+        """Two consecutive ``certain(budget=)`` calls on an unchanged
+        100k-row database stamp two resume tokens but hash the rows at
+        most once."""
         rows = [(i,) for i in range(100_000)]
         rows.append((Null("x"),))
         database = Database.from_dict({"R": rows})
         calls = self._counting(monkeypatch)
         with repro.connect(database) as session:
             query = session.query(QUERY)
+            # Each clock reading advances a second: the deadline passes at
+            # the third check, after enumeration has started, so both calls
+            # expire mid-way whatever the host's speed.
             partials = [
                 query.certain(
                     method="enumeration",
-                    budget=Budget(deadline=0.001),
+                    budget=Budget(deadline=3.0, clock=ManualClock(step=1.0)),
                     on_budget="partial",
                 )
                 for _ in range(2)
