@@ -66,6 +66,10 @@ lineage spans 14 independent nulls, exact confidence by decomposition
 must match full world enumeration differentially and beat it by >= 10x,
 and a dense join that also meets keys outside every null's support must
 score no zero-probability candidate (``docs/probability.md``).
+The lineage family contributes ``gate:lineage``: on the e2e ``worlds``
+instance at 3–5 nulls, ``certain()`` by lineage validity must equal
+canonical world enumeration and beat it by >= 10x at 5 nulls
+(``docs/engine.md``).
 ``--check`` fails when any gate reports ``passed: false``.
 
 Every family records its wall-clock cost under ``wall_seconds`` in the
@@ -758,6 +762,75 @@ def scenario_prob() -> Dict[str, Any]:
     }
 
 
+#: ``gate:lineage``: lineage ``certain()`` must be this much faster than
+#: canonical world enumeration at :data:`LINEAGE_GATE_NULLS`' largest count.
+LINEAGE_SPEEDUP_THRESHOLD = 10.0
+LINEAGE_GATE_NULLS = (3, 4, 5)
+
+
+def scenario_lineage() -> Dict[str, Any]:
+    """The lineage gate: certain answers by lineage validity vs world enumeration.
+
+    On the e2e ``worlds`` instance (``benchmarks/e2e/workloads.py``,
+    ``diff(project[a](R), project[a](S))`` over 3–5 nulls, three seeds
+    each), ``certain()`` — which picks the ``lineage`` strategy — must
+    equal ``certain(method="enumeration")`` (canonical valuations), and
+    at 5 nulls run at least :data:`LINEAGE_SPEEDUP_THRESHOLD` times
+    faster, both warm, best of 5 (``docs/engine.md``, "Lineage strategy").
+    """
+    import random
+
+    import repro
+    from e2e.workloads import WORLDS_QUERY, worlds_instance
+    from repro.datamodel import Database, Relation
+
+    query = parse_ra(WORLDS_QUERY)
+    mismatches, timings = 0, {}
+    for nulls in LINEAGE_GATE_NULLS:
+        for seed in (11, 12, 13):
+            r, s = worlds_instance(random.Random(seed), nulls)
+            database = Database.from_relations([
+                Relation.create("R", r, attributes=("a", "b")),
+                Relation.create("S", s, attributes=("a", "b")),
+            ])
+            with repro.connect(database) as session:
+                q = session.query(query)
+                lineage = q.certain()
+                ran = q._ran
+                enumerated = q.certain(method="enumeration")
+                if lineage != enumerated or ran != "lineage validity":
+                    mismatches += 1
+                if seed == 11:
+                    timings[nulls] = (
+                        min(_seconds(q.certain) for _ in range(5)),
+                        min(_seconds(lambda: q.certain(method="enumeration")) for _ in range(5)),
+                    )
+    lineage_s, enumeration_s = timings[LINEAGE_GATE_NULLS[-1]]
+    speedup = enumeration_s / lineage_s
+    passed = mismatches == 0 and speedup >= LINEAGE_SPEEDUP_THRESHOLD
+    shown = ", ".join(
+        f"{nulls} nulls {lin * 1e3:.3f} vs {enum * 1e3:.2f} ms" for nulls, (lin, enum) in timings.items()
+    )
+    return {
+        "gate:lineage": {
+            "passed": bool(passed),
+            "speedup": speedup,
+            "mismatches": mismatches,
+            "note": (
+                f"lineage vs canonical enumeration, warm best of 5: {shown}; "
+                f"{speedup:.1f}x at {LINEAGE_GATE_NULLS[-1]} nulls "
+                f"(limit {LINEAGE_SPEEDUP_THRESHOLD:.0f}x); {mismatches} answer mismatches"
+            ),
+        }
+    }
+
+
+def _seconds(call: Callable[[], Any]) -> float:
+    started = time.perf_counter()
+    call()
+    return time.perf_counter() - started
+
+
 QUICK_SCENARIOS = {
     "cancel": scenario_cancel,
     "chaos": scenario_chaos,
@@ -767,6 +840,7 @@ QUICK_SCENARIOS = {
     "e18": scenario_e18,
     "e21_core": scenario_e21_core,
     "e25": scenario_e25,
+    "lineage": scenario_lineage,
     "obs": scenario_obs,
     "prob": scenario_prob,
     "serve": scenario_serve,

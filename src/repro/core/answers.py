@@ -11,7 +11,8 @@ Three ways of answering a query ``Q`` over an incomplete database ``D``:
 * :func:`certain_strategy` — the "do the right thing" dispatch: walks the
   semantics' strategy list (:mod:`repro.semantics.registry`) for the
   first exact strategy — naive evaluation when the query's fragment
-  guarantees it, enumeration otherwise.
+  guarantees it, c-table lineage (:mod:`repro.semantics.lineage`) for
+  generic relational algebra under closed worlds, enumeration otherwise.
 
 The strategies are *thin*: each takes an ``evaluator`` — a function from
 ``(query, database)`` to a relation — so the caller decides which engine
@@ -113,6 +114,21 @@ class ValuationSpace(NamedTuple):
         return f"every valuation ({self.reason})"
 
 
+def not_generic(query: Query) -> str:
+    """Why ``query``'s answers may not commute with renamings of the
+    constants outside it, or ``""`` when they do: relational algebra over
+    :data:`_GENERIC_OPERATORS` with equality-only selections, or
+    first-order logic."""
+    if isinstance(query, RAExpression):
+        for node in query.walk():
+            if type(node) not in _GENERIC_OPERATORS:
+                return "unknown operator"
+            if isinstance(node, Selection) and not node.predicate.is_equality_only():
+                return "order comparison"
+        return ""
+    return "" if isinstance(query, FOQuery) else "unknown operator"
+
+
 def valuation_space(
     query: Query, database: Database, domain: Sequence[Any], mode: str = "certain"
 ) -> ValuationSpace:
@@ -129,14 +145,9 @@ def valuation_space(
     """
     if mode != "certain":
         return ValuationSpace((), "possible answers")
-    if isinstance(query, RAExpression):
-        for node in query.walk():
-            if type(node) not in _GENERIC_OPERATORS:
-                return ValuationSpace((), "unknown operator")
-            if isinstance(node, Selection) and not node.predicate.is_equality_only():
-                return ValuationSpace((), "order comparison")
-    elif not isinstance(query, FOQuery):
-        return ValuationSpace((), "unknown operator")
+    reason = not_generic(query)
+    if reason:
+        return ValuationSpace((), reason)
     if not database.nulls():
         return ValuationSpace((), "no nulls: one valuation")
     fixed = set(database.constants()) | query_constants(query)
@@ -427,7 +438,9 @@ def certain_strategy(
 
     ``method`` is ``'auto'`` (the first exact strategy of the semantics'
     list that applies: naive evaluation when the fragment guarantees it,
-    enumeration otherwise), ``'naive'`` or ``'enumeration'``; anything
+    c-table lineage for generic relational algebra under closed worlds,
+    enumeration otherwise), ``'naive'``, ``'lineage'`` or
+    ``'enumeration'``; anything
     else raises :class:`~repro.resilience.InvalidRequestError`.  A
     ``resume`` token forces enumeration — it checkpoints world
     enumeration, which the naive method does not perform.  ``options``

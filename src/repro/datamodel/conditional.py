@@ -445,6 +445,15 @@ class ConditionalTable:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def __getstate__(self) -> Tuple[RelationSchema, Tuple[ConditionalRow, ...], Condition]:
+        # Position indexes are per-process scratch, rebuilt on demand (as
+        # for Relation): ship only the table itself.
+        return (self._schema, self._rows, self._global)
+
+    def __setstate__(self, state: Tuple[RelationSchema, Tuple[ConditionalRow, ...], Condition]) -> None:
+        self._schema, self._rows, self._global = state
+        self._indexes = None
+
     def __iter__(self) -> Iterator[ConditionalRow]:
         return iter(self._rows)
 

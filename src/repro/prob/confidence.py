@@ -26,11 +26,19 @@ never mutated.  A cooperative :func:`~repro.resilience.active_budget`
 check runs on every Shannon branch, so a huge lineage raises
 :class:`~repro.resilience.BudgetExceeded` instead of hanging — callers
 degrade to the Monte Carlo estimator in :mod:`repro.prob.montecarlo`.
+
+The decomposer is one recursion with its value algebra as a parameter
+(the K-database idea: one evaluation, the semiring varies).  Besides
+probability it runs Boolean truth over a finite domain:
+:class:`Validity` decides whether a condition holds under every
+valuation of its nulls and returns a falsifying valuation when it does
+not — the check behind certain answers from c-table lineage
+(:mod:`repro.semantics.lineage`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import (
@@ -48,7 +56,7 @@ from ..obs import current_metrics, span
 from ..resilience import InvalidRequestError, active_budget
 from .model import ProbabilityModel
 
-__all__ = ["ConfidenceStats", "brute_force_confidence", "confidence"]
+__all__ = ["ConfidenceStats", "Validity", "brute_force_confidence", "confidence"]
 
 #: Above this many disjuncts the pairwise exclusivity check (quadratic)
 #: is skipped and the evaluator goes straight to Shannon expansion.
@@ -81,8 +89,15 @@ class ConfidenceStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class _Evaluator:
-    """One confidence computation: model + kernel + memo + ambient budget.
+class _Decomposer:
+    """One decomposition: a value algebra + kernel + memo + ambient budget.
+
+    The recursion — memo lookups, independent AND/OR splits over the
+    algebra's groups, Shannon expansion on the most-shared null — is the
+    same for every algebra; what a node is *worth* is the algebra's:
+    :class:`_Probability` (``+``/``×`` over a model, :func:`confidence`)
+    or :class:`_FiniteDomain` (which truth values a condition takes over
+    a finite domain, :class:`Validity`).
 
     ``memo`` is the writable table; ``base`` is an optional read-only
     layer underneath it — on a frozen kernel the memo warmed before
@@ -92,17 +107,17 @@ class _Evaluator:
     memo dies with the call.
     """
 
-    __slots__ = ("model", "kernel", "memo", "base", "shared", "state", "metrics", "stats")
+    __slots__ = ("algebra", "kernel", "memo", "base", "shared", "state", "metrics", "stats")
 
     def __init__(
         self,
-        model: ProbabilityModel,
+        algebra: Any,
         kernel: ConditionKernel,
-        memo: Dict[int, Tuple[Condition, float]],
-        base: Optional[Dict[int, Tuple[Condition, float]]] = None,
+        memo: Dict[int, Tuple[Condition, Any]],
+        base: Optional[Dict[int, Tuple[Condition, Any]]] = None,
         shared: bool = False,
     ) -> None:
-        self.model = model
+        self.algebra = algebra
         self.kernel = kernel
         self.memo = memo
         self.base = base
@@ -113,16 +128,17 @@ class _Evaluator:
 
     def _count(self, kind: str) -> None:
         if self.metrics is not None:
-            self.metrics.count(f"prob.decompositions.{kind}")
+            self.metrics.count(self.algebra.counter + kind)
 
     # ------------------------------------------------------------------
     # recursion
     # ------------------------------------------------------------------
-    def probability(self, condition: Condition, depth: int = 0) -> float:
+    def value(self, condition: Condition, depth: int = 0) -> Any:
+        algebra = self.algebra
         if isinstance(condition, TrueCondition):
-            return 1.0
+            return algebra.one
         if isinstance(condition, FalseCondition):
-            return 0.0
+            return algebra.zero
         entry = self.memo.get(id(condition))
         if entry is not None and entry[0] is condition:
             self.stats.memo_hits += 1
@@ -136,9 +152,11 @@ class _Evaluator:
             self.stats.max_depth = depth
 
         if isinstance(condition, Eq):
-            result = self._atom(condition)
+            self.stats.atoms += 1
+            self._count("atom")
+            result = algebra.atom(condition)
         elif isinstance(condition, Not):
-            result = 1.0 - self.probability(condition.operand, depth)
+            result = algebra.negate(self.value(condition.operand, depth))
         elif isinstance(condition, And):
             result = self._conjunction(condition, depth)
         elif isinstance(condition, Or):
@@ -153,9 +171,179 @@ class _Evaluator:
             self.kernel._trim_memo(self.memo)
         return result
 
-    def _atom(self, atom: Eq) -> float:
-        self.stats.atoms += 1
-        self._count("atom")
+    # ------------------------------------------------------------------
+    # independence partition
+    # ------------------------------------------------------------------
+    def _partition(
+        self, operands: Sequence[Condition]
+    ) -> List[List[Condition]]:
+        """Group operands into classes touching disjoint algebra groups.
+
+        Union-find over group representatives: two operands land in the
+        same class iff they (transitively) share a group (a model's
+        correlation group; a null on its own over a finite domain).
+        Ground operands (no nulls) are their own class — they contribute
+        an exact factor.
+        """
+        representative = self.algebra.representative
+        kernel = self.kernel
+        parent: Dict[Any, Any] = {}
+
+        def find(x: Any) -> Any:
+            while parent[x] is not x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(a: Any, b: Any) -> None:
+            ra, rb = find(a), find(b)
+            if ra is not rb:
+                parent[rb] = ra
+
+        keys: List[Any] = []
+        for index, operand in enumerate(operands):
+            reps = {representative(n) for n in kernel.nulls(operand)}
+            if not reps:
+                key: Any = ("ground", index)
+                parent[key] = key
+                keys.append(key)
+                continue
+            anchor = None
+            for rep in reps:
+                if rep not in parent:
+                    parent[rep] = rep
+                if anchor is None:
+                    anchor = rep
+                else:
+                    union(anchor, rep)
+            keys.append(anchor)
+        classes: Dict[Any, List[Condition]] = {}
+        for operand, key in zip(operands, keys):
+            classes.setdefault(find(key), []).append(operand)
+        return list(classes.values())
+
+    def _conjunction(self, condition: And, depth: int) -> Any:
+        classes = self._partition(condition.operands)
+        if len(classes) > 1:
+            self.stats.independent_ands += 1
+            self._count("independent_and")
+            return self.algebra.product(
+                self.value(self._recombine(And, group), depth) for group in classes
+            )
+        return self._shannon(condition, condition.operands, depth)
+
+    def _disjunction(self, condition: Or, depth: int) -> Any:
+        classes = self._partition(condition.operands)
+        if len(classes) > 1:
+            self.stats.independent_ors += 1
+            self._count("independent_or")
+            return self.algebra.coproduct(
+                self.value(self._recombine(Or, group), depth) for group in classes
+            )
+        operands = condition.operands
+        if len(operands) <= _EXCLUSIVE_CHECK_LIMIT and self.algebra.exclusive(operands):
+            self.stats.exclusive_ors += 1
+            self._count("exclusive_or")
+            return self.algebra.exclusive_sum(self.value(op, depth) for op in operands)
+        return self._shannon(condition, operands, depth)
+
+    def _recombine(self, cls: type, group: List[Condition]) -> Condition:
+        if len(group) == 1:
+            return group[0]
+        if cls is And:
+            return self.kernel.conjunction(group)
+        return self.kernel.disjunction(group)
+
+    # ------------------------------------------------------------------
+    # Shannon expansion
+    # ------------------------------------------------------------------
+    def _choose_null(self, operands: Sequence[Condition]) -> Null:
+        counts: Dict[Null, int] = {}
+        for operand in operands:
+            for null in self.kernel.nulls(operand):
+                counts[null] = counts.get(null, 0) + 1
+        # The most-shared null unlinks the most operands per expansion;
+        # name-ordered tie-break keeps the expansion deterministic.
+        return min(counts, key=lambda n: (-counts[n], n.name))
+
+    def _shannon(
+        self, condition: Condition, operands: Sequence[Condition], depth: int
+    ) -> Any:
+        self.stats.shannon_expansions += 1
+        self._count("shannon")
+        pivot = self._choose_null(operands)
+        return self.algebra.expand(self._branches(condition, pivot, depth))
+
+    def _branches(
+        self, condition: Condition, pivot: Null, depth: int
+    ) -> Iterator[Tuple[Dict[Null, Any], Any, Any]]:
+        """``(assignment, weight, value of the residual)`` per branch of
+        ``pivot``, each computed only when the algebra asks for it; every
+        branch ticks the budget."""
+        state, kernel = self.state, self.kernel
+        for assignment, weight in self.algebra.branches(pivot, condition):
+            if state is not None:
+                state.tick_world()
+            residual = kernel.intern(condition.substitute(Valuation(assignment)))
+            yield assignment, weight, self.value(residual, depth + 1)
+
+
+class _Probability:
+    """The probability algebra over a :class:`ProbabilityModel`.
+
+    Atoms read off the model; independent classes multiply (``P(⋀)``) or
+    combine as ``1 − ∏ (1 − P)`` (``P(⋁)``); block-exclusive disjuncts
+    add up; a Shannon step sums ``P(o) · P(cond | o)`` over the outcomes
+    ``o`` of the pivot's group.
+    """
+
+    __slots__ = ("model",)
+    one = 1.0
+    zero = 0.0
+    counter = "prob.decompositions."
+
+    def __init__(self, model: ProbabilityModel) -> None:
+        self.model = model
+
+    def representative(self, null: Null) -> Any:
+        return self.model.representative(null)
+
+    def negate(self, value: float) -> float:
+        return 1.0 - value
+
+    @staticmethod
+    def product(factors: Iterable[float]) -> float:
+        result = 1.0
+        for factor in factors:
+            if factor == 0.0:
+                return 0.0
+            result *= factor
+        return result
+
+    @staticmethod
+    def coproduct(values: Iterable[float]) -> float:
+        result = 1.0
+        for value in values:
+            result *= 1.0 - value
+            if result == 0.0:
+                return 1.0
+        return 1.0 - result
+
+    @staticmethod
+    def exclusive_sum(values: Iterable[float]) -> float:
+        return min(1.0, sum(values))
+
+    def branches(self, pivot: Null, condition: Condition) -> Iterable[Tuple[Dict[Null, Any], float]]:
+        return self.model.outcomes(pivot)
+
+    @staticmethod
+    def expand(branches: Iterable[Tuple[Dict[Null, Any], float, float]]) -> float:
+        total = 0.0
+        for _assignment, p, value in branches:
+            total += p * value
+        return total
+
+    def atom(self, atom: Eq) -> float:
         left, right = atom.left, atom.right
         model = self.model
         if is_null(left) and is_null(right):
@@ -180,98 +368,6 @@ class _Evaluator:
         if is_null(right):
             return model.marginal(right).get(left, 0.0)
         return 1.0 if left == right else 0.0
-
-    # ------------------------------------------------------------------
-    # independence partition
-    # ------------------------------------------------------------------
-    def _partition(
-        self, operands: Sequence[Condition]
-    ) -> List[List[Condition]]:
-        """Group operands into classes touching disjoint model groups.
-
-        Union-find over group representatives: two operands land in the
-        same class iff they (transitively) share a correlation group.
-        Ground operands (no nulls) are their own class — they contribute
-        an exact 0/1 factor.
-        """
-        model = self.model
-        kernel = self.kernel
-        parent: Dict[Any, Any] = {}
-
-        def find(x: Any) -> Any:
-            while parent[x] is not x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: Any, b: Any) -> None:
-            ra, rb = find(a), find(b)
-            if ra is not rb:
-                parent[rb] = ra
-
-        keys: List[Any] = []
-        for index, operand in enumerate(operands):
-            reps = {model.representative(n) for n in kernel.nulls(operand)}
-            if not reps:
-                key: Any = ("ground", index)
-                parent[key] = key
-                keys.append(key)
-                continue
-            anchor = None
-            for rep in reps:
-                if rep not in parent:
-                    parent[rep] = rep
-                if anchor is None:
-                    anchor = rep
-                else:
-                    union(anchor, rep)
-            keys.append(anchor)
-        classes: Dict[Any, List[Condition]] = {}
-        for operand, key in zip(operands, keys):
-            classes.setdefault(find(key), []).append(operand)
-        return list(classes.values())
-
-    def _conjunction(self, condition: And, depth: int) -> float:
-        classes = self._partition(condition.operands)
-        if len(classes) > 1:
-            self.stats.independent_ands += 1
-            self._count("independent_and")
-            result = 1.0
-            for group in classes:
-                factor = self.probability(self._recombine(And, group), depth)
-                if factor == 0.0:
-                    return 0.0
-                result *= factor
-            return result
-        return self._shannon(condition, condition.operands, depth)
-
-    def _disjunction(self, condition: Or, depth: int) -> float:
-        classes = self._partition(condition.operands)
-        if len(classes) > 1:
-            self.stats.independent_ors += 1
-            self._count("independent_or")
-            result = 1.0
-            for group in classes:
-                result *= 1.0 - self.probability(self._recombine(Or, group), depth)
-                if result == 0.0:
-                    return 1.0
-            return 1.0 - result
-        if len(condition.operands) <= _EXCLUSIVE_CHECK_LIMIT and self._exclusive(
-            condition.operands
-        ):
-            self.stats.exclusive_ors += 1
-            self._count("exclusive_or")
-            return min(
-                1.0, sum(self.probability(op, depth) for op in condition.operands)
-            )
-        return self._shannon(condition, condition.operands, depth)
-
-    def _recombine(self, cls: type, group: List[Condition]) -> Condition:
-        if len(group) == 1:
-            return group[0]
-        if cls is And:
-            return self.kernel.conjunction(group)
-        return self.kernel.disjunction(group)
 
     # ------------------------------------------------------------------
     # exclusive-OR detection from block structure
@@ -336,7 +432,8 @@ class _Evaluator:
                 return True
         return False
 
-    def _exclusive(self, operands: Sequence[Condition]) -> bool:
+    def exclusive(self, operands: Sequence[Condition]) -> bool:
+        """Whether every pair of ``operands`` pins a shared block apart."""
         pinnings = []
         for operand in operands:
             pins = self._pinning(operand)
@@ -349,32 +446,174 @@ class _Evaluator:
                     return False
         return True
 
-    # ------------------------------------------------------------------
-    # Shannon expansion
-    # ------------------------------------------------------------------
-    def _choose_null(self, operands: Sequence[Condition]) -> Null:
-        counts: Dict[Null, int] = {}
-        for operand in operands:
-            for null in self.kernel.nulls(operand):
-                counts[null] = counts.get(null, 0) + 1
-        # The most-shared null unlinks the most operands per expansion;
-        # name-ordered tie-break keeps the expansion deterministic.
-        return min(counts, key=lambda n: (-counts[n], n.name))
 
-    def _shannon(
-        self, condition: Condition, operands: Sequence[Condition], depth: int
-    ) -> float:
-        self.stats.shannon_expansions += 1
-        self._count("shannon")
-        pivot = self._choose_null(operands)
-        state = self.state
-        total = 0.0
-        for assignment, p in self.model.outcomes(pivot):
-            if state is not None:
-                state.tick_world()
-            residual = self.kernel.intern(condition.substitute(Valuation(assignment)))
-            total += p * self.probability(residual, depth + 1)
-        return total
+#: A :class:`_FiniteDomain` value: a valuation under which the condition
+#: holds and one under which it fails (``None`` where there is none).
+Truths = Tuple[Optional[Dict[Null, Any]], Optional[Dict[Null, Any]]]
+
+
+def _merged(left: Dict[Null, Any], right: Dict[Null, Any]) -> Dict[Null, Any]:
+    return {**left, **right} if left else right
+
+
+class _FiniteDomain:
+    """The Boolean algebra of truth over a finite domain.
+
+    A condition is worth the pair ``(holds, fails)``: a valuation of its
+    nulls into the domain under which it is true, and one under which it
+    is false (``None`` where none exists).  So it is *valid* iff ``fails``
+    is ``None``, *satisfiable* iff ``holds`` is not, and ``fails`` is the
+    falsifying valuation.  Every null is its own group (a valuation picks
+    each independently).
+
+    A Shannon step branches on the domain values the condition mentions
+    plus one value it does not mention: for equality-only conditions
+    those values are interchangeable (renaming one into another maps the
+    domain onto itself and fixes the condition), so the representative
+    decides for all of them.  A step stops once both a true and a false
+    branch were found.
+    """
+
+    __slots__ = ("values", "constants", "branches_taken")
+    one: Truths = ({}, None)
+    zero: Truths = (None, {})
+    counter = "lineage.decompositions."
+
+    def __init__(self, values: Sequence[Any]) -> None:
+        self.values = tuple(values)
+        self.constants: Dict[int, Tuple[Condition, FrozenSet[Any]]] = {}
+        self.branches_taken = 0
+
+    @staticmethod
+    def representative(null: Null) -> Null:
+        return null
+
+    @staticmethod
+    def negate(value: Truths) -> Truths:
+        return value[1], value[0]
+
+    @staticmethod
+    def product(factors: Iterable[Truths]) -> Truths:
+        holds: Optional[Dict[Null, Any]] = {}
+        fails = None
+        for factor_holds, factor_fails in factors:
+            if factor_holds is None:
+                return None, factor_fails
+            holds = _merged(holds, factor_holds)
+            if fails is None:
+                fails = factor_fails
+        return holds, fails
+
+    @staticmethod
+    def coproduct(values: Iterable[Truths]) -> Truths:
+        holds = None
+        fails: Optional[Dict[Null, Any]] = {}
+        for value_holds, value_fails in values:
+            if value_fails is None:
+                return value_holds, None
+            fails = _merged(fails, value_fails)
+            if holds is None:
+                holds = value_holds
+        return holds, fails
+
+    @staticmethod
+    def exclusive(operands: Sequence[Condition]) -> bool:
+        # Exclusive disjuncts give "can hold", not "can fail": no shortcut.
+        return False
+
+    def _mentioned(self, condition: Condition) -> FrozenSet[Any]:
+        """The constants ``condition`` mentions (memoized per node)."""
+        entry = self.constants.get(id(condition))
+        if entry is not None and entry[0] is condition:
+            return entry[1]
+        if isinstance(condition, Eq):
+            found = frozenset(v for v in (condition.left, condition.right) if not is_null(v))
+        elif isinstance(condition, Not):
+            found = self._mentioned(condition.operand)
+        elif isinstance(condition, (And, Or)):
+            found = frozenset().union(*(self._mentioned(op) for op in condition.operands))
+        else:
+            found = frozenset()
+        self.constants[id(condition)] = (condition, found)
+        return found
+
+    def branches(self, pivot: Null, condition: Condition) -> Iterator[Tuple[Dict[Null, Any], None]]:
+        mentioned = self._mentioned(condition)
+        taken: Set[Any] = set()
+        rest = False
+        for value in self.values:
+            if value in mentioned:
+                if value in taken:
+                    continue  # equal to a value already branched on (1, 1.0, True)
+                taken.add(value)
+            elif rest:
+                continue
+            else:
+                rest = True
+            self.branches_taken += 1
+            yield {pivot: value}, None
+
+    @staticmethod
+    def expand(branches: Iterable[Tuple[Dict[Null, Any], None, Truths]]) -> Truths:
+        holds = fails = None
+        for assignment, _weight, (branch_holds, branch_fails) in branches:
+            if holds is None and branch_holds is not None:
+                holds = _merged(assignment, branch_holds)
+            if fails is None and branch_fails is not None:
+                fails = _merged(assignment, branch_fails)
+            if holds is not None and fails is not None:
+                break
+        return holds, fails
+
+    def atom(self, atom: Eq) -> Truths:
+        left, right = atom.left, atom.right
+        if not is_null(left):
+            left, right = right, left
+        values = self.values
+        if is_null(right):  # two distinct nulls
+            first = values[0]
+            other = next((v for v in values if v != first), None)
+            return {left: first, right: first}, (
+                None if other is None else {left: first, right: other}
+            )
+        equal = next((v for v in values if v == right), None)
+        other = next((v for v in values if v != right), None)
+        return (
+            None if equal is None else {left: equal},
+            None if other is None else {left: other},
+        )
+
+
+class Validity:
+    """Validity of conditions over a finite domain, with falsifying valuations.
+
+    The Boolean instance of the decomposer behind :func:`confidence`:
+    independent AND/OR splits and Shannon expansion, where a Shannon step
+    branches on the domain values the condition mentions plus one
+    representative of the rest (sound for equality-only conditions, which
+    c-table lineage is).  Every branch ticks the ambient budget, so a
+    ``max_worlds``/deadline budget bounds a check as it bounds world
+    enumeration.  Conditions with nulls need a non-empty ``domain``; one
+    instance memoizes across the conditions it checks.
+    """
+
+    __slots__ = ("algebra", "decomposer")
+
+    def __init__(self, domain: Sequence[Any], kernel: Optional[ConditionKernel] = None) -> None:
+        self.algebra = _FiniteDomain(domain)
+        kernel = kernel if kernel is not None else ConditionKernel()
+        self.decomposer = _Decomposer(self.algebra, kernel, {})
+
+    @property
+    def branches(self) -> int:
+        """Shannon branches taken so far (each one budget tick)."""
+        return self.algebra.branches_taken
+
+    def falsifier(self, condition: Condition) -> Optional[Dict[Null, Any]]:
+        """``None`` when ``condition`` holds under every valuation of its
+        nulls into the domain, else one under which it fails."""
+        condition = self.decomposer.kernel.intern(condition)
+        return self.decomposer.value(condition)[1]
 
 
 def confidence(
@@ -412,9 +651,9 @@ def confidence(
             memo = {}
         else:
             shared = True
-    evaluator = _Evaluator(model, kernel, memo, base=base, shared=shared)
+    evaluator = _Decomposer(_Probability(model), kernel, memo, base=base, shared=shared)
     with span("prob.confidence", nulls=len(kernel.nulls(condition))) as sp:
-        result = evaluator.probability(condition)
+        result = evaluator.value(condition)
         counters = evaluator.stats
         sp.set(
             probability=result,

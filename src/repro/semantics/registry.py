@@ -15,8 +15,10 @@ check, ``freeze(warm=)``, ``explain()`` lines and, on ``"prob"`` only,
 certain answers depends only on (query fragment, semantics) (eq. (4)),
 so each semantics carries one ordered list of :class:`Strategy` rows —
 ``naive`` (exact when the fragment test applies), ``sound_cwa`` (a sound
-subset; closed worlds and relational algebra only), ``enumeration``
-(exact, not polynomial) — and every reader walks it:
+subset; closed worlds and relational algebra only), ``lineage`` (exact
+for generic relational algebra under closed worlds: validity of c-table
+lineage, :mod:`repro.semantics.lineage`), ``enumeration`` (exact, not
+polynomial) — and every reader walks it:
 :meth:`WorldSemantics.choose` for the first exact strategy that applies
 (``certain(method="auto")``, ``cursor(certain=True)``, ``explain()``),
 :meth:`WorldSemantics.degrade` for the first polynomial one after a
@@ -30,7 +32,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..algebra.ast import RAExpression
-from ..core.answers import enumeration_domain, enumeration_strategy, naive_strategy, valuation_space
+from ..core.answers import (
+    enumeration_domain, enumeration_strategy, naive_strategy, not_generic, valuation_space,
+)
 from ..core.naive_evaluation import Applicability, naive_verdict
 from ..core.orderings import CWA_ORDERING, OWA_ORDERING, WCWA_ORDERING, InformationOrdering
 from ..core.sound_evaluation import sound_certain_answers
@@ -39,6 +43,7 @@ from ..logic.diagrams import delta_cwa, delta_owa, delta_wcwa
 from ..logic.formulas import Formula
 from ..obs.trace import span
 from ..resilience import BudgetExceeded, InvalidRequestError, PartialResult
+from .lineage import lineage_strategy
 from .membership import in_cwa, in_owa, in_wcwa
 from .worlds import check_world_options, cwa_worlds, owa_worlds, wcwa_worlds
 
@@ -77,17 +82,36 @@ SOUND_CWA = Strategy(
     "sound_cwa", "sound CWA approximation", False, True, _sound_verdict,
     lambda semantics, query, database, evaluator, **_: sound_certain_answers(query, database),
 )
+
+
+def _lineage_verdict(semantics: "WorldSemantics", query: Any) -> Applicability:
+    if semantics.grows:
+        return Applicability(False, semantics.name, "any", "worlds may add facts a lineage misses")
+    if not isinstance(query, RAExpression):
+        return Applicability(False, semantics.name, "FO", "relational algebra only")
+    reason = not_generic(query)
+    if reason:
+        return Applicability(False, semantics.name, "RA", reason)
+    return Applicability(True, semantics.name, "RA", "generic: a valid lineage is a certain answer")
+
+
+LINEAGE = Strategy(
+    "lineage", "lineage validity", True, False, _lineage_verdict,
+    lambda semantics, query, database, evaluator, **options: lineage_strategy(
+        query, database, **options
+    ),
+)
 ENUMERATION = Strategy(
     "enumeration", "world enumeration", True, False,
     lambda semantics, query: Applicability(True, semantics.name, "any", "every world"),
-    lambda semantics, query, database, evaluator, **options: enumeration_strategy(
-        query, database, evaluator, semantics=semantics, **options
+    lambda semantics, query, database, evaluator, evaluate_ctable=None, kernel=None, **options: (
+        enumeration_strategy(query, database, evaluator, semantics=semantics, **options)
     ),
 )
 _OPEN = (NAIVE, ENUMERATION)
-_CLOSED = (NAIVE, SOUND_CWA, ENUMERATION)
+_CLOSED = (NAIVE, SOUND_CWA, LINEAGE, ENUMERATION)
 #: The strategies ``certain(method=)`` may force.
-METHODS = {"naive": NAIVE, "enumeration": ENUMERATION}
+METHODS = {"naive": NAIVE, "lineage": LINEAGE, "enumeration": ENUMERATION}
 
 
 def forced_method(method: Any) -> Optional[Strategy]:
@@ -98,7 +122,7 @@ def forced_method(method: Any) -> Optional[Strategy]:
     strategy = METHODS.get(method) if isinstance(method, str) else None
     if strategy is None:
         raise InvalidRequestError(
-            f"unknown method {method!r}; expected 'auto', 'naive' or 'enumeration'"
+            f"unknown method {method!r}; expected 'auto', 'naive', 'lineage' or 'enumeration'"
         )
     return strategy
 
@@ -168,6 +192,12 @@ class WorldSemantics:
             raise InvalidRequestError(
                 f"resume= checkpoints world enumeration; it is not defined for method={method!r}"
             )
+        if strategy is LINEAGE:
+            test = strategy.applies(self, query)
+            if not test:
+                raise InvalidRequestError(
+                    f"method='lineage' does not apply under {self.name}: {test.reason}"
+                )
         return strategy
 
     def degrade(self, query: Any, error: BudgetExceeded, policy: str) -> Any:

@@ -358,9 +358,12 @@ class Query:
 
         ``method='auto'`` runs the first exact strategy of the semantics'
         list that applies (:mod:`repro.semantics.registry`): naive
-        evaluation when the query's fragment guarantees it, else world
-        enumeration; ``'naive'`` and ``'enumeration'`` force a strategy,
-        anything else raises :class:`InvalidRequestError`.  For a
+        evaluation when the query's fragment guarantees it, else, under
+        CWA and prob for generic relational algebra, validity of each
+        candidate's c-table lineage, else world enumeration;
+        ``'naive'``, ``'lineage'`` and ``'enumeration'`` force a strategy
+        (``'lineage'`` only where it applies), anything else raises
+        :class:`InvalidRequestError`.  For a
         three-valued SQL query this applies the certain-answer rewriting
         and returns rows.
 
@@ -459,8 +462,9 @@ class Query:
                 mode=mode, domain=domain, extra_constants=extra_constants,
                 max_extra_facts=max_extra_facts, resume=resume, kernel_epoch=session.kernel.epoch,
                 world_evaluator=per_world if wrap is None else wrap(per_world),
+                evaluate_ctable=session.evaluate_ctable, kernel=session.kernel,
             )
-            if mode == "certain":
+            if strategy is ENUMERATION and mode == "certain":
                 # Only the intersection fans out over the worker pool.
                 options.update(workers=session.workers, executor=session._worker_executor())
 
@@ -1011,6 +1015,8 @@ class Session:
         internal to ``Query.confidence()``: the model's supports, which
         prune the planned path (:func:`repro.prob.lineage.prob_lineage`).
         """
+        if self._closed:
+            raise SessionClosedError("session is closed")
         return self._engine.evaluate_ctable(expression, database, _supports)
 
     # ------------------------------------------------------------------

@@ -179,3 +179,20 @@ class TestConditionalTable:
         table = ConditionalTable.create("C", [((1,), TRUE)])
         assert "C" in str(table)
         assert "C" in repr(table)
+
+
+def test_ctable_pickles_without_its_position_indexes():
+    import pickle
+
+    table = ConditionalTable.from_relation(
+        Relation.create("R", [(i, i % 7) for i in range(500)] + [(Null("x"), 1)])
+    )
+    cold = len(pickle.dumps(table))
+    table.position_index(1)
+    assert len(pickle.dumps(table)) == cold
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone._indexes is None
+    assert (clone.schema, clone.rows, clone.global_condition) == (
+        table.schema, table.rows, table.global_condition,
+    )
+    assert clone.position_index(1) == table.position_index(1)

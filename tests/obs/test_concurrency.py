@@ -82,10 +82,10 @@ class TestWorkerAggregation:
     def test_worker_and_sequential_runs_count_enumeration_fallback_equally(self):
         database = _database()
         with repro.connect(database) as sequential:
-            sequential.query(DIFF_QUERY).certain()
+            sequential.query(DIFF_QUERY).certain(method="enumeration")
             seq_counters = sequential.metrics()["counters"]
         with repro.connect(database, workers=2) as parallel:
-            parallel.query(DIFF_QUERY).certain()
+            parallel.query(DIFF_QUERY).certain(method="enumeration")
             par_counters = parallel.metrics()["counters"]
         assert (
             par_counters["worlds.evaluated"] == seq_counters["worlds.evaluated"]

@@ -201,7 +201,7 @@ class TestResumeTokens:
                 q.certain(method="enumeration", budget=Budget(max_worlds=1), on_budget="raise")
             token = caught.value.resume_token
             assert token is not None and len(token.interchangeable) == 2001
-            partial = q.certain(budget=Budget(max_worlds=1), on_budget="partial")
+            partial = q.certain(method="enumeration", budget=Budget(max_worlds=1), on_budget="partial")
             assert partial.token is not None and partial.token.worlds_done == 1
 
 
@@ -213,14 +213,12 @@ class TestExplain:
         database = Database.from_dict({"R": [(Null("x"), 1)], "S": [(1,)]})
         with repro.connect(database) as session:
             q = session.query(parse_ra("diff(project[#0](R), S)"))
-            # Before a run: the default domain is 1 plus two fresh values.
+            # Before a run, "auto" picks lineage; forced enumeration over
+            # the default domain (1 plus two fresh values) runs canonically.
+            assert "certain(): lineage validity —" in q.explain()
+            q.certain(method="enumeration", domain=[1, "a"])
             assert (
-                "certain(): world enumeration over canonical valuations "
-                "(2 interchangeable constants) —" in q.explain()
-            )
-            q.certain(domain=[1, "a"])
-            assert (
-                "certain(): world enumeration over every valuation "
+                "certain(): world enumeration (method='enumeration') over every valuation "
                 "(fewer than 2 fresh values) —" in q.explain()
             )
             q.certain(method="enumeration")

@@ -109,7 +109,7 @@ class TestEvaluatedExpressionsStayPicklable:
                 return verdicts[-1]
 
             monkeypatch.setattr(certain_module, "_can_pickle", spy)
-            assert session.query(expression).certain() == expected_certain
+            assert session.query(expression).certain(method="enumeration") == expected_certain
         assert verdicts == [True]  # the pool path ran, not the silent fallback
 
 

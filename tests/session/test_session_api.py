@@ -209,8 +209,9 @@ class TestExplain:
 
     def test_explain_marks_enumeration_and_unsupported_sql(self, db):
         session = repro.connect(db, engine="sqlite")
-        text = session.query(UNPAID).explain()
-        assert "world enumeration" in text
+        q = session.query(UNPAID)
+        q.certain(method="enumeration")
+        assert "world enumeration" in q.explain()
         order_query = parse_ra("select[#0 < #1](Orders)")
         text = session.query(order_query).explain()
         assert "outside the SQL fragment" in text
@@ -218,15 +219,17 @@ class TestExplain:
     def test_explain_reports_the_strategy_that_ran(self, db):
         q = repro.connect(db).query(UNPAID)
         # Before any run: what certain(method="auto") would pick.
-        assert "certain(): world enumeration" in q.explain()
+        assert "certain(): lineage validity" in q.explain()
         q.certain(method="naive")
         assert "certain(): naive evaluation (method='naive')" in q.explain()
         q.certain()
-        assert "certain(): world enumeration" in q.explain()
+        assert "certain(): lineage validity" in q.explain()
+        q.certain(method="enumeration")
+        assert "certain(): world enumeration (method='enumeration')" in q.explain()
 
     def test_explain_names_the_degradation_rung(self, db):
         q = repro.connect(db, semantics="cwa").query(UNPAID)
-        q.certain(budget=repro.Budget(max_worlds=1))
+        q.certain(method="enumeration", budget=repro.Budget(max_worlds=1))
         text = q.explain()
         assert "certain(): sound CWA approximation (degraded)" in text
         assert "resilience: budget exceeded (worlds); degraded to sound lower bound" in text
