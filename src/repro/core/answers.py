@@ -439,13 +439,13 @@ def certain_strategy(
     ``method`` is ``'auto'`` (the first exact strategy of the semantics'
     list that applies: naive evaluation when the fragment guarantees it,
     c-table lineage for generic relational algebra under closed worlds,
-    enumeration otherwise), ``'naive'``, ``'lineage'`` or
-    ``'enumeration'``; anything
+    enumeration otherwise), ``'naive'`` or ``'enumeration'``; anything
     else raises :class:`~repro.resilience.InvalidRequestError`.  A
     ``resume`` token forces enumeration — it checkpoints world
     enumeration, which the naive method does not perform.  ``options``
     (``domain``, ``workers``, ``world_evaluator``, ...) are the
-    :func:`enumeration_strategy` ones.
+    :func:`enumeration_strategy` ones; lineage reads ``domain`` and
+    ``extra_constants`` of them.
     """
     from ..semantics.registry import semantics_named
 

@@ -1067,14 +1067,18 @@ def execute_ctable(
         return ConditionalTable(entry.out_schema, (), FALSE)
 
     sizes = tuple(len(table) for table in database)
-    if entry.ctable_physical is None or entry.ctable_sizes != sizes:
-        lowering = _CTableLowering(_CTableSizes(database))
-        entry.ctable_physical = lowering.lower(entry.logical)
-        entry.ctable_sizes = sizes
+    physical = entry.ctable_physical
+    if physical is None or entry.ctable_sizes != sizes:
+        physical = _CTableLowering(_CTableSizes(database)).lower(entry.logical)
+        if not plan_cache.frozen:
+            entry.ctable_physical = physical
+            entry.ctable_sizes = sizes
+        # frozen: keep the lowering local — a concurrent reader may be
+        # walking entry.ctable_physical for different table sizes
 
     ctx = CTableContext(database, schema, kernel, supports)
     with span("ctable.execute") as sp:
-        crows = entry.ctable_physical.rows(ctx)
+        crows = physical.rows(ctx)
         sp.set(rows=len(crows), pruned=ctx.pruned, reused=ctx.reused)
     if ctx.pruned or ctx.reused:
         registry = current_metrics()

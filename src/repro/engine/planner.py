@@ -76,20 +76,14 @@ from .physical import (
 _PLAN_CACHE_LIMIT = 256
 
 
-#: Physical plans kept per cache entry, one per relation-size vector: the
-#: worlds of one database differ in size after deduplication, and each
-#: size vector is lowered once.
-_LOWERINGS_PER_ENTRY = 8
-
-
 class _CacheEntry:
-    __slots__ = ("logical", "out_schema", "lowered", "ctable_sizes", "ctable_physical")
+    __slots__ = ("logical", "out_schema", "sizes", "physical", "ctable_sizes", "ctable_physical")
 
     def __init__(self, logical: LogicalNode, out_schema: RelationSchema) -> None:
         self.logical = logical
         self.out_schema = out_schema
-        #: relation sizes -> the physical plan lowered for them, oldest first
-        self.lowered: Dict[Tuple[int, ...], PhysicalOperator] = {}
+        self.sizes: Optional[Tuple[int, ...]] = None
+        self.physical: Optional[PhysicalOperator] = None
         # The c-table path (repro.engine.ctable) shares the logical plan and
         # caches its own lowering beside the complete-relation one.
         self.ctable_sizes: Optional[Tuple[int, ...]] = None
@@ -240,7 +234,17 @@ class PlanCache:
                 entries.append((schema, entry))
                 if len(entries) > 4:
                     del entries[0]
-        physical = self._physical(entry, database, count=True)
+        sizes = tuple(len(relation) for relation in database.relations())
+        physical = entry.physical
+        if physical is None or entry.sizes != sizes:
+            self._metrics.count("plan_cache.lowerings")
+            with span("plan.lower"):
+                physical = lower(entry.logical, database)
+            if not self._frozen:
+                entry.physical = physical
+                entry.sizes = sizes
+            # frozen: keep the lowering local — a concurrent reader may be
+            # walking entry.physical for a different database size
         ctx = ExecutionContext(database)
         tracer = current_tracer()
         if tracer is None:
@@ -256,30 +260,6 @@ class PlanCache:
                 _emit_operator_spans(tracer, stats_root, sp.span_id)
         return Relation._from_trusted(entry.out_schema, frozenset(rows))
 
-    def _physical(
-        self, entry: _CacheEntry, database: Database, count: bool = False
-    ) -> PhysicalOperator:
-        """``entry``'s plan lowered for ``database``'s relation sizes.
-
-        Lowerings are kept per size vector, the last
-        :data:`_LOWERINGS_PER_ENTRY` of them.  A frozen cache reads them
-        but keeps a new lowering local: its mapping is never mutated
-        again.  ``count`` counts a lowering in ``plan_cache.lowerings``.
-        """
-        sizes = tuple(len(relation) for relation in database.relations())
-        lowered = entry.lowered
-        physical = lowered.get(sizes)
-        if physical is None:
-            if count:
-                self._metrics.count("plan_cache.lowerings")
-            with span("plan.lower"):
-                physical = lower(entry.logical, database)
-            if not self._frozen:
-                lowered[sizes] = physical
-                if len(lowered) > _LOWERINGS_PER_ENTRY:
-                    del lowered[next(iter(lowered))]
-        return physical
-
     def analyze(self, expression: RAExpression, database: Database) -> Tuple[Relation, OpStats]:
         """Evaluate like :meth:`execute` but return per-operator statistics.
 
@@ -289,7 +269,13 @@ class PlanCache:
         """
         schema = database.schema
         entry = self.entry(expression, schema)
-        physical = self._physical(entry, database)
+        sizes = tuple(len(relation) for relation in database.relations())
+        physical = entry.physical
+        if physical is None or entry.sizes != sizes:
+            physical = lower(entry.logical, database)
+            if not self._frozen:
+                entry.physical = physical
+                entry.sizes = sizes
         probed, stats_root = instrument(physical)
         ctx = ExecutionContext(database)
         rows = probed.rows(ctx)

@@ -56,7 +56,9 @@ def _lineages(
     """Append to ``candidates[t]`` the condition under which each row yields ``t``.
 
     Null-free rows go first: a candidate one of them yields under
-    ``TRUE`` is in every world, and the rows with nulls skip it.
+    ``TRUE`` is in every world, and the rows with nulls skip it.  A row
+    with nulls meets only the candidates that agree with its constants:
+    the open candidates are indexed once per set of constant positions.
     """
     partial = []
     for values, condition in rows:
@@ -75,14 +77,20 @@ def _lineages(
         for candidate, bucket in candidates.items()
         if not any(condition is TRUE for condition in bucket)
     ]
+    indexes: Dict[Tuple[int, ...], Dict[Row, List[Tuple[Row, List[Condition]]]]] = {}
     for values, condition in partial:
-        positions = [i for i, value in enumerate(values) if is_null(value)]
-        for candidate, bucket in open_candidates:
-            if all(
-                is_null(value) or value == wanted for value, wanted in zip(values, candidate)
-            ):
-                pins = [kernel.eq(values[i], candidate[i]) for i in positions]
-                bucket.append(kernel.conjunction([condition, *pins]))
+        fixed = tuple(i for i, value in enumerate(values) if not is_null(value))
+        index = indexes.get(fixed)
+        if index is None:
+            index = indexes[fixed] = {}
+            for candidate, bucket in open_candidates:
+                key = tuple(candidate[i] for i in fixed)
+                index.setdefault(key, []).append((candidate, bucket))
+        for candidate, bucket in index.get(tuple(values[i] for i in fixed), ()):
+            pins = [
+                kernel.eq(value, wanted) for value, wanted in zip(values, candidate) if is_null(value)
+            ]
+            bucket.append(kernel.conjunction([condition, *pins]))
 
 
 def lineage_verdicts(
@@ -144,15 +152,12 @@ def lineage_strategy(
     extra_constants: Optional[int] = None,
     evaluate_ctable: Optional[Callable[[Any, CTableDatabase], Any]] = None,
     kernel: Optional[ConditionKernel] = None,
-    **_enumeration_options: Any,
 ) -> Relation:
     """Certain answers of a generic RA ``query`` under CWA, from its lineage.
 
     The domain is :func:`~repro.core.answers.enumeration_domain` of
     ``domain``/``extra_constants``, so the answer equals world
-    enumeration's.  The other world-enumeration options (``workers``,
-    ``resume``, ...) have nothing to act on and are ignored; a budget
-    expiry mints no resume token.
+    enumeration's.  A budget expiry mints no resume token.
     """
     resolved = enumeration_domain(query, database, domain, extra_constants)
     schema, verdicts = lineage_verdicts(query, database, resolved, evaluate_ctable, kernel)

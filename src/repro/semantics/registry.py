@@ -54,9 +54,10 @@ class Strategy(NamedTuple):
     ``applies(semantics, query)`` is the verdict that the strategy's
     answer is sound — and, for an ``exact`` one, complete.
     ``run(semantics, query, database, evaluator, **options)`` computes it;
-    only enumeration reads the options (``domain``, ``workers``,
-    ``resume``, ...).  A ``polynomial`` strategy may run after a budget
-    expired.
+    enumeration reads the options (``domain``, ``workers``, ``resume``,
+    ...), lineage ``domain``, ``extra_constants`` and the session's
+    ``evaluate_ctable`` and ``kernel``.  A ``polynomial`` strategy may run
+    after a budget expired.
     """
 
     name: str
@@ -85,8 +86,6 @@ SOUND_CWA = Strategy(
 
 
 def _lineage_verdict(semantics: "WorldSemantics", query: Any) -> Applicability:
-    if semantics.grows:
-        return Applicability(False, semantics.name, "any", "worlds may add facts a lineage misses")
     if not isinstance(query, RAExpression):
         return Applicability(False, semantics.name, "FO", "relational algebra only")
     reason = not_generic(query)
@@ -97,21 +96,22 @@ def _lineage_verdict(semantics: "WorldSemantics", query: Any) -> Applicability:
 
 LINEAGE = Strategy(
     "lineage", "lineage validity", True, False, _lineage_verdict,
-    lambda semantics, query, database, evaluator, **options: lineage_strategy(
-        query, database, **options
+    lambda semantics, query, database, evaluator, domain=None, extra_constants=None,
+    evaluate_ctable=None, kernel=None, **_: lineage_strategy(
+        query, database, domain, extra_constants, evaluate_ctable, kernel
     ),
 )
 ENUMERATION = Strategy(
     "enumeration", "world enumeration", True, False,
     lambda semantics, query: Applicability(True, semantics.name, "any", "every world"),
-    lambda semantics, query, database, evaluator, evaluate_ctable=None, kernel=None, **options: (
-        enumeration_strategy(query, database, evaluator, semantics=semantics, **options)
+    lambda semantics, query, database, evaluator, **options: enumeration_strategy(
+        query, database, evaluator, semantics=semantics, **options
     ),
 )
 _OPEN = (NAIVE, ENUMERATION)
 _CLOSED = (NAIVE, SOUND_CWA, LINEAGE, ENUMERATION)
 #: The strategies ``certain(method=)`` may force.
-METHODS = {"naive": NAIVE, "lineage": LINEAGE, "enumeration": ENUMERATION}
+METHODS = {"naive": NAIVE, "enumeration": ENUMERATION}
 
 
 def forced_method(method: Any) -> Optional[Strategy]:
@@ -122,7 +122,7 @@ def forced_method(method: Any) -> Optional[Strategy]:
     strategy = METHODS.get(method) if isinstance(method, str) else None
     if strategy is None:
         raise InvalidRequestError(
-            f"unknown method {method!r}; expected 'auto', 'naive', 'lineage' or 'enumeration'"
+            f"unknown method {method!r}; expected 'auto', 'naive' or 'enumeration'"
         )
     return strategy
 
@@ -192,12 +192,6 @@ class WorldSemantics:
             raise InvalidRequestError(
                 f"resume= checkpoints world enumeration; it is not defined for method={method!r}"
             )
-        if strategy is LINEAGE:
-            test = strategy.applies(self, query)
-            if not test:
-                raise InvalidRequestError(
-                    f"method='lineage' does not apply under {self.name}: {test.reason}"
-                )
         return strategy
 
     def degrade(self, query: Any, error: BudgetExceeded, policy: str) -> Any:

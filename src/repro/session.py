@@ -75,7 +75,7 @@ from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer, entry_scope, env_tracer
 from .semantics.certain import NonEmpty, _pool_initializer
 from .semantics import certain as _certain_module
-from .semantics.registry import ENUMERATION, NAIVE, forced_method, semantics_named
+from .semantics.registry import ENUMERATION, LINEAGE, NAIVE, forced_method, semantics_named
 from .semantics.worlds import check_world_options
 
 _BUDGET_POLICIES = ("degrade", "raise", "partial")
@@ -361,9 +361,8 @@ class Query:
         evaluation when the query's fragment guarantees it, else, under
         CWA and prob for generic relational algebra, validity of each
         candidate's c-table lineage, else world enumeration;
-        ``'naive'``, ``'lineage'`` and ``'enumeration'`` force a strategy
-        (``'lineage'`` only where it applies), anything else raises
-        :class:`InvalidRequestError`.  For a
+        ``'naive'`` and ``'enumeration'`` force a strategy, anything else
+        raises :class:`InvalidRequestError`.  For a
         three-valued SQL query this applies the certain-answer rewriting
         and returns rows.
 
@@ -452,19 +451,24 @@ class Query:
         World enumeration also gets its options, built only when it runs:
         ``mode``, the world-space knobs, ``resume`` and the per-world
         evaluator, passed through ``wrap`` when given (``boolean()``
-        passes :class:`NonEmpty`)."""
+        passes :class:`NonEmpty`); lineage gets the domain knobs and the
+        session's c-table evaluation and kernel."""
         session, expression = self.session, self.expression
         database = self._require_database()
         options: dict = {}
-        if not strategy.polynomial:
+        if strategy is LINEAGE:
+            options = dict(
+                domain=domain, extra_constants=extra_constants,
+                evaluate_ctable=session.evaluate_ctable, kernel=session.kernel,
+            )
+        elif not strategy.polynomial:
             per_world: Any = _WorldEvaluator(expression, session)
             options = dict(
                 mode=mode, domain=domain, extra_constants=extra_constants,
                 max_extra_facts=max_extra_facts, resume=resume, kernel_epoch=session.kernel.epoch,
                 world_evaluator=per_world if wrap is None else wrap(per_world),
-                evaluate_ctable=session.evaluate_ctable, kernel=session.kernel,
             )
-            if strategy is ENUMERATION and mode == "certain":
+            if mode == "certain":
                 # Only the intersection fans out over the worker pool.
                 options.update(workers=session.workers, executor=session._worker_executor())
 

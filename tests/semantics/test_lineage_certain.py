@@ -18,9 +18,9 @@ from repro.core.answers import enumeration_domain
 from repro.datamodel import Database, Null
 from repro.obs import Tracer
 from repro.prob import ProbabilityModel
-from repro.resilience import Budget, BudgetExceeded, InvalidRequestError, PartialResult
+from repro.resilience import Budget, BudgetExceeded, PartialResult
 from repro.semantics.certain import enumerate_certain_answers
-from repro.semantics.lineage import lineage_verdicts
+from repro.semantics.lineage import lineage_strategy, lineage_verdicts
 from repro.workloads.generators import (
     random_database,
     random_full_ra_query,
@@ -46,6 +46,14 @@ def check_falsifiers(query, database, domain=None, extra_constants=None):
             world = fails.apply(database)
             assert row not in query.evaluate(world).rows, (query, row, fails)
     return verdicts
+
+
+def by_lineage(session, query, database, **options):
+    """The lineage strategy on ``session``'s c-table engine, wherever naive
+    evaluation would come first."""
+    return lineage_strategy(
+        query, database, evaluate_ctable=session.evaluate_ctable, kernel=session.kernel, **options
+    )
 
 
 def uniform_model(database):
@@ -105,7 +113,7 @@ def test_lineage_equals_full_product_enumeration(name, database, query):
             assert q.certain() == expected, (name, semantics)
             # Naive evaluation comes first where it is exact (RA_cwa under CWA).
             assert q._ran in ("naive evaluation", "lineage validity")
-            assert q.certain(method="lineage") == expected
+            assert by_lineage(session, query, database) == expected
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -153,7 +161,7 @@ def test_typed_constants_and_domains_behave_as_the_oracle(text, options):
     check_falsifiers(query, TYPED, **options)
     with repro.connect(TYPED) as session:
         q = session.query(query)
-        assert q.certain(method="lineage", **options) == expected
+        assert by_lineage(session, query, TYPED, **options) == expected
         assert q.certain(method="enumeration", **options) == expected
         assert q._ran.startswith("world enumeration")
 
@@ -193,14 +201,14 @@ def test_auto_picks_lineage_for_generic_queries_under_closed_worlds():
         with repro.connect(TYPED, semantics=semantics) as session:
             q = session.query(DIFF)
             assert "certain(): world enumeration" in q.explain()
-            with pytest.raises(InvalidRequestError, match="lineage"):
-                q.certain(method="lineage")
+            q.certain()
+            assert q._ran.startswith("world enumeration")
     ordered = parse_ra("diff(project[#0](R), select[#0 < 2](S))")
     with repro.connect(Database.from_dict({"R": [(1, x)], "S": [(x,), (3,)]})) as session:
         q = session.query(ordered)
         assert "certain(): world enumeration" in q.explain()
-        with pytest.raises(InvalidRequestError, match="order comparison"):
-            q.certain(method="lineage")
+        q.certain(domain=[1, 3, 5])
+        assert q._ran.startswith("world enumeration")
 
 
 def test_a_resume_token_forces_enumeration():
@@ -212,8 +220,6 @@ def test_a_resume_token_forces_enumeration():
         token = caught.value.resume_token
         assert q.certain(resume=token) == full_product(query, SHARED)
         assert q._ran.startswith("world enumeration")
-        with pytest.raises(InvalidRequestError, match="resume"):
-            q.certain(method="lineage", resume=token)
 
 
 def test_shannon_branches_tick_the_budget_and_mint_no_token():
@@ -251,4 +257,17 @@ def test_a_closed_session_refuses():
     session = repro.connect(TYPED)
     session.close()
     with pytest.raises(repro.SessionClosedError):
-        session.query(DIFF).certain(method="lineage")
+        session.query(DIFF).certain()
+
+
+def test_a_frozen_session_keeps_new_ctable_lowerings_local():
+    with repro.connect(TYPED) as session:
+        session.freeze(warm=[DIFF])
+        (entry,) = session.plan_cache._cache.values()
+        physical, sizes = entry.ctable_physical, entry.ctable_sizes
+        assert physical is not None
+        other = Database.from_dict({"R": [(1, x), (2, 3), (y, 3)], "S": [(1,)]})
+        q = session.query(DIFF, database=other)
+        assert q.certain() == full_product(DIFF, other)
+        assert q._ran == "lineage validity"
+        assert (entry.ctable_physical, entry.ctable_sizes) == (physical, sizes)
