@@ -39,7 +39,7 @@ The library provides:
   (:mod:`repro.trees`); and
 * a concurrent query-service tier: ``repro.serve.Server`` dispatches
   async clients over a pool of warmed sessions, with frozen read-only
-  sessions (:meth:`Session.freeze`) shared across threads lock-free
+  sessions (:meth:`Session.freeze`) shared across threads without locks
   (:mod:`repro.serve`);
 * a unified observability layer — per-session metrics registries
   (:meth:`Session.metrics`), query tracing with pluggable sinks
@@ -78,7 +78,7 @@ for the Session/Query/Cursor lifecycle and for what replaced the
 module-level entry points removed in 2.0 (``certain_answers`` and friends).
 
 To serve many concurrent readers, freeze a warmed session
-(``session.freeze()``) and share it across threads lock-free, or let
+(``session.freeze()``) and share it across threads without locks, or let
 :class:`repro.serve.Server` do both behind an asyncio front end
 (``docs/serving.md``).
 """

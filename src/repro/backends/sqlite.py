@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import itertools
 import sqlite3
+import threading
+import time
 from collections import OrderedDict
 from typing import Any, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from ..algebra.ast import RAExpression
 from ..datamodel import Database, Relation
 from ..datamodel.schema import DatabaseSchema, RelationSchema
+from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..resilience import BudgetExceeded, QueryCancelled, active_budget
 from .base import (
@@ -88,13 +91,17 @@ class SQLiteBackend(Backend):
         # stack because evaluations can nest on one connection (a cursor
         # consumer issuing point queries between batches).
         self._deadline_states: List[Any] = []
+        # One statement at a time: :meth:`read` holds it across a
+        # statement's execute and the fetch of its rows (see there).
+        self._lock = threading.Lock()
 
     def _connect(self) -> sqlite3.Connection:
         # check_same_thread=False: the connection may serve queries from
         # pool threads (frozen sessions) and be interrupted/closed from
         # another thread.  CPython's sqlite3 runs SQLite in serialized
         # threading mode, so cross-thread use of one handle is safe; the
-        # session layer serializes all *mutations* behind its own lock.
+        # session layer serializes all *mutations* behind its own lock,
+        # and reads take turns per statement (:meth:`read`).
         connection = sqlite3.connect(self._path, check_same_thread=False)
         cursor = connection.cursor()
         # The backend is a cache/scratch store, never the system of record:
@@ -161,8 +168,9 @@ class SQLiteBackend(Backend):
         another thread (``sqlite3.Connection.interrupt`` is documented
         thread-safe) and a no-op when no statement is running.  The
         aborted statement surfaces as ``OperationalError("interrupted")``
-        inside :meth:`evaluate`/:meth:`execute_batches`, which re-type it
-        as :class:`~repro.resilience.QueryCancelled`.
+        inside :meth:`evaluate`/:meth:`execute_batches` (and the engine's
+        three-valued ``sql()`` read), which re-type it as
+        :class:`~repro.resilience.QueryCancelled`.
         """
         self._interrupt_requested = True
         try:
@@ -227,6 +235,74 @@ class SQLiteBackend(Backend):
                 except (BudgetExceeded, QueryCancelled) as typed:
                     raise typed from error
         raise error
+
+    # ------------------------------------------------------------------
+    # reading rows: one statement at a time
+    # ------------------------------------------------------------------
+    def read(
+        self,
+        cursor: Optional[sqlite3.Cursor],
+        statement: Optional[str] = None,
+        params: Sequence[Any] = (),
+        *,
+        size: Optional[int] = None,
+        setup: Sequence[Tuple[str, Sequence[Any]]] = (),
+        trace: str = "backend.read",
+        **attrs: Any,
+    ) -> List[Tuple[Any, ...]]:
+        """Run ``setup`` and ``statement`` on ``cursor`` and fetch the rows,
+        holding the handle's lock.
+
+        ``cursor=None`` runs ``statement`` on a fresh cursor; no
+        ``statement`` continues the one open on ``cursor``.  ``size=None``
+        fetches every row, an int at most that many (one batch of a
+        stream; a stream never holds the lock between batches, so its
+        consumer may run other statements on the handle meanwhile).  The
+        span ``trace`` (with ``attrs`` and ``rows``) covers the work, not
+        the wait.
+
+        This is the one function of :mod:`repro.backends` that reads query
+        rows.  CPython's ``sqlite3`` releases the GIL around every
+        ``sqlite3_step``, i.e. once per fetched row, so two threads
+        fetching from one connection would hand the GIL back and forth on
+        every row; taking turns per statement lets each fetch run at full
+        speed.  A wait is recorded (counter ``backend.handle_waits``,
+        histogram ``backend.handle_wait``), after which the ambient budget
+        is re-checked, so a request cancelled or expired while it queued
+        raises its typed error without starting the statement.
+        """
+        lock = self._lock
+        if not lock.acquire(False):
+            self._wait_for_handle(lock)
+        try:
+            with span(trace, **attrs) as sp:
+                for setup_statement, setup_params in setup:
+                    cursor.execute(setup_statement, setup_params)
+                if statement is not None:
+                    target = self._connection if cursor is None else cursor
+                    cursor = target.execute(statement, params)
+                rows = cursor.fetchall() if size is None else cursor.fetchmany(size)
+                sp.set(rows=len(rows))
+            return rows
+        finally:
+            lock.release()
+
+    @staticmethod
+    def _wait_for_handle(lock: Any) -> None:
+        """Block on the handle ``lock``, record the wait, re-check the budget."""
+        started = time.perf_counter()
+        lock.acquire()
+        registry = current_metrics()
+        if registry is not None:
+            registry.count("backend.handle_waits")
+            registry.observe("backend.handle_wait", time.perf_counter() - started)
+        state = active_budget()
+        if state is not None:
+            try:
+                state.check()
+            except BaseException:
+                lock.release()
+                raise
 
     def _ensure_healthy(self) -> None:
         """Rebuild a poisoned handle before it serves anything.
@@ -434,13 +510,12 @@ class SQLiteBackend(Backend):
         if self._schema is None or name not in self._schema:
             raise BackendError(f"unknown relation {name!r}")
         schema = self._schema[name]
-        cursor = self._connection.execute(
+        rows = self.read(
+            None,
             f"SELECT {', '.join(f'c{i}' for i in range(schema.arity))} "
-            f"FROM {table_name(name)}"
+            f"FROM {table_name(name)}",
         )
-        return Relation._from_trusted(
-            schema, frozenset(self.codec.decode_rows(cursor))
-        )
+        return Relation._from_trusted(schema, frozenset(self.codec.decode_rows(rows)))
 
     # ------------------------------------------------------------------
     # indexes and the active-domain table
@@ -571,14 +646,13 @@ class SQLiteBackend(Backend):
     def evaluate(self, expression: RAExpression, plan_cache: Any) -> Relation:
         plan, out_schema, state, armed, cursor = self._open(expression, plan_cache)
         try:
-            with span("backend.evaluate", spills=len(plan.setup)) as sp:
-                try:
-                    for statement, params in plan.setup:
-                        cursor.execute(statement, params)
-                    rows = cursor.execute(plan.query, plan.params).fetchall()
-                    sp.set(rows=len(rows))
-                except sqlite3.OperationalError as error:
-                    self._raise_typed(error, state)
+            try:
+                rows = self.read(
+                    cursor, plan.query, plan.params, setup=plan.setup,
+                    trace="backend.evaluate", spills=len(plan.setup),
+                )
+            except sqlite3.OperationalError as error:
+                self._raise_typed(error, state)
         finally:
             # Disarm before teardown so an expired deadline cannot abort
             # the DROPs that keep temp tables from leaking.
@@ -620,17 +694,13 @@ class SQLiteBackend(Backend):
             # parked indefinitely between next() calls, which would make a
             # whole-stream span measure the consumer, not the backend.
             try:
-                with span("backend.cursor.open", spills=len(plan.setup)):
-                    for statement, params in plan.setup:
-                        cursor.execute(statement, params)
-                    cursor.execute(plan.query, plan.params)
-                while True:
-                    with span("backend.cursor.batch") as sp:
-                        batch = cursor.fetchmany(batch_size)
-                        sp.set(rows=len(batch))
-                    if not batch:
-                        break
+                batch = self.read(
+                    cursor, plan.query, plan.params, size=batch_size, setup=plan.setup,
+                    trace="backend.cursor.open", spills=len(plan.setup),
+                )
+                while batch:
                     yield decode_rows(batch)
+                    batch = self.read(cursor, size=batch_size, trace="backend.cursor.batch")
             except sqlite3.OperationalError as error:
                 self._raise_typed(error, state)
         finally:
@@ -672,10 +742,7 @@ class _BackendStats:
     def _count(self, name: str) -> int:
         count = self._counts.get(name)
         if count is None:
-            cursor = self._backend.connection.execute(
-                f"SELECT COUNT(*) FROM {table_name(name)}"
-            )
-            count = cursor.fetchone()[0]
+            count = self._backend.read(None, f"SELECT COUNT(*) FROM {table_name(name)}")[0][0]
             self._counts[name] = count
         return count
 

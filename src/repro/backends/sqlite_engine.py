@@ -27,8 +27,10 @@ from ..resilience import (
     BackendRecoveryWarning,
     BackendUnavailable,
     InvalidRequestError,
+    ReproError,
     RetryPolicy,
     SessionClosedError,
+    active_budget,
     with_retries,
 )
 from .base import BackendError, UnsupportedPlanError
@@ -60,8 +62,10 @@ class BackendSlot:
     another database switches it with a crash-consistent
     ``replace_database`` (one transaction, retried under the policy): a
     failed refill leaves the old database loaded, and the backend's
-    record of its database only moves after a commit.  A frozen slot is
-    lock-free — its handle never changes again — and refuses to switch.
+    record of its database only moves after a commit.  A frozen slot
+    takes no session lock — its handle never changes again — and refuses
+    to switch; its threads still take turns per statement on the handle
+    (:meth:`SQLiteBackend.read`).
     """
 
     __slots__ = ("path", "codec", "retry_policy", "lock", "backend", "frozen", "closed")
@@ -251,7 +255,13 @@ class SQLiteEngine(PlanEngine):
         backend = self.threevl.acquire(database)
         statement, params = compile_select(database, query)
         try:
-            return backend.codec.decode_rows(backend.connection.execute(statement, params))
+            try:
+                rows = backend.read(None, statement, params)
+            except sqlite3.OperationalError as error:
+                backend._raise_typed(error, active_budget())
+            return backend.codec.decode_rows(rows)
+        except ReproError:
+            raise  # Session.cancel() or an expired budget, typed
         except Exception as error:
             raise SQLError(f"sqlite execution failed: {error}") from error
 
@@ -330,16 +340,16 @@ def _analyze_statements(expression: RAExpression, plan_cache: Any, backend: Any)
     try:
         for statement, params in plan.setup:
             s0 = time.perf_counter()
-            cursor.execute(statement, params)
+            backend.read(cursor, statement, params)
             statements.append(
                 {"kind": "setup", "sql": " ".join(statement.split()), "seconds": time.perf_counter() - s0}
             )
             match = re.match(r"CREATE TEMP(?:ORARY)? TABLE (\"[^\"]+\"|\S+)", statement)
             if match is not None:
                 name = match.group(1)
-                spills[name.strip('"')] = cursor.execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
+                spills[name.strip('"')] = backend.read(cursor, f"SELECT COUNT(*) FROM {name}")[0][0]
         s0 = time.perf_counter()
-        rows = cursor.execute(plan.query, plan.params).fetchall()
+        rows = backend.read(cursor, plan.query, plan.params)
         statements.append(
             {"kind": "query", "sql": " ".join(plan.query.split()), "seconds": time.perf_counter() - s0}
         )

@@ -38,7 +38,9 @@ from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, 
 from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import FOQuery, Formula
-from ..resilience import BudgetExceeded, InvalidRequestError, ResumeToken, active_budget
+from ..resilience import (
+    BudgetExceeded, InvalidRequestError, ResumeToken, active_budget, check_count,
+)
 from ..semantics.certain import (
     enumerate_certain_answers,
     enumerate_possible_answers,
@@ -80,12 +82,30 @@ def enumeration_domain(
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
 ) -> Sequence[Any]:
-    """The valuation domain world enumeration should range over."""
+    """The valuation domain world enumeration should range over.
+
+    The default domain is kept on ``database.analysis_cache()``, keyed by
+    the query's constants (with their types and reprs, so ``1``, ``1.0``
+    and ``True`` stay apart) and ``extra_constants``; each call gets a
+    fresh list, so no caller can change what the next one reads.
+    """
     if domain is not None:
         return domain
-    return default_domain(
-        database, extra_constants=extra_constants, constants=query_constants(query)
+    if extra_constants is not None:
+        check_count("extra_constants", extra_constants)
+    constants = query_constants(query)
+    key = (
+        "enumeration_domain",
+        frozenset((type(value), repr(value), value) for value in constants),
+        extra_constants,
     )
+    cache = database.analysis_cache()
+    resolved = cache.get(key)
+    if resolved is None:
+        resolved = cache[key] = tuple(
+            default_domain(database, extra_constants=extra_constants, constants=constants)
+        )
+    return list(resolved)
 
 
 #: The operators whose answers commute with every renaming of constants
@@ -437,9 +457,10 @@ def certain_strategy(
     """Certain answers with automatic method selection.
 
     ``method`` is ``'auto'`` (the first exact strategy of the semantics'
-    list that applies: naive evaluation when the fragment guarantees it,
-    c-table lineage for generic relational algebra under closed worlds,
-    enumeration otherwise), ``'naive'`` or ``'enumeration'``; anything
+    list that applies: naive evaluation when the fragment guarantees it
+    and no ``domain`` restricts the valuations, c-table lineage for
+    generic relational algebra under closed worlds, enumeration
+    otherwise), ``'naive'`` or ``'enumeration'``; anything
     else raises :class:`~repro.resilience.InvalidRequestError`.  A
     ``resume`` token forces enumeration — it checkpoints world
     enumeration, which the naive method does not perform.  ``options``
@@ -450,7 +471,7 @@ def certain_strategy(
     from ..semantics.registry import semantics_named
 
     row = semantics_named(semantics)
-    strategy = row.choose(query, method, resume)
+    strategy = row.choose(query, method, resume, options.get("domain"))
     return strategy.run(row, query, database, evaluator, resume=resume, **options)
 
 

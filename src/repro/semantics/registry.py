@@ -176,15 +176,21 @@ class WorldSemantics:
             )
         return self.enumerator(database, domain, extra_constants, interchangeable=interchangeable)
 
-    def choose(self, query: Any, method: str = "auto", resume: Any = None) -> Strategy:
+    def choose(
+        self, query: Any, method: str = "auto", resume: Any = None, domain: Any = None
+    ) -> Strategy:
         """The strategy ``certain(method=)`` runs: for ``"auto"`` the first
         exact one that applies, else the forced one.  A ``resume`` token
         checkpoints world enumeration: it forces enumeration, and any
-        other forced method is refused."""
+        other forced method is refused.  Naive evaluation is exact over
+        the unrestricted domain only, so ``"auto"`` skips it when the
+        call restricts the valuations to a ``domain``."""
         strategy = forced_method(method)
         if strategy is None:
             if resume is None:
                 for strategy in self.strategies:
+                    if domain is not None and strategy is NAIVE:
+                        continue
                     if strategy.exact and strategy.applies(self, query):
                         return strategy
             return ENUMERATION

@@ -20,10 +20,12 @@ Relation-returning reads (``certain``/``possible``/``boolean``/
 ``answer_object``/``knowledge``) all run on **one shared frozen session**
 (:meth:`Session.freeze`): its plan cache, condition kernel and backend
 handle are immutable after warm-up, so any number of pool threads can
-evaluate on it concurrently without locks — which is why ``pool_size``
-may exceed the number of backend handles.  Only ``cursor()`` streaming
-checks out one of the few *mutable* sessions (``backends=``), because a
-row stream holds backend cursor state for its whole lifetime.
+evaluate on it concurrently without session locks (SQLite reads take
+turns on the handle one statement at a time) — which is why
+``pool_size`` may exceed the number of backend handles.  Only
+``cursor()`` streaming checks out one of the few *mutable* sessions
+(``backends=``), because a row stream holds backend cursor state for its
+whole lifetime.
 
 See ``docs/serving.md`` for pool sizing, frozen-session semantics and
 cancellation latency under the pool.

@@ -5,8 +5,9 @@ answers are an expensive read-mostly computation — many cheap concurrent
 readers over one compiled, persistent database.  The heavy state (loaded
 backend tables, compiled SQL plans, the optimized logical plans, the
 hash-consed condition kernel) is built once at construction, frozen, and
-then shared by every pool thread lock-free; the asyncio surface is a thin
-``run_in_executor`` dispatch over a bounded thread pool.
+then shared by every pool thread without session locks; the asyncio
+surface is a thin ``run_in_executor`` dispatch over a bounded thread
+pool.
 
 Observability: every dispatch is counted and timed into the frozen
 session's :class:`~repro.obs.MetricsRegistry` (``serve.submitted`` /
@@ -128,7 +129,8 @@ class Server:
             metrics=metrics,
         )
         # The shared read path: one session, warmed then frozen, serving
-        # every relation-returning mode from all pool threads without locks.
+        # every relation-returning mode from all pool threads without session
+        # locks (SQLite reads take turns on the handle per statement).
         self._frozen = connect(database, backend_path=backend_path, **session_kwargs)
         self._frozen.freeze(warm=warm)
         self._metrics = self._frozen._metrics

@@ -423,7 +423,7 @@ class Query:
                 )
             resume = resume.token
         semantics = session._semantics
-        strategy = semantics.choose(self.expression, method, resume)
+        strategy = semantics.choose(self.expression, method, resume, domain)
         self._ran = strategy.label if method == "auto" else f"{strategy.label} (method={method!r})"
         if strategy is ENUMERATION:
             self._ran += semantics.valuations(
@@ -1156,9 +1156,11 @@ class Session:
         populate the plan cache, condition kernel and compiled-SQL plans,
         then freezes all three plus the backend handle: after this call
         nothing reachable from the session is mutated by query execution,
-        so any number of threads can evaluate concurrently *without
-        locks* — the property the :mod:`repro.serve` pool relies on to
-        let its size exceed the number of backend handles.
+        so any number of threads can evaluate concurrently without the
+        session's lock — the property the :mod:`repro.serve` pool relies
+        on to let its size exceed the number of backend handles.  (On
+        ``engine="sqlite"`` the threads take turns on the handle one
+        statement at a time: :meth:`SQLiteBackend.read`.)
 
         A frozen session still answers ``certain()`` / ``possible()`` /
         ``boolean()`` / ``answer_object()`` / ``cursor()`` on its one

@@ -1,4 +1,8 @@
-"""Unit tests for the SQLite backend: DDL, load/extract, plans, fallback."""
+"""Unit tests for the SQLite backend: DDL, load/extract, plans, fallback,
+and the per-handle lock readers take turns on."""
+
+import threading
+import time
 
 import pytest
 
@@ -28,6 +32,16 @@ from repro.backends import (
 from repro.backends.encoding import SentinelCodec
 from repro.datamodel import Database, Null, Relation
 from repro.engine import PlanCache
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.trace import obs_scope
+from repro.resilience import (
+    Budget,
+    BudgetExceeded,
+    BudgetState,
+    ManualClock,
+    QueryCancelled,
+    budget_scope,
+)
 from repro.workloads import enrolment, orders_payments
 
 
@@ -279,3 +293,109 @@ class TestEngineDispatch:
         clone = pickle.loads(pickle.dumps(db))
         assert clone == db
         assert clone.analysis_cache() == {}
+
+
+class _SignallingLock:
+    """A handle lock that reports the first failed non-blocking take."""
+
+    def __init__(self):
+        self.inner = threading.Lock()
+        self.contended = threading.Event()
+
+    def acquire(self, blocking=True):
+        taken = self.inner.acquire(blocking)
+        if not taken:
+            self.contended.set()
+        return taken
+
+    def release(self):
+        self.inner.release()
+
+
+class TestHandleLock:
+    QUERY = project(relation("R"), (0,))
+
+    def _contended(self, backend, run, while_waiting=lambda: None):
+        """``run()`` in a thread that finds the handle taken; ``while_waiting``
+        runs once the thread queues, before the handle is handed over.
+        Returns the thread's result or the exception it raised."""
+        lock = backend._lock = _SignallingLock()
+        lock.inner.acquire()
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = run()
+            except Exception as error:  # noqa: BLE001 - the outcome under test
+                outcome["value"] = error
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        try:
+            assert lock.contended.wait(30)
+            while_waiting()
+        finally:
+            lock.inner.release()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return outcome["value"]
+
+    def _frozen(self, db):
+        backend = _loaded(db)
+        backend.evaluate(self.QUERY, PlanCache())
+        backend.freeze()
+        statements = []
+        backend.connection.set_trace_callback(statements.append)
+        return backend, statements
+
+    def test_a_request_cancelled_while_it_waited_does_not_start(self, db):
+        backend, statements = self._frozen(db)
+        state = BudgetState(Budget())
+
+        def run():
+            with budget_scope(state):
+                return backend.evaluate(self.QUERY, PlanCache())
+
+        outcome = self._contended(backend, run, while_waiting=state.cancel)
+        assert isinstance(outcome, QueryCancelled)
+        assert statements == []
+        assert backend.evaluate(self.QUERY, PlanCache()) == self.QUERY.evaluate(db)
+
+    def test_a_deadline_that_passed_while_waiting_raises_budget_exceeded(self, db):
+        backend, statements = self._frozen(db)
+        clock = ManualClock()
+        state = BudgetState(Budget(deadline=1.0, clock=clock))
+
+        def run():
+            with budget_scope(state):
+                return list(backend.execute_batches(self.QUERY, PlanCache(), batch_size=1))
+
+        outcome = self._contended(backend, run, while_waiting=lambda: clock.advance(2.0))
+        assert isinstance(outcome, BudgetExceeded) and outcome.resource == "deadline"
+        assert statements == []
+
+    def test_a_wait_is_recorded_and_left_out_of_the_evaluate_span(self, db):
+        backend, _ = self._frozen(db)
+        registry, tracer = MetricsRegistry(), Tracer()
+
+        def run():
+            with obs_scope(tracer, registry):
+                return backend.evaluate(self.QUERY, PlanCache())
+
+        outcome = self._contended(backend, run, while_waiting=lambda: time.sleep(0.05))
+        assert outcome == self.QUERY.evaluate(db)
+        assert registry.counters()["backend.handle_waits"] == 1
+        wait = registry.histograms()["backend.handle_wait"]
+        assert wait["count"] == 1 and wait["sum"] >= 0.02
+        (evaluate,) = [s for s in tracer.spans() if s.name == "backend.evaluate"]
+        assert evaluate.duration < wait["sum"]
+
+    def test_an_uncontended_run_records_no_wait(self, db):
+        with repro.connect(db, engine="sqlite") as session:
+            session.query(self.QUERY).certain()
+            batches = list(session.query(self.QUERY).cursor(batch_size=1).batches())
+            assert len(batches) == 4
+            session.sql("SELECT * FROM T")
+            snapshot = session.metrics()
+        assert "backend.handle_waits" not in snapshot["counters"]
+        assert "backend.handle_wait" not in snapshot["histograms"]

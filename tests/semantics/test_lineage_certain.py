@@ -162,6 +162,10 @@ def test_typed_constants_and_domains_behave_as_the_oracle(text, options):
     with repro.connect(TYPED) as session:
         q = session.query(query)
         assert by_lineage(session, query, TYPED, **options) == expected
+        assert q.certain(**options) == expected
+        if "domain" in options:
+            # Naive evaluation is exact over the unrestricted domain only.
+            assert q._ran != "naive evaluation"
         assert q.certain(method="enumeration", **options) == expected
         assert q._ran.startswith("world enumeration")
 
@@ -180,6 +184,31 @@ def test_falsifiers_refute_on_the_e01_shape():
     query = parse_ra("diff(project[#0](Orders), project[#1](Pay))")
     verdicts = check_falsifiers(query, database)
     assert {row for row, fails in verdicts if fails is not None} == {("o2",), ("o3",)}
+
+
+def test_the_default_domain_is_built_once_per_query_constants(monkeypatch):
+    import repro.core.answers as answers
+
+    built = []
+    real = answers.default_domain
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(answers, "default_domain", counting)
+    database = Database.from_dict({"R": [(1, x), (2, y)]})
+    one, also_one, one_float = (parse_ra(f"select[#0 = {c}](R)") for c in ("1", "1", "1.0"))
+    first = enumeration_domain(one, database)
+    first.append("mutated")
+    assert enumeration_domain(also_one, database) == first[:-1]
+    assert len(built) == 1
+    # Equal but differently typed constants key their own domain...
+    enumeration_domain(one_float, database)
+    # ...as does every extra_constants; domain= bypasses the cache.
+    enumeration_domain(one, database, extra_constants=0)
+    enumeration_domain(one, database, domain=[2])
+    assert len(built) == 3
 
 
 # ----------------------------------------------------------------------

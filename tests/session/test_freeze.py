@@ -7,7 +7,9 @@ zero cross-session cache leakage.
 after warm-up, the plan cache serves hits without LRU reordering, the
 condition kernel interns nothing new, and the SQLite backend handle
 refuses every mutation — so sharing the session across threads needs no
-locks at all.
+session lock.  SQLite reads take turns on the handle per statement; the
+tests at the end hold served-style requests, cancellation and a nested
+stream to sequential answers under that lock.
 """
 
 import threading
@@ -219,3 +221,137 @@ def test_frozen_and_mutable_sessions_do_not_leak_into_each_other():
         session.clear_caches()  # would raise InvalidRequestError if leaked
         session.close()
     frozen.close()
+
+
+# ----------------------------------------------------------------------
+# one statement at a time on the shared SQLite handle
+# ----------------------------------------------------------------------
+SERVED_UCQS = (
+    WARM_QUERY,
+    JOIN_QUERY,
+    parse_ra("union(project[#0](R), project[#0](S))"),
+    parse_ra("project[#1](S)"),
+)
+SERVED_SQL = "SELECT * FROM R"
+
+
+def _served_requests(session):
+    """Every served-style request once: ``certain()``, ``cursor()`` batches
+    (three rows each, so a stream spans several fetches) and ``sql()``."""
+    def streamed(query):
+        batches = session.query(query).cursor(batch_size=3).batches()
+        return frozenset(row for batch in batches for row in batch)
+
+    requests = []
+    for i, query in enumerate(SERVED_UCQS):
+        requests.append((f"certain-{i}", lambda q=query: session.query(q).certain()))
+        requests.append((f"cursor-{i}", lambda q=query: streamed(q)))
+    requests.append(("sql", lambda: sorted(session.sql(SERVED_SQL, certain=True))))
+    return requests
+
+
+def _frozen_sqlite_session():
+    session = repro.connect(_database(), engine="sqlite")
+    session.sql(SERVED_SQL)  # opens the three-valued handle before it freezes
+    return session.freeze(warm=list(SERVED_UCQS))
+
+
+def _sequential_answers():
+    with repro.connect(_database(), engine="sqlite") as session:
+        return {name: run() for name, run in _served_requests(session)}
+
+
+def _run_threads(threads_count, target):
+    barrier = threading.Barrier(threads_count)
+    failures = []
+
+    def worker():
+        barrier.wait()
+        try:
+            target()
+        except Exception as error:  # noqa: BLE001 - recorded for the assertion
+            failures.append(error)
+
+    # Daemon threads: a deadlocked request fails the test, not the run.
+    workers = [threading.Thread(target=worker, daemon=True) for _ in range(threads_count)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in workers), "a served request hung"
+    return failures
+
+
+def test_served_requests_on_one_frozen_sqlite_handle_match_sequential():
+    """8 threads take turns on one frozen handle through certain(),
+    cursor() batches and sql(): every answer equals the sequential one."""
+    expected = _sequential_answers()
+    session = _frozen_sqlite_session()
+    requests = _served_requests(session)
+    answers = []
+
+    def serve():
+        for _ in range(10):
+            for name, run in requests:
+                answers.append((name, run()))
+
+    failures = _run_threads(8, serve)
+    session.close()
+    assert not failures, failures
+    assert len(answers) == 8 * 10 * len(requests)
+    for name, answer in answers:
+        assert answer == expected[name], name
+
+
+def test_cancel_during_contention_answers_or_raises_query_cancelled():
+    expected = _sequential_answers()
+    session = _frozen_sqlite_session()
+    requests = _served_requests(session)
+    outcomes = []
+    started = threading.Event()
+
+    def serve():
+        for _ in range(10):
+            for name, run in requests:
+                started.set()
+                try:
+                    outcomes.append((name, run()))
+                except repro.QueryCancelled:
+                    outcomes.append((name, repro.QueryCancelled))
+
+    canceller = threading.Thread(target=lambda: (started.wait(30), session.cancel()), daemon=True)
+    canceller.start()
+    failures = _run_threads(8, serve)
+    canceller.join(timeout=30)
+    session.close()
+    assert not failures, failures
+    assert len(outcomes) == 8 * 10 * len(requests)
+    for name, outcome in outcomes:
+        assert outcome is repro.QueryCancelled or outcome == expected[name], name
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["mutable", "frozen"])
+def test_a_stream_consumer_runs_point_queries_between_batches(frozen):
+    """The handle is never held across a yield: a consumer may query the
+    same session between the batches of its own stream."""
+    expected = _sequential_answers()
+    session = _frozen_sqlite_session() if frozen else repro.connect(_database(), engine="sqlite")
+    outcome = {}
+
+    def consume():
+        rows, points = [], []
+        with session.query(SERVED_UCQS[2]).cursor(batch_size=1) as cursor:
+            for batch in cursor.batches():
+                rows.extend(batch)
+                points.append(session.query(WARM_QUERY).certain())
+                points.append(sorted(session.sql(SERVED_SQL, certain=True)))
+        outcome["rows"], outcome["points"] = rows, points
+
+    thread = threading.Thread(target=consume, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    session.close()
+    assert not thread.is_alive(), "the nested point query deadlocked"
+    assert frozenset(outcome["rows"]) == expected["cursor-2"]
+    assert len(outcome["points"]) == 2 * len(outcome["rows"]) > 2
+    assert outcome["points"] == [expected["certain-0"], expected["sql"]] * len(outcome["rows"])
