@@ -19,7 +19,7 @@ makes failure a scheduled, repeatable event:
   batch yielded, which is how the mid-iteration teardown path is tested.
 
 * :class:`FaultInjectingCodec` wraps a value codec and fails the Nth
-  ``encode_row`` call — the only way to die *inside* a bulk refill,
+  ``encode_row`` call — the only way to die *inside* a version switch,
   since ``replace_database`` drives the row iteration itself.
 
 Deterministic *clocks* live in :mod:`repro.resilience`
@@ -303,10 +303,13 @@ class FaultInjectingExecutor:
 class FaultInjectingCodec:
     """A value-codec proxy whose ``encode_row`` fails at the Nth call.
 
-    ``replace_database`` iterates the new database's rows itself, so a
-    scheduled *method* fault can only fire before the refill starts; a
-    codec fault fires *inside* the refill transaction — exactly the
-    mid-refill crash the crash-consistency guarantee is about.
+    ``replace_database`` iterates the changed rows itself — per relation
+    the deleted keys, then the inserted rows; every row of a relation it
+    rewrites in full — so a scheduled *method* fault can only fire before
+    the switch starts; a codec fault fires *inside* its transaction,
+    after whatever deletes and inserts ran before the Nth row — exactly
+    the mid-switch crash the crash-consistency guarantee is about.
+    ``encode_calls`` counts the rows encoded so far.
     """
 
     def __init__(

@@ -385,21 +385,33 @@ class SQLiteBackend(Backend):
         self._database = database
 
     def replace_database(self, database: Database) -> None:
-        """Point this backend at a different :class:`Database` instance.
+        """Point this backend at another version of its :class:`Database`.
 
-        The first step of the ROADMAP "persistent backend" item: a session
-        keeps *one* live connection across queries, and switching to
-        another database reuses it instead of opening/loading a fresh
-        backend.  When the new instance shares the current schema, the
-        tables are emptied and refilled — DDL, created indexes and the
-        connection survive; a different schema drops every table first.
+        A session keeps *one* live connection across queries, and
+        switching to another database reuses it instead of opening and
+        loading a fresh backend.  When the new instance shares the current
+        schema, each relation is diffed against the database the backend
+        records as loaded: a relation object both share is skipped
+        unhashed, otherwise the rows that left are deleted by key and the
+        rows that arrived are inserted, so only the changed rows are
+        encoded and written.  A relation is emptied and refilled instead
+        when its delta is at least as large as its new row set, when no
+        database is recorded (after :meth:`load_rows`), and under a codec
+        that conflates values (``SQLNullCodec``: a key delete would remove
+        every row whose nulls conflate).  A different schema drops every
+        table and creates the new ones.  DDL, created indexes and the
+        connection survive a same-schema switch; when no row changed,
+        nothing is written and the compiled plans and the active-domain
+        table are kept too.
 
-        The whole switch — empty/drop, re-create, refill — runs in a
-        *single transaction*: if any step dies (a failing codec, a broken
+        The whole switch — deletes or drops, re-creates, inserts — runs in
+        a *single transaction*: if any step dies (a failing codec, a broken
         row iterator, an I/O error) the transaction is rolled back and the
         handle keeps serving the old data unchanged.  If even the rollback
         fails the handle is poisoned and rebuilt on next use
         (:meth:`_ensure_healthy`) instead of serving half-filled tables.
+        The span ``backend.replace_database`` carries the ``deleted`` and
+        ``inserted`` row counts.
         """
         if self._frozen:
             if database is self._database:
@@ -410,36 +422,72 @@ class SQLiteBackend(Backend):
             with span("backend.replace_database", fresh=True):
                 self.load_database(database)
             return
+        same_schema = database.schema == self._schema
+        # A key delete removes exactly one row only under an injective
+        # codec, and only from tables that hold the recorded database.
+        recorded = self._database if same_schema and self.codec.set_semantics else None
+        with span("backend.replace_database", same_schema=same_schema) as sp:
+            changes: List[Tuple[RelationSchema, Optional[frozenset], Iterable[Any]]] = []
+            for relation in database.relations():
+                rows = relation.rows
+                if recorded is not None:
+                    previous = recorded.relation(relation.name)
+                    if previous is relation:
+                        continue
+                    gone, new = previous.rows - rows, rows - previous.rows
+                    if not gone and not new:
+                        continue
+                    if len(gone) + len(new) < len(rows):
+                        changes.append((relation.schema, gone, new))
+                        continue
+                # Emptied and refilled: ``None`` deletes every row.
+                changes.append((relation.schema, None, rows))
+            deleted, inserted = self._apply(database.schema, same_schema, changes)
+            sp.set(deleted=deleted, inserted=inserted)
+        # Python-side bookkeeping changes only after the commit succeeded.
+        if not same_schema:
+            self._schema = database.schema
+            self._indexes.clear()
+        self._database = database
+
+    def _apply(
+        self, schema: DatabaseSchema, same_schema: bool,
+        changes: Sequence[Tuple[RelationSchema, Optional[frozenset], Iterable[Any]]],
+    ) -> Tuple[int, int]:
+        """Write ``changes`` (and a schema switch) in one transaction;
+        returns the ``(deleted, inserted)`` row counts."""
+        if same_schema and not changes:
+            return 0, 0
         # Cache invalidation is safe to do up front: stale-dropping plans
-        # and the adom is conservative whether the refill succeeds or not.
+        # and the adom is conservative whether the switch succeeds or not.
         self._plans.clear()
         self._adom_ready = False
-        same_schema = database.schema == self._schema
         connection = self._connection
         cursor = connection.cursor()
+        deleted = inserted = 0
         try:
-            with span("backend.replace_database", same_schema=same_schema):
-                # Explicit BEGIN: the sqlite3 module's implicit transaction
-                # only starts at the first DML, which would let the
-                # DROP/CREATE of a schema switch autocommit — and survive
-                # the rollback.
-                cursor.execute("BEGIN")
-                cursor.execute(f"DROP TABLE IF EXISTS {ADOM_TABLE}")
-                if same_schema:
-                    for relation in self._schema:
-                        cursor.execute(f"DELETE FROM {table_name(relation.name)}")
-                else:
-                    for relation in self._schema:
-                        cursor.execute(
-                            f"DROP TABLE IF EXISTS {table_name(relation.name)}"
-                        )
-                    for relation in database.schema:
-                        cursor.execute(self._create_table_sql(relation))
-                for relation in database.relations():
-                    self._write_rows(
-                        cursor, database.schema[relation.name], relation.rows
+            # Explicit BEGIN: the sqlite3 module's implicit transaction
+            # only starts at the first DML, which would let the
+            # DROP/CREATE of a schema switch autocommit — and survive
+            # the rollback.
+            cursor.execute("BEGIN")
+            cursor.execute(f"DROP TABLE IF EXISTS {ADOM_TABLE}")
+            if not same_schema:
+                for relation in self._schema:
+                    cursor.execute(f"DROP TABLE IF EXISTS {table_name(relation.name)}")
+                for relation in schema:
+                    cursor.execute(self._create_table_sql(relation))
+            for relation, gone, rows in changes:
+                if gone is not None:
+                    key = " AND ".join(f"c{i} = ?" for i in range(relation.arity))
+                    deleted += self._run_encoded(
+                        cursor, f"DELETE FROM {table_name(relation.name)} WHERE {key}", gone
                     )
-                connection.commit()
+                elif same_schema:
+                    cursor.execute(f"DELETE FROM {table_name(relation.name)}")
+                    deleted += cursor.rowcount
+                inserted += self._write_rows(cursor, relation, rows)
+            connection.commit()
         except BaseException:
             try:
                 connection.rollback()
@@ -451,11 +499,7 @@ class SQLiteBackend(Backend):
                 cursor.close()
             except sqlite3.Error:
                 pass
-        # Python-side bookkeeping changes only after the commit succeeded.
-        if not same_schema:
-            self._schema = database.schema
-            self._indexes.clear()
-        self._database = database
+        return deleted, inserted
 
     def _write_rows(
         self, cursor: sqlite3.Cursor, schema: RelationSchema, rows: Iterable[Sequence[Any]]
@@ -464,7 +508,15 @@ class SQLiteBackend(Backend):
         committing — the caller owns the transaction boundary."""
         placeholders = ", ".join("?" for _ in range(schema.arity))
         verb = "INSERT OR IGNORE" if self.codec.set_semantics else "INSERT"
-        statement = f"{verb} INTO {table_name(schema.name)} VALUES ({placeholders})"
+        return self._run_encoded(
+            cursor, f"{verb} INTO {table_name(schema.name)} VALUES ({placeholders})", rows
+        )
+
+    def _run_encoded(
+        self, cursor: sqlite3.Cursor, statement: str, rows: Iterable[Sequence[Any]]
+    ) -> int:
+        """Run ``statement`` once per encoded row of ``rows``, in batches;
+        returns the number of rows."""
         encode_row = self.codec.encode_row
         encoded = (encode_row(row) for row in rows)
         total = 0
@@ -491,6 +543,9 @@ class SQLiteBackend(Backend):
         try:
             total = self._write_rows(cursor, self._schema[name], rows)
             self._connection.commit()
+            # The tables no longer hold a recorded Database: the next
+            # replace_database refills in full.
+            self._database = None
         except BaseException:
             # One load_rows call is all-or-nothing, like replace_database.
             try:

@@ -110,6 +110,10 @@ ENUMERATION = Strategy(
 )
 _OPEN = (NAIVE, ENUMERATION)
 _CLOSED = (NAIVE, SOUND_CWA, LINEAGE, ENUMERATION)
+#: The strategies that answer over the unrestricted domain: a call that
+#: restricts the valuations to a ``domain`` skips them (with ``domain=[]``
+#: a database with nulls has no world at all).
+_DOMAIN_BLIND = (NAIVE, SOUND_CWA)
 #: The strategies ``certain(method=)`` may force.
 METHODS = {"naive": NAIVE, "enumeration": ENUMERATION}
 
@@ -189,7 +193,7 @@ class WorldSemantics:
         if strategy is None:
             if resume is None:
                 for strategy in self.strategies:
-                    if domain is not None and strategy is NAIVE:
+                    if domain is not None and strategy in _DOMAIN_BLIND:
                         continue
                     if strategy.exact and strategy.applies(self, query):
                         return strategy
@@ -200,15 +204,19 @@ class WorldSemantics:
             )
         return strategy
 
-    def degrade(self, query: Any, error: BudgetExceeded, policy: str) -> Any:
+    def degrade(
+        self, query: Any, error: BudgetExceeded, policy: str, domain: Any = None
+    ) -> Any:
         """The degradation ladder of ``query.certain()``: answer soundly, or fail loudly.
 
         Runs outside the expired budget, on the first polynomial strategy
         that applies — exact naive evaluation (reachable when the budget
         died in a forced enumeration), else the CWA approximation — so the
-        overrun is bounded.  With none, ``"degrade"`` re-raises and
-        ``"partial"`` returns an *empty* sound subset: the prefix of the
-        aborted world intersection is a superset of the certain answers.
+        overrun is bounded.  Both answer over the unrestricted domain, so
+        a call that passed ``domain`` skips them, as :meth:`choose` does.
+        With none, ``"degrade"`` re-raises and ``"partial"`` returns an
+        *empty* sound subset: the prefix of the aborted world intersection
+        is a superset of the certain answers.
         """
         metrics = query.session._metrics
         resource = error.resource or "budget"
@@ -221,6 +229,8 @@ class WorldSemantics:
         expression, database = query.expression, query._require_database()
         with span("degrade.decide", resource=resource, policy=policy) as decision:
             for strategy in self.strategies:
+                if domain is not None and strategy in _DOMAIN_BLIND:
+                    continue
                 test = strategy.polynomial and strategy.applies(self, expression)
                 if test:
                     relation = strategy.run(self, expression, database, query.session._evaluate)

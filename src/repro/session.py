@@ -431,7 +431,7 @@ class Query:
             )
         return self._enumerate(
             strategy, "certain", domain, extra_constants, max_extra_facts, budget,
-            lambda error: semantics.degrade(self, error, policy), resume,
+            lambda error: semantics.degrade(self, error, policy, domain), resume,
         )
 
     def _enumerate(

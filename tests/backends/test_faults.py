@@ -181,6 +181,48 @@ class TestCrashConsistentReplace:
         assert backend.evaluate(query, PLANS) == query.evaluate(db)
         assert not backend._poisoned
 
+    def _delta_of(self, db):
+        # One row leaves R and one arrives: a delta switch, S untouched.
+        return Database(db.schema, {"R": [(1, 2), (Null("x"), 2), (5, 6)], "S": db.relation("S")})
+
+    def test_insert_fault_after_the_deletes_keeps_old_data(self, db):
+        backend = SQLiteBackend()
+        backend.load_database(db)
+        healthy_codec = backend.codec
+        # Encode call 1 is R's deleted key, call 2 its inserted row.
+        backend.codec = FaultInjectingCodec(healthy_codec, fail_encode_at=2)
+        statements = []
+        backend.connection.set_trace_callback(statements.append)
+        new = self._delta_of(db)
+        with pytest.raises(sqlite3.OperationalError):
+            backend.replace_database(new)
+        assert any(s.startswith("DELETE FROM") and "WHERE" in s for s in statements)
+        assert not any("INSERT" in s for s in statements)
+        backend.connection.set_trace_callback(None)
+        for name in db.schema.names():
+            assert backend.extract_relation(name) == db.relation(name)
+        query = project(relation("R"), (0,))
+        assert backend.evaluate(query, PLANS) == query.evaluate(db)
+        assert backend._database is db
+        backend.codec = healthy_codec
+        backend.replace_database(new)
+        for name in new.schema.names():
+            assert backend.extract_relation(name) == new.relation(name)
+        assert backend.evaluate(query, PLANS) == query.evaluate(new)
+
+    def test_poisoned_memory_handle_after_a_delta_rebuilds_from_it(self, db):
+        backend = SQLiteBackend()
+        backend.load_database(db)
+        new = self._delta_of(db)
+        backend.replace_database(new)
+        backend._poisoned = True
+        backend._connection.close()
+        query = project(relation("R"), (0,))
+        assert backend.evaluate(query, PLANS) == query.evaluate(new)
+        for name in new.schema.names():
+            assert backend.extract_relation(name) == new.relation(name)
+        assert not backend._poisoned and backend._database is new
+
     def test_poisoned_file_handle_serves_committed_state(self, db, tmp_path):
         backend = SQLiteBackend(str(tmp_path / "faults.sqlite"))
         backend.load_database(db)

@@ -1,6 +1,7 @@
 """Unit tests for the SQLite backend: DDL, load/extract, plans, fallback,
 and the per-handle lock readers take turns on."""
 
+import random
 import threading
 import time
 
@@ -30,7 +31,9 @@ from repro.backends import (
     compile_logical_plan,
 )
 from repro.backends.encoding import SentinelCodec
+from repro.backends.faults import FaultInjectingCodec
 from repro.datamodel import Database, Null, Relation
+from repro.datamodel.schema import DatabaseSchema
 from repro.engine import PlanCache
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import obs_scope
@@ -399,3 +402,143 @@ class TestHandleLock:
             snapshot = session.metrics()
         assert "backend.handle_waits" not in snapshot["counters"]
         assert "backend.handle_wait" not in snapshot["histograms"]
+
+
+class TestDeltaRefill:
+    """A version switch writes only the rows that changed."""
+
+    SCHEMA = DatabaseSchema.from_attributes({"R": ("a", "b"), "S": ("b", "c"), "E": ("e",)})
+    QUERIES = (
+        parse_ra("project[#0](R)"),
+        parse_ra("diff(project[#1](R), project[#0](S))"),
+        parse_ra("select[#0 = #1](R)"),
+        parse_ra("select[#0 = 1](R)"),
+        join(rename(relation("R"), "A", ("a", "b")), rename(relation("S"), "B", ("b", "c"))),
+        ActiveDomain(),
+        relation("E"),
+    )
+
+    def _version(self, **relations):
+        return Database(self.SCHEMA, relations)
+
+    def _counting(self, database):
+        codec = FaultInjectingCodec(SentinelCodec())
+        backend = SQLiteBackend(codec=codec)
+        backend.load_database(database)
+        codec.encode_calls = 0
+        return backend, codec
+
+    def _switch(self, backend, database):
+        tracer = Tracer()
+        with obs_scope(tracer, MetricsRegistry()):
+            backend.replace_database(database)
+        (switch,) = [s for s in tracer.spans() if s.name == "backend.replace_database"]
+        return switch.attrs
+
+    def test_a_switch_encodes_exactly_the_changed_rows(self):
+        rows = [(i, i + 1) for i in range(40)]
+        old = self._version(R=rows, S=[(1, "a"), (2, "b")], E=[])
+        backend, codec = self._counting(old)
+        new = self._version(R=rows[2:] + [(100, 1), (101, 2), (102, Null("x"))],
+                            S=[(1, "a"), (2, "b")], E=[])
+        attrs = self._switch(backend, new)
+        # 2 rows left R and 3 arrived; S and E kept their content.
+        assert codec.encode_calls == 5
+        assert (attrs["deleted"], attrs["inserted"]) == (2, 3)
+        assert backend.extract_relation("R") == new.relation("R")
+        # add_facts shares the untouched relations: S gets one row, R none.
+        codec.encode_calls = 0
+        newer = new.add_facts([("S", (3, "c"))])
+        assert newer.relation("R") is new.relation("R")
+        assert (self._switch(backend, newer)["inserted"], codec.encode_calls) == (1, 1)
+        for name in self.SCHEMA.names():
+            assert backend.extract_relation(name) == newer.relation(name)
+
+    def test_a_large_delta_empties_and_refills_the_relation(self):
+        old = self._version(R=[(1, 2), (2, 3), (3, 4)], S=[], E=[(1,)])
+        backend, codec = self._counting(old)
+        new = self._version(R=[(7, 8), (8, 9)], S=[], E=[(1,)])
+        attrs = self._switch(backend, new)
+        # 3 + 2 changed rows >= 2 new rows: a rewrite, which encodes only R's new rows.
+        assert (attrs["deleted"], attrs["inserted"], codec.encode_calls) == (3, 2, 2)
+        assert backend.extract_relation("R") == new.relation("R")
+
+    def test_an_equal_new_object_writes_nothing_and_keeps_the_plans(self):
+        old = self._version(R=[(1, 2), (Null("x"), 2)], S=[(2, "a")], E=[])
+        backend = _loaded(old)
+        plans = PlanCache()
+        for query in self.QUERIES:
+            backend.evaluate(query, plans)
+        compiled = dict(backend._plans)
+        assert backend._adom_ready
+        statements = []
+        backend.connection.set_trace_callback(statements.append)
+        same = self._version(R=[(1.0, 2), (Null("x"), 2)], S=[(2, "a")], E=[])
+        assert same is not old and same == old
+        attrs = self._switch(backend, same)
+        assert statements == []
+        assert (attrs["deleted"], attrs["inserted"]) == (0, 0)
+        assert backend._plans == compiled and backend._adom_ready
+        assert backend._database is same
+        for query in self.QUERIES:
+            assert backend.evaluate(query, plans) == PlanCache().execute(query, same)
+        assert statements and not any("INSERT" in s or "DELETE" in s for s in statements)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_a_chain_of_versions_serves_each_version(self, seed):
+        rng = random.Random(seed)
+        values = [1, 1.0, True, 2, 3, 2.5, "a", "b", "nx", Null("x"), Null("y"), Null("z")]
+
+        def rows(arity, count):
+            return [tuple(rng.choice(values) for _ in range(arity)) for _ in range(count)]
+
+        def edited(base):
+            # Drop a few rows of each relation (maybe none) and add a few.
+            data = {}
+            for rel in base.relations():
+                kept = [row for row in sorted(rel.rows, key=repr) if rng.random() > 0.2]
+                data[rel.name] = kept + rows(rel.arity, rng.randrange(4))
+            return self._version(**data)
+
+        v0 = self._version(R=rows(2, 30), S=rows(2, 10), E=[])
+        v1 = v0.add_facts([("R", row) for row in rows(2, 3)] + [("E", (1,))])
+        v2 = edited(v1)
+        v3 = v0.add_facts([("S", row) for row in rows(2, 2)])  # from a non-latest base
+        retyped = self._version(
+            R=[tuple(1.0 if v == 1 else v for v in row) for row in v3.relation("R")],
+            S=[tuple(True if v == 1 else v for v in row) for row in v3.relation("S")],
+            E=list(v3.relation("E")),
+        )
+        emptied = self._version(R=[], S=list(v2.relation("S")), E=rows(1, 5))
+        other = Database.from_dict({"U": rows(3, 6), "R": rows(2, 4)})
+        chain = [v1, v2, v3, retyped, v1, emptied, other, v2, edited(v2), edited(v0), v0]
+        backend = _loaded(v0)
+        plans = PlanCache()
+        for version in chain:
+            backend.replace_database(version)
+            for name in version.schema.names():
+                assert backend.extract_relation(name) == version.relation(name)
+            for query in self.QUERIES if version.schema == self.SCHEMA else ():
+                assert backend.evaluate(query, plans) == PlanCache().execute(query, version)
+
+    def test_sql_stays_correct_across_versions_whose_nulls_conflate(self):
+        pay = [("x1", Null("n")), ("x2", Null("m")), ("x2", Null("k")), ("x3", "o1")]
+        orders = [("o1", "p"), ("o2", "q")]
+        schema = DatabaseSchema.from_attributes({"Orders": ("o_id", "prod"), "Pay": ("p_id", "ord")})
+        v1 = Database(schema, {"Orders": orders, "Pay": pay})
+        # Each null becomes SQL NULL: ("x2", ⊥m) and ("x2", ⊥k) are one row twice.
+        v2 = Database(schema, {"Orders": orders, "Pay": pay[:2] + pay[3:] + [("x4", "o2")]})
+        v3 = Database(schema, {"Orders": orders, "Pay": pay[1:]})
+        statements = (
+            "SELECT p_id, ord FROM Pay",
+            "SELECT o_id FROM Orders WHERE o_id NOT IN (SELECT ord FROM Pay)",
+        )
+
+        def bag(rows):
+            return sorted(tuple("NULL" if isinstance(v, Null) else v for v in row) for row in rows)
+
+        with repro.connect(v1, engine="sqlite") as session, repro.connect(v1) as oracle:
+            for version in (v1, v2, v3, v1, v2.add_facts([("Pay", ("x5", Null("j")))]), v1):
+                for statement in statements:
+                    expected = oracle.sql(statement, database=version)
+                    assert bag(session.sql(statement, database=version)) == bag(expected)

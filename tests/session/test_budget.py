@@ -165,6 +165,36 @@ class TestWorldCaps:
         assert len(result) == 0  # the only certifiable sound subset
         session.close()
 
+    # Naive evaluation and the CWA approximation answer over the
+    # unrestricted domain: with domain=[5] naive evaluation is no longer
+    # exact, and with domain=[] (no world) its answer {(1,)} is unsound.
+    @pytest.mark.parametrize("semantics", ["owa", "cwa", "wcwa"])
+    @pytest.mark.parametrize(
+        "query, domain",
+        [("project[#0](select[#0 = #1](R))", [5]), ("project[#0](R)", [])],
+        ids=["domain=[5]", "domain=[]"],
+    )
+    @pytest.mark.parametrize("method", ["auto", "enumeration"])
+    def test_a_degraded_domain_call_is_sound_and_labelled(self, semantics, query, domain, method):
+        from repro.algebra import parse_ra
+
+        database = Database.from_dict({"R": [(Null("x"), Null("y")), (1, 2)]})
+        expression = parse_ra(query)
+        with repro.connect(database, semantics=semantics) as session:
+            exact = session.query(expression).certain(domain=domain, method="enumeration")
+        budget = Budget(deadline=1.0, clock=ManualClock(step=2.0))
+        with repro.connect(database, semantics=semantics, budget=budget, on_budget="degrade") as session:
+            q = session.query(expression)
+            try:
+                answer = q.certain(domain=domain, method=method)
+            except BudgetExceeded:
+                assert "raised" in q._resilience_verdict
+            else:
+                assert set(answer.rows) <= set(exact.rows)
+                assert "exact" not in q._resilience_verdict or answer == exact
+            partial = q.certain(domain=domain, method=method, on_budget="partial")
+            assert set(partial.relation.rows) <= set(exact.rows)
+
     def test_possible_and_boolean_raise_on_budget(self, db):
         session = repro.connect(db)
         with pytest.raises(BudgetExceeded):

@@ -277,6 +277,21 @@ class TestBackendLifecycle:
         assert count == 1000
         session.close()
 
+    def test_a_query_on_a_database_after_load_rows_answers_from_that_database(self):
+        # Regression: load_rows left the backend recording the Database it
+        # loaded earlier, so a query on that Database skipped the refill
+        # and answered with rows that are not in it.
+        database = Database.from_dict({"R": [("a",)]})
+        query = parse_ra("project[#0](R)")
+        with repro.connect(database, engine="sqlite") as session:
+            assert session.query(query).certain().rows == {("a",)}
+            session.load_rows("R", [("b",)])
+            answer = session.query(query, database=database).certain()
+        with repro.connect(database, engine="plan") as oracle:
+            expected = oracle.query(query).certain()
+        assert expected.rows == {("a",)}
+        assert answer == expected
+
     def test_backend_loading_requires_sqlite_engine(self):
         from repro.datamodel.schema import DatabaseSchema
 
