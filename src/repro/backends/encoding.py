@@ -19,6 +19,11 @@ non-integral ``float``       ``"f" + repr(value)``
 any other hashable constant  ``"o" + token`` via a per-codec registry
 ===========================  =======================================
 
+A value of another type that equals a builtin one — ``Decimal(1)``,
+``Fraction(1, 2)``, a numpy integer, a ``str`` subclass — encodes as
+the builtin it equals, so Python equality always implies equal
+encodings; it decodes as that builtin.
+
 The first character is the *tag*; distinct tags never collide, and within
 a tag the payload is injective (null names are identifiers, ``repr`` of a
 float round-trips exactly, the opaque registry is keyed by value
@@ -47,6 +52,7 @@ become a *fresh* null.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -60,6 +66,29 @@ Row = Tuple[Any, ...]
 #: for short text values, so a full memo is about 11 MB.  A warm
 #: 8k-order SQLite session decodes about 12k distinct values, well under.
 DECODE_MEMO_LIMIT = 1 << 16
+
+
+def _builtin_number(value: Any) -> Any:
+    """The ``int`` or ``float`` equal to a number of another type, or
+    ``None`` when neither is (``Decimal("0.1")``, ``Fraction(1, 3)``)."""
+    try:
+        unequal = value != value
+    except ArithmeticError:  # a signalling NaN refuses to compare
+        unequal = True
+    if unequal:
+        raise EncodingError(f"{value!r} is not equal to itself: no sound encoding")
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        if value.imag:
+            return None
+        value = value.real
+    for convert in (int, float):
+        try:
+            converted = convert(value)
+        except (TypeError, ValueError, ArithmeticError):
+            continue
+        if converted == value:
+            return converted
+    return None
 
 
 class _DecodeMemo(dict):
@@ -130,6 +159,12 @@ class SentinelCodec:
             if value.is_integer():
                 return "i" + str(int(value))
             return "f" + repr(value)
+        if isinstance(value, str):
+            return "s" + str(value)
+        if isinstance(value, numbers.Number):
+            builtin = _builtin_number(value)
+            if builtin is not None:
+                return self.encode(builtin)
         return self._encode_opaque(value)
 
     def _encode_opaque(self, value: Any) -> str:

@@ -391,15 +391,13 @@ class SQLiteBackend(Backend):
         switching to another database reuses it instead of opening and
         loading a fresh backend.  When the new instance shares the current
         schema, each relation is diffed against the database the backend
-        records as loaded: a relation object both share is skipped
-        unhashed, otherwise the rows that left are deleted by key and the
+        records as loaded: the rows that left are deleted by key and the
         rows that arrived are inserted, so only the changed rows are
         encoded and written.  A relation is emptied and refilled instead
-        when its delta is at least as large as its new row set, when no
-        database is recorded (after :meth:`load_rows`), and under a codec
-        that conflates values (``SQLNullCodec``: a key delete would remove
-        every row whose nulls conflate).  A different schema drops every
-        table and creates the new ones.  DDL, created indexes and the
+        when no database is recorded (after :meth:`load_rows`) and under a
+        codec that conflates values (``SQLNullCodec``: a key delete would
+        remove every row whose nulls conflate).  A different schema drops
+        every table and creates the new ones.  DDL, created indexes and the
         connection survive a same-schema switch; when no row changed,
         nothing is written and the compiled plans and the active-domain
         table are kept too.
@@ -430,18 +428,14 @@ class SQLiteBackend(Backend):
             changes: List[Tuple[RelationSchema, Optional[frozenset], Iterable[Any]]] = []
             for relation in database.relations():
                 rows = relation.rows
-                if recorded is not None:
-                    previous = recorded.relation(relation.name)
-                    if previous is relation:
-                        continue
-                    gone, new = previous.rows - rows, rows - previous.rows
-                    if not gone and not new:
-                        continue
-                    if len(gone) + len(new) < len(rows):
-                        changes.append((relation.schema, gone, new))
-                        continue
-                # Emptied and refilled: ``None`` deletes every row.
-                changes.append((relation.schema, None, rows))
+                if recorded is None:
+                    # Emptied and refilled: ``None`` deletes every row.
+                    changes.append((relation.schema, None, rows))
+                    continue
+                previous = recorded.relation(relation.name).rows
+                gone, new = previous - rows, rows - previous
+                if gone or new:
+                    changes.append((relation.schema, gone, new))
             deleted, inserted = self._apply(database.schema, same_schema, changes)
             sp.set(deleted=deleted, inserted=inserted)
         # Python-side bookkeeping changes only after the commit succeeded.
@@ -516,7 +510,8 @@ class SQLiteBackend(Backend):
         self, cursor: sqlite3.Cursor, statement: str, rows: Iterable[Sequence[Any]]
     ) -> int:
         """Run ``statement`` once per encoded row of ``rows``, in batches;
-        returns the number of rows."""
+        returns the number of rows it changed (an ignored duplicate insert
+        or a delete that matches nothing counts none)."""
         encode_row = self.codec.encode_row
         encoded = (encode_row(row) for row in rows)
         total = 0
@@ -525,7 +520,7 @@ class SQLiteBackend(Backend):
             if not batch:
                 break
             cursor.executemany(statement, batch)
-            total += len(batch)
+            total += cursor.rowcount
         return total
 
     def load_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> int:

@@ -12,6 +12,8 @@ the sentinel codec:
 """
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -58,8 +60,20 @@ def _value_pool():
         ("a", Null("x")),
         frozenset({1, 2}),
         b"bytes",
+        Decimal(1),  # numbers of other types that equal a builtin one
+        Decimal("2.5"),
+        Fraction(1, 2),
+        complex(42, 0),
+        Decimal("0.1"),  # equal to no int or float: opaque
+        Fraction(1, 10),  # == Decimal("0.1")
+        Fraction(1, 3),
+        _Label("alice"),  # a str subclass
     ]
     return values
+
+
+class _Label(str):
+    pass
 
 
 class TestSentinelRoundTrip:
@@ -240,9 +254,29 @@ class TestSentinelInjectivity:
         assert codec.encode(1) != codec.encode(1.5)
         assert codec.encode(1) != codec.encode("1")
 
-    def test_nan_rejected(self):
+    def test_numbers_of_other_types_encode_as_the_builtin_they_equal(self):
+        # Regression: Decimal(1) took an opaque token while the compiler
+        # encoded the query constant 1 as "i1", so SQL = told them apart.
+        codec = SentinelCodec()
+        assert codec.encode(Decimal(1)) == codec.encode(1) == codec.encode(Fraction(2, 2))
+        assert codec.encode(Fraction(1, 2)) == codec.encode(0.5)
+        assert codec.encode(Decimal(10**20 + 1)) == codec.encode(10**20 + 1)
+        assert codec.encode(Decimal("0.1")) == codec.encode(Fraction(1, 10)) != codec.encode(0.1)
+        assert codec.encode(_Label("a")) == codec.encode("a")
+        assert type(codec.decode(codec.encode(Decimal(1)))) is int
+
+    def test_a_number_equal_to_a_builtin_is_selected_by_it_on_sqlite(self):
+        db = Database.from_dict({"R": [(Decimal(1), "a"), (2, "b"), (Fraction(1, 2), "c")]})
+        for text in ("select[#0 = 1](R)", "select[#0 = 0.5](R)"):
+            query = parse_ra(text)
+            with repro.connect(db, engine="sqlite") as session:
+                answer = session.query(query).certain()
+            assert answer == PlanCache().execute(query, db) and len(answer) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), Decimal("NaN"), Decimal("sNaN")])
+    def test_nan_rejected(self, value):
         with pytest.raises(EncodingError):
-            SentinelCodec().encode(float("nan"))
+            SentinelCodec().encode(value)
 
     def test_unknown_opaque_token_rejected(self):
         with pytest.raises(EncodingError):

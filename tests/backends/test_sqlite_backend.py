@@ -4,6 +4,7 @@ and the per-handle lock readers take turns on."""
 import random
 import threading
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.backends import (
     SQLiteBackend,
     UnsupportedPlanError,
     compile_logical_plan,
+    table_name,
 )
 from repro.backends.encoding import SentinelCodec
 from repro.backends.faults import FaultInjectingCodec
@@ -454,14 +456,33 @@ class TestDeltaRefill:
         for name in self.SCHEMA.names():
             assert backend.extract_relation(name) == newer.relation(name)
 
-    def test_a_large_delta_empties_and_refills_the_relation(self):
+    def test_an_emptied_relation_is_deleted_by_key(self):
         old = self._version(R=[(1, 2), (2, 3), (3, 4)], S=[], E=[(1,)])
         backend, codec = self._counting(old)
-        new = self._version(R=[(7, 8), (8, 9)], S=[], E=[(1,)])
-        attrs = self._switch(backend, new)
-        # 3 + 2 changed rows >= 2 new rows: a rewrite, which encodes only R's new rows.
-        assert (attrs["deleted"], attrs["inserted"], codec.encode_calls) == (3, 2, 2)
-        assert backend.extract_relation("R") == new.relation("R")
+        attrs = self._switch(backend, self._version(R=[], S=[], E=[(1,)]))
+        assert (attrs["deleted"], attrs["inserted"], codec.encode_calls) == (3, 0, 3)
+        assert len(backend.extract_relation("R")) == 0
+
+    def test_a_number_that_equals_another_type_is_deleted_by_its_key(self):
+        # Regression: Decimal(1) was stored under an opaque token, the diff
+        # took (1,) for the same row, and its key delete matched nothing.
+        v1 = self._version(R=[], S=[], E=[(Decimal(1),), (2,), (3,)])
+        v2 = self._version(R=[], S=[], E=[(1,), (2,), (3,), (4,)])
+        v3 = self._version(R=[], S=[], E=[(2,), (3,), (4,), (5,)])
+        backend = _loaded(v1)
+        assert self._switch(backend, v2)["inserted"] == 1
+        attrs = self._switch(backend, v3)
+        assert (attrs["deleted"], attrs["inserted"]) == (1, 1)
+        assert backend.extract_relation("E") == v3.relation("E")
+        assert backend.evaluate(relation("E"), PlanCache()) == v3.relation("E")
+
+    def test_the_counts_are_rows_sqlite_changed(self):
+        backend = _loaded(self._version(R=[(1, 2)], S=[], E=[(1,)]))
+        backend.connection.execute("DELETE FROM " + table_name("E"))
+        backend.connection.commit()
+        attrs = self._switch(backend, self._version(R=[(1, 2)], S=[], E=[(2,)]))
+        # (1,) was already gone from the table: its key delete removed nothing.
+        assert (attrs["deleted"], attrs["inserted"]) == (0, 1)
 
     def test_an_equal_new_object_writes_nothing_and_keeps_the_plans(self):
         old = self._version(R=[(1, 2), (Null("x"), 2)], S=[(2, "a")], E=[])
