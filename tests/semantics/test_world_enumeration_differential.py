@@ -21,7 +21,10 @@ domain values outside the database and the query).  The second suite
 compares them, on every engine and semantics, with the library's
 ``enumerate_certain_answers`` over every valuation of the same resolved
 domain, on the same random instances plus the edge cases canonical
-enumeration has to get right.
+enumeration has to get right.  On the edge cases and a slice of the
+random instances it also compares ``possible()`` and
+``boolean(mode="possible")`` with ``enumerate_possible_answers`` and
+``enumerate_possible_boolean``.
 """
 
 import itertools
@@ -35,7 +38,13 @@ from repro.algebra import parse_ra
 from repro.algebra.ast import ConstantRelation, Difference
 from repro.core.answers import enumeration_domain, valuation_space
 from repro.datamodel import Database, Null, Relation, enumerate_valuations
-from repro.semantics import default_domain, enumerate_certain_answers, enumerate_certain_boolean
+from repro.semantics import (
+    default_domain,
+    enumerate_certain_answers,
+    enumerate_certain_boolean,
+    enumerate_possible_answers,
+    enumerate_possible_boolean,
+)
 from repro.semantics.certain import certain_over
 from repro.semantics.registry import SEMANTICS
 
@@ -241,6 +250,11 @@ WORLD_SPACES = {"owa": "owa", "cwa": "cwa", "wcwa": "wcwa", "prob": "cwa"}
 #: The random instances the session sweep runs (each on every engine).
 CANONICAL_SEEDS = SEEDS[:40]
 
+#: The random instances whose sessions also answer possible() and
+#: boolean(mode="possible"): a slice, since the possible-answer union
+#: enumerates every valuation.
+POSSIBLE_SEEDS = set(CANONICAL_SEEDS[1::8])
+
 #: A literal relation holding ``'q'``, a constant no instance contains.
 OUTSIDE = ConstantRelation(Relation.create("Q", [("q",), (2,)]))
 
@@ -266,38 +280,43 @@ def _connect(database, semantics, engine, **options):
     return repro.connect(database, engine=engine, semantics=semantics, **options)
 
 
-def _full_product(query, database, semantics, domain, max_extra_facts):
-    """Certain answer and Boolean certainty over every valuation."""
+def _full_product(query, database, semantics, domain, max_extra_facts, possible=False):
+    """Certain answer and Boolean certainty over every valuation, then,
+    with ``possible``, possible answer and Boolean possibility."""
     resolved = enumeration_domain(query, database, domain)
-    space = WORLD_SPACES[semantics]
-    answer = enumerate_certain_answers(
-        query.evaluate, database, space, domain=resolved, max_extra_facts=max_extra_facts
-    )
-    holds = enumerate_certain_boolean(
-        query.evaluate, database, space, domain=resolved, max_extra_facts=max_extra_facts
-    )
-    return answer, holds
+    folds = [enumerate_certain_answers, enumerate_certain_boolean]
+    if possible:
+        folds += [enumerate_possible_answers, enumerate_possible_boolean]
+    return [
+        fold(query.evaluate, database, WORLD_SPACES[semantics], domain=resolved,
+             max_extra_facts=max_extra_facts)
+        for fold in folds
+    ]
 
 
-def _assert_sessions_match(database, semantics, domain, max_extra_facts, queries=None):
-    queries = _queries(database) if queries is None else queries
+def _assert_sessions_match(database, semantics, domain, max_extra_facts, possible=True):
+    queries = _queries(database)
     expected = [
-        _full_product(query, database, semantics, domain, max_extra_facts) for query in queries
+        _full_product(query, database, semantics, domain, max_extra_facts, possible)
+        for query in queries
     ]
     for engine in ENGINES:
         with _connect(database, semantics, engine) as session:
-            for query, (answer, holds) in zip(queries, expected):
+            for query, folds in zip(queries, expected):
                 q = session.query(query)
                 options = dict(domain=domain, max_extra_facts=max_extra_facts)
-                assert q.certain(method="enumeration", **options) == answer, (engine, query)
-                assert q.boolean(mode="certain", **options) is holds, (engine, query)
+                assert q.certain(method="enumeration", **options) == folds[0], (engine, query)
+                assert q.boolean(mode="certain", **options) is folds[1], (engine, query)
+                if possible:
+                    assert q.possible(**options) == folds[2], (engine, query)
+                    assert q.boolean(mode="possible", **options) is folds[3], (engine, query)
 
 
 @pytest.mark.parametrize("semantics", sorted(WORLD_SPACES))
 @pytest.mark.parametrize("seed", CANONICAL_SEEDS)
 def test_canonical_sessions_equal_the_full_product(seed, semantics):
     database, domain, max_extra_facts = _instance(seed, WORLD_SPACES[semantics])
-    _assert_sessions_match(database, semantics, domain, max_extra_facts)
+    _assert_sessions_match(database, semantics, domain, max_extra_facts, seed in POSSIBLE_SEEDS)
 
 
 def test_sweep_takes_the_canonical_path():
