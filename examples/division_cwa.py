@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import repro
 from repro.algebra import classify, parse_ra
-from repro.core import explain_method
+from repro.core import naive_evaluation_applies
 from repro.datamodel import Database, Null, Relation
 from repro.logic import ra_to_calculus
 
@@ -53,8 +53,8 @@ def main():
     query = parse_ra("divide(Enroll, Courses)")
     print("\nQuery:", query)
     print("Fragment:", classify(query).value)
-    print("Naive evaluation trustworthy under CWA?", explain_method(query, "cwa"))
-    print("Naive evaluation trustworthy under OWA?", explain_method(query, "owa"))
+    print("Naive evaluation trustworthy under CWA?", naive_evaluation_applies(query, "cwa"))
+    print("Naive evaluation trustworthy under OWA?", naive_evaluation_applies(query, "owa"))
 
     session = repro.connect(database, semantics="cwa")
     handle = session.query(query)

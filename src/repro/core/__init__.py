@@ -10,15 +10,14 @@ Contents:
 * :mod:`repro.core.certainty` — ``certainO`` / ``certainK`` (Section 5.3);
 * :mod:`repro.core.naive_evaluation` — applicability of naive evaluation
   (syntactic fragments and the monotone+generic criterion of Section 6);
-* :mod:`repro.core.answers` — the certain-answer strategies sessions dispatch to;
+* :mod:`repro.core.answers` — the naive and world-enumeration strategy
+  functions the strategy rows of :mod:`repro.semantics.strategies` run;
 * :mod:`repro.core.sound_evaluation` — sound, no-false-positive evaluation
   of full relational algebra over nulls (Section 7).
 """
 
 from .answers import (
-    certain_strategy,
     enumeration_strategy,
-    explain_method,
     knowledge_strategy,
     naive_strategy,
     object_strategy,
@@ -82,7 +81,6 @@ __all__ = [
     "WCWA_ORDERING",
     "certain_knowledge_formula",
     "certain_object_owa",
-    "certain_strategy",
     "cwa_leq",
     "enumeration_strategy",
     "knowledge_strategy",
@@ -91,7 +89,6 @@ __all__ = [
     "cwa_representation_system",
     "evaluate_pair",
     "evaluate_query",
-    "explain_method",
     "intersection_object",
     "is_certain_knowledge",
     "is_certain_object",

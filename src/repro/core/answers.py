@@ -1,6 +1,6 @@
-"""Certain-answer strategies: naive, enumeration, and the dispatch between them.
+"""Certain-answer strategies: naive evaluation and world enumeration.
 
-Three ways of answering a query ``Q`` over an incomplete database ``D``:
+Two ways of answering a query ``Q`` over an incomplete database ``D``:
 
 * :func:`naive_strategy` — the paper's recipe for the well-behaved
   classes (eq. (4)): naive evaluation followed by dropping tuples with
@@ -8,11 +8,11 @@ Three ways of answering a query ``Q`` over an incomplete database ``D``:
 * :func:`enumeration_strategy` — the classical definition (eq. (1))
   computed literally by possible-world enumeration; exponential in the
   number of nulls, used as ground truth and as the baseline in benchmarks.
-* :func:`certain_strategy` — the "do the right thing" dispatch: walks the
-  semantics' strategy list (:mod:`repro.semantics.registry`) for the
-  first exact strategy — naive evaluation when the query's fragment
-  guarantees it, c-table lineage (:mod:`repro.semantics.lineage`) for
-  generic relational algebra under closed worlds, enumeration otherwise.
+
+Which one answers is not decided here: :mod:`repro.semantics.strategies`
+holds the strategy rows built on these functions (with the sound CWA
+approximation and c-table lineage) and the one walk a session answers
+``certain()``, ``possible()`` and ``boolean()`` through.
 
 The strategies are *thin*: each takes an ``evaluator`` — a function from
 ``(query, database)`` to a relation — so the caller decides which engine
@@ -45,8 +45,8 @@ from ..semantics.certain import (
     enumerate_certain_answers,
     enumerate_possible_answers,
 )
+from ..semantics.registry import semantics_named
 from ..semantics.worlds import check_world_options, default_domain, fresh_value_worlds
-from .naive_evaluation import Applicability
 
 Query = Union[RAExpression, FOQuery]
 
@@ -315,8 +315,6 @@ def knowledge_strategy(
 ) -> Formula:
     """``certainK(Q, D) = δ_{Q(D)}``: the knowledge-level certain answer (eq. (10)),
     with the δ of ``semantics`` (a registered name, or its registry row)."""
-    from ..semantics.registry import semantics_named
-
     delta = semantics_named(semantics).delta
     answer = evaluator(query, database)
     return delta(Database.from_relations([answer.rename("Answer")]))
@@ -386,8 +384,8 @@ def enumeration_strategy(
     """Certain (or possible) answers computed literally by world enumeration.
 
     ``semantics`` is a row of :data:`repro.semantics.registry.SEMANTICS`
-    (the registry's ``ENUMERATION`` strategy hands its own row down) or
-    its name; its worlds are enumerated.  ``extra_constants`` and
+    (the ``ENUMERATION`` strategy of :mod:`repro.semantics.strategies`
+    hands the session's row down) or its name; its worlds are enumerated.  ``extra_constants`` and
     ``max_extra_facts`` are checked before anything runs.  ``world_evaluator`` overrides the
     per-world callable — sessions pass a *picklable* one when ``workers``
     should fan out over a process pool (``executor``: a live,
@@ -404,8 +402,6 @@ def enumeration_strategy(
     generic query run canonical valuations only); the space is part of
     the token key.
     """
-    from ..semantics.registry import semantics_named
-
     semantics = semantics_named(semantics)
     check_world_options(extra_constants, max_extra_facts)
     state = active_budget()
@@ -443,40 +439,3 @@ def enumeration_strategy(
             error.resume_token.key = key()
             error.resume_token.kernel_epoch = kernel_epoch
         raise
-
-
-def certain_strategy(
-    query: Query,
-    database: Database,
-    evaluator: QueryEvaluator,
-    semantics: str = "cwa",
-    method: str = "auto",
-    resume: Optional[ResumeToken] = None,
-    **options: Any,
-) -> Relation:
-    """Certain answers with automatic method selection.
-
-    ``method`` is ``'auto'`` (the first exact strategy of the semantics'
-    list that applies: naive evaluation when the fragment guarantees it
-    and no ``domain`` restricts the valuations, c-table lineage for
-    generic relational algebra under closed worlds, enumeration
-    otherwise), ``'naive'`` or ``'enumeration'``; anything
-    else raises :class:`~repro.resilience.InvalidRequestError`.  A
-    ``resume`` token forces enumeration — it checkpoints world
-    enumeration, which the naive method does not perform.  ``options``
-    (``domain``, ``workers``, ``world_evaluator``, ...) are the
-    :func:`enumeration_strategy` ones; lineage reads ``domain`` and
-    ``extra_constants`` of them.
-    """
-    from ..semantics.registry import semantics_named
-
-    row = semantics_named(semantics)
-    strategy = row.choose(query, method, resume, options.get("domain"))
-    return strategy.run(row, query, database, evaluator, resume=resume, **options)
-
-
-def explain_method(query: Query, semantics: str = "cwa") -> Applicability:
-    """The naive-evaluation verdict :func:`certain_strategy` acts on."""
-    from ..semantics.registry import NAIVE, semantics_named
-
-    return NAIVE.applies(semantics_named(semantics), query)

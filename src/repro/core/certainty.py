@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..datamodel import Database, Null, is_null
 from ..homomorphisms import core as core_of
 from ..logic.formulas import Formula
+from ..semantics.registry import semantics_named
 from .orderings import InformationOrdering
 
 
@@ -157,8 +158,6 @@ def certain_knowledge_formula(database: Database, semantics: str = "cwa") -> For
     naively evaluated answer.  ``semantics`` is a name registered in
     :data:`repro.semantics.registry.SEMANTICS` (or its row).
     """
-    from ..semantics.registry import semantics_named  # the registry imports this package
-
     return semantics_named(semantics).delta(database)
 
 

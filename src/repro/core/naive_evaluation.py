@@ -28,6 +28,7 @@ from ..datamodel import Database, Relation
 from ..homomorphisms import Homomorphism
 from ..logic.formulas import FOQuery
 from ..logic.fragments import FormulaFragment, classify_formula
+from ..semantics.registry import semantics_named
 from .orderings import relation_leq
 
 Query = Union[RAExpression, FOQuery]
@@ -53,8 +54,6 @@ def naive_evaluation_applies(query: Query, semantics: str = "cwa") -> Applicabil
     :data:`repro.semantics.registry.SEMANTICS` (or its row); the test is
     :func:`naive_verdict` on that row.
     """
-    from ..semantics.registry import semantics_named  # the registry imports this module
-
     return naive_verdict(query, semantics_named(semantics))
 
 
@@ -119,8 +118,6 @@ def is_monotone_on(
     answers must satisfy ``Q(smaller) ⊑ Q(larger)`` in the answer ordering.
     Pairs that are not ordered are skipped.
     """
-    from ..semantics.registry import semantics_named  # the registry imports this module
-
     input_order = semantics_named(input_semantics).ordering
     answers = semantics_named(answer_semantics or input_semantics)
     for smaller, larger in pairs:

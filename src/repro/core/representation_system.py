@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from ..logic.diagrams import delta_cwa, delta_owa, delta_wcwa
 from ..logic.formulas import Formula
 from ..logic.fragments import is_pos_forall_guarded, is_positive, is_ucq
+from ..semantics.registry import semantics_named
 
 
 class Domain:
@@ -176,8 +176,6 @@ def relational_domain(
     the default finite domain (active domain plus fresh constants);
     membership and the ordering are the row's exact, homomorphism-based ones.
     """
-    from ..semantics.registry import semantics_named  # the registry imports this package
-
     row = semantics_named(semantics)
     return Domain(
         is_complete=lambda database: database.is_complete(),
@@ -191,12 +189,12 @@ def relational_domain(
 
 
 def _relational_system(
-    semantics: str, delta: Callable[[Any], Formula], in_fragment: Callable[[Formula], bool],
-    name: str, extra_constants: Optional[int],
+    semantics: str, in_fragment: Callable[[Formula], bool], name: str,
+    extra_constants: Optional[int],
 ) -> RepresentationSystem:
     return RepresentationSystem(
         domain=relational_domain(semantics, extra_constants=extra_constants),
-        delta=delta,
+        delta=semantics_named(semantics).delta,
         satisfies=lambda database, formula: formula.holds(database),
         in_fragment=in_fragment,
         name=name,
@@ -205,14 +203,12 @@ def _relational_system(
 
 def owa_representation_system(extra_constants: Optional[int] = None) -> RepresentationSystem:
     """``RS_owa = ⟨D_owa, UCQ⟩`` with ``δ_D = ∃x̄ PosDiag(D)``."""
-    return _relational_system("owa", delta_owa, is_ucq, "RS_owa (UCQ)", extra_constants)
+    return _relational_system("owa", is_ucq, "RS_owa (UCQ)", extra_constants)
 
 
 def cwa_representation_system(extra_constants: Optional[int] = None) -> RepresentationSystem:
     """``RS_cwa = ⟨D_cwa, Pos∀G⟩`` with ``δ_D`` = diagram + domain closure."""
-    return _relational_system(
-        "cwa", delta_cwa, is_pos_forall_guarded, "RS_cwa (Pos∀G)", extra_constants
-    )
+    return _relational_system("cwa", is_pos_forall_guarded, "RS_cwa (Pos∀G)", extra_constants)
 
 
 def wcwa_representation_system(extra_constants: Optional[int] = None) -> RepresentationSystem:
@@ -224,4 +220,4 @@ def wcwa_representation_system(extra_constants: Optional[int] = None) -> Represe
     the active domain; then a representation system for this semantics will
     use the class of positive FO formulae").
     """
-    return _relational_system("wcwa", delta_wcwa, is_positive, "RS_wcwa (Pos)", extra_constants)
+    return _relational_system("wcwa", is_positive, "RS_wcwa (Pos)", extra_constants)

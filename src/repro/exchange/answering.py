@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from ..algebra.ast import RAExpression
-from ..core.answers import certain_strategy
-from ..core.naive_evaluation import evaluate_query as _evaluate_query
 from ..core.naive_evaluation import naive_evaluation_applies
 from ..datamodel import Database, Relation
 from ..logic.formulas import FOQuery
+from ..semantics.registry import semantics_named
+from ..session import connect
 from .chase import canonical_solution
 from .mappings import SchemaMapping
 
@@ -45,19 +45,16 @@ def certain_answers_exchange(
         ``'enumeration'`` — chase, then enumerate worlds of the canonical
         solution under ``semantics`` and intersect (ground truth for small
         instances — solutions are open-world objects, hence the default
-        ``'owa'``); ``'auto'`` — naive when the query's fragment
-        guarantees it under ``semantics``, else enumeration
-        (:func:`repro.core.answers.certain_strategy`).
+        ``'owa'``); ``'auto'`` — the first exact strategy of
+        ``certain(method="auto")``: naive when the query's fragment
+        guarantees it under ``semantics``, else enumeration (or c-table
+        lineage under closed worlds).  A session on the seed interpreter
+        answers, over the world space of ``semantics``.
     """
     solution = canonical_solution(mapping, source)
-    return certain_strategy(
-        query,
-        solution,
-        _evaluate_query,
-        semantics=semantics,
-        method=method,
-        max_extra_facts=max_extra_facts,
-    )
+    space = semantics_named(semantics).space
+    with connect(solution, engine="interpreter", semantics=space) as session:
+        return session.query(query).certain(method=method, max_extra_facts=max_extra_facts)
 
 
 def naive_exchange_answer_is_guaranteed(query: Query) -> bool:

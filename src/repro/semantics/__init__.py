@@ -4,18 +4,20 @@ This package provides:
 
 * the registry (:mod:`repro.semantics.registry`): one row per semantics
   name in its ``SEMANTICS``, carrying the world enumerator, membership
-  test, information ordering and δ-formula of that semantics, and its
-  certain-answer strategies; every ``semantics=`` name is resolved there;
+  test, information ordering and δ-formula of that semantics; every
+  ``semantics=`` name is resolved there;
+* the strategy rows and the one answering walk of a session
+  (:mod:`repro.semantics.strategies`), built on :mod:`repro.core`;
 * possible-world enumeration over finite constant domains
   (:mod:`repro.semantics.worlds`);
-* membership tests ``D' ∈ [[D]]_*`` via homomorphism search
-  (:mod:`repro.semantics.membership`); and
+* membership tests ``D' ∈ [[D]]_*`` and the information orderings via
+  homomorphism search (:mod:`repro.semantics.membership`); and
 * brute-force, intersection-based certain answers used as ground truth
   throughout the test and benchmark suites
   (:mod:`repro.semantics.certain`).
 
-The registry is not imported here: it builds on :mod:`repro.core`, which
-builds on this package.
+The registry and the strategies are not re-exported here (``SEMANTICS``
+stays a ``repro.semantics.registry`` name).
 """
 
 from .certain import (

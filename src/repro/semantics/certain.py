@@ -54,6 +54,7 @@ from ..resilience import (
     WorkerPoolError,
     active_budget,
 )
+from .registry import semantics_named
 
 Evaluator = Callable[[Database], Relation]
 """A query, abstractly: a function from complete databases to relations."""
@@ -69,8 +70,6 @@ def _worlds(
 ) -> Iterator[Database]:
     """The worlds of ``database`` under ``semantics``: a name registered in
     :data:`repro.semantics.registry.SEMANTICS`, or its row."""
-    from .registry import semantics_named  # the registry imports this module
-
     return semantics_named(semantics).worlds(
         database, domain, extra_constants, max_extra_facts, interchangeable=interchangeable
     )

@@ -21,7 +21,7 @@ enumeration's, valuation for valuation:
   on the values a condition mentions plus one representative of the
   rest: sound for the equality-only conditions of generic queries
   (:func:`~repro.core.answers.not_generic`), which is where the
-  registry's ``LINEAGE`` strategy applies.
+  ``LINEAGE`` strategy of :mod:`repro.semantics.strategies` applies.
 
 A tuple that is not certain comes with its *falsifying valuation*:
 applied to ``D``, it gives a world whose answer misses the tuple.

@@ -24,15 +24,13 @@ cache (:class:`repro.engine.PlanCache`), its own condition kernel
 ``connect(kernel_watermark=...)``), and one engine object from the
 registry in :mod:`repro.engine.registry`.  The session decides *what* to
 answer — the mode and the budget — and hands every evaluation to that
-engine, and every semantics-dependent decision (which certain-answer
-strategy runs, how a budget overrun degrades, the probabilistic
-``confidence()`` path) to one semantics object from
-:mod:`repro.semantics.registry`: this module branches on neither the
-engine nor the semantics.  Every world enumeration — ``certain()``,
-``possible()``, ``boolean()`` (the 0-ary "answer is non-empty") — runs
-the registry's ``ENUMERATION`` row, which also checks and stamps resume
-tokens; this module only unwraps a ``PartialResult`` into its token.
-The ``"sqlite"`` engine
+engine.  ``certain()``, ``possible()`` and ``boolean()`` (the 0-ary
+"answer is non-empty") take the one walk of
+:mod:`repro.semantics.strategies`, which picks and runs the strategy and
+degrades a budget overrun; what depends on the semantics itself (worlds,
+the ``connect(model=)`` check, the probabilistic ``confidence()`` path)
+goes to one row of :mod:`repro.semantics.registry`: this module branches
+on neither the engine nor the semantics.  The ``"sqlite"`` engine
 (:mod:`repro.backends.sqlite_engine`) keeps its SQLite handles open
 across queries and owns every retry, fallback and recovery decision of
 that path.  Two live sessions therefore share *no* mutable state and can
@@ -58,7 +56,6 @@ from .resilience import (
     BudgetExceeded,
     BudgetState,
     InvalidRequestError,
-    PartialResult,
     RetryPolicy,
     SessionClosedError,
     budget_scope,
@@ -73,67 +70,13 @@ from .logic.formulas import FOQuery
 from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer, entry_scope, env_tracer
-from .semantics.certain import NonEmpty, _pool_initializer
-from .semantics import certain as _certain_module
-from .semantics.registry import ENUMERATION, LINEAGE, NAIVE, forced_method, semantics_named
+from .semantics.certain import _pool_initializer
+from .semantics.registry import semantics_named
+from .semantics.strategies import (
+    BOOLEAN, CERTAIN, NAIVE, POSSIBLE, budget_policy, choose, forced_method, walk,
+)
+from .semantics.strategies import explain as explain_strategy
 from .semantics.worlds import check_world_options
-
-_BUDGET_POLICIES = ("degrade", "raise", "partial")
-
-
-def _budget_policy(policy: Any) -> str:
-    """``policy`` if it names an ``on_budget`` policy, else :class:`InvalidRequestError`."""
-    if policy not in _BUDGET_POLICIES:
-        raise InvalidRequestError(
-            f"unknown on_budget policy {policy!r}; "
-            "expected 'degrade', 'raise' or 'partial'"
-        )
-    return policy
-
-
-# ----------------------------------------------------------------------
-# Per-world evaluator (every enumeration path; picklable for workers=)
-# ----------------------------------------------------------------------
-class _WorldEvaluator:
-    """Evaluates one query per enumerated world, in the parent or a ``workers=`` child.
-
-    Every world-enumeration path (``certain()``, ``possible()``,
-    ``boolean()``; sequential or fanned out) evaluates through this.
-    Worlds always run in memory — ``"sqlite"`` sessions take the plan
-    engine, which the differential suites hold equal to SQLite, instead
-    of refilling the backend once per world.  In the parent it runs on
-    the session's plan cache and refuses to run once the session is
-    closed.  The session stays behind when the evaluator is pickled: a
-    child runs worlds on the per-process cache its pool initializer built
-    (:func:`~repro.semantics.certain._pool_initializer`).
-    """
-
-    __slots__ = ("query", "interpret", "plan_cache", "session")
-
-    def __init__(self, query: QueryLike, session: "Session") -> None:
-        self.query = query
-        self.interpret = session._engine.interprets
-        self.plan_cache = session.plan_cache
-        self.session: Optional["Session"] = session
-
-    def __getstate__(self) -> Tuple[QueryLike, bool]:
-        return (self.query, self.interpret)
-
-    def __setstate__(self, state: Tuple[QueryLike, bool]) -> None:
-        self.query, self.interpret = state
-        self.plan_cache = _certain_module._child_plan_cache
-        self.session = None
-
-    def __call__(self, world: Database) -> Relation:
-        session = self.session
-        if session is not None and session._closed:
-            raise SessionClosedError("session is closed")
-        query = self.query
-        if isinstance(query, FOQuery):
-            return query.evaluate(world)
-        if self.interpret:
-            return query._interpret(world)
-        return self.plan_cache.execute(query, world)
 
 
 class Cursor:
@@ -309,37 +252,36 @@ class Query:
             raise InvalidRequestError(NO_DATABASE)
         return database
 
-    def _run(
-        self,
-        run: Callable[[], Any],
-        budget: Optional[Budget],
-        on_expiry: Optional[Callable[[BudgetExceeded], Any]] = None,
-    ) -> Any:
-        """``run()`` as one session run, under ``budget`` (else the session's).
+    def _run(self, budget: Optional[Budget], on_expiry: Optional[Callable[..., Any]],
+             run: Callable[..., Any], *args: Any) -> Any:
+        """``run(*args)`` as one session run, under ``budget`` (a
+        :class:`~repro.resilience.Budget`; else the session's).
 
         The run is counted in flight (so :meth:`Session.cancel` can reach
         it and one cancel cannot poison the next query) and its armed
         budget is registered for cancellation.  When the budget expires,
-        ``on_expiry(error)`` answers instead — outside the expired budget,
-        so a degradation rung is not cut short by the deadline that sent
-        the run there; without ``on_expiry`` the error propagates.
+        ``on_expiry(error, *args)`` answers instead, outside the expired
+        budget so a degradation rung is not cut short by the deadline
+        that sent the run there; without it the error propagates.
         """
         session = self.session
         if budget is None:
             budget = session.budget
+        elif not isinstance(budget, Budget):
+            raise TypeError(f"budget must be a Budget, got {type(budget).__name__}")
         state = None if budget is None else budget.start()
         session._begin_run(state)
         try:
             if state is None:
-                return run()
+                return run(*args)
             try:
                 with budget_scope(state):
-                    return run()
+                    return run(*args)
             except BudgetExceeded as error:
                 if on_expiry is None:
                     raise
                 session._metrics.count("budget.expired." + (error.resource or "budget"))
-                return on_expiry(error)
+                return on_expiry(error, *args)
         finally:
             session._end_run(state)
 
@@ -357,7 +299,7 @@ class Query:
         """Certain answers under the session's semantics.
 
         ``method='auto'`` runs the first exact strategy of the semantics'
-        list that applies (:mod:`repro.semantics.registry`): naive
+        list that applies (:mod:`repro.semantics.strategies`): naive
         evaluation when the query's fragment guarantees it, else, under
         CWA and prob for generic relational algebra, validity of each
         candidate's c-table lineage, else world enumeration;
@@ -389,97 +331,34 @@ class Query:
         unrelated answers.  A resumed run that completes returns exactly
         the uninterrupted answer.
         """
-        check_world_options(extra_constants, max_extra_facts)
-        with self.session._obs("query.certain"):
-            return self._certain(
-                method, domain, extra_constants, max_extra_facts, budget, on_budget, resume
-            )
-
-    def _certain(
-        self,
-        method: str,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-        budget: Optional[Budget],
-        on_budget: Optional[str],
-        resume: Any,
-    ) -> Relation:
-        session = self.session
-        policy = self._policy(on_budget)
-        if self._is_sql():
-            forced_method(method)  # validated as choose() validates it below
-            if resume is not None:
-                raise InvalidRequestError(
-                    "resume= is not defined for three-valued SQL queries"
-                )
-            return session.sql(self.expression, database=self._database, certain=True)
-        self._resilience_verdict = None
-        if isinstance(resume, PartialResult):
-            if resume.token is None:
-                raise InvalidRequestError(
-                    "this PartialResult carries no resume token — the interrupted "
-                    "evaluation never reached an enumeration checkpoint"
-                )
-            resume = resume.token
-        semantics = session._semantics
-        strategy = semantics.choose(self.expression, method, resume, domain)
-        self._ran = strategy.label if method == "auto" else f"{strategy.label} (method={method!r})"
-        if strategy is ENUMERATION:
-            self._ran += semantics.valuations(
-                self.expression, self._require_database(), domain, extra_constants
-            )
-        return self._enumerate(
-            strategy, "certain", domain, extra_constants, max_extra_facts, budget,
-            lambda error: semantics.degrade(self, error, policy, domain), resume,
+        return self._answer(
+            CERTAIN, domain, extra_constants, max_extra_facts, budget, method, on_budget, resume
         )
 
-    def _enumerate(
-        self,
-        strategy: Any,
-        mode: str,
-        domain: Optional[Sequence[Any]],
-        extra_constants: Optional[int],
-        max_extra_facts: int,
-        budget: Optional[Budget],
-        on_expiry: Optional[Callable[[BudgetExceeded], Any]] = None,
-        resume: Any = None,
-        wrap: Optional[Callable[[Any], Any]] = None,
-    ) -> Any:
-        """``strategy`` as one session run (``on_expiry`` as in :meth:`_run`).
-
-        World enumeration also gets its options, built only when it runs:
-        ``mode``, the world-space knobs, ``resume`` and the per-world
-        evaluator, passed through ``wrap`` when given (``boolean()``
-        passes :class:`NonEmpty`); lineage gets the domain knobs and the
-        session's c-table evaluation and kernel."""
-        session, expression = self.session, self.expression
-        database = self._require_database()
-        options: dict = {}
-        if strategy is LINEAGE:
-            options = dict(
-                domain=domain, extra_constants=extra_constants,
-                evaluate_ctable=session.evaluate_ctable, kernel=session.kernel,
-            )
-        elif not strategy.polynomial:
-            per_world: Any = _WorldEvaluator(expression, session)
-            options = dict(
-                mode=mode, domain=domain, extra_constants=extra_constants,
-                max_extra_facts=max_extra_facts, resume=resume, kernel_epoch=session.kernel.epoch,
-                world_evaluator=per_world if wrap is None else wrap(per_world),
-            )
-            if mode == "certain":
-                # Only the intersection fans out over the worker pool.
-                options.update(workers=session.workers, executor=session._worker_executor())
-
-        def run() -> Any:
-            return strategy.run(session._semantics, expression, database, session._evaluate, **options)
-
-        return self._run(run, budget, on_expiry)
+    def _answer(self, mode: Any, domain: Optional[Sequence[Any]], extra_constants: Optional[int],
+                max_extra_facts: int, budget: Optional[Budget], method: str = "auto",
+                on_budget: Optional[str] = None, resume: Any = None) -> Any:
+        """One answering ``mode`` (:mod:`repro.semantics.strategies`): check
+        the world options, open the entry scope, refuse or rewrite SQL,
+        then take the walk."""
+        check_world_options(extra_constants, max_extra_facts)
+        with self.session._obs(mode.entry):
+            if not self._is_sql():
+                return walk(
+                    self, mode, method, domain, extra_constants, max_extra_facts, budget,
+                    on_budget, resume,
+                )
+            if mode is not CERTAIN:
+                self._no_sql(f"{mode.name}()")
+            self._policy(on_budget)
+            forced_method(method)  # validated as the walk validates them
+            if resume is not None:
+                raise InvalidRequestError("resume= is not defined for three-valued SQL queries")
+            return self.session.sql(self.expression, database=self._database, certain=True)
 
     def _policy(self, on_budget: Optional[str]) -> str:
         """The validated ``on_budget`` policy of one call (else the session's)."""
-        return _budget_policy(on_budget if on_budget is not None else self.session.on_budget)
+        return budget_policy(on_budget if on_budget is not None else self.session.on_budget)
 
     def possible(
         self,
@@ -495,12 +374,7 @@ class Query:
         degradation ladder here, because a *subset* of the worlds yields a
         subset of the possible answers, which no sound rung can complete.
         """
-        check_world_options(extra_constants, max_extra_facts)
-        with self.session._obs("query.possible"):
-            self._no_sql("possible()")
-            return self._enumerate(
-                ENUMERATION, "possible", domain, extra_constants, max_extra_facts, budget
-            )
+        return self._answer(POSSIBLE, domain, extra_constants, max_extra_facts, budget)
 
     def answer_object(self) -> Relation:
         """``certainO``: the naive answer itself, nulls included (eq. (9)).
@@ -545,18 +419,7 @@ class Query:
         """
         if mode not in ("certain", "possible"):
             raise InvalidRequestError(f"unknown mode {mode!r}; expected 'certain' or 'possible'")
-        check_world_options(extra_constants, max_extra_facts)
-        with self.session._obs("query.boolean"):
-            self._no_sql("boolean()")
-            try:
-                return bool(self._enumerate(
-                    ENUMERATION, mode, domain, extra_constants, max_extra_facts, budget,
-                    wrap=NonEmpty,
-                ))
-            except BudgetExceeded as error:
-                # A 0-ary checkpoint has certain()'s key; it must not resume it.
-                error.resume_token = None
-                raise
+        return self._answer(BOOLEAN[mode], domain, extra_constants, max_extra_facts, budget)
 
     # -- probabilistic answering (semantics="prob") --------------------
     def condition_on(self, constraint: Any) -> "Query":
@@ -645,7 +508,8 @@ class Query:
             f"query: {expression!r}",
             f"engine: {session.engine}; semantics: {session.semantics}",
         ]
-        lines.extend(session._semantics.explain(expression, session.model, self._ran, database))
+        lines.append(explain_strategy(session._semantics, expression, self._ran, database))
+        lines.extend(session._semantics.explain(session.model))
         schema = database.schema if database is not None else session._engine.resident_schema()
         if not isinstance(expression, RAExpression):
             lines.append("plan: n/a (first-order query, evaluated by satisfaction)")
@@ -720,9 +584,11 @@ class Query:
                 )
                 return Cursor(chunks(rows, batch_size), batch_size, metrics=metrics)
             expression = self.expression
-            if certain and self.session._semantics.choose(expression) is not NAIVE:
-                answer = self._certain("auto", None, None, 1, None, None, None)
-                return Cursor(chunks(answer.rows, batch_size), batch_size, metrics=metrics)
+            if certain:
+                strategy = choose(self.session._semantics, CERTAIN, expression)
+                if strategy is not NAIVE:
+                    answer = walk(self, CERTAIN, "auto", None, None, 1, None, None, None, strategy)
+                    return Cursor(chunks(answer.rows, batch_size), batch_size, metrics=metrics)
             batches: Iterator[List[Tuple[Any, ...]]]
             if isinstance(expression, RAExpression):
                 batches = self.session._stream(expression, self.database, batch_size)
@@ -822,17 +688,25 @@ class Session:
         from .engine.planner import PlanCache
 
         open_engine = engine_factory(engine)
-        #: The semantics object every semantics-dependent decision goes to.
+        #: The semantics row: its worlds, model check and confidence() path.
         self._semantics = semantics_named(semantics)
-        _budget_policy(on_budget)
+        budget_policy(on_budget)
         if database is not None and not isinstance(database, Database):
             raise TypeError(
                 f"connect() expects a Database (or None), got {type(database).__name__}"
             )
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
-            raise TypeError(
-                f"retry_policy must be a RetryPolicy, got {type(retry_policy).__name__}"
-            )
+        for name, value, kind in (
+            ("retry_policy", retry_policy, RetryPolicy), ("budget", budget, Budget),
+            ("tracer", tracer, Tracer),
+        ):
+            if value is not None and not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        for name, value, minimum in (
+            ("workers", workers, 1), ("kernel_watermark", kernel_watermark, 1),
+            ("kernel_memo_limit", kernel_memo_limit, 2),
+        ):
+            if value is not None:
+                check_count(name, value, minimum)
         self._semantics.check_model(model)
         self.database = database
         self.model = model

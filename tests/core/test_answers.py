@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.algebra import parse_ra
-from repro.core import explain_method
+from repro.core import naive_evaluation_applies
 from repro.datamodel import Database, Null
 from repro.logic import FOQuery, atom, exists, var
 from repro.semantics import cwa_worlds
@@ -55,13 +55,13 @@ class TestAutoDispatch:
     def test_auto_uses_naive_for_positive(self, db):
         query = parse_ra("project[#0](R)")
         assert _certain(db, query) == frozenset({(1,), (2,)})
-        assert explain_method(query, "cwa").applies
+        assert naive_evaluation_applies(query, "cwa").applies
 
     def test_auto_falls_back_to_enumeration_for_difference(self):
         database = Database.from_dict({"R": [(1, Null("a"))], "S": [(1, Null("b"))]})
         query = parse_ra("project[#0](diff(R, S))")
         assert _certain(database, query) == frozenset()
-        assert not explain_method(query, "cwa").applies
+        assert not naive_evaluation_applies(query, "cwa").applies
 
     def test_explicit_methods(self, db):
         query = parse_ra("project[#0](R)")

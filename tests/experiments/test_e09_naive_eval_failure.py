@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.algebra import naive_certain_answers, parse_ra
-from repro.core import explain_method
+from repro.core import naive_evaluation_applies
 from repro.datamodel import Database, Null, Relation
 
 
@@ -52,7 +52,7 @@ class TestPaperCounterexample:
 
     def test_auto_method_avoids_the_trap(self, paper_db):
         """The library's dispatcher refuses naive evaluation for this query."""
-        verdict = explain_method(QUERY, "cwa")
+        verdict = naive_evaluation_applies(QUERY, "cwa")
         assert not verdict.applies
         assert repro.connect(paper_db).query(QUERY).certain().rows == frozenset()
 

@@ -76,7 +76,8 @@ def test_naive_under_owa_implies_naive_under_every_semantics(query):
     semantics' own test): the degradation ladder's exact rung already covers
     every query whose naive answer is certain_owa, so it needs no OWA rung."""
     from repro.core import naive_evaluation_applies
-    from repro.semantics.registry import NAIVE, SEMANTICS
+    from repro.semantics.registry import SEMANTICS
+    from repro.semantics.strategies import NAIVE
 
     if naive_evaluation_applies(query, semantics="owa").applies:
         assert naive_evaluation_applies(query, semantics="cwa").applies

@@ -18,7 +18,7 @@ import repro
 from repro import Budget, BudgetExceeded, InvalidRequestError
 from repro.algebra import parse_ra
 from repro.algebra.ast import RAExpression
-from repro.core import certain_strategy
+from repro.core import enumeration_strategy
 from repro.core.answers import _fingerprint, enumeration_domain, valuation_space
 from repro.datamodel import Database, Null, Relation
 from repro.resilience import budget_scope
@@ -75,7 +75,7 @@ class TestFullProductCases:
         query = LargestRow(parse_ra("union(R, S)"))
         domain = enumeration_domain(query, database)
         assert valuation_space(query, database, domain).reason == "unknown operator"
-        answer = certain_strategy(query, database, _evaluate, method="enumeration")
+        answer = enumeration_strategy(query, database, _evaluate)
         assert answer.rows == set()
         canonical = enumerate_certain_answers(
             query.evaluate, database, domain=domain, interchangeable=("w0", "w1")
@@ -163,12 +163,12 @@ class TestResumeTokens:
     def test_strategy_refuses_a_token_of_the_other_enumeration(self):
         database = _database()
         token = _interrupted(
-            lambda: certain_strategy(QUERY, database, _evaluate, method="enumeration")
+            lambda: enumeration_strategy(QUERY, database, _evaluate)
         )
         assert token.interchangeable
         token.interchangeable = ()
         with pytest.raises(InvalidRequestError, match="does not match"):
-            certain_strategy(QUERY, database, _evaluate, resume=token)
+            enumeration_strategy(QUERY, database, _evaluate, resume=token)
 
     def test_fingerprint_covers_the_valuation_space(self):
         database = _database()

@@ -68,6 +68,53 @@ def test_only_the_registry_tells_semantics_names_apart():
     assert _keyed_names(registry) == set(SEMANTICS)
 
 
+STRATEGIES = "repro.semantics.strategies"
+#: The semantics rows and the strategies built on them.
+LAYERS = {"repro.semantics.registry", STRATEGIES}
+
+
+def _imports(name, tree):
+    """Each import in the module at ``name`` as ``(node, modules)``: the
+    absolute names it reads, relative imports resolved (``from p import m``
+    reads ``p`` and ``p.m``, since ``m`` may be a submodule)."""
+    package = ["repro", *name.split("/")[:-1]]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield node, [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def test_the_semantics_layers_are_imported_at_module_level():
+    """No function body imports the rows or the strategies module, and the
+    rows module imports nothing from ``repro.core`` or the strategies: it
+    sits below ``repro.core``, which sits below the strategies."""
+    inside = []
+    for name, tree in _modules():
+        in_functions = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for child in ast.walk(node)
+        }
+        inside.extend(
+            f"{name}:{node.lineno}"
+            for node, modules in _imports(name, tree)
+            if id(node) in in_functions and LAYERS.intersection(modules)
+        )
+    assert not inside, inside
+    registry = ast.parse((ROOT / REGISTRY).read_text(encoding="utf-8"))
+    below = [
+        module
+        for _, modules in _imports(REGISTRY, registry)
+        for module in modules
+        if module == "repro.core" or module.startswith("repro.core.") or module == STRATEGIES
+    ]
+    assert not below, below
+
+
 def test_session_reaches_world_enumeration_only_through_the_registry():
     """``session.py`` neither calls an enumerator nor fingerprints tokens."""
     tree = ast.parse((ROOT / "session.py").read_text(encoding="utf-8"))
@@ -154,9 +201,7 @@ def _entries():
     """Each library entry taking ``semantics=``, as ``call(name)``."""
     from repro.core import (
         certain_knowledge_formula,
-        certain_strategy,
         enumeration_strategy,
-        explain_method,
         is_monotone_on,
         knowledge_strategy,
         naive_evaluation_applies,
@@ -214,9 +259,7 @@ def _entries():
         "certain_answers_exchange": lambda s: certain_answers_exchange(
             mapping, source, parse_ra("project[product](Pref)"), semantics=s
         ),
-        "certain_strategy": lambda s: certain_strategy(query, database, evaluate_query, s),
         "enumeration_strategy": lambda s: enumeration_strategy(query, database, evaluate_query, s),
-        "explain_method": lambda s: explain_method(query, s),
     }
 
 

@@ -2,7 +2,7 @@
 
 ``core.answers.enumeration_strategy`` stamps the token a budget expiry
 raises and refuses a token minted for other inputs.  These tests pin the
-library path (``certain_strategy``) and the one checkpoint that must not
+library path (``enumeration_strategy``) and the one checkpoint that must not
 resume ``certain()``: the 0-ary answers of a Boolean query, whose inputs
 fingerprint the same as the query's own.
 """
@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro import Budget, BudgetExceeded, InvalidRequestError
 from repro.algebra import parse_ra
-from repro.core import certain_strategy
+from repro.core import enumeration_strategy
 from repro.datamodel import Database, Null
 from repro.resilience import ResumeToken, budget_scope
 from repro.semantics import enumerate_certain_answers, enumerate_certain_boolean
@@ -55,17 +55,17 @@ def test_library_boolean_expiry_carries_no_token():
 
 def test_library_token_resumes_to_the_uninterrupted_answer():
     database = _database()
-    expected = certain_strategy(QUERY, database, _evaluate, method="enumeration")
-    error = _interrupted(lambda: certain_strategy(QUERY, database, _evaluate, method="enumeration"))
+    expected = enumeration_strategy(QUERY, database, _evaluate)
+    error = _interrupted(lambda: enumeration_strategy(QUERY, database, _evaluate))
     token = error.resume_token
     assert isinstance(token, ResumeToken) and token.key is not None
-    assert certain_strategy(QUERY, database, _evaluate, resume=token) == expected
+    assert enumeration_strategy(QUERY, database, _evaluate, resume=token) == expected
 
 
 def test_library_path_refuses_foreign_tokens():
     database = _database()
     other = _interrupted(
-        lambda: certain_strategy(QUERY, _database(third=4), _evaluate, method="enumeration")
+        lambda: enumeration_strategy(QUERY, _database(third=4), _evaluate)
     ).resume_token
     unstamped = _interrupted(
         lambda: enumerate_certain_answers(lambda world: QUERY.evaluate(world), database)
@@ -73,4 +73,4 @@ def test_library_path_refuses_foreign_tokens():
     assert unstamped.key is None
     for token in (other, unstamped):
         with pytest.raises(InvalidRequestError, match="does not match"):
-            certain_strategy(QUERY, database, _evaluate, resume=token)
+            enumeration_strategy(QUERY, database, _evaluate, resume=token)

@@ -53,6 +53,31 @@ class TestConnect:
         with pytest.raises(ValueError, match="watermark"):
             repro.connect(db, kernel_watermark=0)
 
+    @pytest.mark.parametrize(
+        "call, options, error, match",
+        [
+            ("connect", {"workers": "2"}, repro.InvalidRequestError, "workers must be an int >= 1"),
+            ("connect", {"workers": 2.5}, repro.InvalidRequestError, "workers must be an int >= 1"),
+            ("connect", {"kernel_watermark": "a"}, repro.InvalidRequestError,
+             "kernel_watermark must be an int >= 1"),
+            ("connect", {"kernel_memo_limit": 1}, repro.InvalidRequestError,
+             "kernel_memo_limit must be an int >= 2"),
+            ("connect", {"budget": "x"}, TypeError, "budget must be a Budget, got str"),
+            ("connect", {"tracer": 5}, TypeError, "tracer must be a Tracer, got int"),
+            ("certain", {"budget": "x"}, TypeError, "budget must be a Budget, got str"),
+            ("possible", {"budget": "x"}, TypeError, "budget must be a Budget, got str"),
+            ("boolean", {"budget": "x"}, TypeError, "budget must be a Budget, got str"),
+        ],
+    )
+    def test_bad_options_raise_typed_errors(self, db, call, options, error, match):
+        """Each of these used to be accepted and fail later with a raw
+        ``TypeError`` or ``AttributeError``."""
+        with pytest.raises(error, match=match):
+            if call == "connect":
+                repro.connect(db, **options)
+            else:
+                getattr(repro.connect(db).query(UNPAID), call)(**options)
+
 
 class TestQueryModes:
     @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])

@@ -150,10 +150,10 @@ class TestFanOutCancellation:
     def test_session_cancel_interrupts_inflight_fanout(self, monkeypatch):
         """``Session.cancel()`` from another thread aborts a running
         ``workers=`` enumeration mid-chunk."""
-        import repro.session as session_module
+        import repro.semantics.strategies as strategies_module
 
         monkeypatch.setattr(
-            session_module._WorldEvaluator, "__call__", _patched_slow_world_call
+            strategies_module._WorldEvaluator, "__call__", _patched_slow_world_call
         )
         database = Database.from_dict(
             {"R": [(1,), (2,), (3,), (4,), (5,), (6,), (Null("x"),)]}
