@@ -39,7 +39,7 @@ from ..datamodel import Database, Relation
 from ..datamodel.values import is_null
 from ..logic.formulas import FOQuery, Formula
 from ..resilience import (
-    BudgetExceeded, InvalidRequestError, ResumeToken, active_budget, check_count,
+    BudgetExceeded, InvalidRequestError, PartialResult, ResumeToken, active_budget, check_count,
 )
 from ..semantics.certain import (
     enumerate_certain_answers,
@@ -346,8 +346,17 @@ def _fingerprint(
     return digest.hexdigest()
 
 
-def _check_resume(token: Any, key: str, kernel_epoch: Optional[int]) -> None:
-    """Refuse a ``resume`` token minted for other inputs or kernel state."""
+def _check_resume(token: Any, key: str, kernel_epoch: Optional[int]) -> ResumeToken:
+    """The token of ``resume`` (a :class:`ResumeToken`, or the
+    :class:`PartialResult` carrying one); refused when minted for other
+    inputs or kernel state."""
+    if isinstance(token, PartialResult):
+        if token.token is None:
+            raise InvalidRequestError(
+                "this PartialResult carries no resume token — the interrupted "
+                "evaluation never reached an enumeration checkpoint"
+            )
+        token = token.token
     if not isinstance(token, ResumeToken):
         raise InvalidRequestError(
             "resume= expects a PartialResult or ResumeToken, "
@@ -364,6 +373,7 @@ def _check_resume(token: Any, key: str, kernel_epoch: Optional[int]) -> None:
             "resume token predates a condition-kernel eviction/clear on "
             "this session; re-run certain() from the start"
         )
+    return token
 
 
 def enumeration_strategy(
@@ -377,7 +387,7 @@ def enumeration_strategy(
     workers: Optional[int] = None,
     world_evaluator: Optional[Callable[[Database], Relation]] = None,
     mode: str = "certain",
-    resume: Optional[ResumeToken] = None,
+    resume: Any = None,
     executor: Optional[Any] = None,
     kernel_epoch: Optional[int] = None,
 ) -> Relation:
@@ -391,7 +401,9 @@ def enumeration_strategy(
     should fan out over a process pool (``executor``: a live,
     caller-owned pool); the default closure works but forces the
     sequential path.  ``mode="certain"`` only: ``resume`` continues a
-    checkpoint minted by an interrupted run.  It is refused unless its
+    checkpoint minted by an interrupted run (a
+    :class:`~repro.resilience.ResumeToken`, or the
+    :class:`~repro.resilience.PartialResult` carrying one).  It is refused unless its
     key (a fingerprint of the query, database, semantics, resolved domain
     and extra-facts cap) and kernel epoch match these inputs and
     ``kernel_epoch`` (the caller's condition-kernel epoch); a budget
@@ -429,7 +441,7 @@ def enumeration_strategy(
         max_extra_facts, fresh,
     )
     if resume is not None:
-        _check_resume(resume, key(), kernel_epoch)
+        resume = _check_resume(resume, key(), kernel_epoch)
     try:
         return enumerate_certain_answers(
             *inputs, workers=workers, resume=resume, executor=executor, interchangeable=fresh

@@ -347,13 +347,6 @@ def walk(query: Any, mode: Mode, method: str, domain: Any, extra_constants: Any,
     if mode is CERTAIN:
         on_expiry = _ON_EXPIRY[query._policy(on_budget)]
         query._resilience_verdict = None
-        if isinstance(resume, PartialResult):
-            if resume.token is None:
-                raise InvalidRequestError(
-                    "this PartialResult carries no resume token — the interrupted "
-                    "evaluation never reached an enumeration checkpoint"
-                )
-            resume = resume.token
     if strategy is None:
         strategy = choose(semantics, mode, expression, method, resume, domain)
     if mode is CERTAIN:

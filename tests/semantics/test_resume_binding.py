@@ -10,10 +10,10 @@ fingerprint the same as the query's own.
 import pytest
 
 import repro
-from repro import Budget, BudgetExceeded, InvalidRequestError
+from repro import Budget, BudgetExceeded, InvalidRequestError, PartialResult
 from repro.algebra import parse_ra
 from repro.core import enumeration_strategy
-from repro.datamodel import Database, Null
+from repro.datamodel import Database, Null, Relation
 from repro.resilience import ResumeToken, budget_scope
 from repro.semantics import enumerate_certain_answers, enumerate_certain_boolean
 
@@ -60,6 +60,8 @@ def test_library_token_resumes_to_the_uninterrupted_answer():
     token = error.resume_token
     assert isinstance(token, ResumeToken) and token.key is not None
     assert enumeration_strategy(QUERY, database, _evaluate, resume=token) == expected
+    partial = PartialResult(Relation.empty(expected.schema), "interrupted", token=token)
+    assert enumeration_strategy(QUERY, database, _evaluate, resume=partial) == expected
 
 
 def test_library_path_refuses_foreign_tokens():
