@@ -73,7 +73,7 @@ from .obs.trace import Tracer, entry_scope, env_tracer
 from .semantics.certain import _pool_initializer
 from .semantics.registry import semantics_named
 from .semantics.strategies import (
-    BOOLEAN, CERTAIN, NAIVE, POSSIBLE, budget_policy, choose, forced_method, walk,
+    BOOLEAN, CERTAIN, NAIVE, POSSIBLE, Mode, budget_policy, choose, forced_method, walk,
 )
 from .semantics.strategies import explain as explain_strategy
 from .semantics.worlds import check_world_options
@@ -335,7 +335,7 @@ class Query:
             CERTAIN, domain, extra_constants, max_extra_facts, budget, method, on_budget, resume
         )
 
-    def _answer(self, mode: Any, domain: Optional[Sequence[Any]], extra_constants: Optional[int],
+    def _answer(self, mode: Mode, domain: Optional[Sequence[Any]], extra_constants: Optional[int],
                 max_extra_facts: int, budget: Optional[Budget], method: str = "auto",
                 on_budget: Optional[str] = None, resume: Any = None) -> Any:
         """One answering ``mode`` (:mod:`repro.semantics.strategies`): check
