@@ -31,6 +31,9 @@ from .predicates import Attr, Comparison, PAnd, Predicate, PTrue, eq
 
 AttributeRef = Union[str, int]
 
+#: Per-process caches kept on an expression object (never pickled).
+_PINS = ("_plan_entries", "_strategy_picks")
+
 
 class RAExpression:
     """Base class of relational-algebra expression nodes."""
@@ -67,12 +70,13 @@ class RAExpression:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The plan pin (``PlanCache.execute``) holds a weakref to a
-        # session's cache: per-process state that cannot be pickled.
-        # Dropping it keeps an evaluated expression shippable to the
+        # session's cache and the strategy picks (``strategies.choose``)
+        # hold strategy rows: per-process state that cannot be pickled.
+        # Dropping both keeps an evaluated expression shippable to the
         # ``workers=`` process pools.
         state = self.__dict__
-        if "_plan_entries" in state:
-            state = {key: value for key, value in state.items() if key != "_plan_entries"}
+        if any(pin in state for pin in _PINS):
+            state = {key: value for key, value in state.items() if key not in _PINS}
         return state
 
     def relation_names(self) -> Set[str]:
@@ -433,6 +437,9 @@ class _SetOperation(RAExpression):
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
     def __str__(self) -> str:
         return f"{self.symbol}({self.left}, {self.right})"

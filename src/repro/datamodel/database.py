@@ -196,6 +196,16 @@ class Database:
         """Total number of tuples across all relations."""
         return sum(len(rel) for rel in self._relations.values())
 
+    def relation_sizes(self) -> Tuple[int, ...]:
+        """Each relation's tuple count, in schema order, computed once per
+        instance (kept on :meth:`analysis_cache`): the vector a cached
+        physical plan was cost-ordered for is compared against it."""
+        cache = self.analysis_cache()
+        sizes = cache.get("relation_sizes")
+        if sizes is None:
+            sizes = cache["relation_sizes"] = tuple(len(rel) for rel in self.relations())
+        return sizes
+
     def __len__(self) -> int:
         return self.size()
 

@@ -768,8 +768,11 @@ class CIntersection(COperator):
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         kernel = ctx.kernel
         membership = CMembershipIndex(self.right.rows(ctx), kernel, ctx)
+        budget = ctx.budget
         rows: List[CRow] = []
         for values, condition in self.left.rows(ctx):
+            if budget is not None:
+                budget.check()
             combined = kernel.and_(condition, membership.condition(values))
             if combined is FALSE:
                 continue
@@ -788,8 +791,11 @@ class CDifference(COperator):
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         kernel = ctx.kernel
         membership = CMembershipIndex(self.right.rows(ctx), kernel, ctx)
+        budget = ctx.budget
         rows: List[CRow] = []
         for values, condition in self.left.rows(ctx):
+            if budget is not None:
+                budget.check()
             combined = kernel.and_(condition, kernel.not_(membership.condition(values)))
             if combined is FALSE:
                 continue
@@ -964,29 +970,29 @@ class _CTableLowering(_planner._Lowering):
     """
 
     def make_scan(self, node: LScan) -> COperator:
-        return CScan(node.name, key=self.key())
+        return CScan(node.name)
 
     def make_const(self, node: LConst) -> COperator:
-        return CConstScan(node.relation, key=self.key())
+        return CConstScan(node.relation)
 
     def make_delta(self, node: LDelta) -> COperator:
-        return CDeltaScan(key=self.key())
+        return CDeltaScan()
 
     def make_adom(self, node: LAdom) -> COperator:
-        return CAdomScan(key=self.key())
+        return CAdomScan()
 
     def make_filter(self, child: COperator, predicate: Predicate) -> COperator:
         if isinstance(child, CScan):
             indexed = _indexed_equality(predicate)
             if indexed is not None:
-                return CIndexedSelect(child.name, predicate, *indexed, key=self.key())
-        return CFilter(child, predicate, key=self.key())
+                return CIndexedSelect(child.name, predicate, *indexed)
+        return CFilter(child, predicate)
 
     def make_eq_filter(self, child: COperator, left: int, right: int) -> COperator:
-        return CEqFilter(child, left, right, key=self.key())
+        return CEqFilter(child, left, right)
 
     def make_project(self, child: COperator, positions: Tuple[int, ...]) -> COperator:
-        return CProject(child, positions, key=self.key())
+        return CProject(child, positions)
 
     def make_join(
         self,
@@ -996,31 +1002,31 @@ class _CTableLowering(_planner._Lowering):
         right_keys: Tuple[int, ...],
         right_keep: Tuple[int, ...],
     ) -> COperator:
-        return CHashJoin(left, right, left_keys, right_keys, right_keep, key=self.key())
+        return CHashJoin(left, right, left_keys, right_keys, right_keep)
 
     def make_semijoin(self, join: LEquiJoin, positions: Tuple[int, ...]) -> None:
         # Lineage needs every derivation of an output row: keep join + project.
         return None
 
     def make_product(self, left: COperator, right: COperator) -> COperator:
-        return CProduct(left, right, key=self.key())
+        return CProduct(left, right)
 
     def make_union(self, left: COperator, right: COperator) -> COperator:
-        return CUnion(left, right, key=self.key())
+        return CUnion(left, right)
 
     def make_difference(self, left: COperator, right: COperator) -> COperator:
-        return CDifference(left, right, key=self.key())
+        return CDifference(left, right)
 
     def make_intersection(self, left: COperator, right: COperator) -> COperator:
-        return CIntersection(left, right, key=self.key())
+        return CIntersection(left, right)
 
     def make_division(
         self, left: COperator, right: COperator, keep: Tuple[int, ...], divisor: Tuple[int, ...]
     ) -> COperator:
-        return CDivision(left, right, keep, divisor, key=self.key())
+        return CDivision(left, right, keep, divisor)
 
     def make_opaque(self, node: LOpaque) -> COperator:
-        return CInterpret(node.expression, key=self.key())
+        return CInterpret(node.expression)
 
 
 # ----------------------------------------------------------------------

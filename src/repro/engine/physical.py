@@ -8,8 +8,8 @@ semantics everywhere) while replacing its nested loops and per-row name
 resolution with hash-based algorithms and precompiled predicate closures.
 
 The shared :class:`ExecutionContext` carries the database, a per-query
-memo table for common-subexpression elimination (keyed by the hashable
-logical node that produced an operator) and the lazily computed active
+memo table for common-subexpression elimination (keyed by the integer
+the lowering gives an operator it shares) and the lazily computed active
 domain.
 
 Operator inventory
@@ -74,9 +74,10 @@ class ExecutionContext:
 class PhysicalOperator:
     """Base class of physical operators.
 
-    ``key`` is the logical node the operator was lowered from; when set,
-    results are memoized in the execution context so structurally equal
-    subplans run once per query (common-subexpression elimination).
+    ``key`` is set by the lowering on an operator it shares between
+    parents; results are then memoized in the execution context so
+    structurally equal subplans run once per query (common-subexpression
+    elimination).  An unshared operator has no key and skips the memo.
     """
 
     __slots__ = ("key",)

@@ -16,9 +16,10 @@ Plan lifecycle
    the logical plan together with the base-relation sizes it was costed
    for, so repeated evaluation of the same query on the same (or
    same-sized) data skips planning entirely.
-3. The physical plan runs against an :class:`ExecutionContext`; every
-   operator memoizes its result under its logical node, giving
-   common-subexpression elimination for structurally repeated subplans.
+3. The physical plan runs against an :class:`ExecutionContext`; an
+   operator the lowering shared between parents memoizes its result
+   there, giving common-subexpression elimination for structurally
+   repeated subplans.
 4. The resulting row set becomes a :class:`Relation` through the trusted
    constructor — values are already validated and interned.
 """
@@ -234,7 +235,7 @@ class PlanCache:
                 entries.append((schema, entry))
                 if len(entries) > 4:
                     del entries[0]
-        sizes = tuple(len(relation) for relation in database.relations())
+        sizes = database.relation_sizes()
         physical = entry.physical
         if physical is None or entry.sizes != sizes:
             self._metrics.count("plan_cache.lowerings")
@@ -269,7 +270,7 @@ class PlanCache:
         """
         schema = database.schema
         entry = self.entry(expression, schema)
-        sizes = tuple(len(relation) for relation in database.relations())
+        sizes = database.relation_sizes()
         physical = entry.physical
         if physical is None or entry.sizes != sizes:
             physical = lower(entry.logical, database)
@@ -364,8 +365,9 @@ def lower(node: LogicalNode, database: Database) -> PhysicalOperator:
     Structurally equal logical subplans lower to the *same* physical
     operator instance, so common subexpressions are detected here, once per
     plan, and the runtime memo works with cheap integer keys: an operator
-    reached through two parents computes its rows on the first visit and
-    serves the cached set on the second.
+    reached through two parents gets one, computes its rows on the first
+    visit and serves the cached set on the second.  Every other operator
+    has no key and skips the memo.
     """
     return _Lowering(database).lower(node)
 
@@ -391,26 +393,26 @@ class _Lowering:
 
     # -- operator factory hooks ----------------------------------------
     def make_scan(self, node: LScan) -> Any:
-        return Scan(node.name, key=self.key())
+        return Scan(node.name)
 
     def make_const(self, node: LConst) -> Any:
-        return ConstScan(node.relation, key=self.key())
+        return ConstScan(node.relation)
 
     def make_delta(self, node: LDelta) -> Any:
-        return DeltaScan(key=self.key())
+        return DeltaScan()
 
     def make_adom(self, node: LAdom) -> Any:
-        return AdomScan(key=self.key())
+        return AdomScan()
 
     def make_filter(self, child: Any, predicate: Any) -> Any:
-        return Filter(child, compile_predicate(predicate), key=self.key())
+        return Filter(child, compile_predicate(predicate))
 
     def make_eq_filter(self, child: Any, left: int, right: int) -> Any:
         """A filter asserting equality of two positions of the same row."""
-        return Filter(child, lambda row, a=left, b=right: row[a] == row[b], key=self.key())
+        return Filter(child, lambda row, a=left, b=right: row[a] == row[b])
 
     def make_project(self, child: Any, positions: Tuple[int, ...]) -> Any:
-        return Project(child, positions, key=self.key())
+        return Project(child, positions)
 
     def make_join(
         self,
@@ -422,9 +424,7 @@ class _Lowering:
     ) -> Any:
         # Decided here, not per run: under analyze probes wrap the right input.
         relation = right.name if isinstance(right, Scan) else None
-        return HashJoin(
-            left, right, left_keys, right_keys, right_keep, relation, key=self.key()
-        )
+        return HashJoin(left, right, left_keys, right_keys, right_keep, relation)
 
     def make_semijoin(self, join: LEquiJoin, positions: Tuple[int, ...]) -> Any:
         """``π_positions(join)`` as a :class:`SemiJoin`, or ``None`` for join + project.
@@ -475,28 +475,27 @@ class _Lowering:
             key_keys,
             layout,
             key_node.name if isinstance(key_node, LScan) else None,
-            key=self.key(),
         )
 
     def make_product(self, left: Any, right: Any) -> Any:
-        return NestedProduct(left, right, key=self.key())
+        return NestedProduct(left, right)
 
     def make_union(self, left: Any, right: Any) -> Any:
-        return HashUnion(left, right, key=self.key())
+        return HashUnion(left, right)
 
     def make_difference(self, left: Any, right: Any) -> Any:
-        return HashDifference(left, right, key=self.key())
+        return HashDifference(left, right)
 
     def make_intersection(self, left: Any, right: Any) -> Any:
-        return HashIntersection(left, right, key=self.key())
+        return HashIntersection(left, right)
 
     def make_division(
         self, left: Any, right: Any, keep: Tuple[int, ...], divisor: Tuple[int, ...]
     ) -> Any:
-        return HashDivision(left, right, keep, divisor, key=self.key())
+        return HashDivision(left, right, keep, divisor)
 
     def make_opaque(self, node: LOpaque) -> Any:
-        return Interpret(node.expression, key=self.key())
+        return Interpret(node.expression)
 
     def estimate(self, node: LogicalNode) -> float:
         return estimate(node, self.database)
@@ -507,6 +506,10 @@ class _Lowering:
         if op is None:
             op = self._lower(node)
             self.shared[node] = op
+        elif op.key is None:
+            # Reached a second time: the operator is shared, so its rows
+            # are memoized per run; every other operator skips the memo.
+            op.key = self.key()
         return op
 
     def _lower(self, node: LogicalNode) -> Any:

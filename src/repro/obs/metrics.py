@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+#: Entry name -> its wall-time histogram's name (``count_and_observe``).
+_SECONDS: Dict[str, str] = {}
+
+
 class _Shard:
     """One thread's private slice of a registry (never shared for writes)."""
 
@@ -93,7 +97,8 @@ class MetricsRegistry:
         """Increment counter ``name`` by ``value`` (thread-shard, lock-free)."""
         if not self._enabled:
             return
-        counters = self._shard().counters
+        # The shard read inline: ``count`` is on every warm request's path.
+        counters = (getattr(self._local, "shard", None) or self._shard()).counters
         counters[name] = counters.get(name, 0) + value
 
     def observe(self, name: str, seconds: float) -> None:
@@ -122,18 +127,20 @@ class MetricsRegistry:
     def count_and_observe(self, name: str, seconds: float) -> None:
         """Bump counter ``name`` and record ``name + ".seconds"`` in one shot.
 
-        The session entry-point pattern; fetching the thread shard once
-        for both updates keeps the per-query fixed cost down.
+        The session entry-point pattern; one thread-shard fetch for both
+        updates and the histogram name built once per entry name keep the
+        per-query fixed cost down.
         """
         if not self._enabled:
             return
-        shard = self._shard()
+        shard = getattr(self._local, "shard", None) or self._shard()
         counters = shard.counters
         counters[name] = counters.get(name, 0) + 1
         histograms = shard.histograms
-        entry = histograms.get(name + ".seconds")
+        key = _SECONDS.get(name) or _SECONDS.setdefault(name, name + ".seconds")
+        entry = histograms.get(key)
         if entry is None:
-            histograms[name + ".seconds"] = [1, seconds, seconds, seconds]
+            histograms[key] = [1, seconds, seconds, seconds]
             return
         entry[0] += 1
         entry[1] += seconds

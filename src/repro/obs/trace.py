@@ -357,14 +357,14 @@ class obs_scope:
 
 
 class _EntryScope:
-    """The session entry-point scope: arm context, count, time, span.
+    """The session entry-point scope with tracing on: arm context, count,
+    time, span.
 
     One of these wraps every ``Query.certain()`` / ``possible()`` /
-    ``boolean()`` / ``answer_object()`` / ``cursor()`` call: it arms the
-    session's tracer and registry as ambient, counts the entry
-    (``query.certain``), observes its wall time
-    (``query.certain.seconds``) and — when tracing is on — opens the
-    entry span everything below nests under.
+    ``boolean()`` / ``answer_object()`` / ``cursor()`` call of a traced
+    session: it arms the session's tracer (and registry, if any) as
+    ambient, opens the entry span everything below nests under, and
+    records what :class:`_MetricsScope` records.
     """
 
     __slots__ = (
@@ -380,51 +380,71 @@ class _EntryScope:
 
     def __init__(
         self,
-        tracer: Optional[Tracer],
+        tracer: Tracer,
         registry: Optional[MetricsRegistry],
         name: str,
     ) -> None:
         self._tracer = tracer
         self._registry = registry
         self._name = name
-        self._m_token = None
-        self._t_token = None
-        self._s_token = None
-        self._span: Optional[Span] = None
-        self._t0 = 0.0
 
-    def __enter__(self) -> Any:
+    def __enter__(self) -> Span:
         if self._registry is not None:
             self._m_token = _METRICS.set(self._registry)
         tracer = self._tracer
-        if tracer is not None:
-            self._t_token = _TRACER.set(tracer)
-            parent = _SPAN.get()
-            span_obj = Span(
-                self._name,
-                None,
-                next(tracer._ids),
-                parent.span_id if parent is not None else None,
-            )
-            span_obj.start = time.time()
-            self._span = span_obj
-            self._s_token = _SPAN.set(span_obj)
+        self._t_token = _TRACER.set(tracer)
+        parent = _SPAN.get()
+        span_obj = Span(
+            self._name,
+            None,
+            next(tracer._ids),
+            parent.span_id if parent is not None else None,
+        )
+        span_obj.start = time.time()
+        self._span = span_obj
+        self._s_token = _SPAN.set(span_obj)
         self._t0 = time.perf_counter()
-        return self._span if self._span is not None else _NOOP_SPAN
+        return span_obj
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         elapsed = time.perf_counter() - self._t0
         span_obj = self._span
-        if span_obj is not None:
-            span_obj.duration = elapsed
-            if exc_type is not None:
-                span_obj.status = exc_type.__name__
-            _SPAN.reset(self._s_token)
-            _TRACER.reset(self._t_token)
-            self._tracer.sink.emit(span_obj)
+        span_obj.duration = elapsed
+        if exc_type is not None:
+            span_obj.status = exc_type.__name__
+        _SPAN.reset(self._s_token)
+        _TRACER.reset(self._t_token)
+        self._tracer.sink.emit(span_obj)
         if self._registry is not None:
             _METRICS.reset(self._m_token)
             self._registry.count_and_observe(self._name, elapsed)
+        return False
+
+
+class _MetricsScope:
+    """The session entry-point scope with tracing off and metrics on.
+
+    It arms the session's registry as ambient, counts the entry
+    (``query.certain``) and observes its wall time
+    (``query.certain.seconds``): what :class:`_EntryScope` records,
+    without its tracer branches and span slots.
+    """
+
+    __slots__ = ("_registry", "_name", "_token", "_t0")
+
+    def __init__(self, registry: MetricsRegistry, name: str) -> None:
+        self._registry = registry
+        self._name = name
+
+    def __enter__(self) -> Any:
+        self._token = _METRICS.set(self._registry)
+        self._t0 = time.perf_counter()
+        return _NOOP_SPAN
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        elapsed = time.perf_counter() - self._t0
+        _METRICS.reset(self._token)
+        self._registry.count_and_observe(self._name, elapsed)
         return False
 
 
@@ -434,9 +454,11 @@ def entry_scope(
     """The scope sessions wrap their entry points in; no-op when all off."""
     if registry is not None and not registry.enabled:
         registry = None
-    if tracer is None and registry is None:
-        return _NOOP
-    return _EntryScope(tracer, registry, name)
+    if tracer is not None:
+        return _EntryScope(tracer, registry, name)
+    if registry is not None:
+        return _MetricsScope(registry, name)
+    return _NOOP
 
 
 # ----------------------------------------------------------------------

@@ -214,19 +214,50 @@ def choose(semantics: WorldSemantics, mode: Mode, query: Any, method: str = "aut
     """The strategy ``mode`` runs: for ``"auto"`` the first exact one of
     its list that applies, else the forced one.  A ``resume`` token
     checkpoints world enumeration: it forces enumeration, and any other
-    forced method is refused."""
+    forced method is refused.
+
+    Every ``applies`` test reads only the query's syntax and the
+    semantics row, so the plain ``"auto"`` pick (no ``resume``, no
+    ``domain``) is kept on the query object itself, per ``(row, mode)``,
+    beside the plan pin of :meth:`~repro.engine.PlanCache.execute`."""
+    if method == "auto" and resume is None and domain is None:
+        picks = getattr(query, "_strategy_picks", None)
+        if picks is not None:
+            strategy = picks.get((semantics, mode))
+            if strategy is not None:
+                return strategy
     strategy = forced_method(method)
     if strategy is None:
         if resume is None:
             for strategy in strategies(semantics, mode, domain):
                 if strategy.exact and strategy.applies(semantics, query):
-                    return strategy
+                    break
+            else:
+                strategy = ENUMERATION
+            if domain is None:
+                _remember(query, semantics, mode, strategy)
+            return strategy
         return ENUMERATION
     if resume is not None and strategy is not ENUMERATION:
         raise InvalidRequestError(
             f"resume= checkpoints world enumeration; it is not defined for method={method!r}"
         )
     return strategy
+
+
+def _remember(query: Any, semantics: WorldSemantics, mode: Mode, strategy: Strategy) -> None:
+    """Keep ``choose``'s ``"auto"`` pick on a relational-algebra ``query``
+    (dropped when it is pickled, like the plan pin)."""
+    if not isinstance(query, RAExpression):
+        return
+    picks = getattr(query, "_strategy_picks", None)
+    if picks is None:
+        picks = {}
+        try:
+            object.__setattr__(query, "_strategy_picks", picks)
+        except (AttributeError, TypeError):  # __slots__-restricted subclass
+            return
+    picks[(semantics, mode)] = strategy
 
 
 BUDGET_POLICIES = ("degrade", "raise", "partial")

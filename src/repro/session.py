@@ -933,12 +933,23 @@ class Session:
     # runs and cancellation
     # ------------------------------------------------------------------
     def _begin_run(self, state: Optional[BudgetState]) -> None:
+        if state is None and self._cancel_event is None:
+            # Nothing to cancel and no workers event to reset: only the
+            # in-flight count grows, by one list append (atomic under the
+            # GIL), ordered as if the locked path had run at the check.
+            self._runs.append(None)
+            return
         with self._runs_lock:
             if not self._runs and self._cancel_event is not None:
                 self._cancel_event.clear()
             self._runs.append(state)
 
     def _end_run(self, state: Optional[BudgetState]) -> None:
+        if state is None:
+            # One unbudgeted entry leaves; removing a None is one list
+            # operation (atomic under the GIL), as under the lock.
+            self._runs.remove(None)
+            return
         with self._runs_lock:
             self._runs.remove(state)
 

@@ -78,6 +78,13 @@ class TestAccessors:
         assert orders_db.size() == 3
         assert len(orders_db) == 3
 
+    def test_relation_sizes_are_computed_once_in_schema_order(self, orders_db):
+        sizes = orders_db.relation_sizes()
+        assert sizes == (2, 1)
+        assert orders_db.relation_sizes() is sizes
+        grown = orders_db.add_facts([("Pay", ("pid2", "oid2", 50))])
+        assert grown.relation_sizes() == (2, 2) and orders_db.relation_sizes() == (2, 1)
+
     def test_iteration_yields_relations(self, orders_db):
         names = [rel.name for rel in orders_db]
         assert names == ["Order", "Pay"]

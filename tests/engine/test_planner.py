@@ -221,6 +221,18 @@ class TestExecution:
         op = lower(plan, db)
         assert op.left is op.right
 
+    def test_only_shared_operators_carry_a_memo_key(self, db):
+        # diff(π(R), π(R) ∪ S): the π(R) subplan is reached twice and
+        # memoized; every other operator runs once and skips the memo.
+        shared = project(relation("R"), (0,))
+        query = difference(shared, union(project(relation("R"), (0,)), project(relation("S"), (0,))))
+        op = lower(optimize(query, db.schema), db)
+        assert op.left is op.right.left and op.left.key is not None
+        assert op.key is None and op.right.key is None and op.right.right.key is None
+        ctx = ExecutionContext(db)
+        assert op.rows(ctx) == query.evaluate(db).rows
+        assert list(ctx.memo) == [op.left.key]
+
     def test_join_output_layout_matches_interpreter(self, db):
         # Multijoin ordering permutes factors; the final projection must
         # restore the declared column order.

@@ -13,7 +13,7 @@ from repro import (
     PartialResult,
     SessionClosedError,
 )
-from repro.algebra.ast import Difference, project, relation
+from repro.algebra.ast import Difference, Intersection, Union_, project, relation
 from repro.datamodel import Database, Null
 from repro.resilience import budget_scope
 
@@ -100,6 +100,38 @@ class TestDeadlines:
                     UCQ, db, lambda q, d: repro.connect(d).query(q).answer_object()
                 )
         session.close()
+
+    @pytest.mark.parametrize("operator", [Difference, Intersection])
+    def test_lineage_deadline_is_noticed_inside_the_ctable_set_operation(self, operator):
+        # diff/intersect(union(R, S), T) is generic relational algebra, so
+        # under CWA certain() runs c-table lineage; the set operation's
+        # outer loop over the 40 rows of R ∪ S must check the deadline.
+        database = Database.from_dict(
+            {
+                "R": [(i, "a") for i in range(20)],
+                "S": [(i, "b") for i in range(20, 40)],
+                "T": [(Null("t"), "a"), (25, "b")],
+            }
+        )
+        query = operator(Union_(relation("R"), relation("S")), relation("T"))
+        with repro.connect(database, semantics="cwa") as session:
+            q = session.query(query)
+            exact = q.certain()
+            assert q._ran == "lineage validity" and len(exact) > 0
+            # step=1.0: every check advances the clock a second, so a 10 s
+            # deadline passes on the 10th check — a few rows into the loop.
+            deadline = Budget(deadline=10.0, clock=ManualClock(step=1.0))
+            with pytest.raises(BudgetExceeded) as err:
+                q.certain(budget=deadline, on_budget="raise")
+            tb, computing = err.value.__traceback__, []
+            while tb is not None:
+                if tb.tb_frame.f_code.co_name == "_compute":
+                    computing.append(type(tb.tb_frame.f_locals["self"]).__name__)
+                tb = tb.tb_next
+            assert computing[-1] == "C" + operator.__name__
+            degraded = q.certain(budget=Budget(deadline=10.0, clock=ManualClock(step=1.0)))
+            assert set(degraded.rows) <= set(exact.rows)
+            assert "degraded" in q._resilience_verdict
 
 
 class TestWorldCaps:

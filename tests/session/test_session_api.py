@@ -259,6 +259,16 @@ class TestExplain:
         assert "certain(): sound CWA approximation (degraded)" in text
         assert "resilience: budget exceeded (worlds); degraded to sound lower bound" in text
 
+    @pytest.mark.parametrize("operation", ["union", "diff", "intersect"])
+    def test_explain_query_line_spells_out_set_operations(self, db, operation):
+        text = f"{operation}(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))"
+        expression = parse_ra(text)
+        explained = repro.connect(db).query(expression).explain()
+        assert "object at 0x" not in explained
+        first = explained.splitlines()[0]
+        assert first == f"query: {expression!r}"
+        assert first.startswith(f"query: {type(expression).__name__}(left=Projection(")
+
     def test_explain_fo_query(self, db):
         session = repro.connect(db)
         text = session.query(FOQuery(exists((var("p"), var("pr")), atom("Orders", var("p"), var("pr"))))).explain()
