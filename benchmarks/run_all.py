@@ -47,17 +47,15 @@ of speedups: ``gate:correctness`` (``engine="sqlite"`` equals the physical
 engine on the bench workload) and ``gate:scale`` (SQLite completes a
 workload the in-memory path cannot even load under a capped address
 space).  The chaos family contributes ``gate:chaos``: the fault and
-resume differential suites and the worker-pool suites must pass with
-zero leaked SQLite temp files (``docs/robustness.md``).  The cancel family contributes ``gate:cancel``:
+resume differential suites must pass with zero leaked SQLite temp files
+(``docs/robustness.md``).  The cancel family contributes ``gate:cancel``:
 a deadline budget must abort a running SQLite statement as a typed
 ``BudgetExceeded`` within 250 ms of expiry, leaking no temp tables.
 The serve family contributes ``gate:serve``: eight concurrent async
 clients over one frozen session must match a sequential session
-differentially above a throughput floor, and a session-warm worker
-executor must beat per-call process pools by >= 1.5x on a
-startup-dominated workload (``docs/serving.md``).  The obs family
-contributes ``gate:obs``: with tracing compiled into every layer but
-disabled, the e01-family query must run within 5% of a
+differentially above a throughput floor (``docs/serving.md``).  The obs
+family contributes ``gate:obs``: with tracing compiled into every layer
+but disabled, the e01-family query must run within 5% of a
 ``metrics=False`` session, and ``Query.analyze()`` row counts must
 match the interpreter oracle's cardinalities on a randomized workload
 across both engines (``docs/observability.md``).
@@ -514,11 +512,8 @@ scenario_e25.timing_only_retry = True
 def scenario_chaos() -> Dict[str, Any]:
     """The robustness gate: the chaos differential suite, leak-checked.
 
-    Runs ``tests/properties/test_fault_differential.py``,
-    ``tests/properties/test_resume_differential.py`` and the worker-pool
-    suites (``tests/session/test_worker_resilience.py``: SIGKILLed and
-    failing children; ``tests/semantics/test_parallel_worlds.py``:
-    ``workers=`` parity with the sequential fold) in a child pytest
+    Runs ``tests/properties/test_fault_differential.py`` and
+    ``tests/properties/test_resume_differential.py`` in a child pytest
     whose temp directories (``TMPDIR`` + ``SQLITE_TMPDIR``) point at a
     fresh scratch directory, then sweeps it for SQLite spill artifacts
     (``etilqs_*`` anonymous temp files, ``*-journal``/``*-wal`` sidecars).
@@ -533,8 +528,6 @@ def scenario_chaos() -> Dict[str, Any]:
     suites = [
         os.path.join(repo_root, "tests", "properties", "test_fault_differential.py"),
         os.path.join(repo_root, "tests", "properties", "test_resume_differential.py"),
-        os.path.join(repo_root, "tests", "session", "test_worker_resilience.py"),
-        os.path.join(repo_root, "tests", "semantics", "test_parallel_worlds.py"),
     ]
     with tempfile.TemporaryDirectory(prefix="chaos-gate-") as scratch:
         env = dict(
@@ -628,27 +621,22 @@ def scenario_cancel() -> Dict[str, Any]:
 
 
 def scenario_serve() -> Dict[str, Any]:
-    """The serving-tier gate: concurrent differential + warm executors.
+    """The serving-tier gate: a concurrent differential above a throughput floor.
 
-    Two halves, both from ``bench_e30_serve``: eight async clients over a
+    From ``bench_e30_serve``: eight async clients over a
     :class:`repro.serve.Server` (one shared frozen session) must produce
     answers identical to a sequential session above a conservative
-    throughput floor, and N ``workers=`` fan-outs through one session-warm
-    ``ProcessPoolExecutor`` must beat N per-call pools by at least 1.5x on
-    a workload where pool startup dominates.  ``gate:serve`` passes only
-    when both halves do.
+    throughput floor.
     """
-    from bench_e30_serve import run_throughput_gate, run_warm_executor_gate
+    from bench_e30_serve import run_throughput_gate
 
     throughput = run_throughput_gate()
-    warm = run_warm_executor_gate()
     return {
         "gate:serve": {
-            "passed": bool(throughput["passed"] and warm["passed"]),
+            "passed": bool(throughput["passed"]),
             "qps": throughput["qps"],
             "mismatches": throughput["mismatches"],
-            "warm_speedup": warm["speedup"],
-            "note": f"{throughput['note']}; {warm['note']}",
+            "note": throughput["note"],
         }
     }
 

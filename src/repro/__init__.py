@@ -108,7 +108,6 @@ from .resilience import (
     ResumeToken,
     RetryPolicy,
     SessionClosedError,
-    WorkerPoolError,
 )
 from .obs import AnalyzeReport, MetricsRegistry, Tracer
 from .prob import ExclusiveBlock, ProbabilityModel
@@ -150,7 +149,6 @@ __all__ = [
     "SessionClosedError",
     "Tracer",
     "Valuation",
-    "WorkerPoolError",
     "__version__",
     "connect",
     "obs",

@@ -72,8 +72,8 @@ class RAExpression:
         # The plan pin (``PlanCache.execute``) holds a weakref to a
         # session's cache and the strategy picks (``strategies.choose``)
         # hold strategy rows: per-process state that cannot be pickled.
-        # Dropping both keeps an evaluated expression shippable to the
-        # ``workers=`` process pools.
+        # Dropping both keeps an evaluated expression picklable for a
+        # caller that stores or ships it.
         state = self.__dict__
         if any(pin in state for pin in _PINS):
             state = {key: value for key, value in state.items() if key not in _PINS}

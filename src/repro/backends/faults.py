@@ -31,10 +31,7 @@ ordinary unit test.
 from __future__ import annotations
 
 import sqlite3
-import time
 from collections import Counter
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.ast import RAExpression
@@ -45,7 +42,6 @@ from .base import Backend
 __all__ = [
     "FaultInjectingBackend",
     "FaultInjectingCodec",
-    "FaultInjectingExecutor",
     "FaultSchedule",
     "inject_faults",
 ]
@@ -210,94 +206,6 @@ def inject_faults(
     slot = engine.threevl if three_valued else engine.sentinel
     slot.backend = FaultInjectingBackend(slot.acquire(session.database), schedule)
     return slot.backend
-
-
-class _DelayedFuture:
-    """A future whose child is *slow*: the result arrives ``delay`` late.
-
-    Deterministic from the consumer's point of view: ``result(timeout)``
-    raises the standard :class:`~concurrent.futures.TimeoutError` when
-    the injected delay exceeds the consumer's patience, exactly like a
-    child that is alive but too slow for the heartbeat.
-    """
-
-    def __init__(self, inner: Future, delay: float, sleep: Callable[[float], None]) -> None:
-        self._inner = inner
-        self._delay = delay
-        self._sleep = sleep
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if timeout is not None and self._delay > timeout:
-            self._sleep(timeout)
-            raise FutureTimeoutError()
-        self._sleep(self._delay)
-        return self._inner.result(timeout)
-
-    def cancel(self) -> bool:
-        return self._inner.cancel()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
-class FaultInjectingExecutor:
-    """A process-pool proxy that injects *pool-level* faults on schedule.
-
-    The worker-pool chaos tests killed children with real ``SIGKILL``,
-    which exercises ``BrokenProcessPool`` — but not the other ways pools
-    misbehave.  This proxy wraps any executor and consults a
-    :class:`FaultSchedule` at every ``submit`` with three operations,
-    counted independently (1-based call indexes, like every schedule op):
-
-    * ``"submit"`` — raise :class:`BrokenProcessPool` *at submission*,
-      the shape a pool takes after its manager thread noticed a dead
-      child;
-    * ``"lose"`` — return a future that never completes: the child hung
-      (deadlock, livelock, stuck I/O) without dying, the case SIGKILL
-      chaos cannot produce and only a heartbeat timeout can catch;
-    * ``"delay"`` — wrap the real future so its result arrives
-      ``delay`` seconds late (a slow child: alive, correct, just late).
-
-    Everything else (``shutdown``, ``map``, context management) falls
-    through to the wrapped executor, so the proxy drops into
-    ``enumerate_certain_answers(executor=...)`` unchanged.
-    """
-
-    def __init__(
-        self,
-        inner: Any,
-        schedule: FaultSchedule,
-        *,
-        delay: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.inner = inner
-        self.schedule = schedule
-        self.delay = delay
-        self._sleep = sleep
-
-    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        if self.schedule.record("submit"):
-            raise BrokenProcessPool("injected pool breakage at submit")
-        if self.schedule.record("lose"):
-            # A bare Future nobody will ever resolve: the hung-child case.
-            return Future()
-        future = self.inner.submit(fn, *args, **kwargs)
-        if self.schedule.record("delay"):
-            return _DelayedFuture(future, self.delay, self._sleep)
-        return future
-
-    def shutdown(self, wait: bool = True, **kwargs: Any) -> None:
-        self.inner.shutdown(wait=wait, **kwargs)
-
-    def __enter__(self) -> "FaultInjectingExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)
 
 
 class FaultInjectingCodec:

@@ -384,11 +384,9 @@ def enumeration_strategy(
     domain: Optional[Sequence[Any]] = None,
     extra_constants: Optional[int] = None,
     max_extra_facts: int = 1,
-    workers: Optional[int] = None,
     world_evaluator: Optional[Callable[[Database], Relation]] = None,
     mode: str = "certain",
     resume: Any = None,
-    executor: Optional[Any] = None,
     kernel_epoch: Optional[int] = None,
 ) -> Relation:
     """Certain (or possible) answers computed literally by world enumeration.
@@ -397,10 +395,8 @@ def enumeration_strategy(
     (the ``ENUMERATION`` strategy of :mod:`repro.semantics.strategies`
     hands the session's row down) or its name; its worlds are enumerated.  ``extra_constants`` and
     ``max_extra_facts`` are checked before anything runs.  ``world_evaluator`` overrides the
-    per-world callable — sessions pass a *picklable* one when ``workers``
-    should fan out over a process pool (``executor``: a live,
-    caller-owned pool); the default closure works but forces the
-    sequential path.  ``mode="certain"`` only: ``resume`` continues a
+    per-world callable (sessions pass one that runs on their plan cache;
+    the default calls ``evaluator(query, world)``).  ``mode="certain"`` only: ``resume`` continues a
     checkpoint minted by an interrupted run (a
     :class:`~repro.resilience.ResumeToken`, or the
     :class:`~repro.resilience.PartialResult` carrying one).  It is refused unless its
@@ -443,9 +439,7 @@ def enumeration_strategy(
     if resume is not None:
         resume = _check_resume(resume, key(), kernel_epoch)
     try:
-        return enumerate_certain_answers(
-            *inputs, workers=workers, resume=resume, executor=executor, interchangeable=fresh
-        )
+        return enumerate_certain_answers(*inputs, resume=resume, interchangeable=fresh)
     except BudgetExceeded as error:
         if error.resume_token is not None:
             error.resume_token.key = key()

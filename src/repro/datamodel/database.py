@@ -134,9 +134,8 @@ class Database:
 
     def __getstate__(self):
         # The analysis cache is per-process scratch (it may hold
-        # unpicklable artifacts) and the hash is cheap to recompute: ship
-        # only the actual data, so worlds stay picklable for the workers=
-        # process pools.
+        # unpicklable artifacts) and the hash is cheap to recompute: a
+        # caller that pickles a database gets only the actual data.
         return (self._schema, self._relations)
 
     def __setstate__(self, state) -> None:

@@ -197,8 +197,8 @@ class Relation:
 
     def __getstate__(self) -> Tuple[RelationSchema, FrozenSet[Row]]:
         # Indexes and key maps are per-process scratch, rebuilt on demand:
-        # ship only the data, so the workers= process pools get the rows
-        # and not every cached index.
+        # a caller that pickles a relation gets the rows, not every cached
+        # index.
         return (self._schema, self._rows)
 
     def __setstate__(self, state: Tuple[RelationSchema, FrozenSet[Row]]) -> None:

@@ -5,7 +5,7 @@ every layer — resilience, planner, backends, serve — can reach in without
 cycles):
 
 * :mod:`repro.obs.trace` — contextvars-based spans (``Tracer``,
-  ``span()``, ring-buffer / JSONL sinks, cross-process serialization);
+  ``span()``, ring-buffer / JSONL sinks);
 * :mod:`repro.obs.metrics` — per-session ``MetricsRegistry`` with
   lock-free per-thread shards (counters, gauges, wall-time histograms);
 * :mod:`repro.obs.analyze` — probe-based per-operator instrumentation
@@ -26,7 +26,6 @@ from .trace import (
     entry_scope,
     env_tracer,
     obs_scope,
-    serialize_spans,
     span,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "instrument",
     "metrics_scope",
     "obs_scope",
-    "serialize_spans",
     "span",
 ]

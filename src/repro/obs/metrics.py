@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from contextvars import ContextVar
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "DISABLED_METRICS",
@@ -148,14 +148,6 @@ class MetricsRegistry:
             entry[2] = seconds
         if seconds > entry[3]:
             entry[3] = seconds
-
-    def merge_counts(self, deltas: Mapping[str, float]) -> None:
-        """Fold counter deltas in (e.g. shipped back from a worker child)."""
-        if not self._enabled or not deltas:
-            return
-        counters = self._shard().counters
-        for name, value in deltas.items():
-            counters[name] = counters.get(name, 0) + value
 
     # -- reading (aggregates across shards) ----------------------------
     def counter_value(self, name: str) -> float:

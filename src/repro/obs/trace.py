@@ -1,8 +1,8 @@
 """Spans: a ``contextvars``-based tracer with pluggable sinks.
 
 A :class:`Span` is one timed region of a query's life — a session entry
-point, a plan lowering, a backend statement, a retry attempt, a worker
-chunk.  Spans nest through a context variable (the ambient *current
+point, a plan lowering, a backend statement, a retry attempt, a world
+evaluation.  Spans nest through a context variable (the ambient *current
 span*), so the physical execution of a query traced from
 ``Query.certain()`` hangs off that entry span without any layer passing
 handles around.
@@ -19,11 +19,6 @@ Design constraints, in order:
   (:class:`RingBufferSink`; bounded, thread-safe under the GIL); setting
   ``REPRO_TRACE=/path/to/file`` makes sessions default to a process-wide
   :class:`JSONLSink` writing one JSON object per span.
-* **Cross-process travel.**  ``workers=`` children cannot share a sink
-  with the parent; they trace into a local ring buffer, serialize it with
-  :func:`serialize_spans` and ship it back alongside the chunk result,
-  where :meth:`Tracer.absorb` re-emits the spans with fresh ids under the
-  parent's chunk span.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import threading
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .metrics import MetricsRegistry, _METRICS
 
@@ -49,7 +44,6 @@ __all__ = [
     "entry_scope",
     "env_tracer",
     "obs_scope",
-    "serialize_spans",
     "span",
 ]
 
@@ -169,7 +163,7 @@ class Tracer:
         """Emit a pre-timed span (no ``with`` block ran for it).
 
         Used for after-the-fact instrumentation — per-operator timings
-        collected by the analyze probes, retry attempts, chunk arrivals.
+        collected by the analyze probes, retry attempts.
         ``parent_id=None`` hangs the span off the ambient current span.
         """
         if parent_id is None:
@@ -185,47 +179,12 @@ class Tracer:
         """A zero-duration marker span under the ambient current span."""
         return self.record(name, 0.0, **attrs)
 
-    def absorb(
-        self,
-        serialized: Iterable[Dict[str, Any]],
-        parent_id: Optional[int] = None,
-    ) -> None:
-        """Re-emit spans serialized in another process under this tracer.
-
-        Span ids are remapped onto this tracer's sequence; child-internal
-        parent links are preserved, and the children's top-level spans are
-        re-parented onto ``parent_id`` (or the ambient current span).
-        """
-        serialized = list(serialized)
-        if not serialized:
-            return
-        if parent_id is None:
-            current = _SPAN.get()
-            parent_id = current.span_id if current is not None else None
-        mapping = {data["span_id"]: next(self._ids) for data in serialized}
-        for data in serialized:
-            span_obj = Span(
-                data["name"],
-                dict(data["attrs"]),
-                mapping[data["span_id"]],
-                mapping.get(data["parent_id"], parent_id),
-            )
-            span_obj.start = data["start"]
-            span_obj.duration = data["duration"]
-            span_obj.status = data["status"]
-            self.sink.emit(span_obj)
-
     def spans(self) -> List[Span]:
         """The sink's buffered spans (ring sinks only)."""
         getter = getattr(self.sink, "spans", None)
         if getter is None:
             raise TypeError(f"{type(self.sink).__name__} does not buffer spans")
         return getter()
-
-
-def serialize_spans(tracer: Tracer) -> List[Dict[str, Any]]:
-    """The tracer's buffered spans as picklable dicts (for worker children)."""
-    return [span_obj.to_dict() for span_obj in tracer.spans()]
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +300,8 @@ class obs_scope:
         if self._tracer is not None:
             if _TRACER.get() is not self._tracer:
                 # Span ids are per tracer: a span opened under another
-                # tracer — e.g. the entry span a forked worker child
-                # inherits from its parent — is no parent here.
+                # tracer — e.g. an enclosing scope's entry span — is no
+                # parent here.
                 self._tokens.append((_SPAN, _SPAN.set(None)))
             self._tokens.append((_TRACER, _TRACER.set(self._tracer)))
         if self._registry is not None:

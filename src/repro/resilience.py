@@ -9,9 +9,9 @@ evaluation that cannot finish degrades to a *cheaper sound approximation*
 holds the pieces every layer shares:
 
 * **Exception taxonomy.**  :class:`ReproError` is the base class of every
-  failure the library raises on purpose.  :class:`BudgetExceeded`,
-  :class:`BackendUnavailable` and :class:`WorkerPoolError` are the
-  resource/infrastructure failures introduced here;
+  failure the library raises on purpose.  :class:`BudgetExceeded` and
+  :class:`BackendUnavailable` are the resource/infrastructure failures
+  introduced here;
   :class:`SessionClosedError` and :class:`InvalidRequestError` re-type the
   session layer's historical ``RuntimeError``/``ValueError`` raises while
   *also* inheriting from those builtins, so existing ``except`` clauses
@@ -88,7 +88,6 @@ __all__ = [
     "ResumeToken",
     "RetryPolicy",
     "SessionClosedError",
-    "WorkerPoolError",
     "active_budget",
     "budget_scope",
     "is_transient_error",
@@ -141,20 +140,6 @@ class BackendUnavailable(ReproError):
     :class:`~repro.datamodel.Database` object in memory there is nothing
     to recover onto.
     """
-
-
-class WorkerPoolError(ReproError):
-    """A ``workers=`` child failed deterministically.
-
-    Raised only after the failing chunk has been *re-run sequentially in
-    the parent* and failed again — a child that merely died (OOM-kill,
-    ``BrokenProcessPool``) is recovered from silently.  ``world`` carries
-    the originating possible world when the re-run identified it.
-    """
-
-    def __init__(self, message: str, world: Any = None) -> None:
-        super().__init__(message)
-        self.world = world
 
 
 class PoolExhausted(ReproError):
@@ -217,8 +202,8 @@ class Budget:
         one step, not one world).
     max_worlds:
         Maximum number of possible worlds the enumeration strategies may
-        evaluate.  With ``workers=`` fan-out the check is chunk-granular,
-        so the count may overshoot by up to the in-flight window.
+        evaluate.  The count is exact: the enumeration stops before
+        evaluating world ``max_worlds + 1``.
     max_block_size:
         Maximum null-block size (in facts) the homomorphism layer will
         search; a larger block raises instead of starting an exponential
@@ -312,9 +297,9 @@ class BudgetState:
                 f"deadline of {self.budget.deadline}s exceeded", resource="deadline"
             )
 
-    def tick_world(self, count: int = 1) -> None:
-        """Count ``count`` enumerated worlds and re-check every limit."""
-        self._worlds += count
+    def tick_world(self) -> None:
+        """Count one enumerated world and re-check every limit."""
+        self._worlds += 1
         limit = self.budget.max_worlds
         if limit is not None and self._worlds > limit:
             raise BudgetExceeded(
@@ -373,8 +358,8 @@ class ResumeToken:
     """A checkpoint of an interrupted world enumeration.
 
     World enumeration has a *deterministic total order* (nulls sorted by
-    name, the valuation domain sorted, chunk boundaries fixed — see
-    :mod:`repro.semantics.worlds`), which is what makes a plain world
+    name, the valuation domain sorted, extra-fact pools in schema order —
+    see :mod:`repro.semantics.worlds`), which is what makes a plain world
     count a valid checkpoint: re-running the same ``(query, database,
     semantics, domain)`` enumerates the same worlds in the same order,
     so resumption skips exactly the worlds already intersected.
@@ -387,9 +372,8 @@ class ResumeToken:
         refuses a token minted for different inputs — resuming a
         different enumeration would silently intersect unrelated answers.
     worlds_done:
-        Worlds fully consumed before the interruption.  With ``workers=``
-        fan-out the checkpoint is chunk-granular: only chunks whose
-        results were folded into the intersection count.
+        Worlds fully consumed before the interruption: exactly the
+        worlds folded into the intersection.
     schema:
         Output schema observed so far (``None`` when no world finished).
     intersection:

@@ -30,7 +30,6 @@ from ..datamodel import Database, Relation
 from ..logic.formulas import FOQuery
 from ..obs.trace import span
 from ..resilience import BudgetExceeded, InvalidRequestError, PartialResult, SessionClosedError
-from . import certain as _certain_module
 from .certain import NonEmpty
 from .lineage import lineage_strategy
 from .registry import WorldSemantics
@@ -72,17 +71,14 @@ BOOLEAN = {fold: Mode("boolean", fold, True, "query.boolean") for fold in ("cert
 
 
 class _WorldEvaluator:
-    """Evaluates one query per enumerated world, in the parent or a ``workers=`` child.
+    """Evaluates one query per enumerated world.
 
     Every world-enumeration path (``certain()``, ``possible()``,
-    ``boolean()``; sequential or fanned out) evaluates through this.
-    Worlds always run in memory — ``"sqlite"`` sessions take the plan
-    engine, which the differential suites hold equal to SQLite, instead
-    of refilling the backend once per world.  In the parent it runs on
-    the session's plan cache and refuses to run once the session is
-    closed.  The session stays behind when the evaluator is pickled: a
-    child runs worlds on the per-process cache its pool initializer built
-    (:func:`~repro.semantics.certain._pool_initializer`).
+    ``boolean()``) evaluates through this.  Worlds always run in memory —
+    ``"sqlite"`` sessions take the plan engine, which the differential
+    suites hold equal to SQLite, instead of refilling the backend once
+    per world.  It runs on the session's plan cache and refuses to run
+    once the session is closed.
     """
 
     __slots__ = ("query", "interpret", "plan_cache", "session")
@@ -93,17 +89,8 @@ class _WorldEvaluator:
         self.plan_cache = session.plan_cache
         self.session = session
 
-    def __getstate__(self) -> Tuple[QueryLike, bool]:
-        return (self.query, self.interpret)
-
-    def __setstate__(self, state: Tuple[QueryLike, bool]) -> None:
-        self.query, self.interpret = state
-        self.plan_cache = _certain_module._child_plan_cache
-        self.session = None
-
     def __call__(self, world: Database) -> Relation:
-        session = self.session
-        if session is not None and session._closed:
+        if self.session._closed:
             raise SessionClosedError("session is closed")
         query = self.query
         if isinstance(query, FOQuery):
@@ -131,19 +118,15 @@ def _lineage(query, mode, domain, extra_constants, max_extra_facts, resume) -> R
 
 def _enumerate(query, mode, domain, extra_constants, max_extra_facts, resume) -> Any:
     """World enumeration on the session's per-world evaluator (a Boolean
-    evaluates :class:`NonEmpty` of it); only the intersection fans out
-    over the worker pool."""
+    evaluates :class:`NonEmpty` of it)."""
     session = query.session
     per_world: Any = _WorldEvaluator(query.expression, session)
-    workers = executor = None
-    if mode.fold == "certain":
-        workers, executor = session.workers, session._worker_executor()
     return enumeration_strategy(
         query.expression, query._require_database(), session._evaluate,
         semantics=session._semantics, domain=domain, extra_constants=extra_constants,
-        max_extra_facts=max_extra_facts, workers=workers,
+        max_extra_facts=max_extra_facts,
         world_evaluator=NonEmpty(per_world) if mode.boolean else per_world,
-        mode=mode.fold, resume=resume, executor=executor, kernel_epoch=session.kernel.epoch,
+        mode=mode.fold, resume=resume, kernel_epoch=session.kernel.epoch,
     )
 
 

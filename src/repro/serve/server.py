@@ -55,7 +55,7 @@ class Server:
         Number of worker threads answering queries concurrently.  May
         exceed ``backends``: relation-returning reads share the single
         frozen session, so they need no handle of their own.
-    engine, semantics, model, workers, budget, on_budget, retry_policy:
+    engine, semantics, model, budget, on_budget, retry_policy:
         Forwarded to :func:`repro.connect` for every pooled session.
         ``semantics="prob"`` with a :class:`~repro.prob.ProbabilityModel`
         enables :meth:`confidence` on the frozen read path.
@@ -90,7 +90,6 @@ class Server:
         engine: str = "sqlite",
         semantics: str = "cwa",
         model: Optional[Any] = None,
-        workers: Optional[int] = None,
         backends: int = 2,
         warm: Iterable[Any] = (),
         backend_path: str = ":memory:",
@@ -121,7 +120,6 @@ class Server:
             engine=engine,
             semantics=semantics,
             model=model,
-            workers=workers,
             budget=budget,
             on_budget=on_budget,
             retry_policy=retry_policy,
@@ -325,8 +323,7 @@ class Server:
 
         Thread-safe and callable from any thread or coroutine; delegates
         to :meth:`repro.session.Session.cancel` on the frozen session and
-        on each cursor session (budget flags, backend ``interrupt()``,
-        and the ``workers=`` cancel events).
+        on each cursor session (budget flags and backend ``interrupt()``).
         """
         self._frozen.cancel()
         for session in self._all_sessions:

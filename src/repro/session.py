@@ -43,9 +43,7 @@ a session builds its own :class:`~repro.engine.PlanCache`
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra.ast import RAExpression
@@ -70,7 +68,6 @@ from .logic.formulas import FOQuery
 from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer, entry_scope, env_tracer
-from .semantics.certain import _pool_initializer
 from .semantics.registry import semantics_named
 from .semantics.strategies import (
     BOOLEAN, CERTAIN, NAIVE, POSSIBLE, Mode, budget_policy, choose, forced_method, walk,
@@ -629,8 +626,6 @@ class Session:
         The :class:`~repro.prob.ProbabilityModel` over the database's
         nulls; required by (and only meaningful with)
         ``semantics="prob"``.
-    workers:
-        When > 1, world enumeration fans out over a process pool.
     backend_path:
         SQLite storage for ``engine="sqlite"``: the default
         ``":memory:"``, or a file path for out-of-core instances.
@@ -675,7 +670,6 @@ class Session:
         engine: str = "plan",
         semantics: str = "cwa",
         model: Optional[Any] = None,
-        workers: Optional[int] = None,
         backend_path: str = ":memory:",
         kernel_watermark: Optional[int] = None,
         kernel_memo_limit: Optional[int] = None,
@@ -702,8 +696,7 @@ class Session:
             if value is not None and not isinstance(value, kind):
                 raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         for name, value, minimum in (
-            ("workers", workers, 1), ("kernel_watermark", kernel_watermark, 1),
-            ("kernel_memo_limit", kernel_memo_limit, 2),
+            ("kernel_watermark", kernel_watermark, 1), ("kernel_memo_limit", kernel_memo_limit, 2),
         ):
             if value is not None:
                 check_count(name, value, minimum)
@@ -713,7 +706,6 @@ class Session:
         #: The engine queries run on (``"plan"``, ``"interpreter"``, ``"sqlite"``).
         self.engine = engine
         self.semantics = semantics
-        self.workers = workers
         self.backend_path = backend_path
         self.budget = budget
         self.on_budget = on_budget
@@ -739,23 +731,11 @@ class Session:
             lock=self._lock,
         )
         # One entry per in-flight run: its armed budget state (None when
-        # unbudgeted), for Session.cancel().  When a run begins on an idle
-        # session the workers cancel event is cleared, so one cancel()
-        # cannot poison the next, unrelated query.  Guarded by a dedicated
-        # lock (never the RLock: cancel() must not block behind a query
-        # thread holding the backend lock).
+        # unbudgeted), for Session.cancel().  Guarded by a dedicated lock
+        # (never the RLock: cancel() must not block behind a query thread
+        # holding the backend lock).
         self._runs: List[Optional[BudgetState]] = []
         self._runs_lock = threading.Lock()
-        # The session-held process pool for workers= fan-outs, built
-        # lazily on first use and reused across certain()/boolean() calls
-        # (rebuilding a pool per call costs a fork per worker per query).
-        # The shared multiprocessing.Event is planted in every child via
-        # the pool initializer; Session.cancel() sets it, and the chunk
-        # loops check it per world, so cancel latency is bounded by the
-        # check cadence instead of the chunk runtime.
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_lock = threading.Lock()
-        self._cancel_event: Optional[Any] = None
         self._frozen = False
         self._closed = False
 
@@ -898,50 +878,15 @@ class Session:
         return self._engine.evaluate_ctable(expression, database, _supports)
 
     # ------------------------------------------------------------------
-    # the session-held worker pool
-    # ------------------------------------------------------------------
-    def _worker_executor(self) -> Optional[ProcessPoolExecutor]:
-        """The session's warm process pool, or ``None`` when workers <= 1.
-
-        Built lazily, reused across every ``certain()``/``boolean()``
-        fan-out of this session, shut down in :meth:`close`.  A pool whose
-        children died (``BrokenProcessPool``) is replaced on the next
-        call; the evaluation that hit the breakage has already degraded to
-        sequential on its own.
-        """
-        if self.workers is None or self.workers <= 1:
-            return None
-        with self._executor_lock:
-            executor = self._executor
-            if executor is not None and getattr(executor, "_broken", False):
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-                self._metrics.count("workers.pool_rebuilds")
-            if executor is None:
-                # The shared cancel flag, created before any pool inherits it.
-                if self._cancel_event is None:
-                    self._cancel_event = multiprocessing.Event()
-                executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_initializer,
-                    initargs=(self._cancel_event,),
-                )
-                self._executor = executor
-            return executor
-
-    # ------------------------------------------------------------------
     # runs and cancellation
     # ------------------------------------------------------------------
     def _begin_run(self, state: Optional[BudgetState]) -> None:
-        if state is None and self._cancel_event is None:
-            # Nothing to cancel and no workers event to reset: only the
-            # in-flight count grows, by one list append (atomic under the
-            # GIL), ordered as if the locked path had run at the check.
+        if state is None:
+            # Nothing to cancel: only the in-flight count grows, by one
+            # list append (atomic under the GIL), as under the lock.
             self._runs.append(None)
             return
         with self._runs_lock:
-            if not self._runs and self._cancel_event is not None:
-                self._cancel_event.clear()
             self._runs.append(state)
 
     def _end_run(self, state: Optional[BudgetState]) -> None:
@@ -956,7 +901,7 @@ class Session:
     def cancel(self) -> None:
         """Cancel every in-flight evaluation of this session, from any thread.
 
-        Three levers, pulled together:
+        Two levers, pulled together:
 
         * every *armed budget* of an in-flight ``certain()`` /
           ``possible()`` / ``boolean()`` call is flagged, so the next
@@ -965,11 +910,7 @@ class Session:
           :class:`~repro.resilience.QueryCancelled` in the query's thread;
         * each live backend connection gets a thread-safe
           ``interrupt()``, aborting even a single long-running SQL
-          statement mid-flight;
-        * the shared cancel event of the session's ``workers=`` pool is
-          set, so in-flight *children* raise ``QueryCancelled`` at their
-          next per-world check instead of finishing their chunk — cancel
-          latency is bounded by the check cadence, not the chunk runtime.
+          statement mid-flight.
 
         ``QueryCancelled`` is deliberately not a ``BudgetExceeded``: a
         cancelled query never enters the degradation ladder — it stops.
@@ -982,9 +923,6 @@ class Session:
             states = [state for state in self._runs if state is not None]
         for state in states:
             state.cancel()
-        event = self._cancel_event
-        if event is not None:
-            event.set()
         self._engine.interrupt()
 
     # ------------------------------------------------------------------
@@ -1049,9 +987,8 @@ class Session:
 
         A frozen session still answers ``certain()`` / ``possible()`` /
         ``boolean()`` / ``answer_object()`` / ``cursor()`` on its one
-        database, and :meth:`cancel` still works (budget flags, backend
-        ``interrupt()`` and the workers cancel event are all thread-safe
-        by construction).  What it refuses: switching a backend handle to
+        database, and :meth:`cancel` still works (budget flags and backend
+        ``interrupt()`` are both thread-safe by construction).  What it refuses: switching a backend handle to
         another database (on ``engine="sqlite"`` a per-query ``database=``
         runs on the in-memory plan engine; ``sql()`` on another database
         raises), loading rows, ``clear_caches()``.  Queries the warm set
@@ -1084,15 +1021,11 @@ class Session:
         self.plan_cache.clear()
 
     def close(self) -> None:
-        """Close the session's backend connections and worker pool (idempotent)."""
+        """Close the session's backend connections (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            executor = self._executor
-            self._executor = None
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
             self._engine.close()
 
     def __enter__(self) -> "Session":

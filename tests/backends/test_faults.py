@@ -471,71 +471,6 @@ class TestRuntimeFailureClassifier:
         assert not is_runtime_failure(ValueError("not a sqlite error at all"))
 
 
-# ---------------------------------------------------------------------------
-# Pool-level chaos: FaultInjectingExecutor against the worker fan-out.
-# ---------------------------------------------------------------------------
-def _pool_evaluate(world):
-    # Parsed fresh per call so the function stays picklable (a shared
-    # expression gains plan annotations after its first evaluation).
-    from repro.algebra import parse_ra
-
-    return parse_ra("project[#0](R)").evaluate(world)
-
-
-def _pool_db():
-    return Database.from_dict({"R": [(1,), (2,), (3,), (Null("x"),)]})
-
-
-class TestFaultInjectingExecutor:
-    def _run(self, schedule, heartbeat=0.2):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.backends.faults import FaultInjectingExecutor
-        from repro.semantics.certain import enumerate_certain_answers
-
-        database = _pool_db()
-        oracle = enumerate_certain_answers(_pool_evaluate, database)
-        with FaultInjectingExecutor(ThreadPoolExecutor(max_workers=2), schedule) as pool:
-            chaos = enumerate_certain_answers(
-                _pool_evaluate, database, workers=2, heartbeat=heartbeat, executor=pool
-            )
-        assert set(chaos.rows) == set(oracle.rows)
-
-    def test_broken_pool_on_submit_degrades_to_local_run(self):
-        # The very first submit raises BrokenProcessPool: every chunk
-        # (including the one being submitted) re-runs in the parent.
-        self._run(FaultSchedule({"submit": [0]}))
-
-    def test_lost_future_recovers_via_heartbeat(self):
-        # A lost future never completes — the hung-child case.  The
-        # heartbeat expires, the chunk re-runs locally, answers match.
-        self._run(FaultSchedule({"lose": [0]}))
-
-    def test_delayed_future_recovers_via_heartbeat(self):
-        # The child is alive but slower than the heartbeat; same recovery.
-        self._run(FaultSchedule({"delay": [0]}))
-
-    def test_every_fault_kind_at_once(self):
-        self._run(FaultSchedule({"submit": [1], "lose": [0], "delay": [2]}))
-
-    def test_unfaulted_executor_is_transparent(self):
-        self._run(FaultSchedule({}))
-
-    def test_delayed_future_result_times_out(self):
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        from repro.backends.faults import _DelayedFuture
-
-        class _Done:
-            def result(self, timeout=None):
-                return "late"
-
-        slow = _DelayedFuture(_Done(), delay=10.0, sleep=lambda s: None)
-        with pytest.raises(FutureTimeoutError):
-            slow.result(timeout=0.01)
-        assert slow.result(timeout=None) == "late"
-
-
 class TestTransientClassifier:
     def test_contention_is_transient(self):
         assert is_transient_error(sqlite3.OperationalError("database is locked"))

@@ -1,13 +1,18 @@
 """Unit tests for incomplete database instances."""
 
+import pickle
 import sys
 
 import pytest
 
+import repro
 import repro.datamodel.relations as relations_module
+from repro import Budget, PartialResult
+from repro.algebra import parse_ra
 from repro.datamodel import Database, DatabaseSchema, Null, Relation, RelationSchema
 from repro.datamodel.database import facts_with_nulls
 from repro.datamodel.values import intern_value
+from repro.resilience import ManualClock
 
 
 @pytest.fixture
@@ -225,3 +230,59 @@ class TestAddFactsValidatesOnlyTheNewRows:
         database = Database(schema, {"R": relation})
         assert database["R"].attributes == ("a", "b")
         assert database["R"].rows == relation.rows
+
+
+class TestContentDigestCache:
+    """The resume-token fingerprint hashes a database's rows once: the
+    digest is cached on the (immutable) instance, and not pickled."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        original = Database._compute_content_digest
+
+        def counted(db):
+            calls.append(db)
+            return original(db)
+
+        monkeypatch.setattr(Database, "_compute_content_digest", counted)
+        return calls
+
+    def test_digest_is_computed_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        database = Database.from_dict({"R": [(1,), (2,), (3,), (Null("x"),)]})
+        first = database.content_digest()
+        assert database.content_digest() == first
+        assert len(calls) == 1
+
+    def test_digest_survives_pickling_without_shipping_the_cache(self):
+        database = Database.from_dict({"R": [(1,), (2,), (3,), (Null("x"),)]})
+        digest = database.content_digest()
+        clone = pickle.loads(pickle.dumps(database))
+        assert clone._content_digest is None  # the cache is not serialized
+        assert clone.content_digest() == digest
+
+    def test_two_budget_stamps_hash_rows_at_most_once(self, monkeypatch):
+        """Two consecutive ``certain(budget=)`` calls on an unchanged
+        100k-row database stamp two resume tokens but hash the rows at
+        most once."""
+        rows = [(i,) for i in range(100_000)]
+        rows.append((Null("x"),))
+        database = Database.from_dict({"R": rows})
+        calls = self._counting(monkeypatch)
+        with repro.connect(database) as session:
+            query = session.query(parse_ra("project[#0](R)"))
+            # Each clock reading advances a second: the deadline passes at
+            # the third check, after enumeration has started, so both calls
+            # expire mid-way whatever the host's speed.
+            partials = [
+                query.certain(
+                    method="enumeration",
+                    budget=Budget(deadline=3.0, clock=ManualClock(step=1.0)),
+                    on_budget="partial",
+                )
+                for _ in range(2)
+            ]
+        for partial in partials:
+            assert isinstance(partial, PartialResult)
+            assert partial.token is not None  # both calls really stamped
+        assert len(calls) <= 1

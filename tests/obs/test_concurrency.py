@@ -1,10 +1,7 @@
 """Observability under concurrency: the guarantees the design promises.
 
-* ``workers=`` children evaluate worlds in other *processes*; their
-  counters and spans ship back with each chunk and must aggregate
-  **exactly** — the parallel run reports the same ``worlds.evaluated``
-  as the sequential run, and the chunk spans arrive under
-  ``enumerate.chunk`` anchors.
+* World enumeration accounts **exactly**: one ``world.evaluate`` span
+  per world counted in ``worlds.evaluated``, each under the entry span.
 * Frozen sessions are hammered from 8 threads: per-thread shards mean
   no lost increments (the counter equals the exact number of calls)
   and no cross-session leakage (an idle session's registry stays
@@ -38,58 +35,22 @@ def _database():
 
 
 # ---------------------------------------------------------------------------
-# exact aggregation across worker children
+# exact world accounting
 # ---------------------------------------------------------------------------
-class TestWorkerAggregation:
-    def test_worlds_evaluated_matches_sequential_exactly(self):
-        database = _database()
-        with repro.connect(database) as sequential:
-            answer_seq = sequential.query(QUERY).certain(method="enumeration")
-            expected = sequential.metrics()["counters"]["worlds.evaluated"]
-        assert expected > 0
-
-        with repro.connect(database, workers=2) as parallel:
-            answer_par = parallel.query(QUERY).certain(method="enumeration")
-            observed = parallel.metrics()["counters"]["worlds.evaluated"]
-
-        assert answer_par == answer_seq
-        assert observed == expected, (
-            f"parallel run counted {observed} worlds, sequential {expected}"
-        )
-
-    def test_chunk_spans_anchor_the_worlds_shipped_back(self):
+class TestWorldAccounting:
+    @pytest.mark.parametrize("query", [QUERY, DIFF_QUERY], ids=["project", "diff"])
+    def test_traced_worlds_equal_counted_worlds(self, query):
         tracer = Tracer()
-        with repro.connect(_database(), workers=2, tracer=tracer) as session:
-            session.query(QUERY).certain(method="enumeration")
+        with repro.connect(_database(), tracer=tracer) as session:
+            session.query(query).certain(method="enumeration")
             counted = session.metrics()["counters"]["worlds.evaluated"]
         spans = tracer.spans()
-        chunks = [s for s in spans if s.name == "enumerate.chunk"]
         worlds = [s for s in spans if s.name == "world.evaluate"]
         (entry,) = [s for s in spans if s.name == "query.certain"]
-        assert worlds, "per-world spans must be traced"
-        # Every world span hangs either under a chunk anchor (evaluated in
-        # a pool child, spans shipped back and absorbed) or directly under
-        # the entry span (chunk run locally while the pool was busy).
-        chunk_ids = {s.span_id for s in chunks}
-        anchored = [s for s in worlds if s.parent_id in chunk_ids]
-        local = [s for s in worlds if s.parent_id == entry.span_id]
-        assert len(anchored) + len(local) == len(worlds)
-        # Chunk anchors account exactly for the worlds they shipped back.
-        assert sum(s.attrs["worlds"] for s in chunks) == len(anchored)
-        # Nothing went missing in transit: traced worlds == counted worlds.
+        assert counted > 0
         assert len(worlds) == counted
-
-    def test_worker_and_sequential_runs_count_enumeration_fallback_equally(self):
-        database = _database()
-        with repro.connect(database) as sequential:
-            sequential.query(DIFF_QUERY).certain(method="enumeration")
-            seq_counters = sequential.metrics()["counters"]
-        with repro.connect(database, workers=2) as parallel:
-            parallel.query(DIFF_QUERY).certain(method="enumeration")
-            par_counters = parallel.metrics()["counters"]
-        assert (
-            par_counters["worlds.evaluated"] == seq_counters["worlds.evaluated"]
-        )
+        # Every world is evaluated in the fold under the entry span.
+        assert all(s.parent_id == entry.span_id for s in worlds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Unit behavior of the two observability primitives.
 
 ``repro.obs.trace``: span nesting through contextvars, both sinks, the
-no-op disabled path, cross-process serialization/absorption, and the
-``REPRO_TRACE`` process default.  ``repro.obs.metrics``: counter /
-gauge / histogram semantics, disabled registries, and worker-delta
-merging.  Thread-level guarantees live in ``test_concurrency.py``.
+no-op disabled path, and the ``REPRO_TRACE`` process default.
+``repro.obs.metrics``: counter / gauge / histogram semantics and
+disabled registries.  Thread-level guarantees live in
+``test_concurrency.py``.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.obs import (
     entry_scope,
     metrics_scope,
     obs_scope,
-    serialize_spans,
     span,
 )
 
@@ -58,20 +57,11 @@ class TestMetricsRegistry:
         registry.gauge("depth", 1)
         assert registry.gauges() == {"depth": 1}
 
-    def test_merge_counts_folds_worker_deltas_in(self):
-        registry = MetricsRegistry()
-        registry.count("worlds.evaluated", 2)
-        registry.merge_counts({"worlds.evaluated": 7, "other": 1})
-        registry.merge_counts({})
-        assert registry.counter_value("worlds.evaluated") == 9
-        assert registry.counter_value("other") == 1
-
     def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry(enabled=False)
         registry.count("a")
         registry.observe("h", 1.0)
         registry.gauge("g", 1.0)
-        registry.merge_counts({"a": 3})
         assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert not DISABLED_METRICS.enabled
 
@@ -156,28 +146,9 @@ class TestTracer:
         names = [s.name for s in tracer.spans()]
         assert names == ["s6", "s7", "s8", "s9"]
 
-    def test_serialize_and_absorb_remap_ids_and_reparent(self):
-        child = Tracer()
-        with obs_scope(child, None):
-            with child.span("chunk.work") as work:
-                child.record("world", 0.01)
-        shipped = serialize_spans(child)
-        assert all(isinstance(data, dict) for data in shipped)
-
-        parent = Tracer()
-        anchor = parent.record("enumerate.chunk")
-        parent.absorb(shipped, parent_id=anchor.span_id)
-        absorbed = {s.name: s for s in parent.spans()}
-        # Child-internal nesting preserved; top level re-parented onto anchor.
-        assert absorbed["chunk.work"].parent_id == anchor.span_id
-        assert absorbed["world"].parent_id == absorbed["chunk.work"].span_id
-        assert absorbed["chunk.work"].span_id != work.span_id or True  # ids remapped
-        ids = [s.span_id for s in parent.spans()]
-        assert len(ids) == len(set(ids))
-
     def test_a_fresh_tracer_does_not_nest_under_another_tracers_span(self):
-        # A forked worker child inherits its parent's ambient span; the
-        # child's local tracer must not link to that foreign id.
+        # An inner scope inherits the outer scope's ambient span; the
+        # inner tracer must not link to that foreign id.
         parent, child = Tracer(), Tracer()
         with obs_scope(parent, None):
             with parent.span("query.certain"):
@@ -189,11 +160,6 @@ class TestTracer:
         (world,) = child.spans()
         assert world.parent_id is None
         assert after.parent_id == parent.spans()[-1].span_id
-
-    def test_absorb_empty_is_a_noop(self):
-        tracer = Tracer()
-        tracer.absorb([])
-        assert tracer.spans() == []
 
     def test_jsonl_sink_writes_one_object_per_span(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -265,13 +265,6 @@ def test_shannon_branches_tick_the_budget_and_mint_no_token():
         assert "degraded" in q.explain()
 
 
-def test_workers_are_ignored_and_no_world_is_evaluated():
-    with repro.connect(TYPED, workers=2) as session:
-        assert session.query(DIFF).certain() == full_product(DIFF, TYPED)
-        assert session._executor is None
-        assert "worlds.evaluated" not in session.metrics()["counters"]
-
-
 def test_the_lineage_span_carries_candidates_and_branches():
     tracer = Tracer()
     with repro.connect(SHARED, tracer=tracer) as session:

@@ -110,13 +110,19 @@ def test_explain_names_what_ran_after_the_memo_is_warm(db):
         assert "certain(): world enumeration (method='enumeration')" in q.explain()
 
 
-def test_a_warmed_expression_still_pickles(db):
+@pytest.mark.parametrize(
+    "warm, pin", [("certain", "_strategy_picks"), ("answer_object", "_plan_entries")]
+)
+def test_a_warmed_expression_still_pickles(db, warm, pin):
+    """Neither the strategy pick (``certain()``) nor the plan pin
+    (``answer_object()``) travels with a pickled expression."""
     diff = parse_ra(DIFF_TEXT)
     with repro.connect(db, semantics="cwa") as session:
-        session.query(diff).certain()
-    assert hasattr(diff, "_strategy_picks")
-    clone = pickle.loads(pickle.dumps(diff))
-    assert clone == diff and not hasattr(clone, "_strategy_picks")
+        expected = getattr(session.query(diff), warm)()
+        assert hasattr(diff, pin)
+        clone = pickle.loads(pickle.dumps(diff))
+        assert clone == diff and not hasattr(clone, pin)
+        assert getattr(session.query(clone), warm)() == expected
 
 
 def test_server_pool_threads_share_the_warmed_expressions(db):

@@ -404,13 +404,3 @@ def test_edge_cases_are_what_they_say():
     assert "q" in enumeration_domain(query, database)
     assert "q" not in valuation_space(query, database, enumeration_domain(query, database)).interchangeable
 
-
-@pytest.mark.parametrize("seed", [0, 5, 9])
-def test_canonical_workers_parity(seed):
-    database, domain, max_extra_facts = _instance(seed, "cwa")
-    expected = [_full_product(query, database, "cwa", domain, max_extra_facts) for query in _queries(database)]
-    with repro.connect(database, workers=2) as session:
-        for query, (answer, holds) in zip(_queries(database), expected):
-            q = session.query(query)
-            assert q.certain(method="enumeration", domain=domain) == answer
-            assert q.boolean(mode="certain", domain=domain) is holds

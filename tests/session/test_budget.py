@@ -146,6 +146,24 @@ class TestWorldCaps:
         assert err.value.resource == "worlds"
         session.close()
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_max_worlds_is_exact(self, db, cap):
+        """The fold ticks once per world: a cap of ``k`` evaluates exactly
+        ``k`` worlds and the checkpoint counts exactly those."""
+        with repro.connect(db) as session:
+            session.query(UCQ).certain(method="enumeration")
+            total = session.metrics()["counters"]["worlds.evaluated"]
+        assert cap < total
+        with repro.connect(db) as session:
+            with pytest.raises(BudgetExceeded) as err:
+                session.query(UCQ).certain(
+                    method="enumeration", budget=Budget(max_worlds=cap), on_budget="raise"
+                )
+            evaluated = session.metrics()["counters"]["worlds.evaluated"]
+        assert err.value.resource == "worlds"
+        assert err.value.resume_token.worlds_done == cap
+        assert evaluated == cap
+
     def test_degrade_policy_returns_exact_for_ucq(self, db):
         session = repro.connect(db)
         q = session.query(UCQ)

@@ -56,8 +56,7 @@ class TestConnect:
     @pytest.mark.parametrize(
         "call, options, error, match",
         [
-            ("connect", {"workers": "2"}, repro.InvalidRequestError, "workers must be an int >= 1"),
-            ("connect", {"workers": 2.5}, repro.InvalidRequestError, "workers must be an int >= 1"),
+            ("connect", {"workers": 2}, TypeError, "unexpected keyword argument 'workers'"),
             ("connect", {"kernel_watermark": "a"}, repro.InvalidRequestError,
              "kernel_watermark must be an int >= 1"),
             ("connect", {"kernel_memo_limit": 1}, repro.InvalidRequestError,

@@ -50,7 +50,6 @@ EXPECTED_TOP_LEVEL = {
     "SessionClosedError",
     "Tracer",
     "Valuation",
-    "WorkerPoolError",
     "__version__",
     "connect",
     "obs",
