@@ -6,6 +6,7 @@ from repro.algebra import parse_ra
 from repro.datamodel import Database, Null, Relation
 from repro.semantics import (
     answer_space,
+    cwa_worlds,
     enumerate_certain_answers,
     enumerate_certain_boolean,
     enumerate_possible_answers,
@@ -115,3 +116,75 @@ class TestBooleanQueries:
         assert not enumerate_possible_boolean(
             lambda world: len(world["R"]) > 5, r_minus_s_db, semantics="cwa"
         )
+
+
+class TestSequentialFold:
+    """The fold is eq. (1) read literally: one pass over the worlds."""
+
+    DOMAIN = [0, 1, 2, 3, "w"]
+
+    @staticmethod
+    def _database():
+        return Database.from_relations(
+            [
+                Relation.create(
+                    "R", [(0,), (1,), (2,), (Null("r0"),), (Null("r1"),)], attributes=("A",)
+                ),
+                Relation.create("S", [(1,), (Null("s0"),)], attributes=("A",)),
+            ]
+        )
+
+    @pytest.mark.parametrize("text", ["diff(R, S)", "project[#0](R)", "union(R, S)"])
+    def test_equals_the_intersection_over_every_world(self, text):
+        query = parse_ra(text)
+        database = self._database()
+        worlds = list(cwa_worlds(database, domain=self.DOMAIN))
+        expected = frozenset.intersection(*(query.evaluate(world).rows for world in worlds))
+        certain = enumerate_certain_answers(query.evaluate, database, "cwa", domain=self.DOMAIN)
+        assert certain.rows == expected
+
+    def test_any_callable_is_a_query(self):
+        """Nothing is pickled: a closure evaluates like the bound method."""
+        query = parse_ra("diff(R, S)")
+        database = self._database()
+        closure = lambda world: query.evaluate(world)  # noqa: E731
+        assert enumerate_certain_answers(closure, database, "cwa") == enumerate_certain_answers(
+            query.evaluate, database, "cwa"
+        )
+
+    def test_an_empty_intersection_stops_the_enumeration(self):
+        database = self._database()
+        assert len(list(cwa_worlds(database, domain=self.DOMAIN))) > 1
+        calls = []
+
+        def empty(world):
+            calls.append(world)
+            return parse_ra("diff(R, R)").evaluate(world)
+
+        assert not enumerate_certain_answers(empty, database, "cwa", domain=self.DOMAIN).rows
+        assert len(calls) == 1
+
+    def test_an_error_in_one_world_propagates_unchanged(self):
+        class WorldBomb(Exception):
+            pass
+
+        def bomb(world):
+            if (3,) in world["R"].rows:
+                raise WorldBomb(world)
+            return world["R"]
+
+        with pytest.raises(WorldBomb) as info:
+            enumerate_certain_answers(bomb, self._database(), "cwa", domain=self.DOMAIN)
+        assert (3,) in info.value.args[0]["R"].rows
+
+    def test_boolean_is_false_when_one_world_fails(self):
+        # R has five rows unless a null collapses onto another value.
+        def five_rows(world):
+            return len(world["R"]) == 5
+
+        database = self._database()
+        assert enumerate_possible_boolean(five_rows, database, "cwa", domain=self.DOMAIN)
+        assert enumerate_certain_boolean(five_rows, database, "cwa", domain=self.DOMAIN) is False
+        assert enumerate_certain_boolean(
+            lambda world: len(world["R"]) >= 3, database, "cwa", domain=self.DOMAIN
+        ) is True

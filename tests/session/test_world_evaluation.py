@@ -132,8 +132,8 @@ class TestOrderComparisonsOverFreshValues:
     """Worlds also take the domain's fresh values (strings ``w0``, ``w1``,
     ...): nulls range over them and open-world extra facts are made of
     them.  An order comparison one of them cannot meet is refused with a
-    typed error before any world is enumerated, on every engine and mode —
-    never a bare ``TypeError``."""
+    typed error before any world is enumerated, on every engine, mode and
+    semantics — never a bare ``TypeError``."""
 
     DATABASE = Database.from_dict({"R": [(Null("x"), 2), (1, 5)]})
     CALLS = {
@@ -144,12 +144,13 @@ class TestOrderComparisonsOverFreshValues:
     }
 
     @pytest.mark.parametrize("engine", ["plan", "interpreter", "sqlite"])
+    @pytest.mark.parametrize("semantics", ["cwa", "owa", "wcwa"])
     @pytest.mark.parametrize("mode", sorted(CALLS))
     @pytest.mark.parametrize("text", ["select[#0 < 3](R)", "select[3 >= #0](R)"])
-    def test_refused_with_a_typed_error(self, engine, mode, text):
+    def test_refused_with_a_typed_error(self, engine, semantics, mode, text):
         from repro.resilience import InvalidRequestError
 
-        with repro.connect(self.DATABASE, engine=engine) as session:
+        with repro.connect(self.DATABASE, engine=engine, semantics=semantics) as session:
             with pytest.raises(InvalidRequestError, match=r"order comparison .*'w0'.*3") as info:
                 self.CALLS[mode](session.query(parse_ra(text)))
             assert session.metrics()["counters"].get("worlds.evaluated", 0) == 0
