@@ -949,7 +949,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--compare",
         action="store_true",
-        help=f"diff against --baseline and exit 1 on any op >{COMPARE_THRESHOLD:.0%} "
+        # argparse %-formats help text: the percent sign must be doubled.
+        help=f"diff against --baseline and exit 1 on any op >{COMPARE_THRESHOLD:.0%}% "
         "slower after normalizing for machine drift",
     )
     parser.add_argument(

@@ -14,7 +14,11 @@ Every fragment is a complete ``SELECT`` producing positional columns
 Set semantics relies on the base tables being duplicate-free (the
 sentinel codec's DDL declares a primary key over all columns) plus
 ``DISTINCT`` on projections and SQL's set-based compound operators
-(``UNION`` / ``EXCEPT`` / ``INTERSECT``).  Division is compiled through
+(``UNION`` / ``EXCEPT`` / ``INTERSECT``).  A compound operator returns
+distinct rows whatever its operands hold, so a projection that is a
+compound operand is emitted without its ``DISTINCT``
+(:attr:`SQLFragment.bag`): SQLite then flattens it into the compound
+instead of deduplicating it on its own.  Division is compiled through
 the paper's ``RA_cwa`` rewriting
 ``R ÷ S = π_A(R) − π_A(reorder(π_A(R) × S) − R)``, with the dividend and
 the candidate set spilled to temp tables so their SQL (and their rows)
@@ -73,6 +77,15 @@ class SQLFragment:
     table: Optional[str] = None
     #: Raw relation name when the scanned table is a user base relation.
     base: Optional[str] = None
+    #: When the top of ``sql`` is a ``SELECT DISTINCT`` projection, the
+    #: same statement without the ``DISTINCT``: a compound operand's
+    #: form, since the compound dedupes its result anyway.
+    bag: Optional[str] = None
+
+    @property
+    def operand(self) -> str:
+        """The SQL to use as an operand of ``UNION``/``EXCEPT``/``INTERSECT``."""
+        return self.sql if self.bag is None else self.bag
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,13 @@ def _columns(arity: int, prefix: str = "") -> str:
     if arity == 0:
         raise UnsupportedPlanError("zero-arity relations cannot be compiled to SQL")
     return ", ".join(f"{prefix}c{i}" for i in range(arity))
+
+
+def _distinct(columns_from: str, params: Tuple[Any, ...], arity: int) -> SQLFragment:
+    """``SELECT DISTINCT {columns_from}``, with its bag form recorded."""
+    return SQLFragment(
+        f"SELECT DISTINCT {columns_from}", params, arity, bag=f"SELECT {columns_from}"
+    )
 
 
 def _count_references(root: LogicalNode) -> Dict[LogicalNode, int]:
@@ -257,11 +277,7 @@ class SQLCompiler(_Lowering):
     def make_project(self, child: SQLFragment, positions: Tuple[int, ...]) -> SQLFragment:
         alias = self._alias()
         select = ", ".join(f"{alias}.c{p} AS c{i}" for i, p in enumerate(positions))
-        return SQLFragment(
-            f"SELECT DISTINCT {select} FROM ({child.sql}) AS {alias}",
-            child.params,
-            len(positions),
-        )
+        return _distinct(f"{select} FROM ({child.sql}) AS {alias}", child.params, len(positions))
 
     def make_join(
         self,
@@ -300,12 +316,13 @@ class SQLCompiler(_Lowering):
 
     def _compound(self, op: str, left: SQLFragment, right: SQLFragment) -> SQLFragment:
         # Compound operands must not be parenthesized compounds themselves in
-        # SQLite, so each side is wrapped as a plain table subquery.
+        # SQLite, so each side is wrapped as a plain table subquery.  The
+        # compound returns distinct rows, so each side may be a bag.
         la, ra = self._alias(), self._alias()
         return SQLFragment(
-            f"SELECT {_columns(left.arity, la + '.')} FROM ({left.sql}) AS {la} "
+            f"SELECT {_columns(left.arity, la + '.')} FROM ({left.operand}) AS {la} "
             f"{op} "
-            f"SELECT {_columns(right.arity, ra + '.')} FROM ({right.sql}) AS {ra}",
+            f"SELECT {_columns(right.arity, ra + '.')} FROM ({right.operand}) AS {ra}",
             left.params + right.params,
             left.arity,
         )
@@ -339,11 +356,7 @@ class SQLCompiler(_Lowering):
             f"{alias}.c{p} AS c{i}" for i, p in enumerate(keep)
         )
         groups = self.spill(
-            SQLFragment(
-                f"SELECT DISTINCT {keep_select} FROM ({dividend.sql}) AS {alias}",
-                dividend.params,
-                len(keep),
-            )
+            _distinct(f"{keep_select} FROM ({dividend.sql}) AS {alias}", dividend.params, len(keep))
         )
         ga, ra = self._alias(), self._alias()
         candidate_cols = []
@@ -361,11 +374,7 @@ class SQLCompiler(_Lowering):
         missing = self._compound("EXCEPT", candidates, dividend)
         ma = self._alias()
         bad_select = ", ".join(f"{ma}.c{p} AS c{i}" for i, p in enumerate(keep))
-        bad = SQLFragment(
-            f"SELECT DISTINCT {bad_select} FROM ({missing.sql}) AS {ma}",
-            missing.params,
-            len(keep),
-        )
+        bad = _distinct(f"{bad_select} FROM ({missing.sql}) AS {ma}", missing.params, len(keep))
         return self._compound("EXCEPT", groups, bad)
 
     def make_opaque(self, node: LOpaque) -> SQLFragment:

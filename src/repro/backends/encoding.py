@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import numbers
 import sys
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..datamodel.values import Null, intern_null, intern_value, is_null
@@ -207,10 +208,18 @@ class SentinelCodec:
     def decode_row(self, row: Sequence[Any]) -> Row:
         return tuple(map(self._memo.__getitem__, row))
 
-    def decode_rows(self, rows: Iterable[Sequence[Any]]) -> List[Row]:
-        """:meth:`decode_row` over ``rows``, without a call per row."""
+    def decode_rows(self, rows: Sequence[Sequence[Any]]) -> List[Row]:
+        """:meth:`decode_row` over ``rows``, column by column.
+
+        Each column goes through the memo in one ``map`` and ``zip``
+        reassembles the rows, so no Python-level step runs per row.
+        ``zip`` pulls its columns in turn, so the memo still sees the
+        values in row order.
+        """
         lookup = self._memo.__getitem__
-        return [tuple(map(lookup, row)) for row in rows]
+        if rows and len(rows[0]) == 1:
+            return list(zip(map(lookup, chain.from_iterable(rows))))
+        return list(zip(*[map(lookup, column) for column in zip(*rows)]))
 
 
 class SQLNullCodec:
@@ -253,5 +262,6 @@ class SQLNullCodec:
         return tuple(map(self.decode, row))
 
     def decode_rows(self, rows: Iterable[Sequence[Any]]) -> List[Row]:
+        # Row-major on purpose: each SQL NULL mints a fresh null, in order.
         decode = self.decode
         return [tuple(map(decode, row)) for row in rows]

@@ -23,6 +23,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -30,7 +31,7 @@ import threading
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .metrics import MetricsRegistry, _METRICS
 
@@ -42,6 +43,7 @@ __all__ = [
     "current_span",
     "current_tracer",
     "entry_scope",
+    "entry_scopes",
     "env_tracer",
     "obs_scope",
     "span",
@@ -407,17 +409,33 @@ class _MetricsScope:
         return False
 
 
+def _noop_scope(name: str) -> _NoopScope:
+    return _NOOP
+
+
+def entry_scopes(
+    tracer: Optional[Tracer], registry: Optional[MetricsRegistry]
+) -> Callable[[str], Any]:
+    """The factory of the scopes sessions wrap their entry points in.
+
+    Which scope fits depends only on the tracer and on whether the
+    registry is enabled, both fixed for a session's life, so a session
+    picks its factory once and calls it with the entry name per request.
+    """
+    if registry is not None and not registry.enabled:
+        registry = None
+    if tracer is not None:
+        return functools.partial(_EntryScope, tracer, registry)
+    if registry is not None:
+        return functools.partial(_MetricsScope, registry)
+    return _noop_scope
+
+
 def entry_scope(
     tracer: Optional[Tracer], registry: Optional[MetricsRegistry], name: str
 ) -> Any:
     """The scope sessions wrap their entry points in; no-op when all off."""
-    if registry is not None and not registry.enabled:
-        registry = None
-    if tracer is not None:
-        return _EntryScope(tracer, registry, name)
-    if registry is not None:
-        return _MetricsScope(registry, name)
-    return _NOOP
+    return entry_scopes(tracer, registry)(name)
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ from .engine.registry import NO_DATABASE, chunks, engine_factory
 from .logic.formulas import FOQuery
 from .obs.analyze import AnalyzeReport
 from .obs.metrics import MetricsRegistry
-from .obs.trace import Tracer, entry_scope, env_tracer
+from .obs.trace import Tracer, entry_scopes, env_tracer
 from .semantics.registry import semantics_named
 from .semantics.strategies import (
     BOOLEAN, CERTAIN, NAIVE, POSSIBLE, Mode, budget_policy, choose, forced_method, walk,
@@ -718,6 +718,10 @@ class Session:
         # the environment variable).
         self._metrics = MetricsRegistry(enabled=metrics)
         self._tracer = tracer if tracer is not None else env_tracer()
+        # The entry scope every public Query mode opens: the tracer and
+        # the registry's ``enabled`` are fixed from here on, so the scope
+        # kind is picked once (a shared no-op with both off).
+        self._obs = entry_scopes(self._tracer, self._metrics)
         self.kernel = ConditionKernel(watermark=kernel_watermark, memo_limit=kernel_memo_limit)
         self.plan_cache = PlanCache(kernel=self.kernel, metrics=self._metrics)
         self._lock = threading.RLock()
@@ -765,15 +769,6 @@ class Session:
     def tracer(self) -> Optional[Tracer]:
         """The session's tracer, or ``None`` when tracing is off."""
         return self._tracer
-
-    def _obs(self, name: str) -> Any:
-        """The entry scope arming this session's tracer + registry as ambient.
-
-        Every public ``Query`` mode opens one of these; when the tracer is
-        ``None`` and metrics are disabled it is a shared no-op object, so
-        the disabled path costs two attribute reads and a branch.
-        """
-        return entry_scope(self._tracer, self._metrics, name)
 
     def metrics(self) -> dict:
         """A snapshot of this session's metrics.

@@ -218,6 +218,54 @@ class TestDecodeMemo:
         assert len(memo) == size
         session.close()
 
+    @staticmethod
+    def _encoded_rows(codec, arity, count, start=0):
+        pool = _value_pool()
+        return [
+            codec.encode_row(tuple(pool[(start + i * arity + k) % len(pool)] if k else "v%d" % (start + i)
+                                   for k in range(arity)))
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_column_wise_decode_rows_equals_decode_row(self, arity):
+        columnar, per_row = SentinelCodec(), SentinelCodec()
+        rows = self._encoded_rows(columnar, arity, 200)
+        self._encoded_rows(per_row, arity, 200)  # the same opaque tokens
+        assert columnar.decode_rows([]) == []
+        for _ in range(2):  # a fresh memo, then a warm one
+            decoded = columnar.decode_rows(rows)
+            assert decoded == [per_row.decode_row(row) for row in rows]
+            assert all(type(row) is tuple and len(row) == arity for row in decoded)
+            assert dict(columnar._memo) == dict(per_row._memo)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_a_frozen_memo_decodes_column_wise_without_inserting(self, arity):
+        codec = SentinelCodec()
+        rows = self._encoded_rows(codec, arity, 50)
+        codec.decode_rows(rows[:10])
+        codec.freeze()
+        size = len(codec._memo)
+        assert codec.decode_rows(rows) == [codec.decode_row(row) for row in rows]
+        assert len(codec._memo) == size
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_a_full_memo_is_emptied_in_row_order(self, arity, monkeypatch):
+        # The memo sees the values in the order decode_row would: a full
+        # memo is emptied at the same value and refills the same way.
+        monkeypatch.setattr(encoding, "DECODE_MEMO_LIMIT", 16)
+        columnar, per_row = SentinelCodec(), SentinelCodec()
+        warm = self._encoded_rows(columnar, 1, 16, start=1000)
+        self._encoded_rows(per_row, 1, 16, start=1000)
+        for codec in (columnar, per_row):
+            codec.decode_rows(warm)
+            assert len(codec._memo) == encoding.DECODE_MEMO_LIMIT
+        rows = self._encoded_rows(columnar, arity, 9)
+        self._encoded_rows(per_row, arity, 9)
+        assert columnar.decode_rows(rows) == [per_row.decode_row(row) for row in rows]
+        assert len(columnar._memo) <= encoding.DECODE_MEMO_LIMIT
+        assert list(columnar._memo) == list(per_row._memo)
+
     def test_sql_null_codec_decodes_fresh_nulls(self):
         codec = SQLNullCodec()
         first = codec.decode_row((None, None, "a"))

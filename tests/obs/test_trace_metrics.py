@@ -195,6 +195,21 @@ class TestTracer:
         disabled = entry_scope(None, DISABLED_METRICS, "query.certain")
         assert disabled is entry_scope(None, None, "query.possible")
 
+    def test_a_session_picks_its_entry_scope_kind_once(self):
+        db = Database.from_dict({"R": [(1,)]})
+        quiet = repro.connect(db, metrics=False)
+        assert quiet._obs("query.certain") is quiet._obs("query.possible")
+        with quiet._obs("query.certain"):
+            assert current_metrics() is None and current_tracer() is None
+        # The factory picked at connect() serves every request.
+        tracer = Tracer()
+        for session in (repro.connect(db), repro.connect(db, tracer=tracer)):
+            session.query(parse_ra("R")).certain()
+            session.query(parse_ra("R")).certain()
+            assert session.metrics()["counters"]["query.certain"] == 2
+            assert current_tracer() is None
+        assert [s.name for s in tracer.spans() if s.parent_id is None] == ["query.certain"] * 2
+
 
 # ---------------------------------------------------------------------------
 # session wiring

@@ -23,8 +23,8 @@ UCQ = "project[o_id, amount](join(Orders, rename[P(p_id, o_id, amount)](Pay)))"
 
 #: (request, the most Python-level calls one warm request may make)
 LIMITS = {
-    "UCQ certain()": 53,
-    "DIFF answer_object()": 42,
+    "UCQ certain()": 50,
+    "DIFF answer_object()": 39,
 }
 
 
