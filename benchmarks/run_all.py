@@ -349,12 +349,21 @@ def scenario_e16() -> Dict[str, Any]:
 
 
 def scenario_e20() -> Dict[str, Any]:
+    """Sound evaluation on e01; lineage and the sound rung on ``diff2000`` (not gated)."""
+    import repro
     from repro.core import sound_certain_answers
     from repro.workloads import orders_payments
+    from bench_e20_sound_eval import DIFF_QUERY, diff_database
 
     query = parse_ra("diff(project[o_id](Orders), rename[Paid(o_id)](project[ord](Pay)))")
     database = orders_payments(num_orders=80, num_payments=40, null_fraction=0.3, seed=13)
-    return {"sound_evaluation": measure(lambda: sound_certain_answers(query, database))}
+    diff2000 = diff_database(2000)
+    lineage = repro.connect(diff2000, semantics="cwa").query(DIFF_QUERY)
+    return {
+        "sound_evaluation": measure(lambda: sound_certain_answers(query, database)),
+        "lineage_certain_diff2000": measure(lineage.certain),
+        "sound_evaluation_diff2000": measure(lambda: sound_certain_answers(DIFF_QUERY, diff2000)),
+    }
 
 
 def scenario_e21() -> Dict[str, Any]:

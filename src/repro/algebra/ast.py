@@ -282,7 +282,7 @@ class Projection(RAExpression):
         return Relation(out_schema, (tuple(row[p] for p in positions) for row in relation))
 
     def __str__(self) -> str:
-        attrs = ", ".join(str(a) for a in self.attributes)
+        attrs = ", ".join(str(Attr(a)) for a in self.attributes)
         return f"project[{attrs}]({self.child})"
 
 

@@ -293,7 +293,7 @@ def parse_ra(text: str) -> RAExpression:
     >>> from repro.algebra import parse_ra
     >>> expr = parse_ra("diff(project[#0](R), project[#0](S))")
     >>> str(expr)
-    'diff(project[0](R), project[0](S))'
+    'diff(project[#0](R), project[#0](S))'
     """
     parser = _Parser(_tokenize(text))
     expression = parser.parse_expression()

@@ -47,7 +47,7 @@ class Attr:
         return row[self.resolve(schema)]
 
     def __str__(self) -> str:
-        return str(self.ref)
+        return f"#{self.ref}" if isinstance(self.ref, int) else self.ref
 
 
 @dataclass(frozen=True)

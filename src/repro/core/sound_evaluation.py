@@ -30,7 +30,7 @@ how much of the certain answer the approximation recovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
 from ..algebra.ast import (
     ActiveDomain,
@@ -50,6 +50,7 @@ from ..algebra.ast import (
     expand_division,
 )
 from ..datamodel import Database, Relation
+from ..datamodel.matching import MayEqualIndex
 from ..datamodel.values import Null, is_null
 
 
@@ -162,18 +163,16 @@ def evaluate_pair(expression: RAExpression, database: Database) -> ApproximatePa
         right = evaluate_pair(expression.right, database)
         out_schema = expression.output_schema(schema)
         lower = Relation(out_schema, left.lower.rows & right.lower.rows)
-        upper_rows = [
-            row for row in left.upper if any(rows_unifiable(row, other) for other in right.upper)
-        ]
+        unifies = _unifier(right.upper)
+        upper_rows = [row for row in left.upper if unifies(row)]
         return _pair(lower, Relation(out_schema, upper_rows))
 
     if isinstance(expression, Difference):
         left = evaluate_pair(expression.left, database)
         right = evaluate_pair(expression.right, database)
         out_schema = expression.output_schema(schema)
-        lower_rows = [
-            row for row in left.lower if not any(rows_unifiable(row, other) for other in right.upper)
-        ]
+        unifies = _unifier(right.upper)
+        lower_rows = [row for row in left.lower if not unifies(row)]
         upper_rows = [row for row in left.upper if row not in right.lower.rows]
         return _pair(Relation(out_schema, lower_rows), Relation(out_schema, upper_rows))
 
@@ -184,6 +183,17 @@ def evaluate_pair(expression: RAExpression, database: Database) -> ApproximatePa
         return _pair(Relation(out_schema, pair.lower.rows), Relation(out_schema, pair.upper.rows))
 
     raise TypeError(f"unsupported RA node for sound evaluation: {expression!r}")
+
+
+def _unifier(relation: Relation) -> Callable[[Sequence[Any]], bool]:
+    """A test of whether a row unifies with some row of ``relation``.
+
+    A :class:`MayEqualIndex` of the relation yields the rows agreeing with
+    the probe on their common constants; the union-find decides each.
+    """
+    rows = list(relation)
+    index = MayEqualIndex(rows)
+    return lambda row: any(rows_unifiable(row, rows[position]) for position in index.candidates(row))
 
 
 def _apply_unary(expression: RAExpression, relation: Relation, database: Database) -> Relation:
@@ -230,9 +240,12 @@ def _upper_natural_join(
     join_pairs = [(left_schema.index_of(n), right_schema.index_of(n)) for n in shared]
     right_keep = [i for i, name in enumerate(right_schema.attributes) if name not in left_schema.attributes]
     out_schema = expression.output_schema(schema)
+    right_rows = list(right)
+    index = MayEqualIndex([tuple(r_row[j] for _, j in join_pairs) for r_row in right_rows])
     rows = []
     for l_row in left:
-        for r_row in right:
+        for position in index.candidates(tuple(l_row[i] for i, _ in join_pairs)):
+            r_row = right_rows[position]
             if values_unifiable((l_row[i], r_row[j]) for i, j in join_pairs):
                 rows.append(l_row + tuple(r_row[i] for i in right_keep))
     return Relation(out_schema, rows)

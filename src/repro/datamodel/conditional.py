@@ -16,21 +16,9 @@ them lives in :mod:`repro.algebra.ctable_algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .matching import MayEqualIndex
 from .relations import Relation, Row
 from .schema import RelationSchema
 from .valuation import Valuation
@@ -319,15 +307,6 @@ class ConditionalRow:
         return f"{self.values}  if  {self.condition}"
 
 
-class PositionIndex(NamedTuple):
-    """:meth:`ConditionalTable.position_index`: the rows of one column."""
-
-    #: constant -> ascending positions of the rows holding it
-    buckets: Mapping[Any, Tuple[int, ...]]
-    #: ascending positions of the rows holding a null
-    null_positions: Tuple[int, ...]
-
-
 class ConditionalTable:
     """A conditional table (c-table) with local and global conditions.
 
@@ -364,7 +343,7 @@ class ConditionalTable:
             checked.append(row)
         self._rows: Tuple[ConditionalRow, ...] = tuple(checked)
         self._global = global_condition
-        self._indexes: Optional[Dict[int, PositionIndex]] = None
+        self._indexes: Optional[Dict[int, MayEqualIndex]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -457,33 +436,22 @@ class ConditionalTable:
     def __iter__(self) -> Iterator[ConditionalRow]:
         return iter(self._rows)
 
-    def position_index(self, column: int) -> PositionIndex:
-        """Row positions keyed by the value in ``column``, nulls apart.
+    def position_index(self, column: int) -> MayEqualIndex:
+        """A :class:`MayEqualIndex` of the rows' values in ``column``.
 
+        ``position_index(c).candidates((constant,))`` are the ascending
+        positions of the rows holding ``constant`` or a null in ``c``.
         The index is cached on the table (tables are immutable), like
-        :meth:`Relation.index_on`.  Each bucket and the null positions are
-        ascending, so merging a bucket with the null positions visits its
-        rows in table order.  A finished index is published with one
-        attribute assignment of a fresh dict, so a concurrent reader never
-        sees a half-built one.
+        :meth:`Relation.index_on`, and published with one attribute
+        assignment of a fresh dict, so a concurrent reader never sees a
+        half-built one.
         """
         indexes = self._indexes
         if indexes is not None:
             index = indexes.get(column)
             if index is not None:
                 return index
-        buckets: Dict[Any, List[int]] = {}
-        null_positions: List[int] = []
-        for position, row in enumerate(self._rows):
-            value = row.values[column]
-            if is_null(value):
-                null_positions.append(position)
-            else:
-                buckets.setdefault(value, []).append(position)
-        index = PositionIndex(
-            {value: tuple(positions) for value, positions in buckets.items()},
-            tuple(null_positions),
-        )
+        index = MayEqualIndex([(row.values[column],) for row in self._rows])
         self._indexes = {**(indexes or {}), column: index}
         return index
 

@@ -35,11 +35,11 @@ from heapq import merge as _heapq_merge
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..algebra.ast import RAExpression
-from ..algebra.ctable_algebra import _merge_sorted
 from ..algebra.predicates import _OPERATORS, Attr, Comparison, PAnd, PNot, POr, Predicate, PTrue
 from ..datamodel import ConditionalRow, ConditionalTable
 from ..datamodel.condition_kernel import ConditionKernel
-from ..datamodel.conditional import FALSE, TRUE, Condition, PositionIndex
+from ..datamodel.conditional import FALSE, TRUE, Condition
+from ..datamodel.matching import MayEqualIndex
 from ..datamodel.relations import Relation, Row
 from ..datamodel.schema import DatabaseSchema
 from ..datamodel.values import Null, is_null
@@ -216,14 +216,14 @@ class CScan(COperator):
 class CIndexedSelect(COperator):
     """``σ[#column = constant]`` (possibly ``∧ …``) directly over a base c-table.
 
-    Reads the constant's bucket and the null-keyed rows from the table's
-    :meth:`~ConditionalTable.position_index` instead of scanning: every
-    other row holds a different constant in ``column``, so the equality
+    Reads the rows holding the constant or a null in ``column`` from the
+    table's :meth:`~ConditionalTable.position_index` instead of scanning:
+    every other row holds a different constant there, so the equality
     folds to ``false`` on it (without touching the supports — two
     constants are never pruned, and a leading conjunct that folds to
-    ``false`` stops the conjunction).  The candidates are merged in row
-    order and get exactly :class:`CFilter`'s treatment, so the output —
-    rows, order and ``pruned`` count — is the scan path's.
+    ``false`` stops the conjunction).  The candidates come in row order
+    and get exactly :class:`CFilter`'s treatment, so the output — rows,
+    order and ``pruned`` count — is the scan path's.
     """
 
     __slots__ = ("name", "predicate", "column", "constant", "_index")
@@ -236,7 +236,7 @@ class CIndexedSelect(COperator):
         self.predicate = predicate
         self.column = column
         self.constant = constant
-        self._index: Optional[Tuple[ConditionalTable, PositionIndex]] = None
+        self._index: Optional[Tuple[ConditionalTable, MayEqualIndex]] = None
 
     def _compute(self, ctx: CTableContext) -> List[CRow]:
         table = ctx.database.table(self.name)
@@ -247,14 +247,13 @@ class CIndexedSelect(COperator):
         else:
             index = table.position_index(self.column)
             self._index = (table, index)
-        positions = _merge_sorted(index.buckets.get(self.constant, ()), index.null_positions)
         predicate = self.predicate
         kernel = ctx.kernel
         intern = kernel.intern
         eq = kernel.eq if ctx.supports is None else ctx.eq
         table_rows = table.rows
         rows: List[CRow] = []
-        for position in positions:
+        for position in index.candidates((self.constant,)):
             row = table_rows[position]
             condition = intern(row.condition)
             if condition is FALSE:
@@ -708,17 +707,16 @@ class CUnion(COperator):
 
 
 class CMembershipIndex:
-    """Hash index over conditional rows for building membership conditions.
+    """Membership conditions over conditional rows, from a :class:`MayEqualIndex`.
 
     The kernel-side counterpart of the interpreter's ``_MembershipIndex``:
-    all-constant rows are keyed by their value tuple, so a constant probe
-    only meets its exact matches plus the rows mentioning a null (which may
-    coincide with anything under some valuation).  Given a context with
-    supports, a disjunct whose row equality needs a null outside its
+    a probe meets only the rows that agree with it wherever both hold a
+    constant (every other pairing folds to ``false``).  Given a context
+    with supports, a disjunct whose row equality needs a null outside its
     support is dropped (and counted in ``ctx.pruned``).
     """
 
-    __slots__ = ("rows", "keyed", "null_rows", "kernel", "ctx")
+    __slots__ = ("rows", "index", "kernel", "ctx")
 
     def __init__(
         self, rows: List[CRow], kernel: ConditionKernel, ctx: Optional[CTableContext] = None
@@ -726,24 +724,14 @@ class CMembershipIndex:
         self.rows = rows
         self.kernel = kernel
         self.ctx = ctx if ctx is not None and ctx.supports is not None else None
-        self.keyed: Dict[Row, List[int]] = {}
-        self.null_rows: List[int] = []
-        for position, (values, _) in enumerate(rows):
-            if any(is_null(v) for v in values):
-                self.null_rows.append(position)
-            else:
-                self.keyed.setdefault(values, []).append(position)
+        self.index = MayEqualIndex([values for values, _ in rows])
 
     def condition(self, values: Row) -> Condition:
         """The condition "``values`` is a tuple of the indexed rows"."""
         kernel = self.kernel
         ctx = self.ctx
-        if any(is_null(v) for v in values):
-            relevant: Iterable[int] = range(len(self.rows))
-        else:
-            relevant = _merge_sorted(self.keyed.get(values, ()), self.null_rows)
         disjuncts: List[Condition] = []
-        for position in relevant:
+        for position in self.index.candidates(values):
             r_values, r_condition = self.rows[position]
             if ctx is not None and not admits_row(ctx.supports, values, r_values):
                 ctx.pruned += 1

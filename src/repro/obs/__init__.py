@@ -25,7 +25,6 @@ from .trace import (
     current_tracer,
     entry_scope,
     env_tracer,
-    obs_scope,
     span,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "env_tracer",
     "instrument",
     "metrics_scope",
-    "obs_scope",
     "span",
 ]

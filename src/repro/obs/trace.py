@@ -45,7 +45,6 @@ __all__ = [
     "entry_scope",
     "entry_scopes",
     "env_tracer",
-    "obs_scope",
     "span",
 ]
 
@@ -56,9 +55,12 @@ _DEFAULT_RING_SIZE = 2048
 
 
 class Span:
-    """One named, timed, attributed region; ``parent_id`` encodes nesting."""
+    """One named, timed, attributed region; ``parent_id`` encodes nesting.
 
-    __slots__ = ("name", "attrs", "start", "duration", "span_id", "parent_id", "status")
+    ``tracer`` is the tracer whose id space ``span_id`` belongs to.
+    """
+
+    __slots__ = ("name", "attrs", "start", "duration", "span_id", "parent_id", "status", "tracer")
 
     def __init__(
         self,
@@ -66,6 +68,7 @@ class Span:
         attrs: Optional[Dict[str, Any]] = None,
         span_id: int = 0,
         parent_id: Optional[int] = None,
+        tracer: Optional["Tracer"] = None,
     ) -> None:
         self.name = name
         self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
@@ -74,6 +77,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.status = "ok"
+        self.tracer = tracer
 
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes mid-span (``with span(...) as sp: sp.set(rows=n)``)."""
@@ -166,12 +170,12 @@ class Tracer:
 
         Used for after-the-fact instrumentation — per-operator timings
         collected by the analyze probes, retry attempts.
-        ``parent_id=None`` hangs the span off the ambient current span.
+        ``parent_id=None`` hangs the span off the ambient current span,
+        when this tracer opened it.
         """
         if parent_id is None:
-            current = _SPAN.get()
-            parent_id = current.span_id if current is not None else None
-        span_obj = Span(name, attrs, next(self._ids), parent_id)
+            parent_id = _parent_id(self)
+        span_obj = Span(name, attrs, next(self._ids), parent_id, self)
         span_obj.start = time.time() - duration
         span_obj.duration = duration
         self.sink.emit(span_obj)
@@ -206,6 +210,16 @@ def current_span() -> Optional[Span]:
     return _SPAN.get()
 
 
+def _parent_id(tracer: Tracer) -> Optional[int]:
+    """The id of the ambient span, when ``tracer`` opened it.
+
+    Span ids are per tracer: the id of a span another tracer opened may
+    name an unrelated span here, even a descendant, so it is no parent.
+    """
+    parent = _SPAN.get()
+    return parent.span_id if parent is not None and parent.tracer is tracer else None
+
+
 class _SpanScope:
     """``with tracer.span(name): ...`` — times, nests, emits."""
 
@@ -213,10 +227,7 @@ class _SpanScope:
 
     def __init__(self, tracer: Tracer, name: str, attrs: Dict[str, Any]) -> None:
         self._tracer = tracer
-        parent = _SPAN.get()
-        self._span = Span(
-            name, attrs, next(tracer._ids), parent.span_id if parent is not None else None
-        )
+        self._span = Span(name, attrs, next(tracer._ids), _parent_id(tracer), tracer)
         self._token = None
         self._t0 = 0.0
 
@@ -279,44 +290,6 @@ def span(name: str, **attrs: Any) -> Any:
 # ----------------------------------------------------------------------
 # Scopes arming the ambient tracer + registry
 # ----------------------------------------------------------------------
-class obs_scope:
-    """Arm ``tracer`` and/or ``registry`` as the ambient observability context.
-
-    Either may be ``None`` (or a disabled registry): only what is given
-    is armed, and with neither the scope is a shared-cost no-op.  Worker
-    children use this to trace into their local buffers.
-    """
-
-    __slots__ = ("_tracer", "_registry", "_tokens")
-
-    def __init__(
-        self, tracer: Optional[Tracer], registry: Optional[MetricsRegistry]
-    ) -> None:
-        self._tracer = tracer
-        self._registry = (
-            registry if registry is not None and registry.enabled else None
-        )
-        self._tokens: List[Any] = []
-
-    def __enter__(self) -> "obs_scope":
-        if self._tracer is not None:
-            if _TRACER.get() is not self._tracer:
-                # Span ids are per tracer: a span opened under another
-                # tracer — e.g. an enclosing scope's entry span — is no
-                # parent here.
-                self._tokens.append((_SPAN, _SPAN.set(None)))
-            self._tokens.append((_TRACER, _TRACER.set(self._tracer)))
-        if self._registry is not None:
-            self._tokens.append((_METRICS, _METRICS.set(self._registry)))
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        while self._tokens:
-            var, token = self._tokens.pop()
-            var.reset(token)
-        return False
-
-
 class _EntryScope:
     """The session entry-point scope with tracing on: arm context, count,
     time, span.
@@ -354,13 +327,7 @@ class _EntryScope:
             self._m_token = _METRICS.set(self._registry)
         tracer = self._tracer
         self._t_token = _TRACER.set(tracer)
-        parent = _SPAN.get()
-        span_obj = Span(
-            self._name,
-            None,
-            next(tracer._ids),
-            parent.span_id if parent is not None else None,
-        )
+        span_obj = Span(self._name, None, next(tracer._ids), _parent_id(tracer), tracer)
         span_obj.start = time.time()
         self._span = span_obj
         self._s_token = _SPAN.set(span_obj)

@@ -38,6 +38,7 @@ from ..core.answers import enumeration_domain
 from ..datamodel import Database, Relation, Valuation
 from ..datamodel.condition_kernel import ConditionKernel
 from ..datamodel.conditional import TRUE, Condition, FalseCondition, TrueCondition
+from ..datamodel.matching import MayEqualIndex
 from ..datamodel.relations import Row
 from ..datamodel.schema import RelationSchema
 from ..datamodel.values import is_null
@@ -57,8 +58,9 @@ def _lineages(
 
     Null-free rows go first: a candidate one of them yields under
     ``TRUE`` is in every world, and the rows with nulls skip it.  A row
-    with nulls meets only the candidates that agree with its constants:
-    the open candidates are indexed once per set of constant positions.
+    with nulls meets only the candidates that agree with its constants,
+    through a :class:`~repro.datamodel.matching.MayEqualIndex` of the
+    open candidates.
     """
     partial = []
     for values, condition in rows:
@@ -77,16 +79,10 @@ def _lineages(
         for candidate, bucket in candidates.items()
         if not any(condition is TRUE for condition in bucket)
     ]
-    indexes: Dict[Tuple[int, ...], Dict[Row, List[Tuple[Row, List[Condition]]]]] = {}
+    index = MayEqualIndex([candidate for candidate, _ in open_candidates])
     for values, condition in partial:
-        fixed = tuple(i for i, value in enumerate(values) if not is_null(value))
-        index = indexes.get(fixed)
-        if index is None:
-            index = indexes[fixed] = {}
-            for candidate, bucket in open_candidates:
-                key = tuple(candidate[i] for i in fixed)
-                index.setdefault(key, []).append((candidate, bucket))
-        for candidate, bucket in index.get(tuple(values[i] for i in fixed), ()):
+        for position in index.candidates(values):
+            candidate, bucket = open_candidates[position]
             pins = [
                 kernel.eq(value, wanted) for value, wanted in zip(values, candidate) if is_null(value)
             ]

@@ -131,3 +131,39 @@ class TestPredicates:
     def test_trailing_input_rejected(self):
         with pytest.raises(RAParseError):
             parse_predicate("#0 = 1 #1")
+
+
+def _docstring_examples():
+    """The example queries of the parser module's docstring."""
+    from repro.algebra import parser
+
+    head = parser.__doc__.split("Grammar", 1)[0]
+    return [line.strip() for line in head.splitlines() if line.startswith("    ")]
+
+
+POSITIONAL = [
+    "select[#0 = 1](R)",
+    "select[#1 = #0](R)",
+    "select[1 = #0 or #1 != -3](R)",
+    "select[#0 = 'a' and not (#1 < 2.5)](R)",
+    "project[#1, #0](R)",
+    "project[#0, b](R)",
+    "join(select[#0 = 1](R), project[#1](S))",
+    "join(R, rename[S(a, b)](project[#1, #0](S)))",
+]
+
+
+def test_the_docstring_examples_are_read():
+    assert len(_docstring_examples()) == 6
+
+
+@pytest.mark.parametrize("text", _docstring_examples() + POSITIONAL)
+def test_str_round_trips_through_the_parser(text):
+    expression = parse_ra(text)
+    assert parse_ra(str(expression)) == expression
+
+
+def test_a_positional_reference_is_not_printed_as_a_constant():
+    positional = parse_ra("select[#0 = 1](R)")
+    assert str(positional) == "select[#0 = 1](R)"
+    assert parse_ra("select[0 = 1](R)") != positional

@@ -38,7 +38,7 @@ from repro.datamodel import Database, Null, Relation
 from repro.datamodel.schema import DatabaseSchema
 from repro.engine import PlanCache
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.trace import obs_scope
+from repro.obs.trace import entry_scope
 from repro.resilience import (
     Budget,
     BudgetExceeded,
@@ -384,7 +384,7 @@ class TestHandleLock:
         registry, tracer = MetricsRegistry(), Tracer()
 
         def run():
-            with obs_scope(tracer, registry):
+            with entry_scope(tracer, registry, "query.certain"):
                 return backend.evaluate(self.QUERY, PlanCache())
 
         outcome = self._contended(backend, run, while_waiting=lambda: time.sleep(0.05))
@@ -432,7 +432,7 @@ class TestDeltaRefill:
 
     def _switch(self, backend, database):
         tracer = Tracer()
-        with obs_scope(tracer, MetricsRegistry()):
+        with entry_scope(tracer, MetricsRegistry(), "query.certain"):
             backend.replace_database(database)
         (switch,) = [s for s in tracer.spans() if s.name == "backend.replace_database"]
         return switch.attrs

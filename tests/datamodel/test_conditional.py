@@ -195,4 +195,7 @@ def test_ctable_pickles_without_its_position_indexes():
     assert (clone.schema, clone.rows, clone.global_condition) == (
         table.schema, table.rows, table.global_condition,
     )
-    assert clone.position_index(1) == table.position_index(1)
+    for constant in (0, 1, 6, 7):
+        assert list(clone.position_index(1).candidates((constant,))) == list(
+            table.position_index(1).candidates((constant,))
+        )

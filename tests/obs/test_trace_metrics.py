@@ -22,7 +22,6 @@ from repro.obs import (
     current_tracer,
     entry_scope,
     metrics_scope,
-    obs_scope,
     span,
 )
 
@@ -99,16 +98,27 @@ class TestMetricsRegistry:
 class TestTracer:
     def test_spans_nest_through_the_ambient_context(self):
         tracer = Tracer()
-        with obs_scope(tracer, None):
+        with entry_scope(tracer, None, "query.certain") as entry:
             with tracer.span("outer", kind="test") as outer:
                 with span("inner") as inner:
                     inner.set(rows=3)
         spans = {s.name: s for s in tracer.spans()}
         assert spans["inner"].parent_id == spans["outer"].span_id
-        assert spans["outer"].parent_id is None
+        assert spans["outer"].parent_id == entry.span_id
+        assert entry.parent_id is None
         assert spans["inner"].attrs == {"rows": 3}
         assert spans["outer"].attrs == {"kind": "test"}
         assert spans["outer"].duration >= spans["inner"].duration >= 0
+
+    def test_a_tracers_own_span_nests_without_an_ambient_tracer(self):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            assert current_tracer() is None
+            with tracer.span("inner") as inner:
+                pass
+            tracer.event("marker")
+        (marker,) = [s for s in tracer.spans() if s.name == "marker"]
+        assert inner.parent_id == marker.parent_id == outer.span_id
 
     def test_module_span_is_shared_noop_when_tracing_is_off(self):
         assert current_tracer() is None
@@ -120,17 +130,17 @@ class TestTracer:
 
     def test_exception_marks_span_status(self):
         tracer = Tracer()
-        with obs_scope(tracer, None):
-            with pytest.raises(ValueError):
-                with tracer.span("failing"):
+        with pytest.raises(ValueError):
+            with entry_scope(tracer, None, "query.certain"):
+                with span("failing"):
                     raise ValueError("boom")
-        (failing,) = tracer.spans()
-        assert failing.status == "ValueError"
+        failing, entry = tracer.spans()
+        assert failing.status == entry.status == "ValueError"
 
     def test_record_and_event_hang_off_the_ambient_span(self):
         tracer = Tracer()
-        with obs_scope(tracer, None):
-            with tracer.span("parent"):
+        with entry_scope(tracer, None, "query.certain"):
+            with span("parent"):
                 tracer.record("timed", 0.125, rows=2)
                 tracer.event("marker", note="x")
         spans = {s.name: s for s in tracer.spans()}
@@ -150,23 +160,49 @@ class TestTracer:
         # An inner scope inherits the outer scope's ambient span; the
         # inner tracer must not link to that foreign id.
         parent, child = Tracer(), Tracer()
-        with obs_scope(parent, None):
-            with parent.span("query.certain"):
-                with obs_scope(child, None):
-                    with child.span("world.evaluate"):
-                        pass
+        with entry_scope(parent, None, "query.certain"):
+            with parent.span("query.step") as step:
+                with entry_scope(child, None, "world.evaluate") as world:
+                    child.event("world.marker")
                 with parent.span("after") as after:
                     pass
-        (world,) = child.spans()
         assert world.parent_id is None
-        assert after.parent_id == parent.spans()[-1].span_id
+        (marker,) = [s for s in child.spans() if s.name == "world.marker"]
+        assert marker.parent_id == world.span_id
+        assert after.parent_id == step.span_id
+
+    def test_a_span_of_another_tracer_is_no_parent(self):
+        # Span ids are per tracer: a traced session answering inside
+        # another tracer's span must not take that span's id as parent,
+        # since in its own id space that id may name one of its own
+        # descendants (a parent cycle).
+        outer_tracer, tracer = Tracer(), Tracer()
+        with outer_tracer.span("before"):
+            pass
+        with repro.connect(_database(), tracer=tracer) as session:
+            with outer_tracer.span("outer") as outer:
+                session.query(QUERY).certain()
+            tracer.event("after")
+        spans = tracer.spans()
+        (entry,) = [s for s in spans if s.name == "query.certain"]
+        # ``outer``'s id names the entry's first child in ``tracer``'s space.
+        assert any(s.span_id == outer.span_id and s is not entry for s in spans)
+        assert entry.parent_id is None
+        assert spans[-1].parent_id is None
+        parents = {s.span_id: s.parent_id for s in spans}
+        for span_obj in spans:
+            seen = set()
+            cursor = span_obj.span_id
+            while cursor is not None:
+                assert cursor not in seen, "parent cycle"
+                seen.add(cursor)
+                cursor = parents.get(cursor)
 
     def test_jsonl_sink_writes_one_object_per_span(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(JSONLSink(str(path)))
-        with obs_scope(tracer, None):
-            with tracer.span("query.certain", rows=Null("n")):
-                pass
+        with tracer.span("query.certain", rows=Null("n")):
+            pass
         tracer.sink.close()
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
@@ -305,7 +341,7 @@ class TestSessionWiring:
         policy = RetryPolicy(
             retries=4, base_delay=0.0, retryable=lambda e: isinstance(e, OSError)
         )
-        with obs_scope(tracer, registry):
+        with entry_scope(tracer, registry, "query.certain"):
             result = with_retries(flaky, policy=policy, sleep=lambda _s: None)
         assert result == "ok"
         assert registry.counter_value("retry.attempts") == 2
